@@ -54,7 +54,7 @@ def _load_form(args) -> tuple[object, str | None]:
     try:
         form, space = registry.resolve(name, args.n, args.space)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(exc.args[0]) from exc
     return form, space
 
 
@@ -86,7 +86,10 @@ def _cmd_forms(args) -> int:
     if args.action == "list":
         _emit({"space": args.space, "n": args.n, "forms": registry.list_entries(args.space, args.n)}, args.pretty)
         return 0
-    form, space = registry.resolve(args.name, args.n, args.space)
+    try:
+        form, space = registry.resolve(args.name, args.n, args.space)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from exc
     payload = form_to_json(form)
     payload["name"] = args.name
     payload["space"] = space
@@ -100,6 +103,8 @@ def _cmd_comass(args) -> int:
     k = args.k if args.k is not None else f.degree
     if k != f.degree:
         raise UsageError(f"requested k={k} but the form has degree {f.degree}")
+    if args.restarts < 1:
+        raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
     params = SearchParams(restarts=args.restarts, seed=args.seed, tol=args.tol)
     result = comass_search(f, k=k, params=params)
     payload = result.to_json()
@@ -218,6 +223,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.n not in (1, 2, 3):
+            raise UsageError(f"--n must be in 1..3, got {args.n}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

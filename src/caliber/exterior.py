@@ -12,6 +12,7 @@ Vectors are plain sequences / 1-D numpy arrays of length N.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -520,8 +521,11 @@ def form_from_json(data) -> AltForm | ComplexAltForm:
         mask = _mask_from_indices(t["indices"], dim)
         if mask.bit_count() != degree:
             raise ValueError(f"term {t['indices']} does not have degree {degree}")
-        re_terms[mask] = re_terms.get(mask, 0.0) + float(t.get("re", 0.0))
-        im_terms[mask] = im_terms.get(mask, 0.0) + float(t.get("im", 0.0))
+        c_re, c_im = float(t.get("re", 0.0)), float(t.get("im", 0.0))
+        if not (math.isfinite(c_re) and math.isfinite(c_im)):
+            raise ValueError(f"term {t['indices']} has a non-finite coefficient")
+        re_terms[mask] = re_terms.get(mask, 0.0) + c_re
+        im_terms[mask] = im_terms.get(mask, 0.0) + c_im
     re = AltForm(dim, degree, _raw=re_terms)
     im = AltForm(dim, degree, _raw=im_terms)
     if im.is_zero():

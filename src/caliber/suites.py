@@ -591,8 +591,10 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("special_isotropic3_assoc_horizontal", special_isotropic_assoc_horizontal))
 
     def maximizers_isotropic_upsilon():
-        # degree 2n+2: restarts clamped when the degree exceeds the closed-form
-        # cofactor range, to keep the batched search affordable
+        # degree 2n+2: above degree 4 the restarts are clamped to 2000 for
+        # memory, since the search holds every restart's (terms, k, k) blade
+        # matrices at once: 10^4 restarts x 128 terms x 8 x 8 doubles is about
+        # 0.65 GB at n = 3.  Lifting the clamp needs a chunked search.
         r = restarts if 2 * n + 2 <= 4 else min(restarts, 2000)
         res = comass_search(hk.form("re_upsilon1").to_float(), params=SearchParams(restarts=r, seed=seed + 7))
         maxers = res.maximizer_planes(1e-12)

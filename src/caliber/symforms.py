@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
@@ -52,11 +53,23 @@ _BITS = 8
 _MASK = (1 << _BITS) - 1
 
 
+@lru_cache(maxsize=None)
+def _high_bits(dim: int) -> int:
+    """The top bit of every exponent field: clear in both factors means no carry."""
+    return sum(1 << (_BITS * i + _BITS - 1) for i in range(dim))
+
+
+def _check_exponent(e: int) -> int:
+    if not 0 <= e <= _MASK:
+        raise OverflowError(f"exponent {e} outside 0..{_MASK}")
+    return e
+
+
 def _mono_key(exponents) -> int:
     key = 0
     for i, e in enumerate(exponents):
         if e:
-            key |= int(e) << (_BITS * i)
+            key |= _check_exponent(int(e)) << (_BITS * i)
     return key
 
 
@@ -64,9 +77,20 @@ def _mono_exponents(key: int, dim: int) -> tuple[int, ...]:
     return tuple((key >> (_BITS * i)) & _MASK for i in range(dim))
 
 
+def _check_product_exponents(a: "Poly", b: "Poly") -> None:
+    """Raise when some exponent of the product a * b would exceed 8 bits."""
+
+    def top(p):
+        return [max(col) for col in zip(*(_mono_exponents(k, p.dim) for k in p.terms))]
+
+    for ea, eb in zip(top(a), top(b)):
+        _check_exponent(ea + eb)
+
+
 class Poly:
     """Multivariate polynomial with exact coefficients, monomials packed as
-    integer keys (8 bits of exponent per variable)."""
+    integer keys (8 bits of exponent per variable; a larger exponent raises
+    OverflowError)."""
 
     __slots__ = ("dim", "terms")
 
@@ -80,7 +104,7 @@ class Poly:
 
     @classmethod
     def x(cls, dim: int, i: int, power: int = 1) -> "Poly":
-        return cls(dim, {int(power) << (_BITS * i): 1})
+        return cls(dim, {_check_exponent(int(power)) << (_BITS * i): 1})
 
     @classmethod
     def from_coeffs(cls, dim: int, mapping: dict) -> "Poly":
@@ -113,6 +137,10 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if len(self.terms) > len(other.terms):
             self, other = other, self
+        # one pass over each factor's keys, never over the pairs; most products
+        # here have an empty factor, which cannot overflow
+        if self.terms and reduce(or_, other.terms, reduce(or_, self.terms, 0)) & _high_bits(self.dim):
+            _check_product_exponents(self, other)
         acc: dict[int, object] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from caliber.calib import (
+    FormEvaluator,
     Plane,
     SearchParams,
     batch_evaluate,
@@ -335,3 +337,55 @@ def test_batch_evaluate_matches_pointwise():
     vals = batch_evaluate(f, frames)
     for i in (0, 7, 31):
         assert vals[i] == pytest.approx(evaluate(f, list(frames[i])), abs=1e-12)
+
+
+# -- gradient -----------------------------------------------------------------
+
+
+def _adjugate_grads(form, V):
+    """Reference gradient from explicit (k-1) x (k-1) minors of each term."""
+    N, k = V.shape
+    G = np.zeros((N, k))
+    for idx, c in form.terms.items():
+        M = V[list(idx)]
+        for p in range(k):
+            for j in range(k):
+                minor = np.delete(np.delete(M, p, axis=0), j, axis=1)
+                G[idx[p], j] += c * (-1) ** (p + j) * np.linalg.det(minor)
+    return G
+
+
+@given(
+    k=st.integers(1, 8),
+    extra=st.integers(0, 4),
+    terms=st.integers(1, 8),
+    kind=st.sampled_from(["random", "repeated_column", "rank_k_minus_2"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grads_match_adjugate_and_finite_differences(k, extra, terms, kind, seed):
+    rng = np.random.default_rng(seed)
+    N = k + extra
+    blades = {tuple(sorted(rng.choice(N, k, replace=False))) for _ in range(terms)}
+    form = AltForm(N, k, {b: float(rng.standard_normal()) for b in blades})
+    V = rng.standard_normal((N, k))
+    if kind == "repeated_column" and k >= 2:
+        V[:, 1] = V[:, 0]
+    if kind == "rank_k_minus_2" and k >= 2:
+        V = rng.standard_normal((N, k - 2)) @ rng.standard_normal((k - 2, k))
+    ev = FormEvaluator(form)
+    G = ev.grads(V)
+    # Hadamard bound on every minor, with room for the unit perturbations below
+    scale = sum(abs(c) for c in form.terms.values()) * np.prod(1.0 + np.linalg.norm(V, axis=0))
+    ref = _adjugate_grads(form, V)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * scale
+    if kind == "rank_k_minus_2" and k >= 2:
+        assert np.max(np.abs(G)) <= 1e-12 * scale  # every cofactor vanishes
+    # the form is linear in each entry, so a unit central difference is exact
+    E = np.eye(N * k).reshape(N * k, N, k)
+    fd = (ev.values(V + E) - ev.values(V - E)).reshape(N, k) / 2
+    assert np.max(np.abs(G - fd)) <= 1e-12 * scale
+    # a batch of frames with leading axes gives the per-frame gradients
+    batched = ev.grads(np.stack([V, 2 * V, -V]).reshape(3, 1, N, k))
+    assert batched.shape == (3, 1, N, k)
+    expect = [G, 2 ** (k - 1) * G, (-1) ** (k - 1) * G]
+    assert np.max(np.abs(batched[:, 0] - expect)) <= 1e-12 * scale * 2**k

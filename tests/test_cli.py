@@ -151,3 +151,45 @@ def test_worker_count_env_does_not_change_results(capsys, monkeypatch):
     monkeypatch.setenv("CALIBER_THREADS", "4")
     _, threaded, _ = invoke(capsys, *args)
     assert serial == threaded
+
+
+def _assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_comass_n_out_of_range_exits_2(capsys):
+    code, _, err = invoke(capsys, "comass", "--form", "theta_I4", "--n", "4")
+    _assert_usage_error(code, err)
+    assert "--n" in err
+
+
+def test_comass_zero_restarts_exits_2(capsys):
+    code, _, err = invoke(capsys, "comass", "--form", "theta_I4", "--n", "1", "--restarts", "0")
+    _assert_usage_error(code, err)
+    assert "--restarts" in err
+
+
+def test_forms_dump_unknown_name_exits_2(capsys):
+    code, _, err = invoke(capsys, "forms", "dump", "--name", "nope")
+    _assert_usage_error(code, err)
+    assert "nope" in err
+
+
+def test_comass_nan_form_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text('{"dim": 4, "degree": 2, "terms": [{"indices": [0, 1], "re": NaN}]}')
+    code, _, err = invoke(capsys, "comass", "--form", str(path))
+    _assert_usage_error(code, err)
+    assert "non-finite" in err
+
+
+def test_classify_nan_plane_exits_2(tmp_path, capsys):
+    frame = np.eye(8)[:2].tolist()
+    frame[1][1] = float("nan")
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"dim": 8, "frame": frame}))
+    code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and "non-finite" in err

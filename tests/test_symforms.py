@@ -43,6 +43,18 @@ def test_rcoef_eval_matches_symbolics():
     assert abs(c.eval(pt) - (0.3 + (-1.2) * r) / r**2) < 1e-14
 
 
+def test_poly_exponent_overflow_raises():
+    # an exponent past 8 bits would carry into the next variable's field
+    with pytest.raises(OverflowError):
+        sf.Poly.x(2, 0, 200) * sf.Poly.x(2, 0, 100)
+    with pytest.raises(OverflowError):
+        (sf.Poly.x(2, 1, 1) + sf.Poly.x(2, 0, 128)) * sf.Poly.x(2, 0, 128)
+    with pytest.raises(OverflowError):
+        sf.Poly.x(2, 0, 256)
+    assert sf.Poly.x(2, 0, 200) * sf.Poly.x(2, 0, 55) == sf.Poly.x(2, 0, 255)
+    assert sf.Poly.x(2, 0, 200) * sf.Poly.x(2, 1, 200) == sf.Poly.from_coeffs(2, {(200, 200): 1})
+
+
 # -- exterior derivative ----------------------------------------------------
 
 
