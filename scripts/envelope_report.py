@@ -10,11 +10,9 @@ Usage: python scripts/envelope_report.py [--n N] [--k K] [--restarts R]
 """
 
 import argparse
-from collections import Counter
-
-import numpy as np
 
 from caliber.calib import SearchParams, comass_search
+from caliber.cli import quaternionic_span_counts
 from caliber.model import build_hyperkahler_cone
 
 
@@ -32,14 +30,10 @@ def main() -> None:
     res = comass_search(form, params=SearchParams(restarts=args.restarts, seed=args.seed))
     print(f"form {name} on R^{hk.dim}: best value {res.value:.12f}")
 
-    counts: Counter = Counter()
-    for plane in res.maximizer_planes(1e-9):
-        rows = [plane.frame] + [plane.frame @ Ip.T for Ip in hk.complex_structures]
-        rank = int(np.sum(np.linalg.svd(np.vstack(rows), compute_uv=False) > 1e-8))
-        counts[rank] += 1
+    counts = quaternionic_span_counts(res, args.n, tol=1e-9)
     total = sum(counts.values())
     print(f"{total} maximizer planes; quaternionic span dimensions:")
-    for rank, count in sorted(counts.items()):
+    for rank, count in counts.items():
         tag = " (minimal quaternionic envelope)" if rank == 4 * args.k else ""
         print(f"  dim {rank}: {count}{tag}")
 

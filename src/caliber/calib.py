@@ -342,6 +342,22 @@ def _qf(X: np.ndarray) -> np.ndarray:
     return Q * d[..., None, :]
 
 
+def _gram_schmidt(candidates, rows: list, count: int) -> list:
+    """Extend the orthonormal `rows` by Gram-Schmidt on the candidate vectors,
+    in order, skipping those within 1e-8 of the span, until `count` rows."""
+    rows = list(rows)
+    for v in candidates:
+        if len(rows) == count:
+            break
+        w = np.array(v, dtype=float)
+        for u in rows:
+            w -= (u @ w) * u
+        nrm = np.linalg.norm(w)
+        if nrm > 1e-8:
+            rows.append(w / nrm)
+    return rows
+
+
 def canonical_frame(frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Deterministic orthonormal frame spanning the same oriented plane.
 
@@ -351,16 +367,7 @@ def canonical_frame(frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     frame = np.asarray(frame, dtype=float)
     k, n = frame.shape
     P = frame.T @ frame
-    rows: list[np.ndarray] = []
-    for i in range(n):
-        w = P[:, i].copy()
-        for u in rows:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            rows.append(w / nrm)
-        if len(rows) == k:
-            break
+    rows = _gram_schmidt(P.T, [], k)
     if len(rows) < k:
         raise ValueError("could not canonicalize frame")
     W = np.array(rows)
@@ -502,22 +509,6 @@ class LineReduction:
     alpha_comass: ComassResult | None = None
 
 
-def _complete_to_basis(e: np.ndarray) -> np.ndarray:
-    n = e.shape[0]
-    cols = [e]
-    for i in range(n):
-        w = np.zeros(n)
-        w[i] = 1.0
-        for u in cols:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            cols.append(w / nrm)
-        if len(cols) == n:
-            break
-    return np.array(cols[1:]).T
-
-
 def reduce_along_line(form, e, basis: np.ndarray | None = None, *,
                       lines_fill_calibrated_planes: bool = False,
                       params: SearchParams = SearchParams()) -> LineReduction:
@@ -535,7 +526,7 @@ def reduce_along_line(form, e, basis: np.ndarray | None = None, *,
     if form.dim != n:
         raise ValueError("dimension mismatch")
     if basis is None:
-        basis = _complete_to_basis(e)
+        basis = np.array(_gram_schmidt(np.eye(n), [e], n)[1:]).T
     else:
         basis = np.asarray(basis, dtype=float)
         if basis.shape != (n, n - 1):

@@ -64,22 +64,26 @@ def _real_form(form):
     return form.to_float()
 
 
+def quaternionic_span_counts(result, n: int, tol: float = 1e-6) -> dict[int, int]:
+    """How many maximizer planes (within `tol` of the best value) have each
+    dimension of quaternionic span dim(P + I1 P + I2 P + I3 P) in the cone."""
+    hk = build_hyperkahler_cone(n)
+    counts: dict[int, int] = {}
+    for plane in result.maximizer_planes(tol):
+        stacked = np.vstack([plane.frame] + [plane.frame @ Ip.T for Ip in hk.complex_structures])
+        rank = int(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-8))
+        counts[rank] = counts.get(rank, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def _envelope_report(result, n: int) -> dict:
     """Exploratory: dimensions of the quaternionic spans of maximizer planes.
 
     Reported only, never asserted: it probes whether special-isotropic
     maximizers stay inside quaternionic subspaces of the expected dimension.
     """
-    hk = build_hyperkahler_cone(n)
-    counts: dict[int, int] = {}
-    for plane in result.maximizer_planes(1e-6):
-        span_rows = [plane.frame]
-        for Ip in hk.complex_structures:
-            span_rows.append(plane.frame @ Ip.T)
-        stacked = np.vstack(span_rows)
-        rank = int(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-8))
-        counts[rank] = counts.get(rank, 0) + 1
-    return {"quaternionic_span_dim_counts": {str(k): v for k, v in sorted(counts.items())}}
+    counts = quaternionic_span_counts(result, n)
+    return {"quaternionic_span_dim_counts": {str(k): v for k, v in counts.items()}}
 
 
 def _cmd_forms(args) -> int:

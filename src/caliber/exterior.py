@@ -1,10 +1,12 @@
-"""Sparse alternating k-forms on R^N.
+"""Sparse alternating k-forms on R^N: the one form algebra of caliber.
 
 Blades are stored as bitmasks over the standard basis, so a k-form is a map
-from strictly increasing index lists to scalar coefficients.  Scalars may be
-int, Fraction, or float; exact types stay exact through every operation.
-Complex-valued forms are a pair of real forms (`ComplexAltForm`), and all
-operations distribute over the pair.
+from strictly increasing index lists to coefficients.  Coefficients may come
+from any commutative ring whose elements support +, -, * and truth testing
+(false exactly for zero): int, Fraction, float, or the exact cone
+coefficients `symforms.RCoef`.  Exact types stay exact through every
+operation.  Complex-valued forms are a pair of real forms (`ComplexAltForm`),
+and all operations distribute over the pair.
 
 Vectors are plain sequences / 1-D numpy arrays of length N.
 """
@@ -26,6 +28,7 @@ __all__ = [
     "wedge",
     "interior",
     "hodge",
+    "power",
     "evaluate",
     "pullback",
     "form_to_json",
@@ -98,7 +101,7 @@ class AltForm:
         self.dim = int(dim)
         self.degree = int(degree)
         if _raw is not None:
-            self._terms = {m: c for m, c in _raw.items() if c != 0}
+            self._terms = {m: c for m, c in _raw.items() if c}
         else:
             acc: dict[int, Scalar] = {}
             for key, coeff in (terms or {}).items():
@@ -107,8 +110,9 @@ class AltForm:
                     raise ValueError(f"blade {key} has wrong length for degree {degree}")
                 if mask >= (1 << dim):
                     raise ValueError(f"blade {key} out of range for dimension {dim}")
-                acc[mask] = acc.get(mask, 0) + coeff
-            self._terms = {m: c for m, c in acc.items() if c != 0}
+                prev = acc.get(mask)
+                acc[mask] = coeff if prev is None else prev + coeff
+            self._terms = {m: c for m, c in acc.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -146,6 +150,8 @@ class AltForm:
     def num_terms(self) -> int:
         return len(self._terms)
 
+    residual_term_count = num_terms  # the witness of an exact zero test
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -158,7 +164,8 @@ class AltForm:
         self._check_compatible(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, 0) + c
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
         return AltForm(self.dim, self.degree, _raw=acc)
 
     def __sub__(self, other: "AltForm") -> "AltForm":
@@ -252,6 +259,9 @@ class ComplexAltForm:
         masks = set(self.re._raw_terms()) | set(self.im._raw_terms())
         return len(masks)
 
+    def residual_term_count(self) -> int:
+        return self.re.residual_term_count() + self.im.residual_term_count()
+
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
@@ -284,16 +294,23 @@ class ComplexAltForm:
         elif isinstance(scalar, tuple):
             a, b = scalar
         else:
-            a, b = scalar, 0
+            return ComplexAltForm(self.re * scalar, self.im * scalar)
         return ComplexAltForm(self.re * a - self.im * b, self.re * b + self.im * a)
 
     __rmul__ = __mul__
+
+    def scale_i(self) -> "ComplexAltForm":
+        """Multiply by the imaginary unit."""
+        return ComplexAltForm(-self.im, self.re)
 
     def __xor__(self, other):
         return wedge(self, other)
 
     def wedge(self, other):
         return wedge(self, other)
+
+    def power(self, p: int):
+        return power(self, p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexAltForm):
@@ -339,16 +356,31 @@ def wedge(a, b):
             if m1 & m2:
                 continue
             m = m1 | m2
-            c = c1 * c2 * _merge_sign(m1, m2)
+            c = c1 * c2
+            if _merge_sign(m1, m2) < 0:
+                c = -c
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
     return AltForm(a.dim, degree, _raw=acc)
 
 
+def power(f, p: int):
+    """Wedge power f ^ ... ^ f (p factors); p = 0 gives the constant 1."""
+    if p == 0:
+        one = AltForm.constant(f.dim, 1)
+        return _as_complex(one) if isinstance(f, ComplexAltForm) else one
+    out = f
+    for _ in range(p - 1):
+        out = wedge(out, f)
+    return out
+
+
 def interior(v, a):
     """Interior product (contraction) of a vector with a form.
 
-    Acts as an antiderivation of degree -1; contracting a 0-form is an error.
+    The vector's entries may be numbers or ring elements (the vector fields
+    of `symforms`).  Acts as an antiderivation of degree -1; contracting a
+    0-form is an error.
     """
     if isinstance(a, ComplexAltForm):
         return ComplexAltForm(interior(v, a.re), interior(v, a.im))
@@ -365,10 +397,12 @@ def interior(v, a):
             i = low.bit_length() - 1
             m ^= low
             vi = entries[i]
-            if vi == 0:
+            if not vi:
                 continue
             nm = mask ^ low
-            term = c * vi * _drop_sign(mask, i)
+            term = c * vi
+            if _drop_sign(mask, i) < 0:
+                term = -term
             prev = acc.get(nm)
             acc[nm] = term if prev is None else prev + term
     return AltForm(a.dim, a.degree - 1, _raw=acc)

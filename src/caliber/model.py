@@ -31,7 +31,7 @@ import numpy as np
 
 from caliber import _quat
 from caliber.calib import Plane
-from caliber.exterior import AltForm, ComplexAltForm, pullback, wedge
+from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
 
 __all__ = [
     "HKModel",
@@ -40,6 +40,7 @@ __all__ = [
     "build_hyperkahler_cone",
     "build_link_frame",
     "default_link_frame",
+    "link_forms",
     "build_twistor_model",
     "make_V_theta",
     "make_W_theta",
@@ -59,6 +60,9 @@ __all__ = [
 _I1_BLOCK = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
 _I2_BLOCK = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
 _I3_BLOCK = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+
+# the cyclic pairs (q, r) completing p in the quaternionic triple (I_q I_r = I_p)
+CYCLIC_PAIRS = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
 def standard_triple_matrices(blocks: int, dim: int | None = None, offset: int = 0):
@@ -89,17 +93,6 @@ def standard_kahler_forms(blocks: int, dim: int | None = None, offset: int = 0):
         b3[(s, s + 3)] = 1
         b3[(s + 1, s + 2)] = 1
     return AltForm(n, 2, b1), AltForm(n, 2, b2), AltForm(n, 2, b3)
-
-
-def _wedge_power(f, p: int):
-    if p == 0:
-        if isinstance(f, ComplexAltForm):
-            return ComplexAltForm(AltForm.constant(f.dim, 1), AltForm.zero(f.dim, 0))
-        return AltForm.constant(f.dim, 1)
-    out = f
-    for _ in range(p - 1):
-        out = wedge(out, f)
-    return out
 
 
 def _factorial_inv(k: int) -> Fraction:
@@ -141,15 +134,15 @@ def _cone_catalog(n: int) -> dict:
     cat: dict = {"omega1": w1, "omega2": w2, "omega3": w3}
     for p in (1, 2, 3):
         cat[f"sigma{p}"] = sigma[p]
-        ups = _wedge_power(sigma[p], n + 1) * _factorial_inv(n + 1)
+        ups = power(sigma[p], n + 1) * _factorial_inv(n + 1)
         cat[f"upsilon{p}"] = ups
         cat[f"re_upsilon{p}"] = ups.re
         cat[f"im_upsilon{p}"] = ups.im
     for label, p in (("I", 1), ("J", 2), ("K", 3)):
         for k in range(1, n + 2):
-            theta = (_wedge_power(sigma[p], k) * _factorial_inv(k)).re
+            theta = (power(sigma[p], k) * _factorial_inv(k)).re
             cat[f"theta_{label}{2 * k}"] = theta
-    sq = {p: _wedge_power(cat[f"omega{p}"], 2) for p in (1, 2, 3)}
+    sq = {p: power(cat[f"omega{p}"], 2) for p in (1, 2, 3)}
     half = Fraction(1, 2)
     cat["Phi1"] = (sq[1] * -1 + sq[2] + sq[3]) * half
     cat["Phi2"] = (sq[1] - sq[2] + sq[3]) * half
@@ -223,49 +216,53 @@ def _exactify(M: np.ndarray):
     return None
 
 
-def _link_catalog(n: int, frame, cone: HKModel) -> dict:
-    dim = 4 * n + 3
-    alpha = {p: AltForm.blade(dim, [p - 1]) for p in (1, 2, 3)}
-    Omega = {p: pullback(cone.form(f"omega{p}"), frame) for p in (1, 2, 3)}
-    kappa = {
-        1: Omega[1] - wedge(alpha[2], alpha[3]),
-        2: Omega[2] - wedge(alpha[3], alpha[1]),
-        3: Omega[3] - wedge(alpha[1], alpha[2]),
-    }
+def link_forms(alpha: dict, Omega: dict, n: int) -> dict:
+    """The link forms built from the contact forms alpha_p and the transverse
+    Kahler forms Omega_p (dicts keyed by p = 1, 2, 3).
+
+    Returns alpha, Omega, kappa_p = Omega_p - alpha_q ^ alpha_r, the complex
+    psi_p = (alpha_q + i alpha_r) ^ (Omega_q + i Omega_r)^n / n! and
+    gamma_p = (alpha_q - i alpha_r) ^ (kappa_q + i kappa_r),
+    xi_p = kappa_q^2 + kappa_r^2, the associative phi_p and omega1_tilde.
+    The recipe only adds, scales and wedges, so it serves every coefficient
+    ring: the frame catalog (pulled-back constant forms) and the exact cone
+    extensions of `symforms.link_extension_catalog` both come from it.
+    """
+    kappa = {p: Omega[p] - wedge(alpha[q], alpha[r]) for p, (q, r) in CYCLIC_PAIRS.items()}
     cat: dict = {}
     for p in (1, 2, 3):
         cat[f"alpha{p}"] = alpha[p]
         cat[f"Omega{p}"] = Omega[p]
         cat[f"kappa{p}"] = kappa[p]
-
-    pairs = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-    for p, (q, r) in pairs.items():
+    for p, (q, r) in CYCLIC_PAIRS.items():
         tau = ComplexAltForm(alpha[q], alpha[r])
         sig = ComplexAltForm(Omega[q], Omega[r])
-        psi = wedge(tau, _wedge_power(sig, n)) * _factorial_inv(n)
-        cat[f"psi{p}"] = psi
-        cat[f"re_psi{p}"] = psi.re
-        cat[f"im_psi{p}"] = psi.im
-        gamma = wedge(ComplexAltForm(alpha[q], -alpha[r]), ComplexAltForm(kappa[q], kappa[r]))
-        cat[f"gamma{p}"] = gamma
-        cat[f"re_gamma{p}"] = gamma.re
-        cat[f"im_gamma{p}"] = gamma.im
+        cat[f"psi{p}"] = wedge(tau, power(sig, n)) * _factorial_inv(n)
+        cat[f"gamma{p}"] = wedge(ComplexAltForm(alpha[q], -alpha[r]), ComplexAltForm(kappa[q], kappa[r]))
         cat[f"xi{p}"] = wedge(kappa[q], kappa[q]) + wedge(kappa[r], kappa[r])
-
     aO = {p: wedge(alpha[p], Omega[p]) for p in (1, 2, 3)}
-    cat["phi1"] = aO[1] * -1 + aO[2] + aO[3]
+    cat["phi1"] = -aO[1] + aO[2] + aO[3]
     cat["phi2"] = aO[1] - aO[2] + aO[3]
     cat["phi3"] = aO[1] + aO[2] - aO[3]
+    cat["omega1_tilde"] = kappa[1] * 2 - wedge(alpha[2], alpha[3])
+    return cat
 
-    for label, p in (("I", 1), ("J", 2), ("K", 3)):
-        q, r = pairs[p]
+
+def _link_catalog(n: int, frame, cone: HKModel) -> dict:
+    dim = 4 * n + 3
+    alpha = {p: AltForm.blade(dim, [p - 1]) for p in (1, 2, 3)}
+    Omega = {p: pullback(cone.form(f"omega{p}"), frame) for p in (1, 2, 3)}
+    cat = link_forms(alpha, Omega, n)
+    for p in (1, 2, 3):
+        for name in (f"psi{p}", f"gamma{p}"):
+            cat[f"re_{name}"] = cat[name].re
+            cat[f"im_{name}"] = cat[name].im
+    for label, (p, (q, r)) in zip("IJK", CYCLIC_PAIRS.items()):
         tau = ComplexAltForm(alpha[q], alpha[r])
         sig = ComplexAltForm(Omega[q], Omega[r])
         for k in range(1, n + 2):
-            theta = (wedge(tau, _wedge_power(sig, k - 1)) * _factorial_inv(k - 1)).re
+            theta = (wedge(tau, power(sig, k - 1)) * _factorial_inv(k - 1)).re
             cat[f"theta_{label}{2 * k - 1}"] = theta
-
-    cat["omega1_tilde"] = kappa[1] * 2 - wedge(alpha[2], alpha[3])
     cat["vol"] = AltForm.blade(dim, tuple(range(dim)))
     return cat
 

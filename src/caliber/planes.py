@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from caliber.calib import Plane, SearchParams, comass_search, is_calibrated, skew_matrix
-from caliber.exterior import AltForm, evaluate
+from caliber.exterior import AltForm, evaluate, power, wedge
 from caliber.model import (
+    CYCLIC_PAIRS,
     HKModel,
     LinkFrame,
     TwistorModel,
@@ -150,8 +151,7 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         oriented = None
         if invariant and k % 2 == 0:
             m = k // 2
-            power = hk.form(f"omega{p}")
-            val = _form_value(_wedge_power_float(power, m, 1.0 / math.factorial(m)), F)
+            val = _form_value(power(hk.form(f"omega{p}").to_float(), m) * (1.0 / math.factorial(m)), F)
             oriented = val
             rep.add(f"complex_I{p}", abs(val - 1) <= tol, val)
             rep.add(f"anti_complex_I{p}", abs(val + 1) <= tol, val)
@@ -161,7 +161,7 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         iso = isotropy_residual(F, hk.form(f"omega{p}"))
         rep.add(f"isotropic_omega{p}", iso <= tol, iso)
         rep.add(f"lagrangian_omega{p}", iso <= tol and k == 2 * hk.n + 2, iso)
-    for p, (q, r) in {1: (2, 3), 2: (3, 1), 3: (1, 2)}.items():
+    for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"complex_I{p}")) and rep.flag(f"isotropic_omega{q}") and rep.flag(f"isotropic_omega{r}")
         rep.add(f"complex_isotropic_I{p}", ci, None)
     if k == 2 * hk.n + 2:
@@ -198,13 +198,13 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
         rep.add(f"cr_I{p}", cr, {"reeb": has_reeb, "J_residual": jres})
         if cr and k % 2 == 1:
             m = (k - 1) // 2
-            cal = _wedge_power_float(lf.form(f"Omega{p}"), m, 1.0 / math.factorial(m))
-            cal = _wedge_float(lf.form(f"alpha{p}"), cal)
+            cal = power(lf.form(f"Omega{p}").to_float(), m) * (1.0 / math.factorial(m))
+            cal = wedge(lf.form(f"alpha{p}").to_float(), cal)
             rep.flags[f"cr_I{p}"]["oriented_value"] = float(_form_value(cal, F))
         aval = float(np.max(np.abs(F[:, p - 1])))
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)
-    for p, (q, r) in {1: (2, 3), 2: (3, 1), 3: (1, 2)}.items():
+    for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"cr_I{p}")) and rep.flag(f"isotropic_alpha{q}") and rep.flag(f"isotropic_alpha{r}")
         rep.add(f"cr_isotropic_I{p}", ci, None)
     if k == 2 * n + 1:
@@ -257,21 +257,6 @@ def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> Classificat
         rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val)
         rep.flags["re_gamma0_calibrated"]["phase"] = _phase(val, tol)
     return rep
-
-
-def _wedge_power_float(f: AltForm, m: int, scale: float) -> AltForm:
-    from caliber.exterior import wedge
-
-    out = f.to_float()
-    for _ in range(m - 1):
-        out = wedge(out, f.to_float())
-    return out * scale
-
-
-def _wedge_float(a: AltForm, b: AltForm) -> AltForm:
-    from caliber.exterior import wedge
-
-    return wedge(a.to_float(), b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from caliber.exterior import wedge
+from caliber.exterior import power
 from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
 
 SPACES = ("cone", "link", "twistor")
@@ -21,11 +21,8 @@ def catalog(space: str, n: int) -> dict:
         hk = build_hyperkahler_cone(n)
         cat = dict(hk.catalog)
         for p in (1, 2, 3):
-            w = hk.form(f"omega{p}")
-            power = w
             for k in range(2, n + 2):
-                power = wedge(power, w)
-                cat[f"omega{p}_power{k}"] = power * Fraction(1, math.factorial(k))
+                cat[f"omega{p}_power{k}"] = power(hk.form(f"omega{p}"), k) * Fraction(1, math.factorial(k))
         return cat
     if space == "link":
         return dict(default_link_frame(n).catalog)

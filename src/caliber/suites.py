@@ -15,9 +15,7 @@ and the JSON serialization is byte-stable when timing is excluded.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,7 +34,7 @@ from caliber.calib import (
     splitting_support,
 )
 from caliber.exterior import AltForm, hodge, wedge
-from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
+from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone, build_twistor_model, default_link_frame
 from caliber.registry import resolve
 
 __all__ = ["SuiteReport", "CheckResult", "run_suite", "SUITES", "coverage_table"]
@@ -79,30 +77,17 @@ class SuiteReport:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CALIBER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_checks(checks: list[tuple[str, object]]) -> list[CheckResult]:
-    def run_one(item):
-        check_id, fn = item
+    results = []
+    for check_id, fn in checks:
         t0 = time.perf_counter()
         try:
             ok, witness = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
         ms = (time.perf_counter() - t0) * 1000.0
-        return CheckResult(check_id, "pass" if ok else "fail", witness, ms)
-
-    workers = _worker_count()
-    if workers == 1:
-        return [run_one(item) for item in checks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, checks))
+        results.append(CheckResult(check_id, "pass" if ok else "fail", witness, ms))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +101,38 @@ def _zero_check(form) -> tuple[bool, dict]:
 
 def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
     cat = sf.link_extension_catalog(n)
-    pairs = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
     checks: list[tuple[str, object]] = []
 
     for p in (1, 2, 3):
         checks.append(
-            (f"d_alpha{p}_eq_2Omega{p}", lambda p=p: _zero_check(sf.ext_d(cat[f"alpha{p}"]) - cat[f"Omega{p}"].scale(2)))
+            (f"d_alpha{p}_eq_2Omega{p}", lambda p=p: _zero_check(sf.ext_d(cat[f"alpha{p}"]) - cat[f"Omega{p}"] * 2))
         )
         checks.append((f"d_Omega{p}_zero", lambda p=p: _zero_check(sf.ext_d(cat[f"Omega{p}"]))))
 
     def kappa_check(p, q, r):
         lhs = sf.ext_d(cat[f"kappa{p}"])
-        rhs = (cat[f"alpha{q}"].wedge(cat[f"Omega{r}"]) - cat[f"alpha{r}"].wedge(cat[f"Omega{q}"])).scale(2)
-        rhs_k = (cat[f"alpha{q}"].wedge(cat[f"kappa{r}"]) - cat[f"alpha{r}"].wedge(cat[f"kappa{q}"])).scale(2)
+        rhs = (cat[f"alpha{q}"].wedge(cat[f"Omega{r}"]) - cat[f"alpha{r}"].wedge(cat[f"Omega{q}"])) * 2
+        rhs_k = (cat[f"alpha{q}"].wedge(cat[f"kappa{r}"]) - cat[f"alpha{r}"].wedge(cat[f"kappa{q}"])) * 2
         ok1, w1 = _zero_check(lhs - rhs)
         ok2, w2 = _zero_check(lhs - rhs_k)
         return ok1 and ok2, {"vs_Omega": w1, "vs_kappa": w2}
 
-    for p, (q, r) in pairs.items():
+    for p, (q, r) in CYCLIC_PAIRS.items():
         checks.append((f"d_kappa{p}_cyclic", lambda p=p, q=q, r=r: kappa_check(p, q, r)))
 
     def psi_check(p):
-        rhs = cat[f"sigma_t{p}"].power(n + 1).scale(Fraction(2, math.factorial(n)))
-        diff = cat[f"psi{p}"].d() - rhs
-        return diff.is_zero(), {"residual_term_count": diff.residual_term_count()}
+        rhs = cat[f"sigma_t{p}"].power(n + 1) * Fraction(2, math.factorial(n))
+        return _zero_check(sf.ext_d(cat[f"psi{p}"]) - rhs)
 
     for p in (1, 2, 3):
         checks.append((f"d_psi{p}_transverse_volume", lambda p=p: psi_check(p)))
 
     def gamma_re_check():
-        rhs = cat["xi1"].scale(2) - cat["alpha2"].wedge(cat["alpha3"]).wedge(cat["kappa1"]).scale(4)
+        rhs = cat["xi1"] * 2 - cat["alpha2"].wedge(cat["alpha3"]).wedge(cat["kappa1"]) * 4
         return _zero_check(sf.ext_d(cat["gamma1"].re) - rhs)
 
     def xi_check():
-        return _zero_check(sf.ext_d(cat["xi1"]) + cat["kappa1"].wedge(cat["gamma1"].im).scale(4))
+        return _zero_check(sf.ext_d(cat["xi1"]) + cat["kappa1"].wedge(cat["gamma1"].im) * 4)
 
     checks.append(("d_im_gamma1_zero", lambda: _zero_check(sf.ext_d(cat["gamma1"].im))))
     checks.append(("d_re_gamma1_structure", gamma_re_check))
@@ -163,7 +146,7 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
         for p in (1, 2, 3):
             sq = cat[f"kappa{p}"].wedge(cat[f"kappa{p}"])
             ksum = sq if ksum is None else ksum + sq
-        return _zero_check(sf.ext_d(wit).scale(Fraction(1, 2)) - ksum)
+        return _zero_check(sf.ext_d(wit) * Fraction(1, 2) - ksum)
 
     checks.append(("exact_four_form_witness", witness_check))
 
@@ -171,22 +154,22 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
         checks.append(
             (
                 "nk_d_omega_tilde",
-                lambda: _zero_check(sf.ext_d(cat["omega1_tilde"]) - cat["gamma1"].im.scale(6)),
+                lambda: _zero_check(sf.ext_d(cat["omega1_tilde"]) - cat["gamma1"].im * 6),
             )
         )
 
         def nk_re_check():
             ot = cat["omega1_tilde"]
-            return _zero_check(sf.ext_d(cat["gamma1"].re).scale(2) - ot.wedge(ot).scale(2))
+            return _zero_check(sf.ext_d(cat["gamma1"].re) * 2 - ot.wedge(ot) * 2)
 
         checks.append(("nk_d_re_2gamma", nk_re_check))
 
     def semibasic_gamma():
         A1 = cat["reeb1"]
         g = cat["gamma1"]
-        dg = g.d()
-        ok = g.interior(A1).is_zero() and dg.interior(A1).is_zero()
-        return ok, {"hook": g.interior(A1).residual_term_count(), "hook_d": dg.interior(A1).residual_term_count()}
+        hook, hook_d = sf.interior_field(A1, g), sf.interior_field(A1, sf.ext_d(g))
+        ok = hook.is_zero() and hook_d.is_zero()
+        return ok, {"hook": hook.residual_term_count(), "hook_d": hook_d.residual_term_count()}
 
     checks.append(("semibasic_gamma1", semibasic_gamma))
 
@@ -194,8 +177,7 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
         A1 = cat["reeb1"]
         kappa2_fails = not sf.interior_field(A1, sf.ext_d(cat["kappa2"])).is_zero()
         alpha1_fails = not sf.interior_field(A1, cat["alpha1"]).is_zero()
-        psi1 = cat["psi1"]
-        psi1_fails = not psi1.d().interior(A1).is_zero()
+        psi1_fails = not sf.interior_field(A1, sf.ext_d(cat["psi1"])).is_zero()
         ok = kappa2_fails and alpha1_fails and psi1_fails
         return ok, {"kappa2": kappa2_fails, "alpha1": alpha1_fails, "psi1": psi1_fails}
 
@@ -215,7 +197,7 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
                 mono = sf.Poly.from_coeffs(dim, {tuple(rng.integers(0, 3, size=dim)): int(rng.integers(-3, 4))})
                 coef = sf.RCoef(dim, mono, sf.Poly.x(dim, int(rng.integers(0, dim))), int(rng.integers(0, 2)))
                 terms[mask] = coef if mask not in terms else terms[mask] + coef
-            f = sf.RationalForm(dim, deg, terms)
+            f = AltForm(dim, deg, terms)
             if not sf.ext_d(sf.ext_d(f)).is_zero():
                 bad += 1
         return bad == 0, {"violations": bad}
@@ -245,30 +227,30 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     al = {p: cat[f"alpha{p}"] for p in (1, 2, 3)}
 
     checks.append(
-        ("cone_split_omega1", lambda: split_check(cc["omega1"], al[1].mul_coef(rp(1)), O[1].mul_coef(rp(2))))
+        ("cone_split_omega1", lambda: split_check(cc["omega1"], al[1] * rp(1), O[1] * rp(2)))
     )
 
     def split_omega1_sq():
-        w1sq = cc["omega1"].wedge(cc["omega1"]).scale(Fraction(1, 2))
+        w1sq = cc["omega1"].wedge(cc["omega1"]) * Fraction(1, 2)
         return split_check(
             w1sq,
-            al[1].wedge(O[1]).mul_coef(rp(3)),
-            O[1].wedge(O[1]).scale(Fraction(1, 2)).mul_coef(rp(4)),
+            al[1].wedge(O[1]) * rp(3),
+            O[1].wedge(O[1]) * Fraction(1, 2) * rp(4),
         )
 
     checks.append(("cone_split_omega1_sq_half", split_omega1_sq))
 
     def split_theta():
-        aexp = (al[2].wedge(O[2]) - al[3].wedge(O[3])).mul_coef(rp(3))
-        bexp = (O[2].wedge(O[2]) - O[3].wedge(O[3])).scale(Fraction(1, 2)).mul_coef(rp(4))
+        aexp = (al[2].wedge(O[2]) - al[3].wedge(O[3])) * rp(3)
+        bexp = (O[2].wedge(O[2]) - O[3].wedge(O[3])) * Fraction(1, 2) * rp(4)
         return split_check(cc["theta_I4"], aexp, bexp)
 
     checks.append(("cone_split_theta_I4", split_theta))
 
     def split_Phi1():
-        aexp = cat["phi1"].mul_coef(rp(3))
+        aexp = cat["phi1"] * rp(3)
         bexp = (
-            (O[2].wedge(O[2]) + O[3].wedge(O[3]) - O[1].wedge(O[1])).scale(Fraction(1, 2)).mul_coef(rp(4))
+            (O[2].wedge(O[2]) + O[3].wedge(O[3]) - O[1].wedge(O[1])) * Fraction(1, 2) * rp(4)
         )
         return split_check(cc["Phi1"], aexp, bexp)
 
@@ -276,22 +258,22 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
 
     def split_Lambda():
         s_aO = al[1].wedge(O[1]) + al[2].wedge(O[2]) + al[3].wedge(O[3])
-        bexp = (O[1].wedge(O[1]) + O[2].wedge(O[2]) + O[3].wedge(O[3])).scale(Fraction(1, 6)).mul_coef(rp(4))
-        return split_check(cc["Lambda"], s_aO.scale(Fraction(1, 3)).mul_coef(rp(3)), bexp)
+        bexp = (O[1].wedge(O[1]) + O[2].wedge(O[2]) + O[3].wedge(O[3])) * Fraction(1, 6) * rp(4)
+        return split_check(cc["Lambda"], s_aO * Fraction(1, 3) * rp(3), bexp)
 
     checks.append(("cone_split_Lambda", split_Lambda))
 
     def split_upsilon1():
         u = cc["upsilon1"]
         psi = cat["psi1"]
-        rhs = cat["sigma_t1"].power(n + 1).scale(Fraction(1, math.factorial(n + 1)))
+        rhs = cat["sigma_t1"].power(n + 1) * Fraction(1, math.factorial(n + 1))
         ar, br = sf.cone_split(u.re)
         ai, bi = sf.cone_split(u.im)
         oks = [
-            (ar - psi.re.mul_coef(rp(2 * n + 1))).is_zero(),
-            (ai - psi.im.mul_coef(rp(2 * n + 1))).is_zero(),
-            (br - rhs.re.mul_coef(rp(2 * n + 2))).is_zero(),
-            (bi - rhs.im.mul_coef(rp(2 * n + 2))).is_zero(),
+            (ar - psi.re * rp(2 * n + 1)).is_zero(),
+            (ai - psi.im * rp(2 * n + 1)).is_zero(),
+            (br - rhs.re * rp(2 * n + 2)).is_zero(),
+            (bi - rhs.im * rp(2 * n + 2)).is_zero(),
         ]
         return all(oks), {"parts_ok": oks}
 
@@ -311,14 +293,14 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     checks.append(
         (
             "potential_omega1",
-            lambda: potential_check(cc["omega1"], 2, al[1].mul_coef(rp(2)).scale(Fraction(1, 2))),
+            lambda: potential_check(cc["omega1"], 2, al[1] * rp(2) * Fraction(1, 2)),
         )
     )
     checks.append(("potential_Phi1", lambda: potential_check(cc["Phi1"], 4)))
 
     def potential_Lambda():
         s_aO = al[1].wedge(O[1]) + al[2].wedge(O[2]) + al[3].wedge(O[3])
-        return potential_check(cc["Lambda"], 4, s_aO.scale(Fraction(1, 12)).mul_coef(rp(4)))
+        return potential_check(cc["Lambda"], 4, s_aO * Fraction(1, 12) * rp(4))
 
     checks.append(("potential_Lambda", potential_Lambda))
 
@@ -331,8 +313,8 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     checks.append(("potential_upsilon1", potential_upsilon1))
 
     def potential_euler():
-        f = sf.RationalForm(dim, 2, {0b11: sf.RCoef.const(dim, 1)})
-        expected = sf.RationalForm(
+        f = AltForm(dim, 2, {0b11: sf.RCoef.const(dim, 1)})
+        expected = AltForm(
             dim,
             1,
             {
@@ -347,9 +329,9 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     def homogeneity():
         R = sf.dilation_field(dim)
         oks = [
-            (sf.lie_derivative(R, cc["omega1"]) - cc["omega1"].scale(2)).is_zero(),
+            (sf.lie_derivative(R, cc["omega1"]) - cc["omega1"] * 2).is_zero(),
             sf.lie_derivative(R, al[1]).is_zero(),
-            (sf.lie_derivative(R, cc["upsilon1"].re) - cc["upsilon1"].re.scale(2 * n + 2)).is_zero(),
+            (sf.lie_derivative(R, cc["upsilon1"].re) - cc["upsilon1"].re * (2 * n + 2)).is_zero(),
         ]
         return all(oks), {"parts_ok": oks}
 

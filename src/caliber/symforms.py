@@ -9,10 +9,18 @@ with common sum-of-squares factors cancelled.  Zero testing therefore reduces
 to polynomial identity, so every exterior-derivative identity checked here is
 verified with no numerical error at all.
 
+Forms on the cone are `exterior.AltForm` / `ComplexAltForm` with `RCoef`
+coefficients: the same sparse algebra (sum, scalar and coefficient multiples,
+wedge, wedge powers, contraction) that evaluates forms numerically.  This
+module adds the calculus that needs point-dependent coefficients: the
+exterior derivative, contraction with vector fields, Lie derivatives, the
+radial split and homogeneous potentials.
+
 The distinguished link forms (contact one-forms, transverse Kahler forms, and
 everything built from them) are represented by their canonical conical
 extensions, homogeneous of degree zero, so that link identities become exact
-cone identities and no chart on the sphere is ever needed.
+cone identities and no chart on the sphere is ever needed.  They come from
+the same recipe (`model.link_forms`) as the numeric link catalog.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from operator import or_
 
 import numpy as np
 
-from caliber.exterior import AltForm, _merge_sign
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, interior
 
 __all__ = [
     "Poly",
@@ -33,6 +41,8 @@ __all__ = [
     "RationalForm",
     "CRationalForm",
     "PolyVectorField",
+    "constant_form",
+    "eval_at",
     "ext_d",
     "interior_field",
     "lie_derivative",
@@ -44,7 +54,6 @@ __all__ = [
     "dilation_field",
     "unit_radial_field",
     "reeb_extension",
-    "constant_form",
     "link_extension_catalog",
     "cone_constant_catalog",
 ]
@@ -209,7 +218,12 @@ def _sumsq(dim: int) -> Poly:
 
 
 class RCoef:
-    """A cone coefficient (P + Q r) / r^{2s} in canonical reduced form."""
+    """A cone coefficient (P + Q r) / r^{2s} in canonical reduced form.
+
+    Multiplying by a rational scalar is allowed, and a rational compares
+    equal to its constant coefficient, so `RCoef` can be the coefficient ring
+    of an `exterior.AltForm`.  Truth testing is the exact zero test.
+    """
 
     __slots__ = ("dim", "p", "q", "s")
 
@@ -251,19 +265,24 @@ class RCoef:
             return cls(dim, one, zero, mm // 2)
         return cls(dim, zero, one, (mm + 1) // 2)
 
-    def is_zero(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.p.terms or self.q.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RCoef) and (self - other).is_zero()
+        if isinstance(other, (int, Fraction)):
+            other = RCoef.const(self.dim, other)
+        return isinstance(other, RCoef) and not (self - other)
 
     __hash__ = None
 
     def _align(self, other: "RCoef") -> tuple[Poly, Poly, Poly, Poly, int]:
-        s = max(self.s, other.s)
-        b1 = _power(_sumsq(self.dim), s - self.s)
-        b2 = _power(_sumsq(self.dim), s - other.s)
-        return self.p * b1, self.q * b1, other.p * b2, other.q * b2, s
+        if self.s == other.s:
+            return self.p, self.q, other.p, other.q, self.s
+        if self.s > other.s:
+            b = _power(_sumsq(self.dim), self.s - other.s)
+            return self.p, self.q, other.p * b, other.q * b, self.s
+        b = _power(_sumsq(self.dim), other.s - self.s)
+        return self.p * b, self.q * b, other.p, other.q, other.s
 
     def __add__(self, other: "RCoef") -> "RCoef":
         p1, q1, p2, q2, s = self._align(other)
@@ -275,13 +294,24 @@ class RCoef:
     def __sub__(self, other: "RCoef") -> "RCoef":
         return self + (-other)
 
-    def __mul__(self, other: "RCoef") -> "RCoef":
-        p = self.p * other.p + (self.q * other.q) * _sumsq(self.dim)
-        q = self.p * other.q + self.q * other.p
+    def __mul__(self, other) -> "RCoef":
+        if not isinstance(other, RCoef):  # a rational scalar
+            return RCoef(self.dim, self.p.scale(other), self.q.scale(other), self.s)
+        # (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 r^2 + (p1 q2 + q1 p2) r; most
+        # coefficients here have an empty q part, whose products are skipped
+        p = self.p * other.p
+        if self.q.terms and other.q.terms:
+            p = p + (self.q * other.q) * _sumsq(self.dim)
+            q = self.p * other.q + self.q * other.p
+        elif self.q.terms:
+            q = self.q * other.p
+        elif other.q.terms:
+            q = self.p * other.q
+        else:
+            q = self.q  # both empty
         return RCoef(self.dim, p, q, self.s + other.s)
 
-    def scale(self, c) -> "RCoef":
-        return RCoef(self.dim, self.p.scale(c), self.q.scale(c), self.s)
+    __rmul__ = __mul__
 
     def diff(self, i: int) -> "RCoef":
         ss = _sumsq(self.dim)
@@ -341,143 +371,51 @@ def reeb_extension(Ip: np.ndarray) -> PolyVectorField:
     return PolyVectorField(dim, tuple(comps))
 
 
-class RationalForm:
-    """A k-form on the punctured cone with RCoef coefficients."""
-
-    __slots__ = ("dim", "degree", "terms")
-
-    def __init__(self, dim: int, degree: int, terms: dict | None = None):
-        self.dim = dim
-        self.degree = degree
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls, dim: int, degree: int) -> "RationalForm":
-        return cls(dim, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def residual_term_count(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalForm)
-            and self.dim == other.dim
-            and self.degree == other.degree
-            and (self - other).is_zero()
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "RationalForm") -> "RationalForm":
-        if (self.dim, self.degree) != (other.dim, other.degree):
-            raise ValueError("shape mismatch")
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-        return RationalForm(self.dim, self.degree, acc)
-
-    def __neg__(self) -> "RationalForm":
-        return RationalForm(self.dim, self.degree, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "RationalForm") -> "RationalForm":
-        return self + (-other)
-
-    def scale(self, c) -> "RationalForm":
-        return RationalForm(self.dim, self.degree, {m: v.scale(c) for m, v in self.terms.items()})
-
-    def mul_coef(self, rc: RCoef) -> "RationalForm":
-        return RationalForm(self.dim, self.degree, {m: v * rc for m, v in self.terms.items()})
-
-    def wedge(self, other: "RationalForm") -> "RationalForm":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        degree = self.degree + other.degree
-        if degree > self.dim:
-            return RationalForm(self.dim, degree, {})
-        acc: dict[int, RCoef] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                c = c1 * c2
-                if _merge_sign(m1, m2) < 0:
-                    c = -c
-                prev = acc.get(m)
-                acc[m] = c if prev is None else prev + c
-        return RationalForm(self.dim, degree, acc)
-
-    def eval_at(self, point) -> AltForm:
-        """Numeric restriction of the coefficients at a point (floats)."""
-        raw = {}
-        for m, c in self.terms.items():
-            v = c.eval(point)
-            if v != 0.0:
-                raw[m] = v
-        return AltForm(self.dim, self.degree, _raw=raw)
-
-    def __repr__(self) -> str:
-        return f"RationalForm(dim={self.dim}, degree={self.degree}, blades={len(self.terms)})"
+# Forms on the cone are exterior forms with RCoef coefficients; the old names
+# stay as aliases of the one algebra.
+RationalForm = AltForm
+CRationalForm = ComplexAltForm
 
 
-def constant_form(f: AltForm) -> RationalForm:
-    """Lift a constant-coefficient exact form to the cone."""
-    dim = f.dim
-    terms = {}
-    for m, c in f._raw_terms().items():
-        terms[m] = RCoef.const(dim, c)
-    return RationalForm(dim, f.degree, terms)
+def constant_form(f):
+    """Lift a constant-coefficient exact form (real or complex) to the cone."""
+    if isinstance(f, ComplexAltForm):
+        return ComplexAltForm(constant_form(f.re), constant_form(f.im))
+    return AltForm(f.dim, f.degree, _raw={m: RCoef.const(f.dim, c) for m, c in f._raw_terms().items()})
 
 
-def ext_d(f: RationalForm) -> RationalForm:
+def eval_at(f: AltForm, point) -> AltForm:
+    """Numeric restriction of the coefficients at a point (a float form)."""
+    return AltForm(f.dim, f.degree, _raw={m: c.eval(point) for m, c in f._raw_terms().items()})
+
+
+def ext_d(f):
     """Exterior derivative; d(r^m) = m r^{m-2} sum_i x_i dx_i, d o d = 0 exactly."""
+    if isinstance(f, ComplexAltForm):
+        return ComplexAltForm(ext_d(f.re), ext_d(f.im))
     acc: dict[int, RCoef] = {}
     dim = f.dim
-    for mask, c in f.terms.items():
+    for mask, c in f._raw_terms().items():
         for i in range(dim):
             bit = 1 << i
             if mask & bit:
                 continue
             dc = c.diff(i)
-            if dc.is_zero():
+            if not dc:
                 continue
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            term = dc if sign > 0 else -dc
+            term = dc if _drop_sign(mask, i) > 0 else -dc
             m = mask | bit
             prev = acc.get(m)
             acc[m] = term if prev is None else prev + term
-    return RationalForm(dim, f.degree + 1, acc)
+    return AltForm(dim, f.degree + 1, _raw=acc)
 
 
-def interior_field(X: PolyVectorField, f: RationalForm) -> RationalForm:
+def interior_field(X: PolyVectorField, f):
     """Contraction with a vector field (antiderivation of degree -1)."""
-    if f.degree == 0:
-        raise ValueError("cannot contract a 0-form")
-    acc: dict[int, RCoef] = {}
-    for mask, c in f.terms.items():
-        m = mask
-        pos = 0
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            comp = X.components[i]
-            if not comp.is_zero():
-                term = c * comp
-                if pos & 1:
-                    term = -term
-                nm = mask ^ low
-                prev = acc.get(nm)
-                acc[nm] = term if prev is None else prev + term
-            pos += 1
-    return RationalForm(f.dim, f.degree - 1, acc)
+    return interior(X.components, f)
 
 
-def lie_derivative(X: PolyVectorField, f: RationalForm) -> RationalForm:
+def lie_derivative(X: PolyVectorField, f):
     """Cartan formula L_X = d iota_X + iota_X d, computed exactly."""
     if f.degree == 0:
         df = ext_d(f)
@@ -485,13 +423,13 @@ def lie_derivative(X: PolyVectorField, f: RationalForm) -> RationalForm:
     return ext_d(interior_field(X, f)) + interior_field(X, ext_d(f))
 
 
-def dr_form(dim: int) -> RationalForm:
+def dr_form(dim: int) -> AltForm:
     """dr = (sum x_i dx_i) / r."""
     zero = Poly(dim, {})
-    return RationalForm(dim, 1, {1 << i: RCoef(dim, zero, Poly.x(dim, i), 1) for i in range(dim)})
+    return AltForm(dim, 1, _raw={1 << i: RCoef(dim, zero, Poly.x(dim, i), 1) for i in range(dim)})
 
 
-def cone_split(f: RationalForm) -> tuple[RationalForm, RationalForm]:
+def cone_split(f):
     """Split f = dr ^ alpha + beta with both parts radial-free; exact."""
     if f.degree == 0:
         raise ValueError("cannot split a 0-form")
@@ -501,20 +439,20 @@ def cone_split(f: RationalForm) -> tuple[RationalForm, RationalForm]:
 
 
 class NotClosedError(ValueError):
-    def __init__(self, residual: RationalForm):
+    def __init__(self, residual):
         super().__init__(f"form is not closed: d has {residual.residual_term_count()} residual terms")
         self.residual = residual
 
 
 class NotConicalError(ValueError):
-    def __init__(self, residual: RationalForm, k: int):
+    def __init__(self, residual, k: int):
         super().__init__(
             f"form is not homogeneous of degree {k}: residual has {residual.residual_term_count()} terms"
         )
         self.residual = residual
 
 
-def homogeneous_potential(f: RationalForm, k: int) -> RationalForm:
+def homogeneous_potential(f, k: int):
     """Primitive (r^k / k) alpha_0 of a closed degree-k homogeneous form.
 
     Checks closedness and homogeneity exactly and raises with the residual
@@ -526,70 +464,10 @@ def homogeneous_potential(f: RationalForm, k: int) -> RationalForm:
     if not df.is_zero():
         raise NotClosedError(df)
     R = dilation_field(f.dim)
-    res = lie_derivative(R, f) - f.scale(k)
+    res = lie_derivative(R, f) - f * k
     if not res.is_zero():
         raise NotConicalError(res, k)
-    return interior_field(R, f).scale(Fraction(1, k))
-
-
-class CRationalForm:
-    """Complex cone form as a pair (re, im) of rational forms."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RationalForm, im: RationalForm):
-        if (re.dim, re.degree) != (im.dim, im.degree):
-            raise ValueError("shape mismatch")
-        self.re = re
-        self.im = im
-
-    @property
-    def dim(self) -> int:
-        return self.re.dim
-
-    @property
-    def degree(self) -> int:
-        return self.re.degree
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def residual_term_count(self) -> int:
-        return self.re.residual_term_count() + self.im.residual_term_count()
-
-    def __add__(self, other: "CRationalForm") -> "CRationalForm":
-        return CRationalForm(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CRationalForm") -> "CRationalForm":
-        return CRationalForm(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CRationalForm":
-        return CRationalForm(-self.re, -self.im)
-
-    def scale(self, c) -> "CRationalForm":
-        return CRationalForm(self.re.scale(c), self.im.scale(c))
-
-    def scale_i(self) -> "CRationalForm":
-        """Multiply by the imaginary unit."""
-        return CRationalForm(-self.im, self.re)
-
-    def wedge(self, other: "CRationalForm") -> "CRationalForm":
-        return CRationalForm(
-            self.re.wedge(other.re) - self.im.wedge(other.im),
-            self.re.wedge(other.im) + self.im.wedge(other.re),
-        )
-
-    def power(self, n: int) -> "CRationalForm":
-        out = self
-        for _ in range(n - 1):
-            out = out.wedge(self)
-        return out
-
-    def d(self) -> "CRationalForm":
-        return CRationalForm(ext_d(self.re), ext_d(self.im))
-
-    def interior(self, X: PolyVectorField) -> "CRationalForm":
-        return CRationalForm(interior_field(X, self.re), interior_field(X, self.im))
+    return interior_field(R, f) * Fraction(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -598,69 +476,39 @@ class CRationalForm:
 
 @lru_cache(maxsize=None)
 def cone_constant_catalog(n: int) -> dict:
-    """Constant cone forms lifted to rational forms (exact)."""
+    """Constant cone forms lifted to exact cone forms."""
     from caliber.model import build_hyperkahler_cone
 
     hk = build_hyperkahler_cone(n)
-    out = {}
-    for name in ("omega1", "omega2", "omega3", "theta_I4", "Phi1", "Phi2", "Phi3", "Lambda"):
-        out[name] = constant_form(hk.form(name))
-    for p in (1, 2, 3):
-        ups = hk.form(f"upsilon{p}")
-        out[f"upsilon{p}"] = CRationalForm(constant_form(ups.re), constant_form(ups.im))
-    return out
+    names = ("omega1", "omega2", "omega3", "theta_I4", "Phi1", "Phi2", "Phi3", "Lambda",
+             "upsilon1", "upsilon2", "upsilon3")
+    return {name: constant_form(hk.form(name)) for name in names}
 
 
 @lru_cache(maxsize=None)
 def link_extension_catalog(n: int) -> dict:
     """Degree-0 conical extensions of the distinguished link forms.
 
-    On the cone these extensions satisfy the same structure identities as the
-    link forms themselves, with exact rational coefficients throughout.
+    alpha_p and Omega_p are the rescaled radial split of omega_p; the rest
+    comes from the shared link recipe.  On the cone these extensions satisfy
+    the same structure identities as the link forms themselves, with exact
+    rational coefficients throughout.
     """
-    from caliber.model import build_hyperkahler_cone
+    from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone, link_forms
 
     hk = build_hyperkahler_cone(n)
     dim = hk.dim
-    rm2 = RCoef.r_power(dim, -2)
-    R = dilation_field(dim)
-    cat: dict = {}
-    omega = {p: constant_form(hk.form(f"omega{p}")) for p in (1, 2, 3)}
-    alpha = {}
-    Omega = {}
+    rm1, rm2 = RCoef.r_power(dim, -1), RCoef.r_power(dim, -2)
+    alpha, Omega = {}, {}
     for p in (1, 2, 3):
-        a, b = cone_split(omega[p])
-        alpha[p] = a.mul_coef(RCoef.r_power(dim, -1))
-        Omega[p] = b.mul_coef(rm2)
-        cat[f"alpha{p}"] = alpha[p]
-        cat[f"Omega{p}"] = Omega[p]
-    kappa = {
-        1: Omega[1] - alpha[2].wedge(alpha[3]),
-        2: Omega[2] - alpha[3].wedge(alpha[1]),
-        3: Omega[3] - alpha[1].wedge(alpha[2]),
-    }
-    for p in (1, 2, 3):
-        cat[f"kappa{p}"] = kappa[p]
-
-    pairs = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-    inv_nfact = Fraction(1, math.factorial(n))
-    for p, (q, r) in pairs.items():
-        tau = CRationalForm(alpha[q], alpha[r])
-        sig = CRationalForm(Omega[q], Omega[r])
-        cat[f"sigma_t{p}"] = sig
-        cat[f"psi{p}"] = tau.wedge(sig.power(n)).scale(inv_nfact)
-        gam = CRationalForm(alpha[q], -alpha[r]).wedge(CRationalForm(kappa[q], kappa[r]))
-        cat[f"gamma{p}"] = gam
-        cat[f"xi{p}"] = kappa[q].wedge(kappa[q]) + kappa[r].wedge(kappa[r])
-
-    aO = {p: alpha[p].wedge(Omega[p]) for p in (1, 2, 3)}
-    cat["phi1"] = -aO[1] + aO[2] + aO[3]
-    cat["phi2"] = aO[1] - aO[2] + aO[3]
-    cat["phi3"] = aO[1] + aO[2] - aO[3]
-    cat["theta_I3"] = aO[2] - aO[3]
-    cat["omega1_tilde"] = kappa[1].scale(2) - alpha[2].wedge(alpha[3])
+        a, b = cone_split(constant_form(hk.form(f"omega{p}")))
+        alpha[p], Omega[p] = a * rm1, b * rm2
+    cat = link_forms(alpha, Omega, n)
+    for p, (q, r) in CYCLIC_PAIRS.items():
+        cat[f"sigma_t{p}"] = ComplexAltForm(Omega[q], Omega[r])
+    # alpha2 ^ Omega2 - alpha3 ^ Omega3, from the phi family without new wedges
+    cat["theta_I3"] = (cat["phi3"] - cat["phi2"]) * Fraction(1, 2)
     cat["alpha123"] = alpha[1].wedge(alpha[2]).wedge(alpha[3])
-    cat["reeb1"] = reeb_extension(hk.I1)
-    cat["reeb2"] = reeb_extension(hk.I2)
-    cat["reeb3"] = reeb_extension(hk.I3)
+    for p, I in enumerate(hk.complex_structures, start=1):
+        cat[f"reeb{p}"] = reeb_extension(I)
     return cat

@@ -145,14 +145,6 @@ def test_coverage_table_stable():
     assert all(ids == sorted(ids) for ids in table.values())
 
 
-def test_worker_count_env_does_not_change_results(capsys, monkeypatch):
-    args = ["verify", "--suite", "cones", "--n", "1", "--no-timing"]
-    _, serial, _ = invoke(capsys, *args)
-    monkeypatch.setenv("CALIBER_THREADS", "4")
-    _, threaded, _ = invoke(capsys, *args)
-    assert serial == threaded
-
-
 def _assert_usage_error(code, err):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

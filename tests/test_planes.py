@@ -76,6 +76,15 @@ def test_classify_cr_isotropic_link_plane():
     assert rep.flag("horizontal_p1") is False  # contains the first Reeb vector
 
 
+def test_classify_reeb_line_at_link():
+    # a Reeb line is CR of dimension 1: its calibrating form is alpha_p ^ Omega_p^0 = alpha_p
+    lf = default_link_frame(1)
+    for p in (1, 2, 3):
+        rep = classify_plane(Plane.from_vectors(np.eye(lf.dim)[p - 1 : p]), lf)
+        assert rep.flag(f"cr_I{p}")
+        assert rep.flags[f"cr_I{p}"]["oriented_value"] == pytest.approx(1.0)
+
+
 def test_classify_twistor_w_theta():
     tm = build_twistor_model(1)
     rep = classify_plane(make_W_theta(1, math.pi / 4), tm)

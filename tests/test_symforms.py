@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from caliber import symforms as sf
-from caliber.exterior import pullback
+from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
 from caliber.model import build_link_frame
 
 
@@ -106,7 +106,7 @@ def test_dd_zero(degree, raw_terms):
 def test_structure_identities_exact(n):
     cat = sf.link_extension_catalog(n)
     for p in (1, 2, 3):
-        assert (sf.ext_d(cat[f"alpha{p}"]) - cat[f"Omega{p}"].scale(2)).is_zero()
+        assert (sf.ext_d(cat[f"alpha{p}"]) - cat[f"Omega{p}"] * 2).is_zero()
         assert sf.ext_d(cat[f"Omega{p}"]).is_zero()
     assert sf.ext_d(cat["gamma1"].im).is_zero()
 
@@ -115,11 +115,11 @@ def test_lie_derivative_homogeneity():
     cc = sf.cone_constant_catalog(1)
     cat = sf.link_extension_catalog(1)
     R = sf.dilation_field(8)
-    assert (sf.lie_derivative(R, cc["omega1"]) - cc["omega1"].scale(2)).is_zero()
+    assert (sf.lie_derivative(R, cc["omega1"]) - cc["omega1"] * 2).is_zero()
     assert sf.lie_derivative(R, cat["alpha1"]).is_zero()
     ups = cc["upsilon1"]
-    assert (sf.lie_derivative(R, ups.re) - ups.re.scale(4)).is_zero()
-    assert (sf.lie_derivative(R, ups.im) - ups.im.scale(4)).is_zero()
+    assert (sf.lie_derivative(R, ups.re) - ups.re * 4).is_zero()
+    assert (sf.lie_derivative(R, ups.im) - ups.im * 4).is_zero()
 
 
 # -- cone splitting ---------------------------------------------------------
@@ -129,8 +129,8 @@ def test_cone_split_omega1_rows():
     cc = sf.cone_constant_catalog(1)
     cat = sf.link_extension_catalog(1)
     a, b = sf.cone_split(cc["omega1"])
-    assert (a - cat["alpha1"].mul_coef(sf.RCoef.r_power(8, 1))).is_zero()
-    assert (b - cat["Omega1"].mul_coef(sf.RCoef.r_power(8, 2))).is_zero()
+    assert (a - cat["alpha1"] * sf.RCoef.r_power(8, 1)).is_zero()
+    assert (b - cat["Omega1"] * sf.RCoef.r_power(8, 2)).is_zero()
 
 
 def test_cone_split_upsilon_rows():
@@ -142,11 +142,11 @@ def test_cone_split_upsilon_rows():
     ai, bi = sf.cone_split(u.im)
     psi = cat["psi1"]
     rp = lambda m: sf.RCoef.r_power(8, m)
-    assert (ar - psi.re.mul_coef(rp(2 * n + 1))).is_zero()
-    assert (ai - psi.im.mul_coef(rp(2 * n + 1))).is_zero()
-    rhs = cat["sigma_t1"].power(n + 1).scale(Fraction(1, math.factorial(n + 1)))
-    assert (br - rhs.re.mul_coef(rp(2 * n + 2))).is_zero()
-    assert (bi - rhs.im.mul_coef(rp(2 * n + 2))).is_zero()
+    assert (ar - psi.re * rp(2 * n + 1)).is_zero()
+    assert (ai - psi.im * rp(2 * n + 1)).is_zero()
+    rhs = cat["sigma_t1"].power(n + 1) * Fraction(1, math.factorial(n + 1))
+    assert (br - rhs.re * rp(2 * n + 2)).is_zero()
+    assert (bi - rhs.im * rp(2 * n + 2)).is_zero()
 
 
 def test_cone_split_horizontal_part_untouched():
@@ -192,13 +192,13 @@ def test_potential_of_omega_and_lambda():
     cc = sf.cone_constant_catalog(1)
     cat = sf.link_extension_catalog(1)
     pot = sf.homogeneous_potential(cc["omega1"], 2)
-    assert (pot - cat["alpha1"].mul_coef(sf.RCoef.r_power(8, 2)).scale(Fraction(1, 2))).is_zero()
+    assert (pot - cat["alpha1"] * sf.RCoef.r_power(8, 2) * Fraction(1, 2)).is_zero()
     potL = sf.homogeneous_potential(cc["Lambda"], 4)
     s_aO = None
     for p in (1, 2, 3):
         t = cat[f"alpha{p}"].wedge(cat[f"Omega{p}"])
         s_aO = t if s_aO is None else s_aO + t
-    assert (potL - s_aO.scale(Fraction(1, 12)).mul_coef(sf.RCoef.r_power(8, 4))).is_zero()
+    assert (potL - s_aO * Fraction(1, 12) * sf.RCoef.r_power(8, 4)).is_zero()
     assert (sf.ext_d(potL) - cc["Lambda"]).is_zero()
 
 
@@ -213,6 +213,33 @@ def test_potential_rejects_nonclosed_and_nonconical():
         sf.homogeneous_potential(not_conical, 2)
 
 
+# -- one algebra over both rings --------------------------------------------
+
+
+def fraction_forms(dim, degree):
+    blades = [m for m in range(1 << dim) if m.bit_count() == degree]
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(st.sampled_from(blades), coeffs, max_size=4).map(lambda t: AltForm(dim, degree, t))
+
+
+@given(st.data())
+def test_constant_form_commutes_with_the_algebra(data):
+    # lifting Fraction coefficients to constant RCoefs is a ring map, so the
+    # same sum, wedge and wedge power agree on both sides of constant_form
+    dim = 5
+    d1, d2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    a, a2 = data.draw(fraction_forms(dim, d1)), data.draw(fraction_forms(dim, d1))
+    b = data.draw(fraction_forms(dim, d2))
+    p = data.draw(st.integers(0, 3))
+    lift = sf.constant_form
+    assert lift(a + a2) == lift(a) + lift(a2)
+    assert lift(wedge(a, b)) == wedge(lift(a), lift(b))
+    assert lift(power(a, p)) == power(lift(a), p)
+    z = ComplexAltForm(a, a2)
+    assert lift(wedge(z, b)) == wedge(lift(z), lift(b))
+    assert lift(power(z, p)) == power(lift(z), p)
+
+
 # -- consistency between symbolic and numeric catalogs ----------------------
 
 
@@ -223,13 +250,14 @@ def test_cone_restriction_matches_link_frame(n):
     x /= np.linalg.norm(x)
     lf = build_link_frame(n, x)
     cat = sf.link_extension_catalog(n)
-    names = ["alpha1", "alpha2", "alpha3", "Omega1", "kappa2", "phi2", "theta_I3", "omega1_tilde"]
-    for name in names:
-        sym = cat[name].eval_at(x)  # numeric ambient form at x
-        num = pullback(sym, lf.frame)  # restricted to the adapted frame
-        expect = lf.form(name)
-        expect = expect.to_float() if hasattr(expect, "to_float") else expect
-        assert num.approx_eq(expect, 1e-10), name
-    g = cat["gamma1"]
-    sym_re = pullback(g.re.eval_at(x), lf.frame)
-    assert sym_re.approx_eq(lf.form("re_gamma1").to_float() if hasattr(lf.form("re_gamma1"), "to_float") else lf.form("re_gamma1"), 1e-10)
+    # every name both link catalogs define; complex forms by their parts
+    pairs = [(name, name) for name in ("theta_I3", "omega1_tilde")]
+    for p in (1, 2, 3):
+        pairs += [(f"{base}{p}", f"{base}{p}") for base in ("alpha", "Omega", "kappa", "phi", "xi")]
+        pairs += [(f"{part}_{base}{p}", f"{base}{p}") for base in ("psi", "gamma") for part in ("re", "im")]
+    for name, sym_name in pairs:
+        sym = cat[sym_name]
+        if name.startswith(("re_", "im_")):
+            sym = sym.re if name.startswith("re_") else sym.im
+        num = pullback(sf.eval_at(sym, x), lf.frame)  # ambient form at x, restricted to the adapted frame
+        assert num.approx_eq(lf.form(name).to_float(), 1e-10), name
