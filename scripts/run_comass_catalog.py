@@ -20,7 +20,7 @@ def main() -> None:
     args = ap.parse_args()
 
     params = SearchParams(restarts=args.restarts, seed=args.seed)
-    print(f"{'space':8s} {'form':22s} {'deg':>3s} {'comass':>14s} {'conv':>6s} {'sec':>6s}")
+    print(f"{'space':8s} {'form':22s} {'deg':>3s} {'comass':>14s} {'conv':>6s} {'floor':>6s} {'sec':>6s}")
     for space in SPACES:
         for name, form in sorted(catalog(space, args.n).items()):
             if form.scalar_kind != "real" or form.degree == 0 or form.degree > args.max_degree:
@@ -29,7 +29,7 @@ def main() -> None:
             res = comass_search(form.to_float(), params=params)
             dt = time.perf_counter() - t0
             print(f"{space:8s} {name:22s} {form.degree:3d} {res.value:14.10f} "
-                  f"{res.converged_fraction:6.2f} {dt:6.2f}")
+                  f"{res.converged_fraction:6.2f} {res.terminations['float_floor']:6d} {dt:6.2f}")
 
 
 if __name__ == "__main__":

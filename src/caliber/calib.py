@@ -7,6 +7,16 @@ space, QR retraction, Armijo backtracking.  Search values are certified lower
 bounds only; "comass one" acceptance additionally rests on the relevant
 structure theorem for the form at hand.
 
+Values are resolved only to about eps * |f|, so once a restart's Armijo gain
+c1 * t * |grad|^2 falls to the float floor eps * max(|f|, 1) no step can pass
+the test.  A restart stops when its Riemannian gradient norm falls below
+`tol` (converged), when its next trial gain reaches the float floor
+(float_floor: stationary to working precision), after `max_halvings` failed
+trials, or when `max_iters` runs out; `ComassResult.terminations` counts each
+reason.  Each line search starts at min(step0, t_last / shrink), one step up
+from the restart's last accepted step t_last, and each restart's current
+value is carried from the trial that accepted it rather than re-evaluated.
+
 The Euclidean gradient uses that a k-form is multilinear in the frame
 columns: its derivative in column j at row n sums, over the support blades
 through n, the coefficient times a (k-1)-minor of the frame.  Each minor is a
@@ -132,6 +142,12 @@ class SearchParams:
     max_halvings: int = 30
 
 
+# Why a restart stopped: its Riemannian gradient fell below `tol`; its next
+# Armijo gain fell to the float floor eps * max(|f|, 1), where no step can
+# pass the test; its line search used all `max_halvings`; or `max_iters` ran out.
+TERMINATIONS = ("converged", "float_floor", "max_halvings", "max_iters")
+
+
 @dataclass(frozen=True)
 class ComassResult:
     value: float
@@ -140,6 +156,7 @@ class ComassResult:
     converged_fraction: float
     all_values: np.ndarray = field(repr=False, default=None)
     all_frames: np.ndarray = field(repr=False, default=None)
+    terminations: dict = field(default=None)  # restarts per reason in TERMINATIONS
 
     def maximizer_planes(self, tol: float = 1e-6) -> list[Plane]:
         """Planes from restarts whose value is within tol of the best found."""
@@ -155,6 +172,7 @@ class ComassResult:
             "argmax": self.argmax.to_json(),
             "restarts_used": int(self.restarts_used),
             "converged_fraction": float(self.converged_fraction),
+            "terminations": dict(self.terminations),
         }
 
 
@@ -185,10 +203,11 @@ def _batch_det(M):
     return np.linalg.det(M)
 
 
-# Frames per gradient chunk: as many as keep one chunk's minors near
-# _CHUNK_FLOATS doubles (4 MB, the L2 cache of a 2-core Xeon), but at least
-# _CHUNK_FRAMES so that numpy's per-call cost stays small.  On that host,
-# chunks made `grads` of re_upsilon1 (k = 8, n = 3) on 1000 frames 2x faster.
+# Frames per evaluator chunk: as many as keep one chunk's blade matrices
+# (`values`) or minors (`grads`) near _CHUNK_FLOATS doubles (4 MB, the L2
+# cache of a 2-core Xeon), but at least _CHUNK_FRAMES so that numpy's
+# per-call cost stays small.  On that host, chunks made `grads` of
+# re_upsilon1 (k = 8, n = 3) on 1000 frames 2x faster.
 _CHUNK_FRAMES = 64
 _CHUNK_FLOATS = 1 << 19
 
@@ -271,8 +290,14 @@ class FormEvaluator:
         self._scatter = None
 
     def values(self, V: np.ndarray) -> np.ndarray:
-        M = V[..., self.idx, :]  # (..., T, k, k)
-        return _batch_det(M) @ self.coeffs
+        """Form values, in frame chunks of at most about _CHUNK_FLOATS blade
+        matrix entries (T, k, k) each, so memory stays flat in the frame count."""
+        flat = V.reshape(-1, self.dim, self.degree)
+        out = np.empty(len(flat))
+        step = max(_CHUNK_FRAMES, _CHUNK_FLOATS // max(1, self.idx.size * self.degree))
+        for s in range(0, len(flat), step):
+            out[s:s + step] = _batch_det(flat[s:s + step, self.idx, :]) @ self.coeffs
+        return out.reshape(V.shape[:-2])
 
     def grads(self, V: np.ndarray) -> np.ndarray:
         """Shared-minor gradient: G[n, j] = (-1)^j sum_F W[n, F] E[F, j].
@@ -342,6 +367,13 @@ def _qf(X: np.ndarray) -> np.ndarray:
     return Q * d[..., None, :]
 
 
+def _tangent_grad(V: np.ndarray, G: np.ndarray):
+    """Riemannian gradient G - V sym(V^T G) on the Stiefel manifold, and its squared norm."""
+    VtG = np.einsum("bnk,bnl->bkl", V, G)
+    RG = G - np.einsum("bnk,bkl->bnl", V, 0.5 * (VtG + np.swapaxes(VtG, -1, -2)))
+    return RG, np.sum(RG * RG, axis=(1, 2))
+
+
 def _gram_schmidt(candidates, rows: list, count: int) -> list:
     """Extend the orthonormal `rows` by Gram-Schmidt on the candidate vectors,
     in order, skipping those within 1e-8 of the span, until `count` rows."""
@@ -399,63 +431,57 @@ def comass_search(form: AltForm, k: int | None = None, params: SearchParams = Se
         plane = Plane.from_vectors(np.eye(n)[:k], orthonormalize=False)
         value = abs(float(form._raw_terms().get(0, 0.0))) if k == 0 else 0.0
         return ComassResult(value, plane, params.restarts, 1.0, np.full(params.restarts, value),
-                            np.repeat(plane.frame[None, :, :], params.restarts, axis=0))
+                            np.repeat(plane.frame[None, :, :], params.restarts, axis=0),
+                            dict.fromkeys(TERMINATIONS, 0) | {"converged": params.restarts})
 
     ev = FormEvaluator(form)
     R = params.restarts
     V = _qf(np.stack([np.random.default_rng(params.seed + r).standard_normal((n, k)) for r in range(R)]))
-
-    final_gn = np.full(R, np.inf)
+    f = ev.values(V)  # value of each restart's current frame
+    t_last = np.full(R, np.inf)  # last accepted step
+    reason = np.full(R, -1)  # index into TERMINATIONS once a restart stops
     active = np.arange(R)
     for _ in range(params.max_iters):
         if active.size == 0:
             break
         Va = V[active]
-        f0 = ev.values(Va)
-        G = ev.grads(Va)
-        VtG = np.einsum("bnk,bnl->bkl", Va, G)
-        sym = 0.5 * (VtG + np.swapaxes(VtG, -1, -2))
-        RG = G - np.einsum("bnk,bkl->bnl", Va, sym)
-        gn2 = np.sum(RG * RG, axis=(1, 2))
-        gn = np.sqrt(gn2)
-        done = gn < params.tol
-        final_gn[active[done]] = gn[done]
+        RG, gn2 = _tangent_grad(Va, ev.grads(Va))
+        done = np.sqrt(gn2) < params.tol
+        reason[active[done]] = 0
         live = ~done
-        active, Va, f0, RG, gn2 = active[live], Va[live], f0[live], RG[live], gn2[live]
+        active, Va, RG, gn2 = active[live], Va[live], RG[live], gn2[live]
         if active.size == 0:
             break
 
-        t = np.full(active.size, params.step0)
+        f0 = f[active]
+        floor = np.finfo(float).eps * np.maximum(np.abs(f0), 1.0)
+        t = np.minimum(params.step0, t_last[active] / params.shrink)
         pending = np.arange(active.size)
         accepted = np.zeros(active.size, dtype=bool)
-        newV = Va.copy()
         for _h in range(params.max_halvings):
+            # a gain at or below the value resolution can never pass the test
+            pending = pending[params.armijo_c1 * t[pending] * gn2[pending] > floor[pending]]
             if pending.size == 0:
                 break
             cand = _qf(Va[pending] + t[pending, None, None] * RG[pending])
             f1 = ev.values(cand)
             ok = f1 >= f0[pending] + params.armijo_c1 * t[pending] * gn2[pending]
-            hit = pending[ok]
-            newV[hit] = cand[ok]
-            accepted[hit] = True
+            hit = active[pending[ok]]
+            V[hit], f[hit], t_last[hit] = cand[ok], f1[ok], t[pending[ok]]
+            accepted[pending[ok]] = True
             pending = pending[~ok]
             t[pending] *= params.shrink
-        stuck = ~accepted
-        final_gn[active[stuck]] = np.sqrt(gn2[stuck])
-        V[active[accepted]] = newV[accepted]
+        stuck = np.flatnonzero(~accepted)
+        at_floor = params.armijo_c1 * t[stuck] * gn2[stuck] <= floor[stuck]
+        reason[active[stuck]] = np.where(at_floor, 1, 2)
         active = active[accepted]
 
     if active.size:
-        Va = V[active]
-        G = ev.grads(Va)
-        VtG = np.einsum("bnk,bnl->bkl", Va, G)
-        sym = 0.5 * (VtG + np.swapaxes(VtG, -1, -2))
-        RG = G - np.einsum("bnk,bkl->bnl", Va, sym)
-        final_gn[active] = np.sqrt(np.sum(RG * RG, axis=(1, 2)))
+        _, gn2 = _tangent_grad(V[active], ev.grads(V[active]))
+        reason[active] = np.where(np.sqrt(gn2) < params.tol, 0, 3)
 
-    values = ev.values(V)
-    best = float(np.max(values))
-    tied = np.flatnonzero(values >= best - 1e-9)
+    best = float(np.max(f))
+    tied = np.flatnonzero(f >= best - 1e-9)
     best_frame = None
     best_key = None
     for r in tied:
@@ -466,8 +492,10 @@ def comass_search(form: AltForm, k: int | None = None, params: SearchParams = Se
             best_frame = W
     argmax = Plane.from_vectors(best_frame, orthonormalize=True)
     value = float(ev.values(argmax.frame.T))
-    converged = float(np.mean(final_gn < params.tol))
-    return ComassResult(value, argmax, R, converged, values, np.swapaxes(V, -1, -2))
+    counts = np.bincount(reason, minlength=len(TERMINATIONS))
+    terminations = {name: int(c) for name, c in zip(TERMINATIONS, counts)}
+    converged = (terminations["converged"] + terminations["float_floor"]) / R
+    return ComassResult(value, argmax, R, converged, f, np.swapaxes(V, -1, -2), terminations)
 
 
 def skew_matrix(form: AltForm) -> np.ndarray:

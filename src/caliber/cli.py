@@ -192,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comass.add_argument("--k", type=int, default=None)
     p_comass.add_argument("--restarts", type=int, default=200)
     p_comass.add_argument("--seed", type=int, default=0)
-    p_comass.add_argument("--tol", type=float, default=1e-10, help="Riemannian gradient tolerance")
+    p_comass.add_argument("--tol", type=float, default=1e-10,
+                          help="Riemannian gradient norm at which a restart has converged; a restart also stops "
+                               "once its next Armijo gain falls to the float floor eps*max(|f|,1)")
     p_comass.add_argument("--explore-envelope", action="store_true")
     common(p_comass)
     p_comass.set_defaults(func=_cmd_comass)

@@ -573,19 +573,14 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("special_isotropic3_assoc_horizontal", special_isotropic_assoc_horizontal))
 
     def maximizers_isotropic_upsilon():
-        # degree 2n+2: above degree 4 the restarts are clamped to 2000 for
-        # memory, since the search holds every restart's (terms, k, k) blade
-        # matrices at once: 10^4 restarts x 128 terms x 8 x 8 doubles is about
-        # 0.65 GB at n = 3.  Lifting the clamp needs a chunked search.
-        r = restarts if 2 * n + 2 <= 4 else min(restarts, 2000)
-        res = comass_search(hk.form("re_upsilon1").to_float(), params=SearchParams(restarts=r, seed=seed + 7))
+        res = comass_search(hk.form("re_upsilon1").to_float(), params=SearchParams(restarts=restarts, seed=seed + 7))
         maxers = res.maximizer_planes(1e-12)
-        ok = len(maxers) >= r // 2 and isotropy_of_maximizers(
+        ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
             hk.form("re_upsilon1").to_float(), hk.I1.astype(float), hk.form("omega1"), maxers, tol=1e-7
         )
         im_vals = batch_evaluate(hk.form("im_upsilon1").to_float(), np.array([p.frame for p in maxers]))
         ok = ok and float(np.max(np.abs(im_vals))) <= 1e-6
-        return ok, {"maximizers": len(maxers), "restarts": r, "value": res.value,
+        return ok, {"maximizers": len(maxers), "restarts": restarts, "value": res.value,
                     "im_gap": float(np.max(np.abs(im_vals)))}
 
     checks.append(("maximizers_isotropic_re_upsilon1", maximizers_isotropic_upsilon))

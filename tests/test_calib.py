@@ -112,6 +112,40 @@ def test_comass_deterministic_given_seed():
     assert r1.converged_fraction == r2.converged_fraction
 
 
+def _counted_gamma0_search(monkeypatch):
+    """re_gamma0 at n=1 (200 restarts, seed 0), counting the frames that
+    FormEvaluator.values and FormEvaluator.grads evaluate."""
+    frames = {"values": 0, "grads": 0}
+    for name in frames:
+        method = getattr(FormEvaluator, name)
+
+        def counted(self, V, _name=name, _method=method):
+            frames[_name] += int(np.prod(V.shape[:-2]))
+            return _method(self, V)
+
+        monkeypatch.setattr(FormEvaluator, name, counted)
+    f = build_twistor_model(1).form("re_gamma0").to_float()
+    return comass_search(f, params=SearchParams(restarts=200, seed=0)), frames
+
+
+def test_comass_line_search_spends_few_value_frames(monkeypatch):
+    # a restart stalled at the float floor stops instead of halving its step
+    # 30 times, and the current value is carried, not re-evaluated
+    res, frames = _counted_gamma0_search(monkeypatch)
+    assert abs(res.value - 1.0) < 1e-6
+    assert frames["values"] <= 3 * frames["grads"]
+
+
+def test_comass_terminations_account_for_every_restart(monkeypatch):
+    res, _ = _counted_gamma0_search(monkeypatch)
+    t = res.terminations
+    assert set(t) == {"converged", "float_floor", "max_halvings", "max_iters"}
+    assert sum(t.values()) == 200 == res.restarts_used
+    assert t["max_iters"] == 0 and t["max_halvings"] == 0
+    assert res.converged_fraction == 1.0
+    assert res.to_json()["terminations"] == t
+
+
 def test_comass_result_invariant():
     f = build_hyperkahler_cone(1).form("theta_I4").to_float()
     res = comass_search(f, params=FAST)
@@ -337,6 +371,23 @@ def test_batch_evaluate_matches_pointwise():
     vals = batch_evaluate(f, frames)
     for i in (0, 7, 31):
         assert vals[i] == pytest.approx(evaluate(f, list(frames[i])), abs=1e-12)
+
+
+def test_values_in_chunks_match_pointwise():
+    from itertools import combinations
+
+    from caliber import calib
+
+    rng = np.random.default_rng(3)
+    N, k, T = 10, 5, 240
+    blades = list(combinations(range(N), k))
+    form = AltForm(N, k, {blades[i]: float(rng.standard_normal()) for i in rng.choice(len(blades), T, replace=False)})
+    step = max(calib._CHUNK_FRAMES, calib._CHUNK_FLOATS // (T * k * k))
+    V = calib._qf(rng.standard_normal((3 * step + 5, N, k)))  # orthonormal: values of order one
+    vals = FormEvaluator(form).values(V)
+    assert vals.shape == (len(V),)
+    ref = np.array([evaluate(form, list(v.T)) for v in V])
+    assert np.max(np.abs(vals - ref)) <= 1e-12
 
 
 # -- gradient -----------------------------------------------------------------
