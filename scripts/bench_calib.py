@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Time the hot kernels of the comass search on fixed seeded inputs.
+
+Usage: PYTHONPATH=src python scripts/bench_calib.py --out BENCH.json [--label NAME]
+
+Measures, each as the best of REPEAT timed rounds in seconds per call:
+- `FormEvaluator.values` and `FormEvaluator.grads` of one catalog form per
+  degree k, on 1000 frames and on 40 frames (the size of a line-search batch);
+- the Stiefel retraction `calib._qf` on tangent steps of three batch shapes;
+- the canonicalization of 200 tied restarts, as `comass_search` does it
+  before picking the smallest key.
+Every input is drawn from a fixed seed with numpy alone, so two checkouts
+time the same work.  The run is stored in the JSON file under `--label`,
+next to the runs already there, so one file holds a before/after pair.  A
+rerun under a label whose `calib.py` digest matches keeps, for each kernel,
+the faster of the stored and the new time and counts the runs: alternating
+before/after runs then damp the load of a shared host.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import time
+
+import numpy as np
+
+from caliber import calib
+from caliber.registry import resolve
+
+# (name, n, space): real catalog forms of degree 2, 3, 4, 6 and 8
+FORMS = (
+    ("omega1", 2, "cone"),
+    ("re_gamma0", 2, "twistor"),
+    ("theta_I4", 2, "cone"),
+    ("theta_I6", 2, "cone"),
+    ("re_upsilon1", 3, "cone"),
+)
+FRAME_COUNTS = (1000, 40)
+RETRACTION_SHAPES = ((40, 12, 2), (200, 12, 6), (10000, 8, 3))
+TIED = (200, 12, 4)  # restarts, N, k
+REPEAT = 7
+
+
+def _orthonormal(rng, shape):
+    Q, R = np.linalg.qr(rng.standard_normal(shape))
+    return Q * np.sign(np.einsum("...ii->...i", R))[..., None, :]
+
+
+def _tangent_steps(rng, shape, t=0.1):
+    V = _orthonormal(rng, shape)
+    G = rng.standard_normal(shape)
+    VtG = np.swapaxes(V, -1, -2) @ G
+    return V + t * (G - V @ (0.5 * (VtG + np.swapaxes(VtG, -1, -2))))
+
+
+def _best(fn, min_round_s=0.05):
+    """Best seconds per call over REPEAT rounds of enough calls to last min_round_s."""
+    fn()
+    number = 1
+    while True:
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        if time.perf_counter() - t0 >= min_round_s or number >= 1 << 12:
+            break
+        number *= 2
+    rounds = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        rounds.append((time.perf_counter() - t0) / number)
+    return min(rounds)
+
+
+def _canonicalize(frames):
+    batched = getattr(calib, "canonical_frames", None)
+    if batched is not None:
+        W = batched(frames)
+    else:  # a checkout that canonicalizes one frame at a time
+        W = [calib.canonical_frame(f) for f in frames]
+    keys = [np.round(w, 12).tobytes() for w in W]
+    return W[keys.index(min(keys))]
+
+
+def run() -> dict:
+    # glibc serves blocks above its mmap threshold with fresh pages and raises
+    # the threshold when such a block is freed, so a kernel's time would depend
+    # on the largest array some earlier kernel freed (grads of theta_I4 on 1000
+    # frames: 6 ms or 3 ms).  Freeing one 24 MB block first sets the same
+    # threshold for every kernel and every checkout.
+    block = np.empty(3 << 20)
+    del block
+    out = {"values": {}, "grads": {}, "retraction": {}, "canonicalize_tied": {}}
+    for name, n, space in FORMS:
+        form, _ = resolve(name, n, space)
+        ev = calib.FormEvaluator(form.to_float())
+        k = form.degree
+        rng = np.random.default_rng(k)
+        for B in FRAME_COUNTS:
+            V = _orthonormal(rng, (B, form.dim, k))
+            for op in ("values", "grads"):
+                method = getattr(ev, op)
+                out[op][f"k{k}_B{B}"] = {"form": f"{space}/{name}", "n": n, "terms": len(ev.coeffs),
+                                         "s": _best(lambda: method(V))}
+    for shape in RETRACTION_SHAPES:
+        X = _tangent_steps(np.random.default_rng(sum(shape)), shape)
+        out["retraction"]["x".join(map(str, shape))] = {"s": _best(lambda: calib._qf(X))}
+    R, N, k = TIED
+    frames = np.swapaxes(_orthonormal(np.random.default_rng(R), (R, N, k)), -1, -2)
+    out["canonicalize_tied"]["x".join(map(str, TIED))] = {"s": _best(lambda: _canonicalize(frames))}
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON file; an existing file keeps its other runs")
+    ap.add_argument("--label", default="run", help="name of this run in the file")
+    args = ap.parse_args()
+
+    with open(calib.__file__, "rb") as fh:
+        source_digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    record = {
+        "calib_sha256": source_digest,
+        "env": {"python": platform.python_version(), "numpy": np.__version__,
+                "machine": platform.machine(), "nproc": os.cpu_count()},
+        "repeat": REPEAT,
+        "results": run(),
+    }
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    old = data.get(args.label)
+    if old and old["calib_sha256"] == source_digest:
+        record["runs"] = old.get("runs", 1) + 1
+        for group, rows in record["results"].items():
+            for key, row in rows.items():
+                row["s"] = min(row["s"], old["results"][group][key]["s"])
+    data[args.label] = record
+    with open(args.out, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for group, rows in record["results"].items():
+        for key, row in rows.items():
+            print(f"{args.label:8s} {group:18s} {key:14s} {row['s'] * 1e3:10.3f} ms")
+
+
+if __name__ == "__main__":
+    main()

@@ -29,19 +29,6 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def left_mult_matrix(q: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrix of h -> q*h in the (1, i, j, k) component basis."""
-    a, b, c, d = q
-    return np.array(
-        [
-            [a, -b, -c, -d],
-            [b, a, -d, c],
-            [c, d, a, -b],
-            [d, -c, b, a],
-        ]
-    )
-
-
 def right_mult_matrix(q: np.ndarray) -> np.ndarray:
     """Real 4x4 matrix of h -> h*q in the (1, i, j, k) component basis."""
     a, b, c, d = q

@@ -3,9 +3,9 @@
 The comass of a k-form is its maximum over oriented orthonormal k-planes.
 `comass_search` runs multi-start Riemannian ascent on the Stiefel manifold of
 orthonormal k-frames: Euclidean multilinear gradient projected to the tangent
-space, QR retraction, Armijo backtracking.  Search values are certified lower
-bounds only; "comass one" acceptance additionally rests on the relevant
-structure theorem for the form at hand.
+space, Gram-Schmidt retraction, Armijo backtracking.  Search values are
+certified lower bounds only; "comass one" acceptance additionally rests on
+the relevant structure theorem for the form at hand.
 
 Values are resolved only to about eps * |f|, so once a restart's Armijo gain
 c1 * t * |grad|^2 falls to the float floor eps * max(|f|, 1) no step can pass
@@ -17,13 +17,23 @@ reason.  Each line search starts at min(step0, t_last / shrink), one step up
 from the restart's last accepted step t_last, and each restart's current
 value is carried from the trial that accepted it rather than re-evaluated.
 
-The Euclidean gradient uses that a k-form is multilinear in the frame
-columns: its derivative in column j at row n sums, over the support blades
-through n, the coefficient times a (k-1)-minor of the frame.  Each minor is a
-sum of products of column-prefix and column-suffix minors, computed once per
-frame on the distinct subsets of the support blades and shared by every term;
-one signed matrix scatters them to the rows.  The path has no division and no
-SVD, so it stays exact on singular frames, for every degree.
+Values and gradients share one recurrence.  The column-prefix minor
+det V[S, :j] of every j-subset S of the support blades' rows is a Laplace
+expansion along column j-1 of the prefix minors of level j-1; level k is
+the blade determinants themselves, so a value is their sum with the form's
+coefficients.  The Euclidean gradient uses that a k-form is multilinear in
+the frame columns: its derivative in column j at row n sums, over the
+support blades through n, the coefficient times a (k-1)-minor of the frame.
+Each minor is a sum of products of column-prefix and column-suffix minors,
+computed once per frame on the distinct subsets and shared by every term;
+one signed matrix scatters them to the rows.  The path has no division, no
+LU and no SVD, so it stays exact on singular frames, for every degree.
+
+One batched Gram-Schmidt (`_gram_schmidt`) serves the retraction (the Q
+factor with positive diagonal of each trial frame), the starting frames, the
+canonical frames and the completion in `reduce_along_line`.  The restarts
+tied with the best value are canonicalized in one batched call; the smallest
+canonical frame, by its bytes rounded to 12 digits, is the argmax.
 
 All restarts are seeded independently (seed + restart index), so results are
 deterministic for a fixed seed regardless of batching.
@@ -60,6 +70,7 @@ __all__ = [
     "is_pure_type",
     "isotropy_of_maximizers",
     "canonical_frame",
+    "canonical_frames",
 ]
 
 
@@ -114,11 +125,6 @@ class Plane:
             return False
         C = self.frame @ other.frame.T
         return bool(np.max(np.abs(C @ C.T - np.eye(self.degree))) <= tol and np.linalg.det(C) > 0)
-
-    def contains_vector(self, v, tol: float = 1e-8) -> bool:
-        v = np.asarray(v, dtype=float)
-        proj = self.frame.T @ (self.frame @ v)
-        return bool(np.max(np.abs(proj - v)) <= tol)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "frame": [[float(x) for x in row] for row in self.frame]}
@@ -180,48 +186,25 @@ class ComassResult:
 # batched multilinear evaluation
 
 
-def _det2(M):
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-
-
-def _det3(M):
-    return (
-        M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-        - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-        + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
-    )
-
-
-def _batch_det(M):
-    k = M.shape[-1]
-    if k == 1:
-        return M[..., 0, 0]
-    if k == 2:
-        return _det2(M)
-    if k == 3:
-        return _det3(M)
-    return np.linalg.det(M)
-
-
-# Frames per evaluator chunk: as many as keep one chunk's blade matrices
-# (`values`) or minors (`grads`) near _CHUNK_FLOATS doubles (4 MB, the L2
-# cache of a 2-core Xeon), but at least _CHUNK_FRAMES so that numpy's
-# per-call cost stays small.  On that host, chunks made `grads` of
-# re_upsilon1 (k = 8, n = 3) on 1000 frames 2x faster.
+# Frames per evaluator chunk: as many as keep one chunk's minors near
+# _CHUNK_FLOATS doubles (4 MB, the L2 cache of a 2-core Xeon), but at least
+# _CHUNK_FRAMES so that numpy's per-call cost stays small.  On that host,
+# chunks made `grads` of re_upsilon1 (k = 8, n = 3) on 1000 frames 2x faster.
 _CHUNK_FRAMES = 64
 _CHUNK_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
 class _MinorPlan:
-    """Index plan of the shared-minor gradient for one set of support blades.
+    """Index plan of the shared-minor evaluator for one set of support blades.
 
-    Level j lists the `sizes[j]` distinct j-subsets of the blades, sorted by
-    bitmask; level k-1 holds the faces.  `children[j][t]` is (row, child): the
-    t-th row of each j-subset and the position of the subset without it in
-    level j-1.  Each split (j, negate, a, b) writes a face F as A + B with
-    |A| = j, taking A and B = F minus A from levels j and k-1-j.  Blade t,
-    position p sits on row `idx[t, p]` and face `face[t, p]`.
+    Level j < k lists the `sizes[j]` distinct j-subsets of the blades, sorted
+    by bitmask; level k-1 holds the faces, and level k is the blades in their
+    given order.  `children[j][t]` is (row, child): the t-th row of each
+    j-subset and the position of the subset without it in level j-1.  Each
+    split (j, negate, a, b) writes a face F as A + B with |A| = j, taking A
+    and B = F minus A from levels j and k-1-j.  Blade t, position p sits on
+    row `idx[t, p]` and face `face[t, p]`.
     """
 
     sizes: tuple
@@ -256,6 +239,8 @@ def _minor_plan(blades: tuple) -> _MinorPlan:
         for j in range(1, k)
     ]
     faces = levels[k - 1]
+    face = np.stack([position(k - 1, np.delete(idx, p, axis=1)) for p in range(k)], axis=1)
+    children.append(tuple((idx[:, t], face[:, t]) for t in range(k)))
     splits = []
     for j in range(k):
         for s in combinations(range(k - 1), j):
@@ -263,7 +248,6 @@ def _minor_plan(blades: tuple) -> _MinorPlan:
             # shuffle sign of (A, B) inside F, times the column sign (-1)^j
             negate = bool((sum(s) - j * (j - 1) // 2 + j) % 2)
             splits.append((j, negate, position(j, faces[:, list(s)]), position(k - 1 - j, faces[:, rest])))
-    face = np.stack([position(k - 1, np.delete(idx, p, axis=1)) for p in range(k)], axis=1)
     sizes = tuple(len(level) for level in levels)
     chunk = max(_CHUNK_FRAMES, _CHUNK_FLOATS // (2 * sum(sizes) + k * sizes[k - 1]))
     return _MinorPlan(sizes, tuple(children), tuple(splits), face, chunk)
@@ -274,11 +258,15 @@ class FormEvaluator:
 
     Frames are passed as arrays of shape (..., N, k) with frame vectors as
     columns; `values` returns shape (...,) and `grads` shape (..., N, k).
+    Both run in frame chunks of the plan's size, so memory stays flat in the
+    frame count.
     """
 
     def __init__(self, form: AltForm):
         if isinstance(form, ComplexAltForm):
             raise TypeError("comass machinery operates on real forms; take real_part() first")
+        if form.degree < 1:
+            raise ValueError("comass machinery operates on forms of degree at least 1")
         self.dim = form.dim
         self.degree = form.degree
         items = sorted(form._raw_terms().items())
@@ -286,18 +274,27 @@ class FormEvaluator:
 
         self.idx = np.array([_indices_from_mask(m) for m, _ in items], dtype=np.intp).reshape(len(items), form.degree)
         self.coeffs = np.array([float(c) for _, c in items])
-        self._plan = None  # built on the first `grads` call
-        self._scatter = None
+        self._plan = None  # built on the first call
+        self._scatter = None  # built on the first `grads` call
+
+    def _chunks(self, V: np.ndarray, shape: tuple, kernel) -> np.ndarray:
+        """Per-frame results of `shape`, from `kernel` on the (k, N, B)
+        columns of each frame chunk of V."""
+        flat = V.reshape(-1, self.dim, self.degree)
+        out = np.zeros((len(flat),) + shape)
+        if self.coeffs.size:
+            if self._plan is None:
+                self._plan = _minor_plan(tuple(map(tuple, self.idx.tolist())))
+            step = self._plan.chunk
+            for s in range(0, len(flat), step):
+                # X[c][n] is column c at row n for every frame of the chunk
+                out[s:s + step] = kernel(flat[s:s + step].transpose(2, 1, 0).copy())
+        return out
 
     def values(self, V: np.ndarray) -> np.ndarray:
-        """Form values, in frame chunks of at most about _CHUNK_FLOATS blade
-        matrix entries (T, k, k) each, so memory stays flat in the frame count."""
-        flat = V.reshape(-1, self.dim, self.degree)
-        out = np.empty(len(flat))
-        step = max(_CHUNK_FRAMES, _CHUNK_FLOATS // max(1, self.idx.size * self.degree))
-        for s in range(0, len(flat), step):
-            out[s:s + step] = _batch_det(flat[s:s + step, self.idx, :]) @ self.coeffs
-        return out.reshape(V.shape[:-2])
+        """Form values sum_T c_T det V[T, :k]: the prefix-minor recurrence of
+        `grads` run one level further, up to the support blades themselves."""
+        return self._chunks(V, (), self._values_chunk).reshape(V.shape[:-2])
 
     def grads(self, V: np.ndarray) -> np.ndarray:
         """Shared-minor gradient: G[n, j] = (-1)^j sum_F W[n, F] E[F, j].
@@ -308,35 +305,38 @@ class FormEvaluator:
         once per frame by Laplace recurrences on the subsets of the support
         blades.  No division, so the gradient stays exact on singular frames.
         """
-        N, k = self.dim, self.degree
-        flat = V.reshape(-1, N, k)
-        out = np.zeros(flat.shape)
-        if self.coeffs.size:
-            if self._plan is None:
-                self._plan = _minor_plan(tuple(map(tuple, self.idx.tolist())))
-                self._scatter = np.zeros((N, self._plan.sizes[k - 1]))
-                self._scatter[self.idx, self._plan.face] = self.coeffs[:, None] * (-1.0) ** np.arange(k)
-            step = self._plan.chunk
-            for s in range(0, len(flat), step):
-                out[s:s + step] = self._grads_chunk(flat[s:s + step])
-        return out.reshape(V.shape)
+        return self._chunks(V, (self.dim, self.degree), self._grads_chunk).reshape(V.shape)
 
-    def _grads_chunk(self, V: np.ndarray) -> np.ndarray:
-        plan, k = self._plan, self.degree
-        X = V.transpose(2, 1, 0).copy()  # (k, N, B): X[c][n] is column c at row n
+    def _values_chunk(self, X: np.ndarray) -> np.ndarray:
+        children = self._plan.children
+        minors = X[0][children[1][0][0]]  # level 1: the entries of column 0
+        for j in range(2, self.degree + 1):
+            minors = _laplace_level(children[j], X[j - 1], minors, j - 1)
+        return self.coeffs @ minors
+
+    def _grads_chunk(self, X: np.ndarray) -> np.ndarray:
+        plan, N, k = self._plan, self.dim, self.degree
+        if self._scatter is None:
+            self._scatter = np.zeros((N, plan.sizes[k - 1]))
+            self._scatter[self.idx, plan.face] = self.coeffs[:, None] * (-1.0) ** np.arange(k)
         B = X.shape[-1]
         prefix, suffix = [np.ones((1, B))], [np.ones((1, B))]
         for j in range(1, k):
-            p, q = np.zeros((plan.sizes[j], B)), np.zeros((plan.sizes[j], B))
-            for t, (row, child) in enumerate(plan.children[j]):
-                _add_product(p, X[j - 1][row], prefix[j - 1][child], (t + j - 1) % 2)
-                _add_product(q, X[k - j][row], suffix[j - 1][child], t % 2)
-            prefix.append(p)
-            suffix.append(q)
+            prefix.append(_laplace_level(plan.children[j], X[j - 1], prefix[-1], j - 1))
+            suffix.append(_laplace_level(plan.children[j], X[k - j], suffix[-1], 0))
         E = np.zeros((k, plan.sizes[k - 1], B))
         for j, negate, a, b in plan.splits:
             _add_product(E[j], prefix[j][a], suffix[k - 1 - j][b], negate)
         return np.matmul(self._scatter, E).transpose(2, 1, 0)
+
+
+def _laplace_level(children: tuple, column: np.ndarray, lower: np.ndarray, parity: int) -> np.ndarray:
+    """Minors of the next plan level, expanded along one column: for each
+    subset S, sum_t (-1)^(t + parity) column[S_t] * lower[S without S_t]."""
+    acc = np.zeros((len(children[0][0]), column.shape[-1]))
+    for t, (row, child) in enumerate(children):
+        _add_product(acc, column[row], lower[child], (t + parity) % 2)
+    return acc
 
 
 def _add_product(acc: np.ndarray, x: np.ndarray, y: np.ndarray, negate) -> None:
@@ -359,12 +359,51 @@ def batch_evaluate(form: AltForm, frames: np.ndarray) -> np.ndarray:
 # comass search
 
 
+def _gram_schmidt(candidates: np.ndarray, count: int):
+    """Batched Gram-Schmidt on candidate rows (..., M, N), taken in order.
+
+    Each batch entry keeps its own rows: a candidate within 1e-8 of the span
+    of the rows it kept so far is skipped, and once it holds `count` rows its
+    remaining candidates are ignored.  Classical Gram-Schmidt with one
+    reorthogonalization pass keeps the rows orthonormal to working precision.
+    Returns the rows (..., count, N), zero where an entry ran out of
+    candidates, and the number each entry kept (...).
+    """
+    C = np.asarray(candidates, dtype=float)
+    batch, (M, N) = C.shape[:-2], C.shape[-2:]
+    C = C.reshape(-1, M, N)
+    Q = np.zeros((len(C), count, N))
+    kept = None  # per-entry row counts, once some entry has skipped a candidate
+    for c in range(M):
+        w = C[:, c]
+        U = Q[:, :min(c, count)]  # rows an entry has not kept yet are zero
+        for _ in range(2 if c else 0):
+            w = w - np.matmul(np.matmul(U, w[:, :, None]).transpose(0, 2, 1), U)[:, 0]
+        nrm = np.sqrt(np.einsum("bn,bn->b", w, w))
+        ok = nrm > 1e-8
+        if kept is None and ok.all():
+            Q[:, c] = w / nrm[:, None]
+            if c + 1 == count:
+                break
+            continue
+        if kept is None:
+            kept = np.full(len(C), c)
+        take = np.flatnonzero(ok & (kept < count))
+        Q[take, kept[take]] = w[take] / nrm[take, None]
+        kept[take] += 1
+        if np.all(kept == count):
+            break
+    if kept is None:
+        kept = np.full(len(C), min(M, count))
+    return Q.reshape(batch + (count, N)), kept.reshape(batch)
+
+
 def _qf(X: np.ndarray) -> np.ndarray:
-    """Batched thin-QR retraction with positive diagonal (orientation safe)."""
-    Q, R = np.linalg.qr(X)
-    d = np.sign(np.einsum("...ii->...i", R))
-    d[d == 0] = 1.0
-    return Q * d[..., None, :]
+    """Retraction onto the Stiefel manifold: the Q factor of the frames
+    (..., N, k) with positive diagonal R, by Gram-Schmidt on the columns
+    (orientation safe)."""
+    Q, _ = _gram_schmidt(np.swapaxes(X, -1, -2), X.shape[-1])
+    return np.swapaxes(Q, -1, -2)
 
 
 def _tangent_grad(V: np.ndarray, G: np.ndarray):
@@ -374,20 +413,18 @@ def _tangent_grad(V: np.ndarray, G: np.ndarray):
     return RG, np.sum(RG * RG, axis=(1, 2))
 
 
-def _gram_schmidt(candidates, rows: list, count: int) -> list:
-    """Extend the orthonormal `rows` by Gram-Schmidt on the candidate vectors,
-    in order, skipping those within 1e-8 of the span, until `count` rows."""
-    rows = list(rows)
-    for v in candidates:
-        if len(rows) == count:
-            break
-        w = np.array(v, dtype=float)
-        for u in rows:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            rows.append(w / nrm)
-    return rows
+def canonical_frames(frames: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """`canonical_frame` of every row-vector frame in a batch (B, k, N)."""
+    frames = np.asarray(frames, dtype=float)
+    k = frames.shape[-2]
+    P = np.swapaxes(frames, -1, -2) @ frames  # symmetric: row i projects e_i
+    W, kept = _gram_schmidt(P, k)
+    if np.any(kept < k):
+        raise ValueError("could not canonicalize frame")
+    first = np.argmax(np.abs(W) > tol, axis=-1)
+    W *= np.where(np.take_along_axis(W, first[..., None], -1) < 0, -1.0, 1.0)
+    W[np.linalg.det(W @ np.swapaxes(frames, -1, -2)) < 0, k - 1] *= -1.0
+    return W
 
 
 def canonical_frame(frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -396,20 +433,7 @@ def canonical_frame(frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     Gram-Schmidt on the projections of the standard basis vectors, signs fixed
     by first significant coordinate, last vector flipped to match orientation.
     """
-    frame = np.asarray(frame, dtype=float)
-    k, n = frame.shape
-    P = frame.T @ frame
-    rows = _gram_schmidt(P.T, [], k)
-    if len(rows) < k:
-        raise ValueError("could not canonicalize frame")
-    W = np.array(rows)
-    for i in range(k):
-        j = int(np.argmax(np.abs(W[i]) > tol))
-        if W[i, j] < 0:
-            W[i] = -W[i]
-    if np.linalg.det(W @ frame.T) < 0:
-        W[k - 1] = -W[k - 1]
-    return W
+    return canonical_frames(np.asarray(frame, dtype=float)[None], tol)[0]
 
 
 def comass_search(form: AltForm, k: int | None = None, params: SearchParams = SearchParams()) -> ComassResult:
@@ -481,16 +505,9 @@ def comass_search(form: AltForm, k: int | None = None, params: SearchParams = Se
         reason[active] = np.where(np.sqrt(gn2) < params.tol, 0, 3)
 
     best = float(np.max(f))
-    tied = np.flatnonzero(f >= best - 1e-9)
-    best_frame = None
-    best_key = None
-    for r in tied:
-        W = canonical_frame(V[r].T)
-        key = np.round(W, 12).tobytes()
-        if best_key is None or key < best_key:
-            best_key = key
-            best_frame = W
-    argmax = Plane.from_vectors(best_frame, orthonormalize=True)
+    tied = canonical_frames(np.swapaxes(V[f >= best - 1e-9], -1, -2))
+    keys = [np.round(W, 12).tobytes() for W in tied]
+    argmax = Plane.from_vectors(tied[keys.index(min(keys))], orthonormalize=True)
     value = float(ev.values(argmax.frame.T))
     counts = np.bincount(reason, minlength=len(TERMINATIONS))
     terminations = {name: int(c) for name, c in zip(TERMINATIONS, counts)}
@@ -554,7 +571,7 @@ def reduce_along_line(form, e, basis: np.ndarray | None = None, *,
     if form.dim != n:
         raise ValueError("dimension mismatch")
     if basis is None:
-        basis = np.array(_gram_schmidt(np.eye(n), [e], n)[1:]).T
+        basis = _gram_schmidt(np.vstack([e, np.eye(n)]), n)[0][1:].T
     else:
         basis = np.asarray(basis, dtype=float)
         if basis.shape != (n, n - 1):

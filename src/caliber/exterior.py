@@ -299,10 +299,6 @@ class ComplexAltForm:
 
     __rmul__ = __mul__
 
-    def scale_i(self) -> "ComplexAltForm":
-        """Multiply by the imaginary unit."""
-        return ComplexAltForm(-self.im, self.re)
-
     def __xor__(self, other):
         return wedge(self, other)
 

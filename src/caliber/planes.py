@@ -357,10 +357,6 @@ class NormalFormResult:
     dim_cap_V: int
     ke_isotropic: bool
 
-    @property
-    def hv_flags(self) -> tuple:
-        return (self.dim_cap_H, self.dim_cap_V, self.ke_isotropic)
-
     def to_json(self) -> dict:
         return {
             "theta": float(self.theta),

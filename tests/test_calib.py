@@ -1,5 +1,6 @@
 """Comass search, exact 2-form oracle, and the semi-calibration toolkit."""
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from caliber.calib import (
     SearchParams,
     batch_evaluate,
     canonical_frame,
+    canonical_frames,
     comass_2form_exact,
     comass_search,
     is_calibrated,
@@ -51,6 +53,24 @@ def test_plane_strict_orthonormal_check():
 def test_plane_json_roundtrip():
     P = Plane.from_vectors(np.eye(5)[:2])
     assert Plane.from_json(P.to_json()).spans_same_oriented(P)
+
+
+def test_canonical_frames_match_per_frame():
+    # half the frames lie in coordinate subspaces, so their Gram-Schmidt skips
+    # candidates that the other half keep
+    rng = np.random.default_rng(8)
+    k, N = 3, 7
+    frames = [Plane.from_vectors(rng.standard_normal((k, N))).frame for _ in range(25)]
+    for _ in range(25):
+        axes = rng.choice(N, k + 1, replace=False)
+        frame = np.zeros((k, N))
+        frame[:, axes] = Plane.from_vectors(rng.standard_normal((k, k + 1))).frame
+        frames.append(frame)
+    batched = canonical_frames(np.array(frames))
+    single = np.array([canonical_frame(f) for f in frames])
+    assert np.max(np.abs(batched - single)) <= 1e-15
+    for W, f in zip(batched, frames):
+        assert Plane.from_vectors(W, orthonormalize=False).spans_same_oriented(Plane(N, k, f))
 
 
 def test_canonical_frame_is_orientation_safe():
@@ -110,6 +130,7 @@ def test_comass_deterministic_given_seed():
     assert r1.value == r2.value
     assert np.array_equal(r1.argmax.frame, r2.argmax.frame)
     assert r1.converged_fraction == r2.converged_fraction
+    assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
 
 
 def _counted_gamma0_search(monkeypatch):
@@ -382,12 +403,69 @@ def test_values_in_chunks_match_pointwise():
     N, k, T = 10, 5, 240
     blades = list(combinations(range(N), k))
     form = AltForm(N, k, {blades[i]: float(rng.standard_normal()) for i in rng.choice(len(blades), T, replace=False)})
-    step = max(calib._CHUNK_FRAMES, calib._CHUNK_FLOATS // (T * k * k))
+    ev = FormEvaluator(form)
+    step = calib._minor_plan(tuple(map(tuple, ev.idx.tolist()))).chunk
     V = calib._qf(rng.standard_normal((3 * step + 5, N, k)))  # orthonormal: values of order one
-    vals = FormEvaluator(form).values(V)
+    vals = ev.values(V)
     assert vals.shape == (len(V),)
     ref = np.array([evaluate(form, list(v.T)) for v in V])
     assert np.max(np.abs(vals - ref)) <= 1e-12
+
+
+def _frame_of_kind(rng, N, k, kind):
+    V = rng.standard_normal((N, k))
+    if kind == "repeated_column" and k >= 2:
+        V[:, 1] = V[:, 0]
+    if kind == "rank_k_minus_2" and k >= 2:
+        V = rng.standard_normal((N, k - 2)) @ rng.standard_normal((k - 2, k))
+    return V
+
+
+def _random_sparse_form(rng, N, k, terms):
+    blades = {tuple(sorted(rng.choice(N, k, replace=False))) for _ in range(terms)}
+    return AltForm(N, k, {b: float(rng.standard_normal()) for b in blades})
+
+
+@given(k=st.integers(1, 8), extra=st.integers(0, 4), terms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_values_match_explicit_determinants(k, extra, terms, seed):
+    rng = np.random.default_rng(seed)
+    N = k + extra
+    form = _random_sparse_form(rng, N, k, terms)
+    kinds = ["random", "repeated_column", "rank_k_minus_2"]
+    frames = np.stack([_frame_of_kind(rng, N, k, kind) for kind in kinds])
+    vals = FormEvaluator(form).values(frames.reshape(3, 1, N, k))
+    assert vals.shape == (3, 1)
+    for kind, V, val in zip(kinds, frames, vals[:, 0]):
+        ref = sum(c * np.linalg.det(V[list(idx)]) for idx, c in form.terms.items())
+        # Hadamard bound on every blade determinant
+        scale = sum(abs(c) for c in form.terms.values()) * np.prod(np.maximum(1.0, np.linalg.norm(V, axis=0)))
+        assert abs(val - ref) <= 1e-12 * scale
+        if kind != "random" and k >= 2:
+            assert abs(val) <= 1e-12 * scale  # every blade determinant vanishes
+
+
+def _positive_diagonal_qr(X):
+    Q, R = np.linalg.qr(X)
+    return Q * np.sign(np.einsum("...ii->...i", R))[..., None, :]
+
+
+def test_retraction_is_positive_diagonal_qr():
+    from caliber import calib
+
+    for N in range(1, 17):
+        for k in range(1, min(8, N) + 1):
+            # starting frames drawn as comass_search draws them, then tangent steps from them
+            X = np.stack([np.random.default_rng(r).standard_normal((N, k)) for r in range(40)])
+            V = calib._qf(X)
+            G = np.random.default_rng(N * 16 + k).standard_normal(X.shape)
+            RG, _ = calib._tangent_grad(V, G)
+            steps = [V + t * RG for t in (1e-8, 1e-3, 0.1, 1.0)]
+            for Y in [X] + steps:
+                Q = calib._qf(Y)
+                assert np.max(np.abs(np.swapaxes(Q, -1, -2) @ Q - np.eye(k))) <= 1e-14
+                # Q itself moves by about eps * cond(Y) under rounding; 1e-13 for cond(Y) <= 100
+                tol = 1e-15 * np.maximum(100.0, np.linalg.cond(Y))
+                assert np.all(np.max(np.abs(Q - _positive_diagonal_qr(Y)), axis=(1, 2)) <= tol)
 
 
 # -- gradient -----------------------------------------------------------------
@@ -416,13 +494,8 @@ def _adjugate_grads(form, V):
 def test_grads_match_adjugate_and_finite_differences(k, extra, terms, kind, seed):
     rng = np.random.default_rng(seed)
     N = k + extra
-    blades = {tuple(sorted(rng.choice(N, k, replace=False))) for _ in range(terms)}
-    form = AltForm(N, k, {b: float(rng.standard_normal()) for b in blades})
-    V = rng.standard_normal((N, k))
-    if kind == "repeated_column" and k >= 2:
-        V[:, 1] = V[:, 0]
-    if kind == "rank_k_minus_2" and k >= 2:
-        V = rng.standard_normal((N, k - 2)) @ rng.standard_normal((k - 2, k))
+    form = _random_sparse_form(rng, N, k, terms)
+    V = _frame_of_kind(rng, N, k, kind)
     ev = FormEvaluator(form)
     G = ev.grads(V)
     # Hadamard bound on every minor, with room for the unit perturbations below
