@@ -31,9 +31,11 @@ LU and no SVD, so it stays exact on singular frames, for every degree.
 
 One batched Gram-Schmidt (`_gram_schmidt`) serves the retraction (the Q
 factor with positive diagonal of each trial frame), the starting frames, the
-canonical frames and the completion in `reduce_along_line`.  The restarts
-tied with the best value are canonicalized in one batched call; the smallest
-canonical frame, by its bytes rounded to 12 digits, is the argmax.
+canonical frames and the completion in `reduce_along_line`; outside this
+module it draws every `planes.batch_*_planes` sample and builds the adapted
+basis of `model.build_link_frame`.  The restarts tied with the best value
+are canonicalized in one batched call; the smallest canonical frame, by its
+bytes rounded to 12 digits, is the argmax.
 
 All restarts are seeded independently (seed + restart index), so results are
 deterministic for a fixed seed regardless of batching.
@@ -691,13 +693,12 @@ def is_pure_type(form: AltForm, J: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 def isotropy_of_maximizers(form: AltForm, J: np.ndarray, omega: AltForm,
-                           maximizers: Sequence[Plane], tol: float = 1e-8,
-                           type_tol: float = 1e-8) -> bool:
+                           maximizers: Sequence[Plane], tol: float = 1e-8) -> bool:
     """True iff omega vanishes on every maximizer plane.
 
     Precondition (checked): form has J-type (k,0)+(0,k).
     """
-    if not is_pure_type(form, J, type_tol):
+    if not is_pure_type(form, J):
         raise ValueError("type precondition failed: form is not of J-type (k,0)+(0,k)")
     S = skew_matrix(omega)
     for plane in maximizers:

@@ -132,7 +132,10 @@ def _read_plane(path: str) -> Plane:
 def _cmd_classify(args) -> int:
     model = _model_for(args.space, args.n)
     plane = _read_plane(args.plane)
-    report = classify_plane(plane, model, tol=args.tol)
+    try:
+        report = classify_plane(plane, model, tol=args.tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit(report.to_json(), args.pretty)
     return 0
 
@@ -150,8 +153,10 @@ def _cmd_normalform(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "phase-scan":
+        if args.restarts is not None and args.restarts < 1:
+            raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
         model = build_twistor_model(args.n)
-        params = SearchParams(restarts=args.restarts or 400, seed=args.seed)
+        params = SearchParams(restarts=400 if args.restarts is None else args.restarts, seed=args.seed)
         report = phase_rigidity_scan(model, params=params)
         _emit(report.to_json(), args.pretty)
         return 0

@@ -404,19 +404,17 @@ def interior(v, a):
     return AltForm(a.dim, a.degree - 1, _raw=acc)
 
 
-def hodge(a, orientation: int = 1):
+def hodge(a):
     """Euclidean Hodge star; satisfies hodge(hodge(a)) = (-1)^{k(N-k)} a."""
     if isinstance(a, ComplexAltForm):
-        return ComplexAltForm(hodge(a.re, orientation), hodge(a.im, orientation))
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+        return ComplexAltForm(hodge(a.re), hodge(a.im))
     n, k = a.dim, a.degree
     full = (1 << n) - 1
     base = (k * (k - 1)) // 2
     acc: dict[int, Scalar] = {}
     for mask, c in a._raw_terms().items():
         s = -1 if (_index_sum(mask) - base) & 1 else 1
-        acc[full ^ mask] = c * s * orientation
+        acc[full ^ mask] = c * s
     return AltForm(n, n - k, _raw=acc)
 
 

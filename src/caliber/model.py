@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from caliber import _quat
-from caliber.calib import Plane
+from caliber.calib import Plane, _gram_schmidt
 from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
 
 __all__ = [
@@ -65,27 +65,27 @@ _I3_BLOCK = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
 CYCLIC_PAIRS = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
-def standard_triple_matrices(blocks: int, dim: int | None = None, offset: int = 0):
+def standard_triple_matrices(blocks: int, dim: int | None = None):
     """The three anticommuting complex-structure matrices built from 4x4
-    quaternion blocks, embedded at `offset` in an ambient dimension."""
+    quaternion blocks on the leading coordinates of an ambient dimension."""
     n = dim if dim is not None else 4 * blocks
     out = []
     for B in (_I1_BLOCK, _I2_BLOCK, _I3_BLOCK):
         M = np.zeros((n, n), dtype=int)
         for j in range(blocks):
-            s = offset + 4 * j
+            s = 4 * j
             M[s : s + 4, s : s + 4] = B
         out.append(M)
     return tuple(out)
 
 
-def standard_kahler_forms(blocks: int, dim: int | None = None, offset: int = 0):
+def standard_kahler_forms(blocks: int, dim: int | None = None):
     """Exact Kahler 2-forms of the standard triple: for each block,
     beta_1 = e01 + e23, beta_2 = e02 - e13, beta_3 = e03 + e12."""
     n = dim if dim is not None else 4 * blocks
     b1, b2, b3 = {}, {}, {}
     for j in range(blocks):
-        s = offset + 4 * j
+        s = 4 * j
         b1[(s, s + 1)] = 1
         b1[(s + 2, s + 3)] = 1
         b2[(s, s + 2)] = 1
@@ -280,23 +280,12 @@ def build_link_frame(n: int, x=None) -> LinkFrame:
     if abs(np.linalg.norm(x) - 1.0) > 1e-12:
         raise ValueError("base point must be a unit vector")
     A = [cone.complex_structures[p] @ x for p in range(3)]
-    cols = [a.astype(float) for a in A]
-    span = [x] + cols
-    horiz: list[np.ndarray] = []
-    for i in range(N):
-        w = np.zeros(N)
-        w[i] = 1.0
-        for u in span + horiz:
-            w = w - (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-6:
-            continue
-        w = w / nrm
-        block = [w] + [cone.complex_structures[p] @ w for p in range(3)]
-        horiz.extend(block)
-        if len(horiz) == 4 * n:
-            break
-    frame = np.array(cols + horiz).T  # (N, 4n+3)
+    # candidates x, I_p x, then e_i, I_p e_i for each i: the span kept so far
+    # is quaternionic, so Gram-Schmidt of I_p e_i is I_p of the kept e_i part
+    E = np.eye(N)
+    cand = np.stack([E] + [E @ I.T for I in cone.complex_structures], axis=1).reshape(4 * N, N)
+    Q, _ = _gram_schmidt(np.vstack([x] + A + [cand]), N)
+    frame = Q[1:].T  # (N, 4n+3)
     exact = _exactify(frame)
     frame_for_pullback = exact if exact is not None else frame
     catalog = _link_catalog(n, frame_for_pullback, cone)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from caliber.calib import Plane, SearchParams, comass_search, is_calibrated, skew_matrix
+from caliber.calib import Plane, SearchParams, _gram_schmidt, _qf, comass_search, is_calibrated, skew_matrix
 from caliber.exterior import AltForm, evaluate, power, wedge
 from caliber.model import (
     CYCLIC_PAIRS,
@@ -55,38 +55,37 @@ __all__ = [
 
 
 def projector_invariance_residual(frame: np.ndarray, J: np.ndarray) -> float:
-    """sup-norm of proj_E J proj_E - J proj_E; zero iff J(E) is contained in E."""
-    P = frame.T @ frame
+    """sup-norm of proj_E J proj_E - J proj_E, maximized over a (..., k, N)
+    batch of frames; zero iff J(E) is contained in E."""
+    P = np.swapaxes(frame, -1, -2) @ frame
     JP = J @ P
     return float(np.max(np.abs(P @ JP - JP)))
 
 
 def isotropy_residual(frame: np.ndarray, two_form: AltForm) -> float:
+    """sup-norm of the 2-form restricted to E, maximized over a (..., k, N) batch."""
     S = skew_matrix(two_form)
-    return float(np.max(np.abs(frame @ S @ frame.T)))
+    return float(np.max(np.abs(frame @ S @ np.swapaxes(frame, -1, -2))))
 
 
-def intersection_dim(frame: np.ndarray, indices, tol: float = 1e-6) -> int:
-    """dim of the intersection with the coordinate subspace on `indices`."""
-    k, n = frame.shape
+def intersection_dim(frame: np.ndarray, indices, tol: float = 1e-6):
+    """dim of the intersection with the coordinate subspace on `indices`: an
+    int for one frame (k, N), an int array for a batch (..., k, N)."""
+    frame = np.asarray(frame)
+    k, n = frame.shape[-2:]
     comp = [i for i in range(n) if i not in set(indices)]
-    if not comp:
-        return k
-    block = frame[:, comp]
-    s = np.linalg.svd(block, compute_uv=False)
-    rank = int(np.sum(s > tol))
-    return k - rank
+    if comp:
+        rank = np.sum(np.linalg.svd(frame[..., comp], compute_uv=False) > tol, axis=-1)
+    else:
+        rank = np.zeros(frame.shape[:-2], dtype=int)
+    dims = k - rank
+    return dims if dims.ndim else int(dims)
 
 
 def _phase(value: complex, tol: float) -> float | None:
     if abs(abs(value) - 1.0) > tol:
         return None
     return float(math.atan2(value.imag, value.real))
-
-
-def _form_value(form, frame: np.ndarray):
-    vecs = [np.asarray(row, dtype=float) for row in frame]
-    return evaluate(form, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         oriented = None
         if invariant and k % 2 == 0:
             m = k // 2
-            val = _form_value(power(hk.form(f"omega{p}").to_float(), m) * (1.0 / math.factorial(m)), F)
+            val = evaluate(power(hk.form(f"omega{p}").to_float(), m) * (1.0 / math.factorial(m)), F)
             oriented = val
             rep.add(f"complex_I{p}", abs(val - 1) <= tol, val)
             rep.add(f"anti_complex_I{p}", abs(val + 1) <= tol, val)
@@ -166,19 +165,19 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         rep.add(f"complex_isotropic_I{p}", ci, None)
     if k == 2 * hk.n + 2:
         for p in (1, 2, 3):
-            val = complex(_form_value(hk.form(f"upsilon{p}"), F))
+            val = complex(evaluate(hk.form(f"upsilon{p}"), F))
             rep.add(f"special_lagrangian_phase_upsilon{p}", _phase(val, tol) is not None, val)
             ph = _phase(val, tol)
             rep.flags[f"special_lagrangian_phase_upsilon{p}"]["phase"] = ph
     if k % 2 == 0 and 2 <= k <= 2 * hk.n + 2:
         for label in ("I", "J", "K"):
-            val = _form_value(hk.form(f"theta_{label}{k}"), F)
+            val = evaluate(hk.form(f"theta_{label}{k}"), F)
             rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
     if k == 4:
         for p in (1, 2, 3):
-            val = _form_value(hk.form(f"Phi{p}"), F)
+            val = evaluate(hk.form(f"Phi{p}"), F)
             rep.add(f"cayley_Phi{p}", abs(val - 1) <= tol, val)
-        rep.add("quaternionic_Lambda_value", None, _form_value(hk.form("Lambda"), F))
+        rep.add("quaternionic_Lambda_value", None, evaluate(hk.form("Lambda"), F))
     return rep
 
 
@@ -200,7 +199,7 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
             m = (k - 1) // 2
             cal = power(lf.form(f"Omega{p}").to_float(), m) * (1.0 / math.factorial(m))
             cal = wedge(lf.form(f"alpha{p}").to_float(), cal)
-            rep.flags[f"cr_I{p}"]["oriented_value"] = float(_form_value(cal, F))
+            rep.flags[f"cr_I{p}"]["oriented_value"] = float(evaluate(cal, F))
         aval = float(np.max(np.abs(F[:, p - 1])))
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)
@@ -209,19 +208,19 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
         rep.add(f"cr_isotropic_I{p}", ci, None)
     if k == 2 * n + 1:
         for p in (1, 2, 3):
-            val = complex(_form_value(lf.form(f"psi{p}"), F))
+            val = complex(evaluate(lf.form(f"psi{p}"), F))
             ph = _phase(val, tol)
             rep.add(f"special_legendrian_phase_psi{p}", ph is not None, val)
             rep.flags[f"special_legendrian_phase_psi{p}"]["phase"] = ph
     if k % 2 == 1 and k <= 2 * n + 1:
         for label in ("I", "J", "K"):
-            val = _form_value(lf.form(f"theta_{label}{k}"), F)
+            val = evaluate(lf.form(f"theta_{label}{k}"), F)
             rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
     if k == 3:
         for p in (1, 2, 3):
-            val = _form_value(lf.form(f"phi{p}"), F)
+            val = evaluate(lf.form(f"phi{p}"), F)
             rep.add(f"associative_phi{p}", abs(val - 1) <= tol, val)
-        val = complex(_form_value(lf.form("gamma1"), F))
+        val = complex(evaluate(lf.form("gamma1"), F))
         rep.add("re_gamma1_value", abs(val.real - 1) <= tol, val)
     horiz = float(np.max(np.abs(F[:, :3])))
     rep.add("horizontal_p1", rep.flag("isotropic_alpha1"), rep.witness("isotropic_alpha1"))
@@ -253,7 +252,7 @@ def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> Classificat
     rep.add("dim_cap_V", None, dim_v)
     rep.add("hv_compatible", dim_h + dim_v == k, {"dim_cap_H": dim_h, "dim_cap_V": dim_v})
     if k == 3:
-        val = complex(_form_value(tm.form("gamma0"), F))
+        val = complex(evaluate(tm.form("gamma0"), F))
         rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val)
         rep.flags["re_gamma0_calibrated"]["phase"] = _phase(val, tol)
     return rep
@@ -298,7 +297,7 @@ def check_equivalences(plane: Plane, model, tol: float = 1e-8) -> list[Equivalen
                 bool(rep.flag("invariant_I1")),
                 {"I1_residual": rep.witness("invariant_I1")},
             )
-            ups2 = complex(_form_value(model.form("upsilon2"), plane.frame))
+            ups2 = complex(evaluate(model.form("upsilon2"), plane.frame))
             rot = ups2 * (-1j) ** (model.n + 1)
             implication(
                 "double_lagrangian_upsilon2_volume",
@@ -317,8 +316,8 @@ def check_equivalences(plane: Plane, model, tol: float = 1e-8) -> list[Equivalen
                 )
         if plane.degree == 2 * model.n + 1:
             leg = bool(rep.flag("cr_I1")) and rep.flag("legendrian_alpha2") and rep.flag("legendrian_alpha3")
-            psi2 = complex(_form_value(model.form("psi2"), plane.frame))
-            psi3 = complex(_form_value(model.form("psi3"), plane.frame))
+            psi2 = complex(evaluate(model.form("psi2"), plane.frame))
+            psi3 = complex(evaluate(model.form("psi3"), plane.frame))
             target2 = 1j ** (model.n + 1)
             ok2 = min(abs(psi2 - target2), abs(psi2 + target2)) <= tol
             ok3 = min(abs(psi3 - 1), abs(psi3 + 1)) <= tol
@@ -476,56 +475,38 @@ def phase_rigidity_scan(model: TwistorModel, thetas=None,
 # batched rejection-free plane generators
 
 
-def _batch_normalize(V: np.ndarray) -> np.ndarray:
-    return V / np.linalg.norm(V, axis=-1, keepdims=True)
-
-
-def _batch_project_out(V: np.ndarray, constraints: list[np.ndarray]) -> np.ndarray:
-    """Project batched vectors (B, N) off the span of per-sample constraint
-    vectors, then normalize.  Constraints need not be orthonormal; they are
-    orthonormalized on the fly."""
-    ortho: list[np.ndarray] = []
-    for c in constraints:
-        w = c.copy()
-        for u in ortho:
-            w -= np.sum(u * w, axis=-1, keepdims=True) * u
-        nrm = np.linalg.norm(w, axis=-1, keepdims=True)
-        good = nrm[..., 0] > 1e-12
-        w[good] = w[good] / nrm[good]
-        w[~good] = 0.0
-        ortho.append(w)
-    out = V.copy()
-    for u in ortho:
-        out -= np.sum(u * out, axis=-1, keepdims=True) * u
-    return _batch_normalize(out)
+def _constrained_lines(count: int, rng: np.random.Generator, dim: int, support, lines: int,
+                       structures) -> np.ndarray:
+    """`lines` unit vectors per sample, shape (count, lines, dim): line l is a
+    Gaussian on the coordinates `support`, made orthogonal to every earlier
+    line and its images under `structures` by one batched Gram-Schmidt over
+    the candidates (g_1, g_1 J^T for J in structures, g_2, ...).  Raises
+    ValueError when the support cannot hold that many constrained lines."""
+    support = list(support)
+    m = 1 + len(structures)
+    g = np.zeros((lines, count, dim))
+    g[..., support] = rng.standard_normal((lines, count, len(support)))
+    cand = np.stack([g] + [g @ J.T for J in structures], axis=2)
+    Q, kept = _gram_schmidt(cand.transpose(1, 0, 2, 3).reshape(count, lines * m, dim), lines * m)
+    if np.any(kept < lines * m):
+        raise ValueError(f"{lines} constrained lines do not fit in {len(support)} coordinates")
+    return Q[:, ::m]
 
 
 def batch_random_planes(dim: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random oriented k-planes as row frames of shape (count, k, dim)."""
-    G = rng.standard_normal((count, dim, k))
-    Q, R = np.linalg.qr(G)
-    d = np.sign(np.einsum("...ii->...i", R))
-    d[d == 0] = 1.0
-    return np.swapaxes(Q * d[..., None, :], -1, -2)
+    return np.swapaxes(_qf(rng.standard_normal((count, dim, k))), -1, -2)
 
 
 def batch_complex_planes(structures, line_count: int, count: int, rng: np.random.Generator,
-                         isotropic: bool = False, dim: int | None = None) -> np.ndarray:
+                         isotropic: bool = False) -> np.ndarray:
     """J1-complex planes built from complex lines (v, J1 v); with `isotropic`,
     successive generators are chosen in the quaternionic orthocomplement, so
     the planes are additionally isotropic for the other two Kahler forms."""
-    I1, I2, I3 = structures
-    n = I1.shape[0] if dim is None else dim
-    rows = []
-    constraints: list[np.ndarray] = []
-    for _ in range(line_count):
-        v = _batch_project_out(rng.standard_normal((count, n)), constraints)
-        jv = v @ I1.T
-        rows.extend([v, jv])
-        constraints.extend([v, jv])
-        if isotropic:
-            constraints.extend([v @ I2.T, v @ I3.T])
-    return np.stack(rows, axis=1)
+    I1 = structures[0]
+    dim = I1.shape[0]
+    V = _constrained_lines(count, rng, dim, range(dim), line_count, structures if isotropic else (I1,))
+    return np.stack([V, V @ I1.T], axis=2).reshape(count, 2 * line_count, dim)
 
 
 def batch_complex_isotropic_planes(hk: HKModel, line_count: int, count: int,
@@ -544,17 +525,11 @@ def batch_cr_planes(lf: LinkFrame, count: int, rng: np.random.Generator,
     """3-planes (A_p, v, J_p v) at the link frame; `horizontal` draws v from
     the joint kernel of the contact forms, giving the isotropic class."""
     dim = lf.dim
-    J = lf.transverse_structures[p - 1]
-    v = np.zeros((count, dim))
-    if horizontal:
-        v[:, 3:] = rng.standard_normal((count, dim - 3))
-    else:
-        v[:, [q for q in range(dim) if q != p - 1]] = rng.standard_normal((count, dim - 1))
-    v = _batch_normalize(v)
-    jv = v @ J.T
+    support = range(3, dim) if horizontal else [q for q in range(dim) if q != p - 1]
+    v = _constrained_lines(count, rng, dim, support, 1, ())[:, 0]
     a = np.zeros((count, dim))
     a[:, p - 1] = 1.0
-    return np.stack([a, v, jv], axis=1)
+    return np.stack([a, v, v @ lf.transverse_structures[p - 1].T], axis=1)
 
 
 def batch_cr_legendrian_planes(lf: LinkFrame, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -562,47 +537,27 @@ def batch_cr_legendrian_planes(lf: LinkFrame, count: int, rng: np.random.Generat
     quaternionically orthogonal generators inside the joint contact kernel."""
     dim = lf.dim
     J = lf.transverse_structures
-    a = np.zeros((count, dim))
-    a[:, 0] = 1.0
-    rows = [a]
-    constraints: list[np.ndarray] = []
-    for _ in range(lf.n):
-        g = np.zeros((count, dim))
-        g[:, 3:] = rng.standard_normal((count, dim - 3))
-        v = _batch_project_out(g, constraints)
-        jv = v @ J[0].T
-        rows.extend([v, jv])
-        constraints.extend([v, jv, v @ J[1].T, v @ J[2].T])
-    return np.stack(rows, axis=1)
+    V = _constrained_lines(count, rng, dim, range(3, dim), lf.n, J)
+    a = np.zeros((count, 1, dim))
+    a[:, 0, 0] = 1.0
+    return np.concatenate([a, np.stack([V, V @ J[0].T], axis=2).reshape(count, 2 * lf.n, dim)], axis=1)
 
 
 def batch_hv_isotropic_planes(tm: TwistorModel, h_dim: int, count: int,
-                              rng: np.random.Generator, vertical: bool = True) -> np.ndarray:
-    """HV-compatible planes with isotropic horizontal part (and an optional
-    vertical line), hence isotropic for both twistor Kahler forms."""
+                              rng: np.random.Generator) -> np.ndarray:
+    """HV-compatible planes: an isotropic horizontal part plus a vertical
+    line, hence isotropic for both twistor Kahler forms."""
     n = tm.n
-    dim = tm.dim
-    T1 = standard_triple_matrices(n)[0]
-    rows = []
-    constraints: list[np.ndarray] = []
-    for _ in range(h_dim):
-        g = np.zeros((count, dim))
-        g[:, : 4 * n] = rng.standard_normal((count, 4 * n))
-        v = _batch_project_out(g, constraints)
-        rows.append(v)
-        jv = np.zeros_like(v)
-        jv[:, : 4 * n] = v[:, : 4 * n] @ T1.T
-        constraints.extend([v, jv])
-    if vertical:
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        w = np.zeros((count, dim))
-        w[:, 4 * n] = np.cos(ang)
-        w[:, 4 * n + 1] = np.sin(ang)
-        rows.append(w)
-    return np.stack(rows, axis=1)
+    T1 = standard_triple_matrices(n, tm.dim)[0]
+    H = _constrained_lines(count, rng, tm.dim, range(4 * n), h_dim, (T1,))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    w = np.zeros((count, 1, tm.dim))
+    w[:, 0, 4 * n] = np.cos(ang)
+    w[:, 0, 4 * n + 1] = np.sin(ang)
+    return np.concatenate([H, w], axis=1)
 
 
 def batch_double_lagrangian_twistor(tm: TwistorModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """(2n+1)-planes Lagrangian for both the Kahler-Einstein and the
     nearly-Kahler form: a Lagrangian horizontal part plus a vertical line."""
-    return batch_hv_isotropic_planes(tm, 2 * tm.n, count, rng, vertical=True)
+    return batch_hv_isotropic_planes(tm, 2 * tm.n, count, rng)

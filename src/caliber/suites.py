@@ -30,7 +30,6 @@ from caliber.calib import (
     comass_2form_exact,
     comass_search,
     isotropy_of_maximizers,
-    skew_matrix,
     splitting_support,
 )
 from caliber.exterior import AltForm, hodge, wedge
@@ -461,22 +460,12 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks: list[tuple[str, object]] = []
     tol = 1e-8
 
-    def max_abs_pairing(frames, form) -> float:
-        S = skew_matrix(form)
-        vals = np.einsum("bki,ij,blj->bkl", frames, S, frames)
-        return float(np.max(np.abs(vals)))
-
-    def max_invariance_residual(frames, J) -> float:
-        P = np.einsum("bki,bkj->bij", frames, frames)
-        JP = np.einsum("ij,bjk->bik", J, P)
-        return float(np.max(np.abs(np.einsum("bij,bjk->bik", P, JP) - JP)))
-
     def complex_w2iso_implies_w3iso():
         rng = np.random.default_rng(seed)
         frames = pl.batch_complex_isotropic_planes(hk, 2, samples, rng)
-        premise_inv = max_invariance_residual(frames, hk.I1.astype(float))
-        premise_iso = max_abs_pairing(frames, hk.form("omega2"))
-        conclusion = max_abs_pairing(frames, hk.form("omega3"))
+        premise_inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
+        premise_iso = pl.isotropy_residual(frames, hk.form("omega2"))
+        conclusion = pl.isotropy_residual(frames, hk.form("omega3"))
         ok = premise_inv <= tol and premise_iso <= tol and conclusion <= tol
         return ok, {"premise_residuals": [premise_inv, premise_iso], "w3_residual": conclusion, "samples": samples}
 
@@ -485,9 +474,9 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def double_lagrangian():
         rng = np.random.default_rng(seed + 1)
         frames = pl.batch_double_lagrangian_planes(hk, samples, rng)
-        lag2 = max_abs_pairing(frames, hk.form("omega2"))
-        lag3 = max_abs_pairing(frames, hk.form("omega3"))
-        inv = max_invariance_residual(frames, hk.I1.astype(float))
+        lag2 = pl.isotropy_residual(frames, hk.form("omega2"))
+        lag3 = pl.isotropy_residual(frames, hk.form("omega3"))
+        inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
         ups2 = hk.form("upsilon2")
         sign = (-1j) ** (n + 1)
         rot_re = ups2.re.to_float() * float(sign.real) - ups2.im.to_float() * float(sign.imag)
@@ -616,16 +605,16 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         res = comass_search(f, params=SearchParams(restarts=restarts, seed=seed + 10))
         maxers = res.maximizer_planes(1e-12)
         frames = np.array([p.frame for p in maxers])
-        inv = max_invariance_residual(frames, hk.I1.astype(float))
+        inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
         return len(maxers) >= restarts // 2 and inv <= 1e-6, {"maximizers": len(maxers), "I1_residual": inv}
 
     checks.append(("argmax_complex_omega1_power2", argmax_class_omega_power))
 
     def hv_iso_equivalence():
         rng = np.random.default_rng(seed + 11)
-        frames = pl.batch_hv_isotropic_planes(tm, tm.n, samples, rng, vertical=True)
-        ke = max_abs_pairing(frames, tm.form("omega_KE"))
-        nk = max_abs_pairing(frames, tm.form("omega_NK"))
+        frames = pl.batch_hv_isotropic_planes(tm, tm.n, samples, rng)
+        ke = pl.isotropy_residual(frames, tm.form("omega_KE"))
+        nk = pl.isotropy_residual(frames, tm.form("omega_NK"))
         ok = ke <= tol and nk <= tol
         return ok, {"ke_residual": ke, "nk_residual": nk, "samples": samples}
 
@@ -634,12 +623,10 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def double_lagrangian_hv():
         rng = np.random.default_rng(seed + 12)
         frames = pl.batch_double_lagrangian_twistor(tm, samples, rng)
-        ke = max_abs_pairing(frames, tm.form("omega_KE"))
-        nk = max_abs_pairing(frames, tm.form("omega_NK"))
-        vs = np.linalg.svd(frames[:, :, list(tm.v_indices)], compute_uv=False)
-        hs = np.linalg.svd(frames[:, :, list(tm.h_indices)], compute_uv=False)
-        dim_v = frames.shape[1] - np.sum(hs > 1e-6, axis=1)
-        dim_h = frames.shape[1] - np.sum(vs > 1e-6, axis=1)
+        ke = pl.isotropy_residual(frames, tm.form("omega_KE"))
+        nk = pl.isotropy_residual(frames, tm.form("omega_NK"))
+        dim_h = pl.intersection_dim(frames, tm.h_indices)
+        dim_v = pl.intersection_dim(frames, tm.v_indices)
         dims_ok = bool(np.all(dim_h == 2 * n) and np.all(dim_v == 1))
         ok = ke <= tol and nk <= tol and dims_ok
         return ok, {"ke_residual": ke, "nk_residual": nk, "dims_ok": dims_ok, "samples": samples}
@@ -746,16 +733,20 @@ def run_suite(suite: str, n: int, seed: int = 0, samples: int | None = None,
         raise ValueError(f"suite {suite!r} supports n in (1, 2), got {n}")
     if n not in (1, 2, 3):
         raise ValueError(f"n must be in (1, 2, 3), got {n}")
+    for name, value in (("samples", samples), ("restarts", restarts)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if suite == "identities":
         checks = _identities_checks(n, seed)
     elif suite == "cones":
         checks = _cones_checks(n, seed)
     elif suite == "calibrations":
-        checks = _calibrations_checks(n, seed, restarts or 200)
+        checks = _calibrations_checks(n, seed, 200 if restarts is None else restarts)
     elif suite == "propositions":
-        checks = _propositions_checks(n, seed, samples or 10000, restarts or 10000)
+        checks = _propositions_checks(n, seed, 10000 if samples is None else samples,
+                                      10000 if restarts is None else restarts)
     else:
-        checks = _normalform_checks(n, seed, samples or 100)
+        checks = _normalform_checks(n, seed, 100 if samples is None else samples)
     report = SuiteReport(suite, n, seed)
     report.checks = _run_checks(checks)
     return report

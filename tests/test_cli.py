@@ -185,3 +185,24 @@ def test_classify_nan_plane_exits_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
     _assert_usage_error(code, err)
     assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "normalform", "--samples", "-3"),
+    ("verify", "--suite", "normalform", "--samples", "0"),
+    ("verify", "--suite", "calibrations", "--restarts", "-1"),
+    ("verify", "--suite", "propositions", "--restarts", "0"),
+    ("verify", "--suite", "phase-scan", "--restarts", "0"),
+])
+def test_verify_nonpositive_counts_exit_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert out == "" and "at least 1" in err
+
+
+def test_classify_dimension_mismatch_exits_2(tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(Plane.from_vectors(np.eye(10)[:2]).to_json()))
+    code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and "dimension mismatch" in err

@@ -16,7 +16,6 @@ from caliber.model import (
     make_V_theta,
     make_W_theta,
     random_sp_cone_isometry,
-    standard_kahler_forms,
 )
 
 EPS = {
@@ -266,10 +265,3 @@ def test_squashed_associative_family():
         make_squashed_associative(1, 0.0)
     with pytest.raises(ValueError):
         make_squashed_associative(2, 1.0)
-
-
-def test_standard_kahler_forms_offsets():
-    b1, b2, b3 = standard_kahler_forms(1, dim=7, offset=3)
-    assert b1.terms == {(3, 4): 1, (5, 6): 1}
-    assert b2.terms == {(3, 5): 1, (4, 6): -1}
-    assert b3.terms == {(3, 6): 1, (4, 5): 1}

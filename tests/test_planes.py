@@ -16,16 +16,20 @@ from caliber.model import (
 )
 from caliber.planes import (
     batch_complex_isotropic_planes,
+    batch_complex_planes,
     batch_cr_legendrian_planes,
     batch_cr_planes,
     batch_double_lagrangian_planes,
     batch_double_lagrangian_twistor,
+    batch_hv_isotropic_planes,
     batch_random_planes,
     check_equivalences,
     classify_plane,
     intersection_dim,
+    isotropy_residual,
     normal_form_theta,
     phase_rigidity_scan,
+    projector_invariance_residual,
     quaternionic_envelope,
     rotated_w_theta,
 )
@@ -240,18 +244,38 @@ def test_generators_produce_orthonormal_frames():
     hk = build_hyperkahler_cone(2)
     lf = default_link_frame(2)
     tm = build_twistor_model(2)
+    J = lf.transverse_structures
     rng = np.random.default_rng(8)
+    hk_iso = [hk.form("omega2"), hk.form("omega3")]
+    lf_iso = [lf.form("Omega2"), lf.form("Omega3")]
+    tm_iso = [tm.form("omega_KE"), tm.form("omega_NK")]
+    # (frames, structures leaving every plane invariant, 2-forms vanishing on it)
     batches = [
-        batch_complex_isotropic_planes(hk, 2, 50, rng),
-        batch_double_lagrangian_planes(hk, 50, rng),
-        batch_cr_planes(lf, 50, rng, horizontal=True),
-        batch_cr_legendrian_planes(lf, 50, rng),
-        batch_double_lagrangian_twistor(tm, 50, rng),
+        (batch_complex_isotropic_planes(hk, 2, 50, rng), [hk.I1], hk_iso),
+        (batch_double_lagrangian_planes(hk, 50, rng), [hk.I1], hk_iso),
+        (batch_complex_planes((hk.I3, hk.I1, hk.I2), 2, 50, rng), [hk.I3], []),
+        (batch_cr_planes(lf, 50, rng, horizontal=True), [J[0]], lf_iso),
+        (batch_cr_planes(lf, 50, rng, horizontal=False, p=3), [J[2]], []),
+        (batch_cr_legendrian_planes(lf, 50, rng), [J[0]], lf_iso),
+        (batch_hv_isotropic_planes(tm, tm.n, 50, rng), [], tm_iso),
+        (batch_double_lagrangian_twistor(tm, 50, rng), [], tm_iso),
     ]
-    for frames in batches:
+    for frames, structures, forms in batches:
         gram = np.einsum("bki,bli->bkl", frames, frames)
         eye = np.eye(frames.shape[1])
         assert np.max(np.abs(gram - eye)) < 1e-10
+        for Jp in structures:
+            assert projector_invariance_residual(frames, Jp) <= 1e-10
+        for w in forms:
+            assert isotropy_residual(frames, w) <= 1e-10
+
+
+def test_generators_reject_overlong_requests():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        batch_complex_isotropic_planes(build_hyperkahler_cone(1), 3, 5, rng)
+    with pytest.raises(ValueError):
+        batch_hv_isotropic_planes(build_twistor_model(1), 3, 5, rng)
 
 
 def test_intersection_dim():
@@ -259,3 +283,14 @@ def test_intersection_dim():
     assert intersection_dim(F, [0, 1, 2]) == 3
     assert intersection_dim(F, [0, 1]) == 2
     assert intersection_dim(F, [3, 4, 5]) == 0
+    assert intersection_dim(np.stack([F, np.eye(6)[3:]]), [0, 1]).tolist() == [2, 0]
+
+
+def test_batched_measurements_take_the_worst_frame():
+    hk = build_hyperkahler_cone(1)
+    frames = batch_random_planes(hk.dim, 3, 6, np.random.default_rng(2))
+    w = hk.form("omega2")
+    assert isotropy_residual(frames, w) == max(isotropy_residual(F, w) for F in frames)
+    assert projector_invariance_residual(frames, hk.I1) == max(
+        projector_invariance_residual(F, hk.I1) for F in frames
+    )
