@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels of the comass search on fixed seeded inputs.
+"""Time the hot kernels of the comass search and of plane classification on
+fixed seeded inputs.
 
 Usage: PYTHONPATH=src python scripts/bench_calib.py --out BENCH.json [--label NAME]
 
@@ -8,13 +9,19 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   degree k, on 1000 frames and on 40 frames (the size of a line-search batch);
 - the Stiefel retraction `calib._qf` on tangent steps of three batch shapes;
 - the canonicalization of 200 tied restarts, as `comass_search` does it
-  before picking the smallest key.
+  before picking the smallest key;
+- single-frame evaluation of four catalog forms at n = 3: the exact
+  contraction `exterior.evaluate` on the catalog form, and the value the
+  checkout's plane classification takes (`model.value`, through the
+  model's cached `FormEvaluator`; a checkout without it uses
+  `exterior.evaluate` there too);
+- `classify_plane` on one plane per model space at n = 3.
 Every input is drawn from a fixed seed with numpy alone, so two checkouts
 time the same work.  The run is stored in the JSON file under `--label`,
 next to the runs already there, so one file holds a before/after pair.  A
-rerun under a label whose `calib.py` digest matches keeps, for each kernel,
-the faster of the stored and the new time and counts the runs: alternating
-before/after runs then damp the load of a shared host.
+rerun under a label whose digest of `src/caliber` matches keeps, for each
+kernel, the faster of the stored and the new time and counts the runs:
+alternating before/after runs then damp the load of a shared host.
 """
 
 import argparse
@@ -26,7 +33,7 @@ import time
 
 import numpy as np
 
-from caliber import calib
+from caliber import calib, exterior, model, planes
 from caliber.registry import resolve
 
 # (name, n, space): real catalog forms of degree 2, 3, 4, 6 and 8
@@ -38,6 +45,17 @@ FORMS = (
     ("re_upsilon1", 3, "cone"),
 )
 FRAME_COUNTS = (1000, 40)
+# (name, space) of catalog forms evaluated on one frame at n = 3, and the
+# plane degree classify_plane is timed at per space
+SINGLE_FRAME_FORMS = (
+    ("theta_I8", "cone"),
+    ("re_upsilon1", "cone"),
+    ("re_gamma1", "link"),
+    ("re_gamma0", "twistor"),
+)
+MODELS = {"cone": model.build_hyperkahler_cone, "link": model.default_link_frame,
+          "twistor": model.build_twistor_model}
+CLASSIFY_DEGREES = {"cone": 4, "link": 3, "twistor": 3}
 RETRACTION_SHAPES = ((40, 12, 2), (200, 12, 6), (10000, 8, 3))
 TIED = (200, 12, 4)  # restarts, N, k
 REPEAT = 7
@@ -111,6 +129,24 @@ def run() -> dict:
     R, N, k = TIED
     frames = np.swapaxes(_orthonormal(np.random.default_rng(R), (R, N, k)), -1, -2)
     out["canonicalize_tied"]["x".join(map(str, TIED))] = {"s": _best(lambda: _canonicalize(frames))}
+    out["single_frame_evaluate"], out["single_frame_value"], out["classify_plane"] = {}, {}, {}
+    for name, space in SINGLE_FRAME_FORMS:
+        m = MODELS[space](3)
+        form = m.form(name)
+        F = _orthonormal(np.random.default_rng(form.degree), (m.dim, form.degree)).T
+        row = {"form": f"{space}/{name}", "n": 3, "terms": form.num_terms()}
+
+        def contract():
+            return exterior.evaluate(form, list(F))
+
+        value = getattr(m, "value", None)  # a checkout without it classifies by contraction
+        cached = contract if value is None else (lambda: value(name, F))
+        out["single_frame_evaluate"][row["form"]] = dict(row, s=_best(contract))
+        out["single_frame_value"][row["form"]] = dict(row, s=_best(cached))
+    for space, k in CLASSIFY_DEGREES.items():
+        m = MODELS[space](3)
+        plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
+        out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
     return out
 
 
@@ -120,10 +156,14 @@ def main() -> None:
     ap.add_argument("--label", default="run", help="name of this run in the file")
     args = ap.parse_args()
 
-    with open(calib.__file__, "rb") as fh:
-        source_digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    digest = hashlib.sha256()
+    src = os.path.dirname(calib.__file__)
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), "rb") as fh:
+            digest.update(fh.read())
+    source_digest = digest.hexdigest()[:16]
     record = {
-        "calib_sha256": source_digest,
+        "src_sha256": source_digest,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "machine": platform.machine(), "nproc": os.cpu_count()},
         "repeat": REPEAT,
@@ -134,7 +174,7 @@ def main() -> None:
         with open(args.out) as fh:
             data = json.load(fh)
     old = data.get(args.label)
-    if old and old["calib_sha256"] == source_digest:
+    if old and old.get("src_sha256") == source_digest:
         record["runs"] = old.get("runs", 1) + 1
         for group, rows in record["results"].items():
             for key, row in rows.items():
@@ -145,7 +185,7 @@ def main() -> None:
         fh.write("\n")
     for group, rows in record["results"].items():
         for key, row in rows.items():
-            print(f"{args.label:8s} {group:18s} {key:14s} {row['s'] * 1e3:10.3f} ms")
+            print(f"{args.label:8s} {group:21s} {key:20s} {row['s'] * 1e3:10.3f} ms")
 
 
 if __name__ == "__main__":

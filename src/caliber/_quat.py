@@ -8,59 +8,37 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
-def qconj(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[..., 1:] *= -1.0
-    return out
+from caliber.calib import _gram_schmidt
 
 
 def right_mult_matrix(q: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrix of h -> h*q in the (1, i, j, k) component basis."""
-    a, b, c, d = q
-    return np.array(
-        [
-            [a, -b, -c, -d],
-            [b, a, d, -c],
-            [c, -d, a, b],
-            [d, c, -b, a],
-        ]
-    )
+    """Real 4x4 matrix of h -> h*q in the (1, i, j, k) component basis; shape
+    (..., 4, 4) for quaternions (..., 4)."""
+    a, b, c, d = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rows = [[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+# h -> h u as a right factor on (1, i, j, k) component rows, for u = 1, i, j, k
+_RIGHT_UNITS = np.swapaxes(right_mult_matrix(np.eye(4)), -1, -2)
 
 
 def gram_schmidt_sp(mat: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of an m x m quaternion matrix over H.
 
-    Inner product <u, v> = sum_k conj(u_k) v_k; coefficients multiply from the
-    right, so the output satisfies B* B = Id exactly up to float roundoff.
+    Inner product <u, v> = sum_k conj(u_k) v_k, coefficients multiplying from
+    the right.  The right H-span of a column v is the real span of (v, v i,
+    v j, v k), so one real Gram-Schmidt over those candidates, column by
+    column, keeps every fourth row: the output satisfies B* B = Id up to
+    float roundoff.
     """
     m = mat.shape[0]
-    cols = [mat[:, j].copy() for j in range(m)]
-    out = []
-    for j in range(m):
-        v = cols[j]
-        for u in out:
-            coef = qmul(qconj(u), v).sum(axis=0)  # <u, v> in H
-            v = v - qmul(u, np.broadcast_to(coef, u.shape))
-        norm = np.sqrt((v**2).sum())
-        if norm < 1e-12:
-            raise ValueError("rank-deficient quaternion matrix")
-        out.append(v / norm)
-    return np.stack(out, axis=1)
+    # candidate 4 j + u is column j times the u-th unit of (1, i, j, k)
+    cand = (np.swapaxes(mat, 0, 1)[:, None] @ _RIGHT_UNITS).reshape(4 * m, 4 * m)
+    Q, kept = _gram_schmidt(cand, 4 * m)
+    if kept < 4 * m:
+        raise ValueError("rank-deficient quaternion matrix")
+    return np.swapaxes(Q[::4].reshape(m, m, 4), 0, 1)
 
 
 def random_sp_quaternion_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -76,54 +54,28 @@ def right_action_realification(B: np.ndarray) -> np.ndarray:
     left-multiplication Kahler triple.
     """
     m = B.shape[0]
-    M = np.zeros((4 * m, 4 * m))
-    for j in range(m):
-        for k in range(m):
-            M[4 * j : 4 * j + 4, 4 * k : 4 * k + 4] = right_mult_matrix(B[k, j])
-    return M
-
-
-def quaternion_entry_to_complex_pair(q: np.ndarray) -> tuple[complex, complex]:
-    """Split q = q1 + j*q2 with q1, q2 complex (so c*j = j*conj(c))."""
-    a, b, c, d = q
-    return complex(a, b), complex(c, -d)
+    # block (j, k) is right_mult_matrix(B[k, j])
+    return right_mult_matrix(B).transpose(1, 2, 0, 3).reshape(4 * m, 4 * m)
 
 
 def sp_complex_block(B: np.ndarray) -> np.ndarray:
-    """Complex 2m x 2m block matrix of the left action h -> B h on H^m = C^m + j C^m."""
-    m = B.shape[0]
-    A1 = np.zeros((m, m), dtype=complex)
-    A2 = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            q1, q2 = quaternion_entry_to_complex_pair(B[j, k])
-            A1[j, k] = q1
-            A2[j, k] = q2
-    top = np.hstack([A1, -np.conj(A2)])
-    bot = np.hstack([A2, np.conj(A1)])
-    return np.vstack([top, bot])
+    """Complex 2m x 2m block matrix of the left action h -> B h on H^m = C^m + j C^m,
+    from the split q = q1 + j*q2 of each entry, q1 and q2 complex (so c*j = j*conj(c))."""
+    q1 = B[..., 0] + 1j * B[..., 1]
+    q2 = B[..., 2] - 1j * B[..., 3]
+    return np.block([[q1, -np.conj(q2)], [q2, np.conj(q1)]])
 
 
 def realify_interleaved(C: np.ndarray) -> np.ndarray:
     """Realify a complex 2m x 2m matrix acting on (h1; h2) stacked complex
     coordinates, in the interleaved real basis where component j of h1 sits at
     real indices (4j, 4j+1) and component j of h2 at (4j+2, 4j+3)."""
-    two_m = C.shape[0]
-    m = two_m // 2
-
-    def real_pair(p: int) -> int:
-        return 4 * p if p < m else 4 * (p - m) + 2
-
+    m = C.shape[0] // 2
+    r = np.concatenate([4 * np.arange(m), 4 * np.arange(m) + 2])  # real index of each complex one
     M = np.zeros((4 * m, 4 * m))
-    for p in range(two_m):
-        rp = real_pair(p)
-        for q in range(two_m):
-            rq = real_pair(q)
-            u, v = C[p, q].real, C[p, q].imag
-            M[rp, rq] = u
-            M[rp, rq + 1] = -v
-            M[rp + 1, rq] = v
-            M[rp + 1, rq + 1] = u
+    M[np.ix_(r, r)] = M[np.ix_(r + 1, r + 1)] = C.real
+    M[np.ix_(r, r + 1)] = -C.imag
+    M[np.ix_(r + 1, r)] = C.imag
     return M
 
 

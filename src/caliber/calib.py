@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, evaluate, interior, pullback, wedge
+from caliber.exterior import AltForm, ComplexAltForm, _indices_from_mask, interior, pullback, wedge
 
 __all__ = [
     "Plane",
@@ -272,8 +272,6 @@ class FormEvaluator:
         self.dim = form.dim
         self.degree = form.degree
         items = sorted(form._raw_terms().items())
-        from caliber.exterior import _indices_from_mask
-
         self.idx = np.array([_indices_from_mask(m) for m, _ in items], dtype=np.intp).reshape(len(items), form.degree)
         self.coeffs = np.array([float(c) for _, c in items])
         self._plan = None  # built on the first call
@@ -536,12 +534,17 @@ def comass_2form_exact(form: AltForm) -> float:
     return float(np.linalg.svd(S, compute_uv=False)[0])
 
 
-def is_calibrated(form, plane: Plane, tol: float = 1e-9) -> bool:
-    """Whether the form attains 1 on the oriented plane (comass-one forms only)."""
-    if form.degree != plane.degree:
-        raise ValueError(f"degree mismatch: form {form.degree}, plane {plane.degree}")
-    val = evaluate(form, [np.asarray(row, dtype=float) for row in plane.frame])
-    return bool(abs(val - 1) <= tol)
+def is_calibrated(form: AltForm | FormEvaluator, plane: Plane, tol: float = 1e-9) -> bool:
+    """Whether the form attains 1 on the oriented plane (comass-one forms only).
+
+    The value is `FormEvaluator.values` on the plane's frame.  `form` is a
+    real form or its evaluator; callers that test many planes pass the one a
+    model caches (`model.evaluator(name)`) instead of building one per call.
+    """
+    ev = form if isinstance(form, FormEvaluator) else FormEvaluator(form)
+    if ev.degree != plane.degree:
+        raise ValueError(f"degree mismatch: form {ev.degree}, plane {plane.degree}")
+    return bool(abs(float(ev.values(plane.frame.T)) - 1) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +619,6 @@ class TransportedForm:
         h = set(self.metric.h_indices)
         t = self.metric.t
         raw = {}
-        from caliber.exterior import _indices_from_mask
-
         for mask, c in self.form._raw_terms().items():
             m = sum(1 for i in _indices_from_mask(mask) if i in h)
             raw[mask] = c / (t**m)
@@ -642,8 +643,6 @@ def transported_semicalibration(form: AltForm, *, scaling: tuple | None = None,
         if t <= 0:
             raise ValueError("scaling factor must be positive")
         h = set(int(i) for i in h_indices)
-        from caliber.exterior import _indices_from_mask
-
         counts = {sum(1 for i in _indices_from_mask(m) if i in h) for m in form._raw_terms()}
         if len(counts) > 1:
             raise ValueError(f"form does not split: horizontal index counts {sorted(counts)}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -236,6 +237,9 @@ def run(argv=None) -> int:
     try:
         if args.n not in (1, 2, 3):
             raise UsageError(f"--n must be in 1..3, got {args.n}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 < tol < math.inf:
+            raise UsageError(f"--tol must be finite and positive, got {tol}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

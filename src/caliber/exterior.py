@@ -428,7 +428,13 @@ def _index_sum(mask: int) -> int:
 
 
 def evaluate(a, vectors: Sequence):
-    """Evaluate the form on an ordered list of vectors (fully antisymmetric)."""
+    """Evaluate the form on an ordered list of vectors (fully antisymmetric).
+
+    The exact reference path: one contraction per vector, in the ring of the
+    coefficients and entries, so exact inputs give exact values.  Float
+    values of catalog forms on planes go through `calib.FormEvaluator`
+    (`model.value`), which the tests check against this function.
+    """
     if isinstance(a, ComplexAltForm):
         return complex(evaluate(a.re, vectors)) + 1j * complex(evaluate(a.im, vectors))
     vecs = list(vectors)

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from caliber import _quat
-from caliber.calib import Plane, _gram_schmidt
+from caliber.calib import FormEvaluator, Plane, _gram_schmidt, skew_matrix
 from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
 
 __all__ = [
@@ -99,12 +99,52 @@ def _factorial_inv(k: int) -> Fraction:
     return Fraction(1, math.factorial(k))
 
 
+class _FormCatalog:
+    """Named forms of a model and their float evaluation on planes.
+
+    Each form gets one `FormEvaluator` (a (re, im) pair for a complex form)
+    and each 2-form one skew matrix, built on first use and kept in the
+    model's `cache`; the models of the lru_cached builders therefore evaluate
+    every plane with the same evaluators, and the cache is bounded by the
+    catalog plus the derived calibrations named by callers.
+    """
+
+    def form(self, name: str):
+        return self.catalog[name]
+
+    def evaluator(self, name: str, derive=None):
+        """The cached evaluator of catalog form `name`, or of the form
+        `derive()` returns, which is then cached under `name`."""
+        key = ("evaluator", name)
+        if key not in self.cache:
+            form = self.form(name) if derive is None else derive()
+            self.cache[key] = ((FormEvaluator(form.re), FormEvaluator(form.im))
+                               if isinstance(form, ComplexAltForm) else FormEvaluator(form))
+        return self.cache[key]
+
+    def value(self, name: str, frame: np.ndarray, derive=None):
+        """Value of form `name` (see `evaluator`) on one row frame (k, N):
+        a float, or a complex for a complex form."""
+        ev = self.evaluator(name, derive)
+        if isinstance(ev, tuple):
+            return complex(*(float(e.values(frame.T)) for e in ev))
+        return float(ev.values(frame.T))
+
+    def skew(self, name: str) -> np.ndarray:
+        """The cached, read-only `skew_matrix` of catalog 2-form `name`."""
+        key = ("skew", name)
+        if key not in self.cache:
+            self.cache[key] = skew_matrix(self.form(name))
+            self.cache[key].setflags(write=False)
+        return self.cache[key]
+
+
 # ---------------------------------------------------------------------------
 # hyperkahler cone
 
 
 @dataclass(frozen=True)
-class HKModel:
+class HKModel(_FormCatalog):
     """The flat quaternionic cone R^{4n+4} with its full form catalog."""
 
     n: int
@@ -113,13 +153,11 @@ class HKModel:
     I2: np.ndarray
     I3: np.ndarray
     catalog: dict = field(repr=False)
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def complex_structures(self):
         return (self.I1, self.I2, self.I3)
-
-    def form(self, name: str):
-        return self.catalog[name]
 
 
 def _cone_catalog(n: int) -> dict:
@@ -167,7 +205,7 @@ def build_hyperkahler_cone(n: int) -> HKModel:
 
 
 @dataclass(frozen=True)
-class LinkFrame:
+class LinkFrame(_FormCatalog):
     """Structure tensors of the unit-sphere link at a point, in an adapted
     orthonormal frame of the tangent space.
 
@@ -186,6 +224,7 @@ class LinkFrame:
     catalog: dict = field(repr=False)
 
     vertical_indices: tuple = (0, 1, 2)
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def horizontal_indices(self) -> tuple:
@@ -194,9 +233,6 @@ class LinkFrame:
     @property
     def transverse_structures(self):
         return (self.J1, self.J2, self.J3)
-
-    def form(self, name: str):
-        return self.catalog[name]
 
     def submersion_to_twistor(self) -> np.ndarray:
         """The linear model of the circle projection along A_1: a
@@ -306,7 +342,7 @@ def default_link_frame(n: int) -> LinkFrame:
 
 
 @dataclass(frozen=True)
-class TwistorModel:
+class TwistorModel(_FormCatalog):
     """The linear twistor model R^{4n+2} = H^n + C with its form catalog and
     compatible complex structures."""
 
@@ -317,6 +353,7 @@ class TwistorModel:
     J2: np.ndarray
     J3: np.ndarray
     catalog: dict = field(repr=False)
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def h_indices(self) -> tuple:
@@ -325,9 +362,6 @@ class TwistorModel:
     @property
     def v_indices(self) -> tuple:
         return (4 * self.n, 4 * self.n + 1)
-
-    def form(self, name: str):
-        return self.catalog[name]
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,13 @@ normal form of calibrated 3-planes in the twistor model.
 Membership tests are basis-free: J-invariance through the orthogonal projector
 onto the plane, isotropy through the restricted 2-form, phases through the
 complex value of the relevant volume form (defined only on calibrated planes).
+
+Every form value on a plane is `model.value(name, frame)`: the model's cached
+`FormEvaluator` of that form, built on first use and kept with the model, as
+is the skew matrix (`model.skew`) behind each isotropy residual.  The derived
+calibrations omega_p^m / m! (cone) and alpha_p ^ Omega_p^m / m! (link) are
+built exactly once per model under the names omega{p}_power{m} and
+alpha{p}_Omega{p}_power{m}.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from caliber.calib import Plane, SearchParams, _gram_schmidt, _qf, comass_search, is_calibrated, skew_matrix
-from caliber.exterior import AltForm, evaluate, power, wedge
+from caliber.calib import Plane, SearchParams, _gram_schmidt, _qf, comass_search, is_calibrated
+from caliber.exterior import power, wedge
 from caliber.model import (
     CYCLIC_PAIRS,
     HKModel,
     LinkFrame,
     TwistorModel,
+    _factorial_inv,
     make_W_theta,
     random_sp_u1_element,
     standard_triple_matrices,
@@ -62,9 +70,9 @@ def projector_invariance_residual(frame: np.ndarray, J: np.ndarray) -> float:
     return float(np.max(np.abs(P @ JP - JP)))
 
 
-def isotropy_residual(frame: np.ndarray, two_form: AltForm) -> float:
-    """sup-norm of the 2-form restricted to E, maximized over a (..., k, N) batch."""
-    S = skew_matrix(two_form)
+def isotropy_residual(frame: np.ndarray, S: np.ndarray) -> float:
+    """sup-norm of the 2-form with skew matrix S (`model.skew`,
+    `calib.skew_matrix`) restricted to E, maximized over a (..., k, N) batch."""
     return float(np.max(np.abs(frame @ S @ np.swapaxes(frame, -1, -2))))
 
 
@@ -147,17 +155,15 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         res = projector_invariance_residual(F, structures[p])
         invariant = res <= tol
         rep.add(f"invariant_I{p}", invariant, res)
-        oriented = None
         if invariant and k % 2 == 0:
             m = k // 2
-            val = evaluate(power(hk.form(f"omega{p}").to_float(), m) * (1.0 / math.factorial(m)), F)
-            oriented = val
+            val = hk.value(f"omega{p}_power{m}", F, lambda: power(hk.form(f"omega{p}"), m) * _factorial_inv(m))
             rep.add(f"complex_I{p}", abs(val - 1) <= tol, val)
             rep.add(f"anti_complex_I{p}", abs(val + 1) <= tol, val)
         else:
             rep.add(f"complex_I{p}", False if not invariant else None, res)
             rep.add(f"anti_complex_I{p}", False if not invariant else None, res)
-        iso = isotropy_residual(F, hk.form(f"omega{p}"))
+        iso = isotropy_residual(F, hk.skew(f"omega{p}"))
         rep.add(f"isotropic_omega{p}", iso <= tol, iso)
         rep.add(f"lagrangian_omega{p}", iso <= tol and k == 2 * hk.n + 2, iso)
     for p, (q, r) in CYCLIC_PAIRS.items():
@@ -165,19 +171,19 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         rep.add(f"complex_isotropic_I{p}", ci, None)
     if k == 2 * hk.n + 2:
         for p in (1, 2, 3):
-            val = complex(evaluate(hk.form(f"upsilon{p}"), F))
-            rep.add(f"special_lagrangian_phase_upsilon{p}", _phase(val, tol) is not None, val)
+            val = hk.value(f"upsilon{p}", F)
             ph = _phase(val, tol)
+            rep.add(f"special_lagrangian_phase_upsilon{p}", ph is not None, val)
             rep.flags[f"special_lagrangian_phase_upsilon{p}"]["phase"] = ph
     if k % 2 == 0 and 2 <= k <= 2 * hk.n + 2:
         for label in ("I", "J", "K"):
-            val = evaluate(hk.form(f"theta_{label}{k}"), F)
+            val = hk.value(f"theta_{label}{k}", F)
             rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
     if k == 4:
         for p in (1, 2, 3):
-            val = evaluate(hk.form(f"Phi{p}"), F)
+            val = hk.value(f"Phi{p}", F)
             rep.add(f"cayley_Phi{p}", abs(val - 1) <= tol, val)
-        rep.add("quaternionic_Lambda_value", None, evaluate(hk.form("Lambda"), F))
+        rep.add("quaternionic_Lambda_value", None, hk.value("Lambda", F))
     return rep
 
 
@@ -197,9 +203,9 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
         rep.add(f"cr_I{p}", cr, {"reeb": has_reeb, "J_residual": jres})
         if cr and k % 2 == 1:
             m = (k - 1) // 2
-            cal = power(lf.form(f"Omega{p}").to_float(), m) * (1.0 / math.factorial(m))
-            cal = wedge(lf.form(f"alpha{p}").to_float(), cal)
-            rep.flags[f"cr_I{p}"]["oriented_value"] = float(evaluate(cal, F))
+            rep.flags[f"cr_I{p}"]["oriented_value"] = lf.value(
+                f"alpha{p}_Omega{p}_power{m}", F,
+                lambda: wedge(lf.form(f"alpha{p}"), power(lf.form(f"Omega{p}"), m)) * _factorial_inv(m))
         aval = float(np.max(np.abs(F[:, p - 1])))
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)
@@ -208,19 +214,19 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
         rep.add(f"cr_isotropic_I{p}", ci, None)
     if k == 2 * n + 1:
         for p in (1, 2, 3):
-            val = complex(evaluate(lf.form(f"psi{p}"), F))
+            val = lf.value(f"psi{p}", F)
             ph = _phase(val, tol)
             rep.add(f"special_legendrian_phase_psi{p}", ph is not None, val)
             rep.flags[f"special_legendrian_phase_psi{p}"]["phase"] = ph
     if k % 2 == 1 and k <= 2 * n + 1:
         for label in ("I", "J", "K"):
-            val = evaluate(lf.form(f"theta_{label}{k}"), F)
+            val = lf.value(f"theta_{label}{k}", F)
             rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
     if k == 3:
         for p in (1, 2, 3):
-            val = evaluate(lf.form(f"phi{p}"), F)
+            val = lf.value(f"phi{p}", F)
             rep.add(f"associative_phi{p}", abs(val - 1) <= tol, val)
-        val = complex(evaluate(lf.form("gamma1"), F))
+        val = lf.value("gamma1", F)
         rep.add("re_gamma1_value", abs(val.real - 1) <= tol, val)
     horiz = float(np.max(np.abs(F[:, :3])))
     rep.add("horizontal_p1", rep.flag("isotropic_alpha1"), rep.witness("isotropic_alpha1"))
@@ -239,7 +245,7 @@ def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> Classificat
         res = projector_invariance_residual(F, J)
         rep.add(f"complex_{name}", res <= tol, res)
     for name in ("omega_KE", "omega_NK", "omega_H", "omega_V"):
-        res = isotropy_residual(F, tm.form(name))
+        res = isotropy_residual(F, tm.skew(name))
         rep.add(f"isotropic_{name}", res <= tol, res)
         rep.flags[f"isotropic_{name}"]["restriction_norm"] = res
     rep.add("lagrangian_omega_KE", rep.flag("isotropic_omega_KE") and k == 2 * n + 1, rep.witness("isotropic_omega_KE"))
@@ -252,7 +258,7 @@ def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> Classificat
     rep.add("dim_cap_V", None, dim_v)
     rep.add("hv_compatible", dim_h + dim_v == k, {"dim_cap_H": dim_h, "dim_cap_V": dim_v})
     if k == 3:
-        val = complex(evaluate(tm.form("gamma0"), F))
+        val = tm.value("gamma0", F)
         rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val)
         rep.flags["re_gamma0_calibrated"]["phase"] = _phase(val, tol)
     return rep
@@ -297,7 +303,7 @@ def check_equivalences(plane: Plane, model, tol: float = 1e-8) -> list[Equivalen
                 bool(rep.flag("invariant_I1")),
                 {"I1_residual": rep.witness("invariant_I1")},
             )
-            ups2 = complex(evaluate(model.form("upsilon2"), plane.frame))
+            ups2 = model.value("upsilon2", plane.frame)
             rot = ups2 * (-1j) ** (model.n + 1)
             implication(
                 "double_lagrangian_upsilon2_volume",
@@ -316,8 +322,8 @@ def check_equivalences(plane: Plane, model, tol: float = 1e-8) -> list[Equivalen
                 )
         if plane.degree == 2 * model.n + 1:
             leg = bool(rep.flag("cr_I1")) and rep.flag("legendrian_alpha2") and rep.flag("legendrian_alpha3")
-            psi2 = complex(evaluate(model.form("psi2"), plane.frame))
-            psi3 = complex(evaluate(model.form("psi3"), plane.frame))
+            psi2 = model.value("psi2", plane.frame)
+            psi3 = model.value("psi3", plane.frame)
             target2 = 1j ** (model.n + 1)
             ok2 = min(abs(psi2 - target2), abs(psi2 + target2)) <= tol
             ok3 = min(abs(psi3 - 1), abs(psi3 + 1)) <= tol
@@ -370,7 +376,7 @@ def quaternionic_envelope(plane: Plane, model: TwistorModel, tol: float = 1e-8,
                           cal_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (w, J1 w, J2 w, J3 w) of the quaternionic line whose
     sum with the vertical plane contains the calibrated 3-plane."""
-    if not is_calibrated(model.form("re_gamma0").to_float(), plane, cal_tol):
+    if not is_calibrated(model.evaluator("re_gamma0"), plane, cal_tol):
         raise ValueError("plane is not calibrated by the real twistor 3-form")
     n = model.n
     Mh = plane.frame[:, : 4 * n]
@@ -403,9 +409,8 @@ def normal_form_theta(plane: Plane, model: TwistorModel, tol: float = 1e-8) -> N
     """
     if plane.degree != 3:
         raise ValueError("normal form applies to 3-planes")
-    if not is_calibrated(model.form("re_gamma0").to_float(), plane, tol):
-        raise ValueError("plane is not calibrated by the real twistor 3-form")
-    S = skew_matrix(model.form("omega_KE"))
+    env = quaternionic_envelope(plane, model, cal_tol=tol)  # raises unless calibrated
+    S = model.skew("omega_KE")
     B = plane.frame @ S @ plane.frame.T
     s = float(np.linalg.svd(B, compute_uv=False)[0])
     theta_spec = 0.5 * math.acos(min(1.0, max(0.0, s)))
@@ -416,10 +421,9 @@ def normal_form_theta(plane: Plane, model: TwistorModel, tol: float = 1e-8) -> N
         raise ValueError(
             f"normal-form extractions disagree: spectral {theta_spec!r} vs vertical-block {theta!r}"
         )
-    env = quaternionic_envelope(plane, model, cal_tol=tol)
     dim_h = intersection_dim(plane.frame, model.h_indices)
     dim_v = intersection_dim(plane.frame, model.v_indices)
-    iso = isotropy_residual(plane.frame, model.form("omega_KE")) <= tol
+    iso = isotropy_residual(plane.frame, S) <= tol
     if dim_h < 1:
         raise ValueError("internal inconsistency: calibrated plane with no horizontal vector")
     return NormalFormResult(theta, env, dim_h, dim_v, bool(iso))

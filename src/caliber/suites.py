@@ -464,8 +464,8 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         rng = np.random.default_rng(seed)
         frames = pl.batch_complex_isotropic_planes(hk, 2, samples, rng)
         premise_inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
-        premise_iso = pl.isotropy_residual(frames, hk.form("omega2"))
-        conclusion = pl.isotropy_residual(frames, hk.form("omega3"))
+        premise_iso = pl.isotropy_residual(frames, hk.skew("omega2"))
+        conclusion = pl.isotropy_residual(frames, hk.skew("omega3"))
         ok = premise_inv <= tol and premise_iso <= tol and conclusion <= tol
         return ok, {"premise_residuals": [premise_inv, premise_iso], "w3_residual": conclusion, "samples": samples}
 
@@ -474,8 +474,8 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def double_lagrangian():
         rng = np.random.default_rng(seed + 1)
         frames = pl.batch_double_lagrangian_planes(hk, samples, rng)
-        lag2 = pl.isotropy_residual(frames, hk.form("omega2"))
-        lag3 = pl.isotropy_residual(frames, hk.form("omega3"))
+        lag2 = pl.isotropy_residual(frames, hk.skew("omega2"))
+        lag3 = pl.isotropy_residual(frames, hk.skew("omega3"))
         inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
         ups2 = hk.form("upsilon2")
         sign = (-1j) ** (n + 1)
@@ -613,8 +613,8 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def hv_iso_equivalence():
         rng = np.random.default_rng(seed + 11)
         frames = pl.batch_hv_isotropic_planes(tm, tm.n, samples, rng)
-        ke = pl.isotropy_residual(frames, tm.form("omega_KE"))
-        nk = pl.isotropy_residual(frames, tm.form("omega_NK"))
+        ke = pl.isotropy_residual(frames, tm.skew("omega_KE"))
+        nk = pl.isotropy_residual(frames, tm.skew("omega_NK"))
         ok = ke <= tol and nk <= tol
         return ok, {"ke_residual": ke, "nk_residual": nk, "samples": samples}
 
@@ -623,8 +623,8 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def double_lagrangian_hv():
         rng = np.random.default_rng(seed + 12)
         frames = pl.batch_double_lagrangian_twistor(tm, samples, rng)
-        ke = pl.isotropy_residual(frames, tm.form("omega_KE"))
-        nk = pl.isotropy_residual(frames, tm.form("omega_NK"))
+        ke = pl.isotropy_residual(frames, tm.skew("omega_KE"))
+        nk = pl.isotropy_residual(frames, tm.skew("omega_NK"))
         dim_h = pl.intersection_dim(frames, tm.h_indices)
         dim_v = pl.intersection_dim(frames, tm.v_indices)
         dims_ok = bool(np.all(dim_h == 2 * n) and np.all(dim_v == 1))

@@ -206,3 +206,24 @@ def test_classify_dimension_mismatch_exits_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
     _assert_usage_error(code, err)
     assert out == "" and "dimension mismatch" in err
+
+
+@pytest.mark.parametrize("command,tol", [
+    ("classify", "nan"),
+    ("classify", "-1"),
+    ("classify", "0"),
+    ("classify", "inf"),
+    ("comass", "nan"),
+    ("normalform", "nan"),
+])
+def test_nonfinite_or_nonpositive_tol_exits_2(tmp_path, capsys, command, tol):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(make_W_theta(1, 0.3).to_json()))
+    target = {
+        "classify": ("--space", "twistor", "--plane", str(path)),
+        "comass": ("--form", "theta_I4"),
+        "normalform": ("--plane", str(path)),
+    }[command]
+    code, out, err = invoke(capsys, command, "--n", "1", "--tol", tol, *target)
+    _assert_usage_error(code, err)
+    assert out == "" and "--tol" in err

@@ -1,13 +1,16 @@
 """Classification flags, equivalence checks, normal form, and phase scans."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from caliber.calib import Plane, SearchParams, batch_evaluate
-from caliber.exterior import evaluate
+from caliber import exterior
+from caliber.calib import FormEvaluator, Plane, SearchParams, batch_evaluate
+from caliber.exterior import evaluate, power, wedge
 from caliber.model import (
+    _FormCatalog,
     build_hyperkahler_cone,
     build_twistor_model,
     default_link_frame,
@@ -114,6 +117,100 @@ def test_report_json_shape():
     data = rep.to_json()
     assert data["space"] == "twistor" and data["degree"] == 3
     assert all({"flag", "witness", "tol"} <= set(v) for v in data["flags"].values())
+
+
+def _special_planes(n: int, rng) -> list:
+    """(model, row frame) pairs of every special family used in this file:
+    complex, complex-isotropic and double Lagrangian planes and the
+    quaternion line in the cone; CR, CR-isotropic, CR Legendrian planes and
+    Reeb lines at the link; W_theta, its rotations and HV-compatible planes
+    in the twistor model."""
+    hk, lf, tm = build_hyperkahler_cone(n), default_link_frame(n), build_twistor_model(n)
+    out = [(hk, np.eye(hk.dim)[:4])]
+    for lines in (1, 2):
+        out += [(hk, F) for F in batch_complex_planes(hk.complex_structures, lines, 2, rng)]
+        out += [(hk, F) for F in batch_complex_isotropic_planes(hk, lines, 2, rng)]
+    out += [(hk, F) for F in batch_double_lagrangian_planes(hk, 2, rng)]
+    for p in (1, 2, 3):
+        out.append((lf, np.eye(lf.dim)[p - 1:p]))
+        out += [(lf, F) for F in batch_cr_planes(lf, 2, rng, horizontal=p == 2, p=p)]
+    out += [(lf, F) for F in batch_cr_legendrian_planes(lf, 2, rng)]
+    for th in (0.0, 0.3, math.pi / 4):
+        out += [(tm, make_W_theta(n, th).frame), (tm, rotated_w_theta(n, th, rng).frame)]
+    out += [(tm, F) for F in batch_hv_isotropic_planes(tm, tm.n, 2, rng)]
+    out += [(tm, F) for F in batch_double_lagrangian_twistor(tm, 2, rng)]
+    return out
+
+
+def _reference_form(model, name: str):
+    """The exact form behind an evaluator name, built here from the catalog:
+    omega{p}_power{m} is omega_p^m / m!, alpha{p}_Omega{p}_power{m} is
+    alpha_p ^ Omega_p^m / m!, any other name a catalog entry."""
+    head, _, m = name.partition("_power")
+    if not m:
+        return model.form(name)
+    factors = head.split("_")
+    form = power(model.form(factors[-1]), int(m)) * Fraction(1, math.factorial(int(m)))
+    return wedge(model.form(factors[0]), form) if len(factors) == 2 else form
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
+    # every form classify_plane and check_equivalences evaluate, against the
+    # exact contraction path on the same frame
+    gaps = {}
+    value = _FormCatalog.value
+
+    def checked(self, name, frame, derive=None):
+        got = value(self, name, frame, derive)
+        form = _reference_form(self, name)
+        key = (type(self).__name__, name)
+        gaps[key] = max(gaps.get(key, 0.0), abs(got - complex(evaluate(form, list(frame)))))
+        return got
+
+    monkeypatch.setattr(_FormCatalog, "value", checked)
+    rng = np.random.default_rng(30 + n)
+    models = (build_hyperkahler_cone(n), default_link_frame(n), build_twistor_model(n))
+    cases = [(m, F) for m in models for k in (2, 3, 4) for F in batch_random_planes(m.dim, k, 3, rng)]
+    for m, F in cases + _special_planes(n, rng):
+        P = Plane.from_vectors(F)
+        classify_plane(P, m)
+        check_equivalences(P, m)
+    assert max(gaps.values()) <= 1e-12, max(gaps.items(), key=lambda kv: kv[1])
+    names = {name for _, name in gaps}
+    assert {"omega1_power1", "omega1_power2", "upsilon1", "upsilon2", "upsilon3", "theta_I2", "theta_K4",
+            "Phi1", "Lambda", "alpha1_Omega1_power0", "alpha2_Omega2_power1", "psi1", "psi2", "psi3",
+            "theta_J3", "phi2", "gamma1", "gamma0"} <= names
+
+
+def test_repeat_classification_builds_no_evaluator_and_contracts_nothing(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = [(m, Plane.from_vectors(F)) for m, F in _special_planes(1, rng)]
+    tm = build_twistor_model(1)
+    calibrated = rotated_w_theta(1, 0.3, rng)
+
+    def run():
+        for m, P in cases:
+            classify_plane(P, m)
+            check_equivalences(P, m)
+        normal_form_theta(calibrated, tm)
+
+    run()
+    counts = {"evaluators": 0, "interior": 0}
+    init, interior = FormEvaluator.__init__, exterior.interior
+
+    def counted_init(self, form):
+        counts["evaluators"] += 1
+        init(self, form)
+
+    def counted_interior(v, a):
+        counts["interior"] += 1
+        return interior(v, a)
+
+    monkeypatch.setattr(FormEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(exterior, "interior", counted_interior)
+    run()
+    assert counts == {"evaluators": 0, "interior": 0}
 
 
 # -- equivalence checks ---------------------------------------------------------
@@ -246,9 +343,9 @@ def test_generators_produce_orthonormal_frames():
     tm = build_twistor_model(2)
     J = lf.transverse_structures
     rng = np.random.default_rng(8)
-    hk_iso = [hk.form("omega2"), hk.form("omega3")]
-    lf_iso = [lf.form("Omega2"), lf.form("Omega3")]
-    tm_iso = [tm.form("omega_KE"), tm.form("omega_NK")]
+    hk_iso = [hk.skew("omega2"), hk.skew("omega3")]
+    lf_iso = [lf.skew("Omega2"), lf.skew("Omega3")]
+    tm_iso = [tm.skew("omega_KE"), tm.skew("omega_NK")]
     # (frames, structures leaving every plane invariant, 2-forms vanishing on it)
     batches = [
         (batch_complex_isotropic_planes(hk, 2, 50, rng), [hk.I1], hk_iso),
@@ -289,7 +386,7 @@ def test_intersection_dim():
 def test_batched_measurements_take_the_worst_frame():
     hk = build_hyperkahler_cone(1)
     frames = batch_random_planes(hk.dim, 3, 6, np.random.default_rng(2))
-    w = hk.form("omega2")
+    w = hk.skew("omega2")
     assert isotropy_residual(frames, w) == max(isotropy_residual(F, w) for F in frames)
     assert projector_invariance_residual(frames, hk.I1) == max(
         projector_invariance_residual(F, hk.I1) for F in frames
