@@ -135,7 +135,10 @@ class Plane:
     def from_json(cls, data) -> "Plane":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls.from_vectors(data["frame"])
+        plane = cls.from_vectors(data["frame"])
+        if data.get("dim", plane.dim) != plane.dim:
+            raise ValueError(f"declared dim {data['dim']!r} does not match the frame rows of length {plane.dim}")
+        return plane
 
 
 @dataclass(frozen=True)
@@ -280,6 +283,9 @@ class FormEvaluator:
     def _chunks(self, V: np.ndarray, shape: tuple, kernel) -> np.ndarray:
         """Per-frame results of `shape`, from `kernel` on the (k, N, B)
         columns of each frame chunk of V."""
+        if V.shape[-2:] != (self.dim, self.degree):
+            raise ValueError(f"dimension mismatch: frames of shape {V.shape}, "
+                             f"the form needs (..., {self.dim}, {self.degree})")
         flat = V.reshape(-1, self.dim, self.degree)
         out = np.zeros((len(flat),) + shape)
         if self.coeffs.size:

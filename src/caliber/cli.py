@@ -18,7 +18,6 @@ import numpy as np
 from caliber import registry
 from caliber.calib import Plane, SearchParams, comass_search
 from caliber.exterior import ComplexAltForm, form_from_json, form_to_json
-from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
 from caliber.planes import classify_plane, normal_form_theta, phase_rigidity_scan
 from caliber.suites import SUITES, coverage_table, run_suite
 
@@ -32,16 +31,6 @@ def _emit(data, pretty: bool) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-
-
-def _model_for(space: str, n: int):
-    if space == "cone":
-        return build_hyperkahler_cone(n)
-    if space == "link":
-        return default_link_frame(n)
-    if space == "twistor":
-        return build_twistor_model(n)
-    raise UsageError(f"unknown space {space!r}")
 
 
 def _load_form(args) -> tuple[object, str | None]:
@@ -68,7 +57,7 @@ def _real_form(form):
 def quaternionic_span_counts(result, n: int, tol: float = 1e-6) -> dict[int, int]:
     """How many maximizer planes (within `tol` of the best value) have each
     dimension of quaternionic span dim(P + I1 P + I2 P + I3 P) in the cone."""
-    hk = build_hyperkahler_cone(n)
+    hk = registry.model("cone", n)
     counts: dict[int, int] = {}
     for plane in result.maximizer_planes(tol):
         stacked = np.vstack([plane.frame] + [plane.frame @ Ip.T for Ip in hk.complex_structures])
@@ -131,7 +120,7 @@ def _read_plane(path: str) -> Plane:
 
 
 def _cmd_classify(args) -> int:
-    model = _model_for(args.space, args.n)
+    model = registry.model(args.space, args.n)
     plane = _read_plane(args.plane)
     try:
         report = classify_plane(plane, model, tol=args.tol)
@@ -142,7 +131,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_normalform(args) -> int:
-    model = build_twistor_model(args.n)
+    model = registry.model("twistor", args.n)
     plane = _read_plane(args.plane)
     try:
         result = normal_form_theta(plane, model, tol=args.tol)
@@ -156,7 +145,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "phase-scan":
         if args.restarts is not None and args.restarts < 1:
             raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
-        model = build_twistor_model(args.n)
+        model = registry.model("twistor", args.n)
         params = SearchParams(restarts=400 if args.restarts is None else args.restarts, seed=args.seed)
         report = phase_rigidity_scan(model, params=params)
         _emit(report.to_json(), args.pretty)
@@ -240,6 +229,9 @@ def run(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not 0 < tol < math.inf:
             raise UsageError(f"--tol must be finite and positive, got {tol}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

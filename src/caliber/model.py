@@ -42,6 +42,7 @@ __all__ = [
     "default_link_frame",
     "link_forms",
     "build_twistor_model",
+    "divided_powers",
     "make_V_theta",
     "make_W_theta",
     "make_squashed_associative",
@@ -95,8 +96,13 @@ def standard_kahler_forms(blocks: int, dim: int | None = None):
     return AltForm(n, 2, b1), AltForm(n, 2, b2), AltForm(n, 2, b3)
 
 
-def _factorial_inv(k: int) -> Fraction:
-    return Fraction(1, math.factorial(k))
+def divided_powers(f, top: int) -> list:
+    """[f^k / k! for k = 0 .. top]: integral wedge powers, each divided by k!
+    once (dividing as they go would put Fractions into every later wedge)."""
+    powers = [power(f, 0), f]
+    while len(powers) <= top:
+        powers.append(wedge(powers[-1], f))
+    return [pw * Fraction(1, math.factorial(k)) for k, pw in enumerate(powers[: top + 1])]
 
 
 class _FormCatalog:
@@ -113,22 +119,27 @@ class _FormCatalog:
         return self.catalog[name]
 
     def evaluator(self, name: str, derive=None):
-        """The cached evaluator of catalog form `name`, or of the form
-        `derive()` returns, which is then cached under `name`."""
+        """The cached evaluator of catalog form `name`; for a name outside the
+        catalog, of the form `derive()` returns, then cached under `name`."""
         key = ("evaluator", name)
         if key not in self.cache:
-            form = self.form(name) if derive is None else derive()
+            form = derive() if derive is not None and name not in self.catalog else self.form(name)
             self.cache[key] = ((FormEvaluator(form.re), FormEvaluator(form.im))
                                if isinstance(form, ComplexAltForm) else FormEvaluator(form))
         return self.cache[key]
 
-    def value(self, name: str, frame: np.ndarray, derive=None):
-        """Value of form `name` (see `evaluator`) on one row frame (k, N):
-        a float, or a complex for a complex form."""
+    def value(self, name: str, frames: np.ndarray, derive=None):
+        """Values of form `name` (see `evaluator`) on one row frame (k, N),
+        as a float, or on a batch (..., k, N), as an array of shape (...);
+        complex for a complex form, its parts assigned so signed zeros stay."""
         ev = self.evaluator(name, derive)
+        V = np.swapaxes(frames, -1, -2)
         if isinstance(ev, tuple):
-            return complex(*(float(e.values(frame.T)) for e in ev))
-        return float(ev.values(frame.T))
+            out = np.empty(V.shape[:-2], dtype=complex)
+            out.real, out.imag = ev[0].values(V), ev[1].values(V)
+        else:
+            out = ev.values(V)
+        return out if out.ndim else out.item()
 
     def skew(self, name: str) -> np.ndarray:
         """The cached, read-only `skew_matrix` of catalog 2-form `name`."""
@@ -170,22 +181,21 @@ def _cone_catalog(n: int) -> dict:
         3: ComplexAltForm(w1, w2),
     }
     cat: dict = {"omega1": w1, "omega2": w2, "omega3": w3}
-    for p in (1, 2, 3):
-        cat[f"sigma{p}"] = sigma[p]
-        ups = power(sigma[p], n + 1) * _factorial_inv(n + 1)
-        cat[f"upsilon{p}"] = ups
-        cat[f"re_upsilon{p}"] = ups.re
-        cat[f"im_upsilon{p}"] = ups.im
-    for label, p in (("I", 1), ("J", 2), ("K", 3)):
+    for p, label in zip((1, 2, 3), "IJK"):
+        for k, omega_power in enumerate(divided_powers(cat[f"omega{p}"], n + 1)[2:], start=2):
+            cat[f"omega{p}_power{k}"] = omega_power
+        sigma_powers = divided_powers(sigma[p], n + 1)
         for k in range(1, n + 2):
-            theta = (power(sigma[p], k) * _factorial_inv(k)).re
-            cat[f"theta_{label}{2 * k}"] = theta
-    sq = {p: power(cat[f"omega{p}"], 2) for p in (1, 2, 3)}
-    half = Fraction(1, 2)
-    cat["Phi1"] = (sq[1] * -1 + sq[2] + sq[3]) * half
-    cat["Phi2"] = (sq[1] - sq[2] + sq[3]) * half
-    cat["Phi3"] = (sq[1] + sq[2] - sq[3]) * half
-    cat["Lambda"] = (sq[1] + sq[2] + sq[3]) * Fraction(1, 6)
+            cat[f"theta_{label}{2 * k}"] = sigma_powers[k].re
+        cat[f"sigma{p}"] = sigma[p]
+        cat[f"upsilon{p}"] = sigma_powers[n + 1]
+        cat[f"re_upsilon{p}"] = sigma_powers[n + 1].re
+        cat[f"im_upsilon{p}"] = sigma_powers[n + 1].im
+    sq = {p: cat[f"omega{p}_power2"] for p in (1, 2, 3)}
+    cat["Phi1"] = -sq[1] + sq[2] + sq[3]
+    cat["Phi2"] = sq[1] - sq[2] + sq[3]
+    cat["Phi3"] = sq[1] + sq[2] - sq[3]
+    cat["Lambda"] = (sq[1] + sq[2] + sq[3]) * Fraction(1, 3)
     cat["vol"] = AltForm.blade(dim, tuple(range(dim)))
     return cat
 
@@ -273,7 +283,7 @@ def link_forms(alpha: dict, Omega: dict, n: int) -> dict:
     for p, (q, r) in CYCLIC_PAIRS.items():
         tau = ComplexAltForm(alpha[q], alpha[r])
         sig = ComplexAltForm(Omega[q], Omega[r])
-        cat[f"psi{p}"] = wedge(tau, power(sig, n)) * _factorial_inv(n)
+        cat[f"psi{p}"] = wedge(tau, power(sig, n)) * Fraction(1, math.factorial(n))
         cat[f"gamma{p}"] = wedge(ComplexAltForm(alpha[q], -alpha[r]), ComplexAltForm(kappa[q], kappa[r]))
         cat[f"xi{p}"] = wedge(kappa[q], kappa[q]) + wedge(kappa[r], kappa[r])
     aO = {p: wedge(alpha[p], Omega[p]) for p in (1, 2, 3)}
@@ -295,10 +305,10 @@ def _link_catalog(n: int, frame, cone: HKModel) -> dict:
             cat[f"im_{name}"] = cat[name].im
     for label, (p, (q, r)) in zip("IJK", CYCLIC_PAIRS.items()):
         tau = ComplexAltForm(alpha[q], alpha[r])
-        sig = ComplexAltForm(Omega[q], Omega[r])
-        for k in range(1, n + 2):
-            theta = (wedge(tau, power(sig, k - 1)) * _factorial_inv(k - 1)).re
-            cat[f"theta_{label}{2 * k - 1}"] = theta
+        sig_powers = divided_powers(ComplexAltForm(Omega[q], Omega[r]), n - 1)
+        for k in range(1, n + 1):
+            cat[f"theta_{label}{2 * k - 1}"] = wedge(tau, sig_powers[k - 1]).re
+        cat[f"theta_{label}{2 * n + 1}"] = cat[f"psi{p}"].re
     cat["vol"] = AltForm.blade(dim, tuple(range(dim)))
     return cat
 
@@ -425,8 +435,9 @@ def make_V_theta(n: int, theta: float) -> Plane:
     return Plane.from_vectors([v2, v3])
 
 
+@lru_cache(maxsize=128)
 def make_W_theta(n: int, theta: float) -> Plane:
-    """The 3-plane R e_{10} + V_theta, oriented (e_{10}, v_2, v_3)."""
+    """The 3-plane R e_{10} + V_theta, oriented (e_{10}, v_2, v_3); cached."""
     V = make_V_theta(n, theta)
     e10 = np.zeros(V.dim)
     e10[0] = 1.0

@@ -8,9 +8,8 @@ complex value of the relevant volume form (defined only on calibrated planes).
 Every form value on a plane is `model.value(name, frame)`: the model's cached
 `FormEvaluator` of that form, built on first use and kept with the model, as
 is the skew matrix (`model.skew`) behind each isotropy residual.  The derived
-calibrations omega_p^m / m! (cone) and alpha_p ^ Omega_p^m / m! (link) are
-built exactly once per model under the names omega{p}_power{m} and
-alpha{p}_Omega{p}_power{m}.
+calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
+built once per model from `model.divided_powers`, as the catalog's forms are.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from caliber.calib import Plane, SearchParams, _gram_schmidt, _qf, comass_search, is_calibrated
-from caliber.exterior import power, wedge
+from caliber.exterior import wedge
 from caliber.model import (
     CYCLIC_PAIRS,
     HKModel,
     LinkFrame,
     TwistorModel,
-    _factorial_inv,
+    divided_powers,
     make_W_theta,
     random_sp_u1_element,
     standard_triple_matrices,
@@ -157,7 +156,7 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         rep.add(f"invariant_I{p}", invariant, res)
         if invariant and k % 2 == 0:
             m = k // 2
-            val = hk.value(f"omega{p}_power{m}", F, lambda: power(hk.form(f"omega{p}"), m) * _factorial_inv(m))
+            val = hk.value(f"omega{p}_power{m}", F, lambda: divided_powers(hk.form(f"omega{p}"), m)[m])
             rep.add(f"complex_I{p}", abs(val - 1) <= tol, val)
             rep.add(f"anti_complex_I{p}", abs(val + 1) <= tol, val)
         else:
@@ -205,7 +204,7 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
             m = (k - 1) // 2
             rep.flags[f"cr_I{p}"]["oriented_value"] = lf.value(
                 f"alpha{p}_Omega{p}_power{m}", F,
-                lambda: wedge(lf.form(f"alpha{p}"), power(lf.form(f"Omega{p}"), m)) * _factorial_inv(m))
+                lambda: wedge(lf.form(f"alpha{p}"), divided_powers(lf.form(f"Omega{p}"), m)[m]))
         aval = float(np.max(np.abs(F[:, p - 1])))
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)

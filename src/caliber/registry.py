@@ -1,34 +1,30 @@
-"""Named form registry, resolved per model space and quaternionic dimension n."""
+"""Named form registry: the model of each space and lookups in its catalog."""
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from functools import lru_cache
-
-from caliber.exterior import power
 from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
 
 SPACES = ("cone", "link", "twistor")
 
-__all__ = ["SPACES", "catalog", "resolve", "list_entries"]
+__all__ = ["SPACES", "model", "catalog", "resolve", "list_entries"]
 
 
-@lru_cache(maxsize=None)
-def catalog(space: str, n: int) -> dict:
-    """All named forms of a model space, keyed by registry name."""
+def model(space: str, n: int):
+    """The cached model of a space: the cone, the default link frame or the
+    twistor model."""
     if space == "cone":
-        hk = build_hyperkahler_cone(n)
-        cat = dict(hk.catalog)
-        for p in (1, 2, 3):
-            for k in range(2, n + 2):
-                cat[f"omega{p}_power{k}"] = power(hk.form(f"omega{p}"), k) * Fraction(1, math.factorial(k))
-        return cat
+        return build_hyperkahler_cone(n)
     if space == "link":
-        return dict(default_link_frame(n).catalog)
+        return default_link_frame(n)
     if space == "twistor":
-        return dict(build_twistor_model(n).catalog)
+        return build_twistor_model(n)
     raise ValueError(f"unknown space {space!r}; expected one of {SPACES}")
+
+
+def catalog(space: str, n: int) -> dict:
+    """All named forms of a model space, keyed by registry name (a copy of
+    the model's catalog)."""
+    return dict(model(space, n).catalog)
 
 
 def resolve(name: str, n: int, space: str | None = None):
@@ -38,7 +34,7 @@ def resolve(name: str, n: int, space: str | None = None):
     """
     spaces = (space,) if space else SPACES
     for sp in spaces:
-        cat = catalog(sp, n)
+        cat = model(sp, n).catalog
         if name in cat:
             return cat[name], sp
     where = f"space {space!r}" if space else "any space"
@@ -47,7 +43,7 @@ def resolve(name: str, n: int, space: str | None = None):
 
 def list_entries(space: str, n: int) -> list[dict]:
     out = []
-    for name, f in sorted(catalog(space, n).items()):
+    for name, f in sorted(model(space, n).catalog.items()):
         out.append(
             {
                 "name": name,

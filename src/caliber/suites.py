@@ -26,13 +26,12 @@ from caliber import symforms as sf
 from caliber.calib import (
     Plane,
     SearchParams,
-    batch_evaluate,
     comass_2form_exact,
     comass_search,
     isotropy_of_maximizers,
     splitting_support,
 )
-from caliber.exterior import AltForm, hodge, wedge
+from caliber.exterior import AltForm, hodge
 from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone, build_twistor_model, default_link_frame
 from caliber.registry import resolve
 
@@ -477,14 +476,9 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         lag2 = pl.isotropy_residual(frames, hk.skew("omega2"))
         lag3 = pl.isotropy_residual(frames, hk.skew("omega3"))
         inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
-        ups2 = hk.form("upsilon2")
-        sign = (-1j) ** (n + 1)
-        rot_re = ups2.re.to_float() * float(sign.real) - ups2.im.to_float() * float(sign.imag)
-        rot_im = ups2.re.to_float() * float(sign.imag) + ups2.im.to_float() * float(sign.real)
-        re_vals = batch_evaluate(rot_re, frames)
-        im_vals = batch_evaluate(rot_im, frames)
-        vol_gap = float(np.max(np.abs(re_vals - 1.0)))
-        im_gap = float(np.max(np.abs(im_vals)))
+        rot = hk.value("upsilon2", frames) * (-1j) ** (n + 1)
+        vol_gap = float(np.max(np.abs(rot.real - 1.0)))
+        im_gap = float(np.max(np.abs(rot.imag)))
         ok = lag2 <= tol and lag3 <= tol and inv <= tol and vol_gap <= 1e-7 and im_gap <= 1e-7
         return ok, {
             "lagrangian_residuals": [lag2, lag3],
@@ -498,11 +492,10 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
 
     def cayley_complex():
         rng = np.random.default_rng(seed + 2)
-        Phi2 = hk.form("Phi2").to_float()
         gaps = []
         for structures in ((hk.I1, hk.I2, hk.I3), (hk.I3, hk.I1, hk.I2)):
             frames = pl.batch_complex_planes(structures, 2, samples // 2 + 1, rng)
-            vals = batch_evaluate(Phi2, frames)
+            vals = hk.value("Phi2", frames)
             gaps.append(float(np.max(np.abs(vals - 1.0))))
         ok = max(gaps) <= 1e-7
         return ok, {"value_gaps_I1_I3": gaps, "samples": 2 * (samples // 2 + 1)}
@@ -512,9 +505,9 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def cayley_complex_isotropic():
         rng = np.random.default_rng(seed + 3)
         frames = pl.batch_complex_isotropic_planes(hk, 2, samples, rng)
-        vals_J = batch_evaluate(hk.form("theta_J4").to_float() * -1.0, frames)
-        vals_K = batch_evaluate(hk.form("theta_K4").to_float(), frames)
-        vals_P = batch_evaluate(hk.form("Phi2").to_float(), frames)
+        vals_J = -hk.value("theta_J4", frames)
+        vals_K = hk.value("theta_K4", frames)
+        vals_P = hk.value("Phi2", frames)
         gaps = [float(np.max(np.abs(v - 1.0))) for v in (vals_J, vals_K, vals_P)]
         return max(gaps) <= 1e-7, {"value_gaps": gaps, "samples": samples}
 
@@ -525,7 +518,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         gaps = []
         for p in (1, 3):
             frames = pl.batch_cr_planes(lf, samples // 2 + 1, rng, horizontal=False, p=p)
-            vals = batch_evaluate(lf.form("phi2").to_float(), frames)
+            vals = lf.value("phi2", frames)
             gaps.append(float(np.max(np.abs(vals - 1.0))))
         return max(gaps) <= 1e-7, {"value_gaps_I1_I3": gaps}
 
@@ -534,9 +527,9 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def assoc_cr_isotropic():
         rng = np.random.default_rng(seed + 5)
         frames = pl.batch_cr_planes(lf, samples, rng, horizontal=True, p=1)
-        vals_J = batch_evaluate(lf.form("theta_J3").to_float() * -1.0, frames)
-        vals_K = batch_evaluate(lf.form("theta_K3").to_float(), frames)
-        vals_p = batch_evaluate(lf.form("phi2").to_float(), frames)
+        vals_J = -lf.value("theta_J3", frames)
+        vals_K = lf.value("theta_K3", frames)
+        vals_p = lf.value("phi2", frames)
         gaps = [float(np.max(np.abs(v - 1.0))) for v in (vals_J, vals_K, vals_p)]
         return max(gaps) <= 1e-7, {"value_gaps": gaps, "samples": samples}
 
@@ -545,11 +538,11 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def special_isotropic_assoc_horizontal():
         rng = np.random.default_rng(seed + 6)
         frames = pl.batch_cr_planes(lf, samples, rng, horizontal=True, p=3)
-        tI3 = batch_evaluate(lf.form("theta_I3").to_float(), frames)
+        tI3 = lf.value("theta_I3", frames)
         family_gap = float(np.max(np.abs(tI3 + 1.0)))
         res = comass_search(lf.form("theta_I3").to_float() * -1.0, params=SearchParams(restarts=restarts, seed=seed))
         maxers = res.maximizer_planes(1e-12)
-        phi2_vals = batch_evaluate(lf.form("phi2").to_float(), np.array([p.frame for p in maxers]))
+        phi2_vals = lf.value("phi2", np.array([p.frame for p in maxers]))
         horiz = max(float(np.max(np.abs(p.frame[:, 0]))) for p in maxers)
         ok = family_gap <= 1e-7 and res.value >= 1 - 1e-6 and float(np.max(np.abs(phi2_vals - 1.0))) <= 1e-6 and horiz <= 1e-6
         return ok, {
@@ -567,7 +560,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
             hk.form("re_upsilon1").to_float(), hk.I1.astype(float), hk.form("omega1"), maxers, tol=1e-7
         )
-        im_vals = batch_evaluate(hk.form("im_upsilon1").to_float(), np.array([p.frame for p in maxers]))
+        im_vals = hk.value("im_upsilon1", np.array([p.frame for p in maxers]))
         ok = ok and float(np.max(np.abs(im_vals))) <= 1e-6
         return ok, {"maximizers": len(maxers), "restarts": restarts, "value": res.value,
                     "im_gap": float(np.max(np.abs(im_vals)))}
@@ -600,8 +593,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("maximizers_horizontal_theta_I3", lambda: maximizers_horizontal("theta_I3")))
 
     def argmax_class_omega_power():
-        w = hk.form("omega1")
-        f = (wedge(w, w) * 0.5).to_float()
+        f = hk.form("omega1_power2").to_float()
         res = comass_search(f, params=SearchParams(restarts=restarts, seed=seed + 10))
         maxers = res.maximizer_planes(1e-12)
         frames = np.array([p.frame for p in maxers])
@@ -636,10 +628,8 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def cr_legendrian_phases():
         rng = np.random.default_rng(seed + 13)
         frames = pl.batch_cr_legendrian_planes(lf, samples, rng)
-        psi2 = lf.form("psi2")
-        psi3 = lf.form("psi3")
-        v2 = batch_evaluate(psi2.re.to_float(), frames) + 1j * batch_evaluate(psi2.im.to_float(), frames)
-        v3 = batch_evaluate(psi3.re.to_float(), frames) + 1j * batch_evaluate(psi3.im.to_float(), frames)
+        v2 = lf.value("psi2", frames)
+        v3 = lf.value("psi3", frames)
         target2 = 1j ** (n + 1)
         gap2 = float(np.max(np.abs(v2 - target2)))
         gap3 = float(np.max(np.abs(v3 - 1.0)))
@@ -736,6 +726,8 @@ def run_suite(suite: str, n: int, seed: int = 0, samples: int | None = None,
     for name, value in (("samples", samples), ("restarts", restarts)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if suite == "identities":
         checks = _identities_checks(n, seed)
     elif suite == "cones":

@@ -53,6 +53,12 @@ def test_plane_strict_orthonormal_check():
 def test_plane_json_roundtrip():
     P = Plane.from_vectors(np.eye(5)[:2])
     assert Plane.from_json(P.to_json()).spans_same_oriented(P)
+    assert Plane.from_json({"frame": P.frame.tolist()}).dim == 5
+
+
+def test_plane_json_rejects_a_declared_dim_other_than_the_row_length():
+    with pytest.raises(ValueError, match="declared dim 8"):
+        Plane.from_json({"dim": 8, "frame": np.eye(6)[:2].tolist()})
 
 
 def test_canonical_frames_match_per_frame():
@@ -513,3 +519,12 @@ def test_grads_match_adjugate_and_finite_differences(k, extra, terms, kind, seed
     assert batched.shape == (3, 1, N, k)
     expect = [G, 2 ** (k - 1) * G, (-1) ** (k - 1) * G]
     assert np.max(np.abs(batched[:, 0] - expect)) <= 1e-12 * scale * 2**k
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (8, 2), (4, 9, 3), (4, 8, 2), (8,)])
+def test_evaluator_rejects_frames_of_the_wrong_shape(shape):
+    ev = FormEvaluator(build_hyperkahler_cone(1).form("theta_I4").to_float())
+    assert ev.values(np.eye(8)[:, :4]).shape == ()
+    for method in (ev.values, ev.grads):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            method(np.zeros(shape))

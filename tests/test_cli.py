@@ -9,7 +9,7 @@ from caliber.calib import Plane
 from caliber.cli import run
 from caliber.exterior import form_to_json
 from caliber.model import build_hyperkahler_cone, make_W_theta
-from caliber.suites import coverage_table
+from caliber.suites import coverage_table, run_suite
 
 
 def invoke(capsys, *argv):
@@ -227,3 +227,36 @@ def test_nonfinite_or_nonpositive_tol_exits_2(tmp_path, capsys, command, tol):
     code, out, err = invoke(capsys, command, "--n", "1", "--tol", tol, *target)
     _assert_usage_error(code, err)
     assert out == "" and "--tol" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("comass", "--form", "omega1", "--seed", "-5"),
+    ("verify", "--suite", "phase-scan", "--seed", "-1"),
+    ("verify", "--suite", "propositions", "--seed", "-1"),
+    ("verify", "--suite", "normalform", "--samples", "1", "--seed", "-2"),
+])
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert out == "" and f"--seed must be non-negative, got {argv[-1]}" in err
+
+
+def test_run_suite_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_suite("propositions", 1, seed=-1, samples=1, restarts=1)
+
+
+def test_classify_declared_dim_mismatch_exits_2(tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"dim": 8, "frame": np.eye(6)[:2].tolist()}))
+    code, out, err = invoke(capsys, "classify", "--space", "twistor", "--n", "1", "--plane", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and "declared dim 8" in err
+
+
+def test_normalform_plane_of_wrong_dimension_exits_2(tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(Plane.from_vectors(np.eye(12)[:3]).to_json()))
+    code, out, err = invoke(capsys, "normalform", "--n", "1", "--plane", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and "dimension mismatch" in err

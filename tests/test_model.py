@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caliber.exterior import AltForm, ComplexAltForm, evaluate, interior, pullback, wedge
+from caliber import registry
+from caliber.exterior import AltForm, ComplexAltForm, evaluate, interior, power, pullback, wedge
 from caliber.model import (
     build_hyperkahler_cone,
     build_link_frame,
     build_twistor_model,
     default_link_frame,
+    divided_powers,
     make_squashed_associative,
     make_V_theta,
     make_W_theta,
@@ -60,6 +62,63 @@ def test_cone_catalog_identities_n1():
     assert hk.form("upsilon1") == ComplexAltForm(w2, w3).wedge(ComplexAltForm(w2, w3)) * Fraction(1, 2)
     assert hk.form("re_upsilon1") == hk.form("theta_I4")
     assert hk.form("Lambda") == (wedge(w1, w1) + wedge(w2, w2) + wedge(w3, w3)) * Fraction(1, 6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_divided_power_families(n):
+    hk = build_hyperkahler_cone(n)
+    for p, label in zip((1, 2, 3), "IJK"):
+        w = hk.form(f"omega{p}")
+        for k in range(2, n + 2):
+            assert hk.form(f"omega{p}_power{k}") == power(w, k) * Fraction(1, math.factorial(k))
+        assert f"omega{p}_power{n + 2}" not in hk.catalog
+        assert divided_powers(w, 1) == [power(w, 0), w]
+        assert hk.form(f"theta_{label}{2 * n + 2}") == hk.form(f"re_upsilon{p}")
+        assert hk.form(f"upsilon{p}") == power(hk.form(f"sigma{p}"), n + 1) * Fraction(1, math.factorial(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_link_top_theta_is_re_psi(n):
+    lf = default_link_frame(n)
+    for p, label in zip((1, 2, 3), "IJK"):
+        assert lf.form(f"theta_{label}{2 * n + 1}") == lf.form(f"psi{p}").re
+
+
+@pytest.mark.parametrize("space", registry.SPACES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_registry_catalog_is_the_model_catalog(space, n):
+    model = registry.model(space, n)
+    cat = registry.catalog(space, n)
+    assert list(cat) == list(model.catalog)
+    assert all(cat[name] is model.catalog[name] for name in cat)
+    cat.clear()
+    assert registry.catalog(space, n)
+
+
+class _FixedValues:
+    """Stands in for a FormEvaluator whose values are given."""
+
+    def __init__(self, values):
+        self.out = np.asarray(values)
+
+    def values(self, V):
+        return self.out
+
+
+def test_complex_value_keeps_signed_zeros():
+    # the float kernel never returns -0.0 itself, so fixed values stand in
+    lf = build_link_frame(1)
+    lf.cache[("evaluator", "psi1")] = (_FixedValues([-0.0, 1.0]), _FixedValues([-0.0, -0.0]))
+    got = lf.value("psi1", np.zeros((2, 3, lf.dim)))
+    assert np.signbit(got.real).tolist() == [True, False] and np.signbit(got.imag).all()
+    lf.cache[("evaluator", "psi1")] = (_FixedValues(-0.0), _FixedValues(-0.0))
+    one = lf.value("psi1", np.zeros((3, lf.dim)))
+    assert type(one) is complex and math.copysign(1, one.real) == math.copysign(1, one.imag) == -1
+
+
+def test_registry_rejects_an_unknown_space():
+    with pytest.raises(ValueError, match="unknown space"):
+        registry.model("sphere", 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])

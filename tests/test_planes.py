@@ -159,6 +159,7 @@ def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
     # every form classify_plane and check_equivalences evaluate, against the
     # exact contraction path on the same frame
     gaps = {}
+    seen = {}
     value = _FormCatalog.value
 
     def checked(self, name, frame, derive=None):
@@ -166,6 +167,9 @@ def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
         form = _reference_form(self, name)
         key = (type(self).__name__, name)
         gaps[key] = max(gaps.get(key, 0.0), abs(got - complex(evaluate(form, list(frame)))))
+        frames, gots = seen.setdefault((id(self), name), (self, [], []))[1:]
+        frames.append(frame)
+        gots.append(got)
         return got
 
     monkeypatch.setattr(_FormCatalog, "value", checked)
@@ -177,6 +181,18 @@ def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
         classify_plane(P, m)
         check_equivalences(P, m)
     assert max(gaps.values()) <= 1e-12, max(gaps.items(), key=lambda kv: kv[1])
+    # one more input, each name's frames as one batch: the batched value is,
+    # bit for bit, a fresh evaluator of the float form on that batch, and it
+    # agrees with the per-frame values (the BLAS sum order of the last
+    # contraction depends on the batch, so not always to the last bit)
+    for (_, name), (m, frames, gots) in seen.items():
+        frames = np.array(frames)
+        batch = value(m, name, frames)
+        assert batch.shape == (len(frames),) and np.max(np.abs(batch - np.array(gots))) <= 1e-14, name
+        form = _reference_form(m, name)
+        pairs = [(batch.real, form.re), (batch.imag, form.im)] if np.iscomplexobj(batch) else [(batch, form)]
+        for got, part in pairs:
+            assert got.tobytes() == batch_evaluate(part.to_float(), frames).tobytes(), name
     names = {name for _, name in gaps}
     assert {"omega1_power1", "omega1_power2", "upsilon1", "upsilon2", "upsilon3", "theta_I2", "theta_K4",
             "Phi1", "Lambda", "alpha1_Omega1_power0", "alpha2_Omega2_power1", "psi1", "psi2", "psi3",
