@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the hot kernels of the comass search and of plane classification on
-fixed seeded inputs.
+"""Time the hot kernels of the comass search, of plane classification and of
+the exact cone calculus on fixed seeded inputs.
 
 Usage: PYTHONPATH=src python scripts/bench_calib.py --out BENCH.json [--label NAME]
 
@@ -15,7 +15,14 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   checkout's plane classification takes (`model.value`, through the
   model's cached `FormEvaluator`; a checkout without it uses
   `exterior.evaluate` there too);
-- `classify_plane` on one plane per model space at n = 3.
+- `classify_plane` on one plane per model space at n = 3;
+- the exact layer: cold builds of `symforms.link_extension_catalog(1)` and
+  `(2)` (the catalog cache cleared before each, best of EXACT_REPEAT; the
+  model builds stay cached), the wedge power `sigma_t1.power(3)` at n = 2 and
+  `ext_d` of `psi1` at n = 1, and the number of `Poly.try_div_sumsq`,
+  `Poly.__mul__` and `RCoef.__add__` calls in one `identities` plus `cones`
+  pass at n = 1 made after a first pass has built the catalogs (exact counts,
+  stored under "exact_counts" with the pass's seconds).
 Every input is drawn from a fixed seed with numpy alone, so two checkouts
 time the same work.  The run is stored in the JSON file under `--label`,
 next to the runs already there, so one file holds a before/after pair.  A
@@ -33,8 +40,9 @@ import time
 
 import numpy as np
 
-from caliber import calib, exterior, model, planes
+from caliber import calib, exterior, model, planes, symforms
 from caliber.registry import resolve
+from caliber.suites import run_suite
 
 # (name, n, space): real catalog forms of degree 2, 3, 4, 6 and 8
 FORMS = (
@@ -59,6 +67,9 @@ CLASSIFY_DEGREES = {"cone": 4, "link": 3, "twistor": 3}
 RETRACTION_SHAPES = ((40, 12, 2), (200, 12, 6), (10000, 8, 3))
 TIED = (200, 12, 4)  # restarts, N, k
 REPEAT = 7
+EXACT_REPEAT = 3
+# (class, method) whose calls the exact pass counts
+EXACT_COUNTED = ((symforms.Poly, "try_div_sumsq"), (symforms.Poly, "__mul__"), (symforms.RCoef, "__add__"))
 
 
 def _orthonormal(rng, shape):
@@ -91,6 +102,58 @@ def _best(fn, min_round_s=0.05):
             fn()
         rounds.append((time.perf_counter() - t0) / number)
     return min(rounds)
+
+
+def _best_cold(build, clear):
+    """Best seconds of EXACT_REPEAT calls of build, each after clear()."""
+    rounds = []
+    for _ in range(EXACT_REPEAT):
+        clear()
+        t0 = time.perf_counter()
+        build()
+        rounds.append(time.perf_counter() - t0)
+    return min(rounds)
+
+
+def _exact_pass():
+    for suite in ("identities", "cones"):
+        run_suite(suite, 1)
+
+
+def _counted_exact_pass() -> dict:
+    """Calls of each EXACT_COUNTED method in one exact pass with warm catalogs."""
+    _exact_pass()
+    counts = {}
+    originals = [(owner, attr, getattr(owner, attr)) for owner, attr in EXACT_COUNTED]
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for owner, attr, fn in originals:
+        key = f"{owner.__name__}.{attr}"
+        counts[key] = 0
+        setattr(owner, attr, counting(key, fn))
+    try:
+        t0 = time.perf_counter()
+        _exact_pass()
+        seconds = time.perf_counter() - t0
+    finally:
+        for owner, attr, fn in originals:
+            setattr(owner, attr, fn)
+    return {"identities+cones/n1": dict(counts, s=seconds)}
+
+
+def _exact_kernels() -> dict:
+    cat = symforms.link_extension_catalog
+    out = {f"link_extension_catalog/n{n}": {"s": _best_cold(lambda: cat(n), cat.cache_clear)} for n in (1, 2)}
+    sigma = cat(2)["sigma_t1"]
+    out["sigma_t1.power3/n2"] = {"s": _best(lambda: sigma.power(3))}
+    psi = cat(1)["psi1"]
+    out["ext_d.psi1/n1"] = {"s": _best(lambda: symforms.ext_d(psi))}
+    return out
 
 
 def _canonicalize(frames):
@@ -147,6 +210,8 @@ def run() -> dict:
         m = MODELS[space](3)
         plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
         out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
+    out["exact"] = _exact_kernels()
+    out["exact_counts"] = _counted_exact_pass()
     return out
 
 
@@ -185,7 +250,8 @@ def main() -> None:
         fh.write("\n")
     for group, rows in record["results"].items():
         for key, row in rows.items():
-            print(f"{args.label:8s} {group:21s} {key:20s} {row['s'] * 1e3:10.3f} ms")
+            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__")))
+            print(f"{args.label:8s} {group:21s} {key:20s} {row['s'] * 1e3:10.3f} ms{counts}")
 
 
 if __name__ == "__main__":

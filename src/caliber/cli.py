@@ -143,8 +143,9 @@ def _cmd_normalform(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "phase-scan":
-        if args.restarts is not None and args.restarts < 1:
-            raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
+        for name, value in (("samples", args.samples), ("restarts", args.restarts)):
+            if value is not None and value < 1:
+                raise UsageError(f"{name} must be at least 1, got {value}")
         model = registry.model("twistor", args.n)
         params = SearchParams(restarts=400 if args.restarts is None else args.restarts, seed=args.seed)
         report = phase_rigidity_scan(model, params=params)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -78,6 +79,24 @@ def _merge_sign(m1: int, m2: int) -> int:
 def _drop_sign(mask: int, i: int) -> int:
     """Sign (-1)^p where p is the position of index i inside the blade."""
     return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+
+
+def _summing_ring(c1, c2):
+    """The class of c1 or of c2 if it sums a blade at once, else None.
+
+    Such a ring (the exact cone coefficients, whose every sum tries a
+    reduction) gives an `accumulator()` with `add` and `total`; the wedge and
+    the contraction keep one per blade and total it once.  Other rings fold
+    each product into a running sum, so float and Fraction results round as
+    they always have.
+    """
+    t1, t2 = type(c1), type(c2)
+    return t1 if _has_accumulator(t1) else t2 if _has_accumulator(t2) else None
+
+
+@lru_cache(maxsize=None)
+def _has_accumulator(t: type) -> bool:
+    return hasattr(t, "accumulator")
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +365,22 @@ def wedge(a, b):
     degree = a.degree + b.degree
     if degree > a.dim:
         return AltForm.zero(a.dim, degree)
+    ta, tb = a._raw_terms(), b._raw_terms()
+    ring = _summing_ring(next(iter(ta.values()), None), next(iter(tb.values()), None))
+    if ring is not None:
+        sums: dict = {}
+        for m1, c1 in ta.items():
+            n1 = -c1  # negated once per term of a, not once per product
+            for m2, c2 in tb.items():
+                if not m1 & m2:
+                    acc = sums.get(m1 | m2)
+                    if acc is None:
+                        acc = sums[m1 | m2] = ring.accumulator()
+                    acc.add(c1 * c2 if _merge_sign(m1, m2) > 0 else n1 * c2)
+        return AltForm(a.dim, degree, _raw={m: acc.total() for m, acc in sums.items()})
     acc: dict[int, Scalar] = {}
-    for m1, c1 in a._raw_terms().items():
-        for m2, c2 in b._raw_terms().items():
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
             if m1 & m2:
                 continue
             m = m1 | m2
@@ -385,7 +417,8 @@ def interior(v, a):
         raise ValueError(f"dimension mismatch: vector has {len(entries)} entries, form dim {a.dim}")
     if a.degree == 0:
         raise ValueError("cannot contract a 0-form")
-    acc: dict[int, Scalar] = {}
+    ring = _summing_ring(next(iter(a._raw_terms().values()), None), entries[0])
+    acc: dict = {}
     for mask, c in a._raw_terms().items():
         m = mask
         while m:
@@ -400,7 +433,14 @@ def interior(v, a):
             if _drop_sign(mask, i) < 0:
                 term = -term
             prev = acc.get(nm)
-            acc[nm] = term if prev is None else prev + term
+            if ring is not None:
+                if prev is None:
+                    prev = acc[nm] = ring.accumulator()
+                prev.add(term)
+            else:
+                acc[nm] = term if prev is None else prev + term
+    if ring is not None:
+        acc = {m: running.total() for m, running in acc.items()}
     return AltForm(a.dim, a.degree - 1, _raw=acc)
 
 

@@ -108,6 +108,13 @@ class Poly:
         self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
     @classmethod
+    def _wrap(cls, dim: int, terms: dict) -> "Poly":
+        """A polynomial on a term dict that holds no zero coefficient."""
+        out = object.__new__(cls)
+        out.dim, out.terms = dim, terms
+        return out
+
+    @classmethod
     def const(cls, dim: int, c) -> "Poly":
         return cls(dim, {0: c} if c != 0 else {})
 
@@ -135,10 +142,10 @@ class Poly:
                 acc.pop(k, None)
             else:
                 acc[k] = v
-        return Poly(self.dim, acc)
+        return Poly._wrap(self.dim, acc)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.dim, {k: -c for k, c in self.terms.items()})
+        return Poly._wrap(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -156,7 +163,7 @@ class Poly:
                 k = k1 + k2
                 v = acc.get(k)
                 acc[k] = c1 * c2 if v is None else v + c1 * c2
-        return Poly(self.dim, acc)
+        return Poly._wrap(self.dim, {k: c for k, c in acc.items() if c})
 
     def scale(self, c) -> "Poly":
         if c == 0:
@@ -170,7 +177,7 @@ class Poly:
             e = (k >> shift) & _MASK
             if e:
                 acc[k - (1 << shift)] = c * e
-        return Poly(self.dim, acc)
+        return Poly._wrap(self.dim, acc)
 
     def eval(self, point) -> float:
         total = 0.0
@@ -188,12 +195,16 @@ class Poly:
         return total
 
     def try_div_sumsq(self) -> "Poly | None":
-        """Exact quotient by sum(x_i^2), or None if not divisible."""
+        """Exact quotient of a nonzero polynomial by sum(x_i^2), or None if not divisible."""
         dim = self.dim
         top_shift = _BITS * (dim - 1)
+        # keys compare as monomials (lex, x_{N-1} first), so a multiple S * Q
+        # has leading key lead(Q) + x_{N-1}^2 and trailing key trail(Q) + x_0^2
+        if (max(self.terms) >> top_shift) & _MASK < 2 or min(self.terms) & _MASK < 2:
+            return None
+        sq = _square_keys(dim)
         rem = dict(self.terms)
         quot: dict[int, object] = {}
-        sq = [(2 << (_BITS * i)) for i in range(dim)]
         while rem:
             k = max(rem)
             c = rem.pop(k)
@@ -209,16 +220,53 @@ class Poly:
                         rem[kk] = v
             else:
                 return None
-        return Poly(dim, quot)
+        return Poly._wrap(dim, quot)
+
+
+def _add_into(acc: dict, terms: dict) -> None:
+    for k, c in terms.items():
+        v = acc.get(k)
+        acc[k] = c if v is None else v + c
 
 
 @lru_cache(maxsize=None)
-def _sumsq(dim: int) -> Poly:
-    return Poly(dim, {(2 << (_BITS * i)): 1 for i in range(dim)})
+def _square_keys(dim: int) -> tuple[int, ...]:
+    """The packed keys of x_0^2 .. x_{N-1}^2."""
+    return tuple(2 << (_BITS * i) for i in range(dim))
+
+
+@lru_cache(maxsize=None)
+def _sumsq(dim: int, k: int = 1) -> Poly:
+    """S^k for S = sum x_i^2."""
+    if k <= 1:
+        return Poly(dim, dict.fromkeys(_square_keys(dim), 1)) if k else Poly.const(dim, 1)
+    return _sumsq(dim, k - 1) * _sumsq(dim)
 
 
 class RCoef:
     """A cone coefficient (P + Q r) / r^{2s} in canonical reduced form.
+
+    Reduced means s = 0, or s > 0 and S = sum x_i^2 does not divide both P
+    and Q; a zero coefficient has s = 0.  The generic constructor divides by S
+    until that holds, so the reduced form of a value is unique and equal
+    coefficients have equal (p, q, s).
+
+    For N >= 2, S is prime in Q[x_0..x_{N-1}] (irreducible, and the ring is a
+    UFD), and does not divide x_i.  So these results are reduced already and
+    skip the division trial:
+    - negation and rational scaling (at every N: a unit keeps divisibility);
+    - the derivative at s = 0 with empty q, which is dP/dx_i (at every N);
+    - the derivative at s > 0: modulo S its parts are -2s x_i P and
+      (1 - 2s) x_i Q, so S cannot divide both;
+    - the product of two coefficients that each have one part (P or Q r)
+      only, with s > 0 for one of them: S can divide the product only through
+      the numerator of a factor with s = 0, so that small numerator is the one
+      divided (`_one_part_product`);
+    - a sum whose largest s > 0 belongs to one term alone (`accumulator`).
+    Every other result gets the generic reduction, which rules most failing
+    divisions out by two key comparisons (`Poly.try_div_sumsq`).  At N = 1,
+    S = x_0^2 is a square, (x_0 / r^2)^2 = 1 / r^2, and only the shortcuts
+    marked "at every N" apply.
 
     Multiplying by a rational scalar is allowed, and a rational compares
     equal to its constant coefficient, so `RCoef` can be the coefficient ring
@@ -229,21 +277,28 @@ class RCoef:
 
     def __init__(self, dim: int, p: Poly, q: Poly, s: int):
         if s < 0:
-            boost = _power(_sumsq(dim), -s)
+            boost = _sumsq(dim, -s)
             p, q, s = p * boost, q * boost, 0
         while s > 0:
             if p.is_zero() and q.is_zero():
                 s = 0
                 break
-            dp = p.try_div_sumsq() if not p.is_zero() else Poly(dim, {})
+            dp = p.try_div_sumsq() if p.terms else p
             if dp is None:
                 break
-            dq = q.try_div_sumsq() if not q.is_zero() else Poly(dim, {})
+            dq = q.try_div_sumsq() if q.terms else q
             if dq is None:
                 break
             p, q = dp, dq
             s -= 1
         self.dim, self.p, self.q, self.s = dim, p, q, s
+
+    @classmethod
+    def _reduced(cls, dim: int, p: Poly, q: Poly, s: int) -> "RCoef":
+        """Wrap a (p, q, s) known to be reduced, with no division trial."""
+        out = object.__new__(cls)
+        out.dim, out.p, out.q, out.s = dim, p, q, s
+        return out
 
     @classmethod
     def const(cls, dim: int, c) -> "RCoef":
@@ -258,12 +313,17 @@ class RCoef:
         zero = Poly(dim, {})
         one = Poly.const(dim, 1)
         if m >= 0:
-            body = _power(_sumsq(dim), m // 2)
+            body = _sumsq(dim, m // 2)
             return cls(dim, body, zero, 0) if m % 2 == 0 else cls(dim, zero, body, 0)
         mm = -m
         if mm % 2 == 0:
             return cls(dim, one, zero, mm // 2)
         return cls(dim, zero, one, (mm + 1) // 2)
+
+    @staticmethod
+    def accumulator() -> "_RCoefSum":
+        """An empty running sum, reduced once by its `total`."""
+        return _RCoefSum()
 
     def __bool__(self) -> bool:
         return bool(self.p.terms or self.q.terms)
@@ -275,33 +335,31 @@ class RCoef:
 
     __hash__ = None
 
-    def _align(self, other: "RCoef") -> tuple[Poly, Poly, Poly, Poly, int]:
-        if self.s == other.s:
-            return self.p, self.q, other.p, other.q, self.s
-        if self.s > other.s:
-            b = _power(_sumsq(self.dim), self.s - other.s)
-            return self.p, self.q, other.p * b, other.q * b, self.s
-        b = _power(_sumsq(self.dim), other.s - self.s)
-        return self.p * b, self.q * b, other.p, other.q, other.s
-
     def __add__(self, other: "RCoef") -> "RCoef":
-        p1, q1, p2, q2, s = self._align(other)
-        return RCoef(self.dim, p1 + p2, q1 + q2, s)
+        acc = _RCoefSum()
+        acc.add(self)
+        acc.add(other)
+        return acc.total()
 
     def __neg__(self) -> "RCoef":
-        return RCoef(self.dim, -self.p, -self.q, self.s)
+        return RCoef._reduced(self.dim, -self.p, -self.q, self.s)
 
     def __sub__(self, other: "RCoef") -> "RCoef":
         return self + (-other)
 
     def __mul__(self, other) -> "RCoef":
+        dim = self.dim
         if not isinstance(other, RCoef):  # a rational scalar
-            return RCoef(self.dim, self.p.scale(other), self.q.scale(other), self.s)
+            if other == 0:
+                return RCoef.const(dim, 0)
+            return RCoef._reduced(dim, self.p.scale(other), self.q.scale(other), self.s)
+        if (self.s or other.s) and dim >= 2 and self._one_part() and other._one_part():
+            return self._one_part_product(other)
         # (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 r^2 + (p1 q2 + q1 p2) r; most
         # coefficients here have an empty q part, whose products are skipped
         p = self.p * other.p
         if self.q.terms and other.q.terms:
-            p = p + (self.q * other.q) * _sumsq(self.dim)
+            p = p + (self.q * other.q) * _sumsq(dim)
             q = self.p * other.q + self.q * other.p
         elif self.q.terms:
             q = self.q * other.p
@@ -309,17 +367,44 @@ class RCoef:
             q = self.p * other.q
         else:
             q = self.q  # both empty
-        return RCoef(self.dim, p, q, self.s + other.s)
+        return RCoef(dim, p, q, self.s + other.s)
 
     __rmul__ = __mul__
 
+    def _one_part(self) -> bool:
+        """Nonzero with exactly one of P, Q r."""
+        return not self.p.terms if self.q.terms else bool(self.p.terms)
+
+    def _one_part_product(self, other: "RCoef") -> "RCoef":
+        """The product of two one-part coefficients, s > 0 for one of them.
+
+        With a.s > 0, S does not divide a's numerator, so S can divide the
+        product only through b's; for b.s = 0 that small numerator is reduced
+        before the product is formed, and for b.s > 0 nothing is tried.
+        """
+        a, b = (self, other) if self.s else (other, self)
+        na, a_odd = (a.q, True) if a.q.terms else (a.p, False)
+        nb, b_odd = (b.q, True) if b.q.terms else (b.p, False)
+        s = a.s + b.s - (a_odd and b_odd)  # r^2 = S cancels one factor
+        while not b.s and s and (d := nb.try_div_sumsq()) is not None:
+            nb, s = d, s - 1
+        n, empty = na * nb, Poly._wrap(a.dim, {})
+        return RCoef._reduced(a.dim, n, empty, s) if a_odd == b_odd else RCoef._reduced(a.dim, empty, n, s)
+
     def diff(self, i: int) -> "RCoef":
-        ss = _sumsq(self.dim)
-        xi = Poly.x(self.dim, i)
+        dim = self.dim
+        if not (self.s or self.q.terms):
+            return RCoef._reduced(dim, self.p.diff(i), self.q, 0)
+        ss = _sumsq(dim)
+        xi = Poly.x(dim, i)
         two_s = 2 * self.s
-        p_new = self.p.diff(i) * ss - self.p * xi.scale(two_s)
-        q_new = self.q.diff(i) * ss + self.q * xi.scale(1 - two_s)
-        return RCoef(self.dim, p_new, q_new, self.s + 1)
+        p_new = self.p.diff(i) * ss - self.p * xi.scale(two_s) if self.p.terms else self.p
+        q_new = self.q.diff(i) * ss + self.q * xi.scale(1 - two_s) if self.q.terms else self.q
+        if self.s and dim >= 2:
+            # modulo S the parts are -2s x_i P and (1 - 2s) x_i Q, and S divides
+            # neither x_i nor both of P, Q
+            return RCoef._reduced(dim, p_new, q_new, self.s + 1)
+        return RCoef(dim, p_new, q_new, self.s + 1)
 
     def eval(self, point) -> float:
         r2 = float(sum(float(x) * float(x) for x in point))
@@ -330,11 +415,55 @@ class RCoef:
         return f"RCoef(p={len(self.p.terms)}t, q={len(self.q.terms)}t, s={self.s})"
 
 
-def _power(p: Poly, n: int) -> Poly:
-    out = Poly.const(p.dim, 1)
-    for _ in range(n):
-        out = out * p
-    return out
+class _RCoefSum:
+    """A running sum of cone coefficients, reduced once by `total`.
+
+    `add` folds each coefficient's numerators into the level of its s, so the
+    sum holds one numerator pair per level rather than every term.  `total`
+    lifts every level to the largest s and reduces.  When that s > 0 belongs
+    to one term only (N >= 2), the other levels bring a factor S and the one
+    term is reduced, so S cannot divide the sum and no division is tried.
+    """
+
+    __slots__ = ("first", "count", "levels")
+
+    def __init__(self):
+        self.first, self.count, self.levels = None, 0, {}
+
+    def add(self, c: RCoef) -> None:
+        self.count += 1
+        if self.count == 1:
+            self.first = c  # a one-term sum is the term itself, never copied
+            return
+        if self.count == 2:
+            self._fold(self.first)
+        self._fold(c)
+
+    def _fold(self, c: RCoef) -> None:
+        level = self.levels.get(c.s)
+        if level is None:
+            level = self.levels[c.s] = [{}, {}, 0]
+        _add_into(level[0], c.p.terms)
+        _add_into(level[1], c.q.terms)
+        level[2] += 1
+
+    def total(self) -> RCoef:
+        if self.count == 1:
+            return self.first
+        dim = self.first.dim
+        top = max(self.levels)
+        p_acc, q_acc, at_top = self.levels[top]
+        for s, (p, q, _) in self.levels.items():
+            if s < top:
+                for part, acc in ((p, p_acc), (q, q_acc)):
+                    part = {k: c for k, c in part.items() if c}
+                    if part:
+                        _add_into(acc, (Poly._wrap(dim, part) * _sumsq(dim, top - s)).terms)
+        p = Poly._wrap(dim, {k: c for k, c in p_acc.items() if c})
+        q = Poly._wrap(dim, {k: c for k, c in q_acc.items() if c})
+        if top > 0 and dim >= 2 and at_top == 1:
+            return RCoef._reduced(dim, p, q, top)
+        return RCoef(dim, p, q, top)
 
 
 @dataclass(frozen=True)
@@ -393,21 +522,21 @@ def ext_d(f):
     """Exterior derivative; d(r^m) = m r^{m-2} sum_i x_i dx_i, d o d = 0 exactly."""
     if isinstance(f, ComplexAltForm):
         return ComplexAltForm(ext_d(f.re), ext_d(f.im))
-    acc: dict[int, RCoef] = {}
+    sums: dict[int, _RCoefSum] = {}
     dim = f.dim
     for mask, c in f._raw_terms().items():
+        nc = -c
         for i in range(dim):
             bit = 1 << i
             if mask & bit:
                 continue
-            dc = c.diff(i)
-            if not dc:
-                continue
-            term = dc if _drop_sign(mask, i) > 0 else -dc
-            m = mask | bit
-            prev = acc.get(m)
-            acc[m] = term if prev is None else prev + term
-    return AltForm(dim, f.degree + 1, _raw=acc)
+            dc = c.diff(i) if _drop_sign(mask, i) > 0 else nc.diff(i)
+            if dc:
+                acc = sums.get(mask | bit)
+                if acc is None:
+                    acc = sums[mask | bit] = _RCoefSum()
+                acc.add(dc)
+    return AltForm(dim, f.degree + 1, _raw={m: acc.total() for m, acc in sums.items()})
 
 
 def interior_field(X: PolyVectorField, f):

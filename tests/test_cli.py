@@ -193,6 +193,7 @@ def test_classify_nan_plane_exits_2(tmp_path, capsys):
     ("verify", "--suite", "calibrations", "--restarts", "-1"),
     ("verify", "--suite", "propositions", "--restarts", "0"),
     ("verify", "--suite", "phase-scan", "--restarts", "0"),
+    ("verify", "--suite", "phase-scan", "--samples", "-5", "--restarts", "3"),
 ])
 def test_verify_nonpositive_counts_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)

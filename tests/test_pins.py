@@ -1,8 +1,13 @@
-"""Byte pins: every registry form and the exact suites' --no-timing output.
+"""Byte pins: every registry form, the exact suites' --no-timing output and
+every exact coefficient of the link extension catalog.
 
 The digests were recorded from the code before the form algebra was unified,
 so a refactor of `exterior`, `symforms`, `model` or `registry` that changes
-one coefficient, one catalog entry or one suite witness fails here.
+one coefficient, one catalog entry or one suite witness fails here.  The
+coefficient digest was recorded before the reduction by sum(x_i^2) learned
+to skip divisions that cannot succeed; it hashes the canonical (p, q, s) of
+each coefficient, which the float JSON of the registry forms does not show,
+so a coefficient left unreduced fails here.
 """
 
 import contextlib
@@ -10,9 +15,9 @@ import hashlib
 import io
 import json
 
-from caliber import registry
+from caliber import registry, symforms
 from caliber.cli import run
-from caliber.exterior import form_to_json
+from caliber.exterior import ComplexAltForm, form_to_json
 
 CATALOG_SHA256 = {
     ("cone", 1): "228ea506cfa66771ae3ed30cc0c3495191f4a34a1507b1c6d10d21c14bd8463f",
@@ -30,6 +35,8 @@ VERIFY_N1_SHA256 = {
     "identities": "09d468d5fe790b1c615e23a11b734bbffae55252d6b59d57bfd874db81448e43",
     "cones": "415aa429ec5d12cb8c565f0d5276afbd97f20e3b9698c120a1dfd47dfb03d7b6",
 }
+
+LINK_EXTENSION_COEFFICIENTS_N1_SHA256 = "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3"
 
 
 def _sha256(text: str) -> str:
@@ -50,3 +57,28 @@ def test_registry_forms_and_exact_suites_are_byte_pinned():
             code = run(["verify", "--suite", suite, "--n", "1", "--no-timing"])
         assert code == 0, suite
         assert _sha256(out.getvalue()) == digest, suite
+
+
+def coefficient_digest(n: int) -> str:
+    """sha256 over (entry, part, blade, sorted p terms, sorted q terms, s) of
+    every coefficient of `link_extension_catalog(n)`; a vector field's
+    component index stands in for the blade."""
+
+    def terms(poly):
+        return sorted((k, str(c)) for k, c in poly.terms.items())
+
+    rows = []
+    for name, entry in sorted(symforms.link_extension_catalog(n).items()):
+        if isinstance(entry, symforms.PolyVectorField):
+            parts = [("field", dict(enumerate(entry.components)))]
+        elif isinstance(entry, ComplexAltForm):
+            parts = [("re", entry.re._raw_terms()), ("im", entry.im._raw_terms())]
+        else:
+            parts = [("re", entry._raw_terms())]
+        for part, coeffs in parts:
+            rows.extend([name, part, blade, terms(c.p), terms(c.q), c.s] for blade, c in sorted(coeffs.items()))
+    return _sha256(json.dumps(rows))
+
+
+def test_link_extension_coefficients_are_pinned():
+    assert coefficient_digest(1) == LINK_EXTENSION_COEFFICIENTS_N1_SHA256

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from caliber import symforms as sf
 from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
@@ -53,6 +53,127 @@ def test_poly_exponent_overflow_raises():
         sf.Poly.x(2, 0, 256)
     assert sf.Poly.x(2, 0, 200) * sf.Poly.x(2, 0, 55) == sf.Poly.x(2, 0, 255)
     assert sf.Poly.x(2, 0, 200) * sf.Poly.x(2, 1, 200) == sf.Poly.from_coeffs(2, {(200, 200): 1})
+
+
+# -- reduction shortcuts ----------------------------------------------------
+# Each operation that skips the division trial must give the (p, q, s) that
+# the generic reducing constructor gives on the same unreduced numerators.
+
+
+def sumsq_power(dim, k):
+    ss = sf.Poly(dim, {(2 << (8 * i)): 1 for i in range(dim)})
+    out = sf.Poly.const(dim, 1)
+    for _ in range(k):
+        out = out * ss
+    return out
+
+
+def polys(dim):
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(exps, coeffs, max_size=3).map(lambda t: sf.Poly.from_coeffs(dim, t))
+
+
+@st.composite
+def reduced_coefs(draw, dim):
+    """A reduced RCoef with a P part, a Q part or both, often from numerators
+    with a factor S^k to cancel."""
+    parts = draw(st.sampled_from(["p", "q", "pq"]))
+    p = draw(polys(dim)) if "p" in parts else sf.Poly(dim, {})
+    q = draw(polys(dim)) if "q" in parts else sf.Poly(dim, {})
+    boost = sumsq_power(dim, draw(st.integers(0, 2)))
+    return sf.RCoef(dim, p * boost, q * boost, draw(st.integers(0, 3)))
+
+
+generic = sf.RCoef  # the reducing constructor, which tries every division
+
+
+def same(a, b):
+    return (a.p.terms, a.q.terms, a.s) == (b.p.terms, b.q.terms, b.s)
+
+
+def generic_sum(terms):
+    dim = terms[0].dim
+    top = max(c.s for c in terms)
+    p, q = sf.Poly(dim, {}), sf.Poly(dim, {})
+    for c in terms:
+        lift = sumsq_power(dim, top - c.s)
+        p, q = p + c.p * lift, q + c.q * lift
+    return generic(dim, p, q, top)
+
+
+dims = st.integers(1, 4)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rcoef_negation_and_scaling_match_generic_reduction(data):
+    dim = data.draw(dims)
+    c = data.draw(reduced_coefs(dim))
+    k = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    assert same(-c, generic(dim, -c.p, -c.q, c.s))
+    assert same(c * k, generic(dim, c.p.scale(k), c.q.scale(k), c.s))
+    assert same(c * 0, sf.RCoef.const(dim, 0)) and (c * 0).s == 0
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rcoef_product_matches_generic_reduction(data):
+    dim = data.draw(dims)
+    a, b = data.draw(reduced_coefs(dim)), data.draw(reduced_coefs(dim))
+    ss = sumsq_power(dim, 1)
+    p = a.p * b.p + a.q * b.q * ss
+    q = a.p * b.q + a.q * b.p
+    assert same(a * b, generic(dim, p, q, a.s + b.s))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rcoef_sums_match_generic_reduction(data):
+    dim = data.draw(dims)
+    terms = data.draw(st.lists(reduced_coefs(dim), min_size=1, max_size=5))
+    a, b = terms[0], terms[-1]
+    assert same(a + b, generic_sum([a, b]))
+    assert same(a - a, sf.RCoef.const(dim, 0))
+    # wedge, interior and ext_d sum each blade through one running sum
+    acc = sf.RCoef.accumulator()
+    for t in terms:
+        acc.add(t)
+    grouped = acc.total()
+    assert same(grouped, generic_sum(terms))
+    fold = terms[0]
+    for t in terms[1:]:
+        fold = fold + t
+    assert same(grouped, fold)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rcoef_diff_matches_generic_reduction(data):
+    dim = data.draw(dims)
+    c = data.draw(reduced_coefs(dim))
+    i = data.draw(st.integers(0, dim - 1))
+    ss, xi = sumsq_power(dim, 1), sf.Poly.x(dim, i)
+    p = c.p.diff(i) * ss - c.p * xi.scale(2 * c.s)
+    q = c.q.diff(i) * ss + c.q * xi.scale(1 - 2 * c.s)
+    assert same(c.diff(i), generic(dim, p, q, c.s + 1))
+
+
+def test_float_wedge_sums_each_blade_left_to_right():
+    # the three products land on one blade; a running sum loses the 1.0
+    a = AltForm(3, 1, {(0,): 1e16, (1,): 1.0, (2,): -1e16})
+    b = AltForm(3, 2, {(1, 2): 1.0, (0, 2): -1.0, (0, 1): 1.0})
+    assert wedge(a, b).coefficient((0, 1, 2)) == (1e16 + 1.0) + -1e16 == 0.0
+
+
+def test_rcoef_one_variable_square_still_reduces():
+    # at N = 1, S = x_0^2 is not prime: (x_0 / r^2)(x_0 / r^2) = 1 / r^2
+    c = sf.RCoef(1, sf.Poly.x(1, 0), sf.Poly(1, {}), 1)
+    assert c.s == 1
+    sq = c * c
+    assert sq.p.terms == {0: 1} and not sq.q.terms and sq.s == 1
+    d = c.diff(0)  # d(x_0 / x_0^2) = -1 / x_0^2
+    assert d.p.terms == {0: -1} and not d.q.terms and d.s == 1
 
 
 # -- exterior derivative ----------------------------------------------------
