@@ -1,5 +1,6 @@
-"""Byte pins: every registry form, the exact suites' --no-timing output and
-every exact coefficient of the link extension catalog.
+"""Byte pins: every registry form, the exact suites' --no-timing output,
+the normal-form suite's --no-timing output and every exact coefficient of
+the link extension catalog.
 
 The digests were recorded from the code before the form algebra was unified,
 so a refactor of `exterior`, `symforms`, `model` or `registry` that changes
@@ -7,7 +8,9 @@ one coefficient, one catalog entry or one suite witness fails here.  The
 coefficient digest was recorded before the reduction by sum(x_i^2) learned
 to skip divisions that cannot succeed; it hashes the canonical (p, q, s) of
 each coefficient, which the float JSON of the registry forms does not show,
-so a coefficient left unreduced fails here.
+so a coefficient left unreduced fails here.  The normal-form digests were
+recorded while that suite still sampled and normal-formed one plane at a
+time, so batching it may not change one theta, witness or byte.
 """
 
 import contextlib
@@ -36,6 +39,14 @@ VERIFY_N1_SHA256 = {
     "cones": "415aa429ec5d12cb8c565f0d5276afbd97f20e3b9698c120a1dfd47dfb03d7b6",
 }
 
+# (n, --samples or None for the default) -> sha256 of `verify --suite normalform`
+NORMALFORM_SHA256 = {
+    (1, None): "5fc1a0cfd1887528a322816b7d2b4908d8837aa175fa873beed88b2d7a2c67d0",
+    (2, None): "48c009181e344448276ea7e6f504475f2895b720ef7d213c90c7519f5610c8a7",
+    (3, None): "2b2e69066ff651e9653a8f518aff373d9413675aaaa04a4816e19060661a90e1",
+    (2, 37): "9ccf1533ac7630b9bfb4b508c4b7fcb073f02a81098da45eb854bec637ca6659",
+}
+
 LINK_EXTENSION_COEFFICIENTS_N1_SHA256 = "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3"
 
 
@@ -48,15 +59,27 @@ def catalog_digest(space: str, n: int) -> str:
     return _sha256(json.dumps({"entries": registry.list_entries(space, n), "forms": forms}, sort_keys=True))
 
 
+def verify_digest(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["verify", *argv, "--no-timing"])
+    assert code == 0, argv
+    return _sha256(out.getvalue())
+
+
 def test_registry_forms_and_exact_suites_are_byte_pinned():
     for (space, n), digest in CATALOG_SHA256.items():
         assert catalog_digest(space, n) == digest, (space, n)
     for suite, digest in VERIFY_N1_SHA256.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = run(["verify", "--suite", suite, "--n", "1", "--no-timing"])
-        assert code == 0, suite
-        assert _sha256(out.getvalue()) == digest, suite
+        assert verify_digest(["--suite", suite, "--n", "1"]) == digest, suite
+
+
+def test_normalform_suite_is_byte_pinned():
+    for (n, samples), digest in NORMALFORM_SHA256.items():
+        argv = ["--suite", "normalform", "--n", str(n)]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        assert verify_digest(argv) == digest, (n, samples)
 
 
 def coefficient_digest(n: int) -> str:
