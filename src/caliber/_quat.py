@@ -1,7 +1,9 @@
 """Quaternion-array helpers for sampling structure-preserving isometries.
 
 Quaternions are numpy arrays of shape (..., 4) holding (w, x, y, z) components
-with the multiplication convention i*j = k.
+with the multiplication convention i*j = k.  The samplers and the complex
+and real block builders take one matrix or a stack over leading batch axes,
+and give each entry of a stack the same bits as that matrix alone.
 """
 
 from __future__ import annotations
@@ -24,27 +26,27 @@ _RIGHT_UNITS = np.swapaxes(right_mult_matrix(np.eye(4)), -1, -2)
 
 
 def gram_schmidt_sp(mat: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of an m x m quaternion matrix over H.
+    """Orthonormalize the columns of m x m quaternion matrices (..., m, m, 4) over H.
 
     Inner product <u, v> = sum_k conj(u_k) v_k, coefficients multiplying from
     the right.  The right H-span of a column v is the real span of (v, v i,
     v j, v k), so one real Gram-Schmidt over those candidates, column by
     column, keeps every fourth row: the output satisfies B* B = Id up to
-    float roundoff.
+    float roundoff.  A stack runs as one batched Gram-Schmidt.
     """
-    m = mat.shape[0]
+    m = mat.shape[-2]
     # candidate 4 j + u is column j times the u-th unit of (1, i, j, k)
-    cand = (np.swapaxes(mat, 0, 1)[:, None] @ _RIGHT_UNITS).reshape(4 * m, 4 * m)
-    Q, kept = _gram_schmidt(cand, 4 * m)
-    if kept < 4 * m:
+    cand = np.swapaxes(mat, -3, -2)[..., None, :, :] @ _RIGHT_UNITS
+    Q, kept = _gram_schmidt(cand.reshape(mat.shape[:-3] + (4 * m, 4 * m)), 4 * m)
+    if np.any(kept < 4 * m):
         raise ValueError("rank-deficient quaternion matrix")
-    return np.swapaxes(Q[::4].reshape(m, m, 4), 0, 1)
+    return np.swapaxes(Q[..., ::4, :].reshape(mat.shape), -3, -2)
 
 
-def random_sp_quaternion_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like random element of the quaternionic unitary group, as an
-    (m, m, 4) quaternion matrix with orthonormal columns."""
-    return gram_schmidt_sp(rng.standard_normal((m, m, 4)))
+def random_sp_quaternion_matrix(m: int, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
+    """Haar-like random elements of the quaternionic unitary group, as (*size,
+    m, m, 4) quaternion matrices with orthonormal columns."""
+    return gram_schmidt_sp(rng.standard_normal(tuple(size) + (m, m, 4)))
 
 
 def right_action_realification(B: np.ndarray) -> np.ndarray:
@@ -59,27 +61,29 @@ def right_action_realification(B: np.ndarray) -> np.ndarray:
 
 
 def sp_complex_block(B: np.ndarray) -> np.ndarray:
-    """Complex 2m x 2m block matrix of the left action h -> B h on H^m = C^m + j C^m,
-    from the split q = q1 + j*q2 of each entry, q1 and q2 complex (so c*j = j*conj(c))."""
+    """Complex 2m x 2m block matrices (..., 2m, 2m) of the left action h -> B h
+    on H^m = C^m + j C^m, from the split q = q1 + j*q2 of each entry of B
+    (..., m, m, 4), q1 and q2 complex (so c*j = j*conj(c))."""
     q1 = B[..., 0] + 1j * B[..., 1]
     q2 = B[..., 2] - 1j * B[..., 3]
     return np.block([[q1, -np.conj(q2)], [q2, np.conj(q1)]])
 
 
 def realify_interleaved(C: np.ndarray) -> np.ndarray:
-    """Realify a complex 2m x 2m matrix acting on (h1; h2) stacked complex
-    coordinates, in the interleaved real basis where component j of h1 sits at
-    real indices (4j, 4j+1) and component j of h2 at (4j+2, 4j+3)."""
-    m = C.shape[0] // 2
+    """Realify complex 2m x 2m matrices (..., 2m, 2m) acting on (h1; h2)
+    stacked complex coordinates, in the interleaved real basis where
+    component j of h1 sits at real indices (4j, 4j+1) and component j of h2
+    at (4j+2, 4j+3)."""
+    m = C.shape[-1] // 2
     r = np.concatenate([4 * np.arange(m), 4 * np.arange(m) + 2])  # real index of each complex one
-    M = np.zeros((4 * m, 4 * m))
-    M[np.ix_(r, r)] = M[np.ix_(r + 1, r + 1)] = C.real
-    M[np.ix_(r, r + 1)] = -C.imag
-    M[np.ix_(r + 1, r)] = C.imag
+    M = np.zeros(C.shape[:-2] + (4 * m, 4 * m))
+    M[..., r[:, None], r] = M[..., r[:, None] + 1, r + 1] = C.real
+    M[..., r[:, None], r + 1] = -C.imag
+    M[..., r[:, None] + 1, r] = C.imag
     return M
 
 
-def rotation2(angle: float) -> np.ndarray:
-    """Real 2x2 matrix of complex multiplication by exp(i*angle)."""
+def rotation2(angle) -> np.ndarray:
+    """Real 2x2 matrices (..., 2, 2) of complex multiplication by exp(i*angle)."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    return np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))

@@ -540,17 +540,20 @@ def comass_2form_exact(form: AltForm) -> float:
     return float(np.linalg.svd(S, compute_uv=False)[0])
 
 
-def is_calibrated(form: AltForm | FormEvaluator, plane: Plane, tol: float = 1e-9) -> bool:
-    """Whether the form attains 1 on the oriented plane (comass-one forms only).
+def is_calibrated(form: AltForm | FormEvaluator, plane: Plane | np.ndarray, tol: float = 1e-9):
+    """Whether the form attains 1 on the oriented plane (comass-one forms only):
+    a bool for a `Plane`, a bool array (...) for a batch of row frames (..., k, N).
 
     The value is `FormEvaluator.values` on the plane's frame.  `form` is a
     real form or its evaluator; callers that test many planes pass the one a
     model caches (`model.evaluator(name)`) instead of building one per call.
     """
     ev = form if isinstance(form, FormEvaluator) else FormEvaluator(form)
-    if ev.degree != plane.degree:
-        raise ValueError(f"degree mismatch: form {ev.degree}, plane {plane.degree}")
-    return bool(abs(float(ev.values(plane.frame.T)) - 1) <= tol)
+    frames = plane.frame if isinstance(plane, Plane) else np.asarray(plane, dtype=float)
+    if ev.degree != frames.shape[-2]:
+        raise ValueError(f"degree mismatch: form {ev.degree}, plane {frames.shape[-2]}")
+    ok = np.abs(ev.values(np.swapaxes(frames, -1, -2)) - 1) <= tol
+    return ok if ok.ndim else bool(ok)
 
 
 # ---------------------------------------------------------------------------

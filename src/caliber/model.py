@@ -474,23 +474,29 @@ def random_sp_cone_isometry(n: int, rng: np.random.Generator) -> np.ndarray:
     return _quat.right_action_realification(B)
 
 
-def sp_u1_matrix(n: int, B_quat: np.ndarray, lam: complex) -> np.ndarray:
-    """Real matrix of the twistor action (h, z) -> (B h lambda^{-1}, lambda^{-2} z)."""
-    C = _quat.sp_complex_block(B_quat) * (1.0 / lam)
-    H = _quat.realify_interleaved(C)
+def sp_u1_matrix(n: int, B_quat: np.ndarray, lam: complex | np.ndarray) -> np.ndarray:
+    """Real matrix of the twistor action (h, z) -> (B h lambda^{-1}, lambda^{-2} z);
+    a stack (..., 4n+2, 4n+2) for quaternion matrices B (..., n, n, 4) and
+    unit complex numbers lambda (...)."""
+    lam = np.asarray(lam)
+    C = _quat.sp_complex_block(B_quat) * (1.0 / lam)[..., None, None]
     dim = 4 * n + 2
-    M = np.zeros((dim, dim))
-    M[: 4 * n, : 4 * n] = H
-    ang = -2.0 * np.angle(lam)
-    M[4 * n :, 4 * n :] = _quat.rotation2(ang)
+    M = np.zeros(lam.shape + (dim, dim))
+    M[..., : 4 * n, : 4 * n] = _quat.realify_interleaved(C)
+    M[..., 4 * n :, 4 * n :] = _quat.rotation2(-2.0 * np.angle(lam))
     return M
 
 
-def random_sp_u1_element(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random element of the gamma0 stabilizer inside U(2n) x U(1)."""
-    B = _quat.random_sp_quaternion_matrix(n, rng)
-    lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return sp_u1_matrix(n, B, lam)
+def random_sp_u1_element(n: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Random element of the gamma0 stabilizer inside U(2n) x U(1), or a stack
+    (count, 4n+2, 4n+2) of them.  Each element draws its quaternion matrix and
+    then its phase, so a stack consumes `rng` as `count` single calls do and
+    holds the same matrices."""
+    draws = [(rng.standard_normal((n, n, 4)), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+             for _ in range(1 if count is None else count)]
+    B = _quat.gram_schmidt_sp(np.array([b for b, _ in draws]).reshape(-1, n, n, 4))
+    M = sp_u1_matrix(n, B, np.array([lam for _, lam in draws], dtype=complex))
+    return M[0] if count is None else M
 
 
 def _random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,12 @@ Every form value on a plane is `model.value(name, frame)`: the model's cached
 is the skew matrix (`model.skew`) behind each isotropy residual.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
+
+The normal form (`normal_form_theta`, `quaternionic_envelope`) takes a
+`Plane` or a batch of row frames (B, 3, N), like `intersection_dim` and
+`model.value`; a `Plane` is the batch of one, so both run one code path.
+`batch_rotated_w_theta` draws a batch of rotated W_theta planes with one
+batched quaternionic Gram-Schmidt and one stacked QR.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "PhaseRigidityReport",
     "phase_rigidity_scan",
     "rotated_w_theta",
+    "batch_rotated_w_theta",
     "batch_random_planes",
     "batch_complex_planes",
     "batch_complex_isotropic_planes",
@@ -371,30 +378,65 @@ class NormalFormResult:
         }
 
 
-def quaternionic_envelope(plane: Plane, model: TwistorModel, tol: float = 1e-8,
+def _frame_batch(planes) -> np.ndarray:
+    """Row frames (B, k, N) of a `Plane` (B = 1) or of a frame batch, which must
+    be finite and orthonormal, as a `Plane` frame is."""
+    if isinstance(planes, Plane):
+        return planes.frame[None]
+    F = np.asarray(planes, dtype=float)
+    if F.ndim != 3:
+        raise ValueError(f"expected a Plane or a (B, k, N) batch of row frames, got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("frame has non-finite entries")
+    gram = F @ np.swapaxes(F, -1, -2)
+    if np.any(np.abs(gram - np.eye(F.shape[-2])) > 1e-10):
+        raise ValueError("frame is not orthonormal")
+    return F
+
+
+def _raise_first(failures) -> None:
+    """Raise, for the first plane of the batch that fails any check, the
+    ValueError the one-plane path raises for it: `failures` lists (mask over
+    the batch, message of plane i) in the order that path runs its checks."""
+    masks = np.array([mask for mask, _ in failures]).reshape(len(failures), -1)
+    bad = masks.any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(failures[int(np.argmax(masks[:, i]))][1](i))
+
+
+def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
+    """Envelopes (B, 4, dim) of the row frames F (B, 3, dim) and the failures
+    of `quaternionic_envelope` on them (see `_raise_first`)."""
+    calibrated = is_calibrated(model.evaluator("re_gamma0"), F, cal_tol)
+    n = model.n
+    Mh = F[..., : 4 * n]
+    w = np.linalg.svd(Mh, full_matrices=False)[2][:, 0]
+    j = np.argmax(np.abs(w) > 1e-9, axis=-1)
+    w = np.where(np.take_along_axis(w, j[:, None], -1) < 0, -w, w)
+    basis_h = np.stack([w] + [w @ T.T for T in standard_triple_matrices(n)], axis=1)
+    resid = np.max(np.abs(Mh - (Mh @ np.swapaxes(basis_h, -1, -2)) @ basis_h), axis=(-2, -1))
+    env = np.zeros((len(F), 4, model.dim))
+    env[..., : 4 * n] = basis_h
+    return env, [
+        (~calibrated, lambda i: "plane is not calibrated by the real twistor 3-form"),
+        (resid > tol, lambda i: f"horizontal part escapes the quaternionic line (residual {resid[i]:.2e})"),
+    ]
+
+
+def quaternionic_envelope(planes, model: TwistorModel, tol: float = 1e-8,
                           cal_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (w, J1 w, J2 w, J3 w) of the quaternionic line whose
-    sum with the vertical plane contains the calibrated 3-plane."""
-    if not is_calibrated(model.evaluator("re_gamma0"), plane, cal_tol):
-        raise ValueError("plane is not calibrated by the real twistor 3-form")
-    n = model.n
-    Mh = plane.frame[:, : 4 * n]
-    _U, _S, Vt = np.linalg.svd(Mh, full_matrices=False)
-    w = Vt[0]
-    j = int(np.argmax(np.abs(w) > 1e-9))
-    if w[j] < 0:
-        w = -w
-    T1, T2, T3 = standard_triple_matrices(n)
-    basis_h = np.array([w, T1 @ w, T2 @ w, T3 @ w])
-    resid = float(np.max(np.abs(Mh - (Mh @ basis_h.T) @ basis_h)))
-    if resid > tol:
-        raise ValueError(f"horizontal part escapes the quaternionic line (residual {resid:.2e})")
-    env = np.zeros((4, model.dim))
-    env[:, : 4 * n] = basis_h
-    return env
+    sum with the vertical plane contains the calibrated 3-plane: a (4, dim)
+    array for a `Plane`, a (B, 4, dim) array for a batch of row frames
+    (B, 3, dim), which raises the error of its first failing plane."""
+    F = _frame_batch(planes)
+    env, failures = _envelopes(F, model, tol, cal_tol)
+    _raise_first(failures)
+    return env[0] if isinstance(planes, Plane) else env
 
 
-def normal_form_theta(plane: Plane, model: TwistorModel, tol: float = 1e-8) -> NormalFormResult:
+def normal_form_theta(planes, model: TwistorModel, tol: float = 1e-8):
     """Recover the normal-form angle theta in [0, pi/4] of a calibrated 3-plane.
 
     The primary extraction is theta = arccos(s) / 2 with s the largest
@@ -405,34 +447,57 @@ def normal_form_theta(plane: Plane, model: TwistorModel, tol: float = 1e-8) -> N
     from the singular values (sin(theta + pi/4), cos(theta + pi/4)) of the
     vertical block of the frame; the two are cross-checked and a discrepancy
     beyond conditioning error is raised, not absorbed.
+
+    `planes` is a `Plane`, giving one `NormalFormResult`, or a batch of row
+    frames (B, 3, dim), giving a list of B results from one evaluator call
+    and stacked SVDs.  A batch raises the ValueError that its first failing
+    plane raises alone.  The angles are taken with scalar `math` functions,
+    so each is the same float whether its plane comes alone or in a batch.
     """
-    if plane.degree != 3:
+    F = _frame_batch(planes)
+    if F.shape[-2] != 3:
         raise ValueError("normal form applies to 3-planes")
-    env = quaternionic_envelope(plane, model, cal_tol=tol)  # raises unless calibrated
+    env, failures = _envelopes(F, model, tol, tol)  # fails unless calibrated
     S = model.skew("omega_KE")
-    B = plane.frame @ S @ plane.frame.T
-    s = float(np.linalg.svd(B, compute_uv=False)[0])
-    theta_spec = 0.5 * math.acos(min(1.0, max(0.0, s)))
-    sv = np.linalg.svd(plane.frame[:, list(model.v_indices)], compute_uv=False)
-    theta = math.atan2(float(sv[0]), float(sv[1])) - math.pi / 4
-    theta = min(math.pi / 4, max(0.0, theta))
-    if abs(theta - theta_spec) > 1e-6:
-        raise ValueError(
-            f"normal-form extractions disagree: spectral {theta_spec!r} vs vertical-block {theta!r}"
-        )
-    dim_h = intersection_dim(plane.frame, model.h_indices)
-    dim_v = intersection_dim(plane.frame, model.v_indices)
-    iso = isotropy_residual(plane.frame, S) <= tol
-    if dim_h < 1:
-        raise ValueError("internal inconsistency: calibrated plane with no horizontal vector")
-    return NormalFormResult(theta, env, dim_h, dim_v, bool(iso))
+    B = F @ S @ np.swapaxes(F, -1, -2)
+    s = np.linalg.svd(B, compute_uv=False)[:, 0]
+    theta_spec = [0.5 * math.acos(min(1.0, max(0.0, float(x)))) for x in s]
+    sv = np.linalg.svd(F[..., list(model.v_indices)], compute_uv=False)
+    theta = [min(math.pi / 4, max(0.0, math.atan2(float(a), float(b)) - math.pi / 4)) for a, b in sv[:, :2]]
+    dim_h = intersection_dim(F, model.h_indices)
+    dim_v = intersection_dim(F, model.v_indices)
+    iso = np.max(np.abs(B), axis=(-2, -1)) <= tol
+    _raise_first(failures + [
+        (np.abs(np.subtract(theta, theta_spec)) > 1e-6,
+         lambda i: f"normal-form extractions disagree: spectral {theta_spec[i]!r} vs vertical-block {theta[i]!r}"),
+        (dim_h < 1, lambda i: "internal inconsistency: calibrated plane with no horizontal vector"),
+    ])
+    results = [NormalFormResult(theta[i], env[i], int(dim_h[i]), int(dim_v[i]), bool(iso[i]))
+               for i in range(len(F))]
+    return results[0] if isinstance(planes, Plane) else results
+
+
+def batch_rotated_w_theta(n: int, theta: float, count: int, rng: np.random.Generator):
+    """`count` random stabilizer-group rotations g of the normal-form plane
+    W_theta: the row frames (count, 3, 4n+2) of the planes W_theta g^T,
+    orthonormalized as `Plane.from_vectors` does it (QR, signs from the
+    diagonal of R, the same rank test), and the rotations (count, 4n+2, 4n+2).
+    Consumes `rng` as `count` calls of `rotated_w_theta` do."""
+    g = random_sp_u1_element(n, rng, count)
+    A = make_W_theta(n, theta).frame @ np.swapaxes(g, -1, -2)
+    Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    diag = np.abs(d)
+    if np.any(np.min(diag, axis=-1) <= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1))):
+        raise ValueError("rank-deficient frame")
+    return np.swapaxes(Q * np.sign(d)[..., None, :], -1, -2), g
 
 
 def rotated_w_theta(n: int, theta: float, rng: np.random.Generator) -> Plane:
-    """A random stabilizer-group rotation of the normal-form plane W_theta."""
-    W = make_W_theta(n, theta)
-    g = random_sp_u1_element(n, rng)
-    return Plane.from_vectors(W.frame @ g.T)
+    """A random stabilizer-group rotation of the normal-form plane W_theta: the
+    one-plane case of `batch_rotated_w_theta`."""
+    frames, _ = batch_rotated_w_theta(n, theta, 1, rng)
+    return Plane.from_vectors(frames[0], orthonormalize=False)
 
 
 # ---------------------------------------------------------------------------

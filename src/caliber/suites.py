@@ -24,7 +24,6 @@ import numpy as np
 from caliber import planes as pl
 from caliber import symforms as sf
 from caliber.calib import (
-    Plane,
     SearchParams,
     comass_2form_exact,
     comass_search,
@@ -654,11 +653,10 @@ def _normalform_checks(n: int, seed: int, samples: int) -> list[tuple[str, objec
         worst = 0.0
         violations = 0
         for th in grid:
-            for _ in range(samples):
-                plane = pl.rotated_w_theta(n, th, rng)
-                nf = pl.normal_form_theta(plane, tm)
+            at_corner = abs(th - math.pi / 4) < 1e-12
+            frames, _ = pl.batch_rotated_w_theta(n, th, samples, rng)
+            for nf in pl.normal_form_theta(frames, tm):
                 worst = max(worst, abs(nf.theta - th))
-                at_corner = abs(th - math.pi / 4) < 1e-12
                 conds = [
                     nf.dim_cap_H == 2,
                     nf.dim_cap_H + nf.dim_cap_V == 3,
@@ -679,32 +677,25 @@ def _normalform_checks(n: int, seed: int, samples: int) -> list[tuple[str, objec
         rng = np.random.default_rng(seed + 1)
         spread = 0.0
         for th in (0.0, 0.35, math.pi / 4):
-            vals = []
-            for _ in range(max(10, samples // 10)):
-                plane = pl.rotated_w_theta(n, th, rng)
-                vals.append(pl.normal_form_theta(plane, tm).theta)
+            frames, _ = pl.batch_rotated_w_theta(n, th, max(10, samples // 10), rng)
+            vals = [nf.theta for nf in pl.normal_form_theta(frames, tm)]
             spread = max(spread, max(vals) - min(vals))
         return spread <= 1e-9, {"max_spread": spread}
 
     checks.append(("theta_stabilizer_invariance", invariance))
 
     def envelope():
-        from caliber.model import make_W_theta, random_sp_u1_element
-
         rng = np.random.default_rng(seed + 2)
+        L0 = np.zeros((4, tm.dim))
+        L0[:, :4] = np.eye(4)
         worst = 0.0
         for th in (0.1, 0.4):
-            for _ in range(max(10, samples // 10)):
-                g = random_sp_u1_element(n, rng)
-                W = make_W_theta(n, th)
-                plane = Plane.from_vectors(W.frame @ g.T)
-                env = pl.quaternionic_envelope(plane, tm)
-                L0 = np.zeros((4, tm.dim))
-                L0[:, :4] = np.eye(4)
-                expected = L0 @ g.T
-                P1 = env.T @ env
-                P2 = expected.T @ np.linalg.solve(expected @ expected.T, expected)
-                worst = max(worst, float(np.max(np.abs(P1 - P2))))
+            frames, g = pl.batch_rotated_w_theta(n, th, max(10, samples // 10), rng)
+            env = pl.quaternionic_envelope(frames, tm)
+            expected = L0 @ np.swapaxes(g, -1, -2)
+            P1 = np.swapaxes(env, -1, -2) @ env
+            P2 = np.swapaxes(expected, -1, -2) @ np.linalg.solve(expected @ np.swapaxes(expected, -1, -2), expected)
+            worst = max(worst, float(np.max(np.abs(P1 - P2))))
         return worst <= 1e-8, {"worst_projector_gap": worst}
 
     checks.append(("envelope_recovery_under_rotation", envelope))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caliber import registry
+from caliber import _quat, registry
 from caliber.exterior import AltForm, ComplexAltForm, evaluate, interior, power, pullback, wedge
 from caliber.model import (
     build_hyperkahler_cone,
@@ -139,6 +139,17 @@ def test_sp_invariance_of_cone_catalog(n):
         for name in names:
             f = hk.form(name)
             assert pullback(f, g).approx_eq(f.to_float(), 1e-10), name
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_quaternion_helpers_stack_bit_for_bit(m):
+    rng_stack, rng_single = np.random.default_rng(m), np.random.default_rng(m)
+    B = _quat.random_sp_quaternion_matrix(m, rng_stack, (2, 3))
+    single = [_quat.random_sp_quaternion_matrix(m, rng_single) for _ in range(6)]
+    assert B.shape == (2, 3, m, m, 4)
+    assert B.tobytes() == np.array(single).tobytes()
+    C = np.exp(1j * rng_stack.standard_normal((6, 2 * m, 2 * m)))
+    assert _quat.realify_interleaved(C).tobytes() == np.array([_quat.realify_interleaved(c) for c in C]).tobytes()
 
 
 # -- link frame ---------------------------------------------------------------

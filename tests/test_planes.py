@@ -26,6 +26,7 @@ from caliber.planes import (
     batch_double_lagrangian_twistor,
     batch_hv_isotropic_planes,
     batch_random_planes,
+    batch_rotated_w_theta,
     check_equivalences,
     classify_plane,
     intersection_dim,
@@ -301,6 +302,89 @@ def test_envelope_standard_and_rotated():
     L0[:, :4] = np.eye(4)
     expected = L0 @ g.T
     assert np.max(np.abs(env_rot.T @ env_rot - expected.T @ expected)) < 1e-9
+
+
+# Angles of the batch tests: interior ones and the corner pi/4, where the
+# four-way equivalence flips dim_cap_V and ke_isotropic.
+BATCH_THETAS = (0.0, 0.3, math.pi / 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_rotated_w_theta_matches_one_plane_draws(n, seed):
+    rng_batch, rng_single, rng_g = (np.random.default_rng(seed) for _ in range(3))
+    for th in BATCH_THETAS:
+        frames, g = batch_rotated_w_theta(n, th, 7, rng_batch)
+        single = np.array([rotated_w_theta(n, th, rng_single).frame for _ in range(7)])
+        assert frames.tobytes() == single.tobytes()
+        assert g.tobytes() == np.array([random_sp_u1_element(n, rng_g) for _ in range(7)]).tobytes()
+    assert rng_batch.bit_generator.state == rng_single.bit_generator.state == rng_g.bit_generator.state
+
+
+def _normal_form_fields(nf):
+    return nf.theta, nf.envelope.tobytes(), nf.dim_cap_H, nf.dim_cap_V, nf.ke_isotropic
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_normal_form_matches_per_plane(n, seed):
+    tm = build_twistor_model(n)
+    rng = np.random.default_rng(seed)
+    frames = np.concatenate([batch_rotated_w_theta(n, th, 5, rng)[0] for th in BATCH_THETAS])
+    batched = normal_form_theta(frames, tm)
+    single = [normal_form_theta(Plane.from_vectors(F, orthonormalize=False), tm) for F in frames]
+    assert [_normal_form_fields(nf) for nf in batched] == [_normal_form_fields(nf) for nf in single]
+    assert {nf.ke_isotropic for nf in batched} == {False, True}
+    envelopes = quaternionic_envelope(frames, tm)
+    assert envelopes.tobytes() == np.array([nf.envelope for nf in single]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_raises_the_error_of_its_first_uncalibrated_plane(n, seed):
+    tm = build_twistor_model(n)
+    rng = np.random.default_rng(seed)
+    frames = batch_rotated_w_theta(n, 0.3, 6, rng)[0].copy()
+    bad = batch_random_planes(tm.dim, 3, 2, rng)
+    frames[2], frames[4] = bad
+    for fn in (normal_form_theta, quaternionic_envelope):
+        with pytest.raises(ValueError) as alone:
+            fn(Plane.from_vectors(frames[2], orthonormalize=False), tm)
+        with pytest.raises(ValueError) as batched:
+            fn(frames, tm)
+        assert str(batched.value) == str(alone.value) == "plane is not calibrated by the real twistor 3-form"
+
+
+def test_batch_raises_the_first_check_of_its_first_failing_plane():
+    tm = build_twistor_model(2)
+    rng = np.random.default_rng(0)
+    frames = batch_rotated_w_theta(2, 0.3, 6, rng)[0].copy()
+
+    def message(planes):
+        with pytest.raises(ValueError) as exc:
+            quaternionic_envelope(planes, tm, tol=-1.0)  # every residual fails
+        return str(exc.value)
+
+    # each message holds its plane's residual, and these differ between planes
+    alone = [message(Plane.from_vectors(F, orthonormalize=False)) for F in frames]
+    assert len(set(alone)) > 2 and all("residual" in m for m in alone)
+    assert [message(frames[i:]) for i in range(6)] == alone
+    frames[1] = batch_random_planes(tm.dim, 3, 1, rng)[0]
+    assert message(frames[1:]) == message(Plane.from_vectors(frames[1])) == "plane is not calibrated by the real twistor 3-form"
+
+
+def test_normal_form_rejects_malformed_batches():
+    tm = build_twistor_model(1)
+    frames = batch_rotated_w_theta(1, 0.3, 2, np.random.default_rng(0))[0]
+    with pytest.raises(ValueError, match="batch of row frames"):
+        normal_form_theta(frames[0], tm)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        normal_form_theta(2 * frames, tm)
+    with pytest.raises(ValueError, match="non-finite"):
+        normal_form_theta(np.where(frames > 0.5, np.nan, frames), tm)
+    with pytest.raises(ValueError, match="3-planes"):
+        normal_form_theta(frames[:, :2], tm)
+    assert normal_form_theta(frames[:0], tm) == []
 
 
 def test_envelope_n1_is_everything():
