@@ -62,6 +62,7 @@ __all__ = [
     "comass_2form_exact",
     "skew_matrix",
     "is_calibrated",
+    "orthonormal_rows",
     "batch_evaluate",
     "LineReduction",
     "reduce_along_line",
@@ -80,12 +81,25 @@ __all__ = [
 # planes
 
 
+def orthonormal_rows(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal rows spanning the oriented plane of the rows of each frame
+    (..., k, N): the Q factor of QR with signs fixed by the diagonal of R.
+    Raises ValueError when some frame's rows are rank-deficient (a diagonal
+    entry of R within tol of zero, relative to the largest)."""
+    Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    diag = np.abs(d)
+    if np.any(np.min(diag, axis=-1) <= tol * np.maximum(1.0, np.max(diag, axis=-1))):
+        raise ValueError("rank-deficient frame")
+    return np.swapaxes(Q * np.sign(d)[..., None, :], -1, -2)
+
+
 @dataclass(frozen=True, eq=False)
 class Plane:
     """An oriented k-plane in R^N, held as an ordered orthonormal frame.
 
     `frame` has shape (k, N): rows are the frame vectors, and the orientation
-    is the row order.  Construction orthonormalizes (Gram-Schmidt via QR,
+    is the row order.  Construction orthonormalizes (`orthonormal_rows`: QR,
     orientation preserved) and rejects rank-deficient input.
     """
 
@@ -108,12 +122,7 @@ class Plane:
             frame.setflags(write=False)
             return cls(n, 0, frame)
         if orthonormalize:
-            Q, R = np.linalg.qr(A.T)
-            diag = np.abs(np.diag(R))
-            if np.min(diag) <= tol * max(1.0, np.max(diag)):
-                raise ValueError("rank-deficient frame")
-            s = np.sign(np.diag(R))
-            frame = (Q * s).T
+            frame = orthonormal_rows(A, tol)
         else:
             gram = A @ A.T
             if np.max(np.abs(gram - np.eye(k))) > tol:

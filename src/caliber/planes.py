@@ -25,7 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from caliber.calib import Plane, SearchParams, _gram_schmidt, _qf, comass_search, is_calibrated
+from caliber.calib import (
+    Plane,
+    SearchParams,
+    _gram_schmidt,
+    _qf,
+    comass_search,
+    is_calibrated,
+    orthonormal_rows,
+)
 from caliber.exterior import wedge
 from caliber.model import (
     CYCLIC_PAIRS,
@@ -398,7 +406,7 @@ def _raise_first(failures) -> None:
     """Raise, for the first plane of the batch that fails any check, the
     ValueError the one-plane path raises for it: `failures` lists (mask over
     the batch, message of plane i) in the order that path runs its checks."""
-    masks = np.array([mask for mask, _ in failures]).reshape(len(failures), -1)
+    masks = np.array([mask for mask, _ in failures])
     bad = masks.any(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
@@ -463,7 +471,7 @@ def normal_form_theta(planes, model: TwistorModel, tol: float = 1e-8):
     s = np.linalg.svd(B, compute_uv=False)[:, 0]
     theta_spec = [0.5 * math.acos(min(1.0, max(0.0, float(x)))) for x in s]
     sv = np.linalg.svd(F[..., list(model.v_indices)], compute_uv=False)
-    theta = [min(math.pi / 4, max(0.0, math.atan2(float(a), float(b)) - math.pi / 4)) for a, b in sv[:, :2]]
+    theta = [min(math.pi / 4, max(0.0, math.atan2(float(a), float(b)) - math.pi / 4)) for a, b in sv]
     dim_h = intersection_dim(F, model.h_indices)
     dim_v = intersection_dim(F, model.v_indices)
     iso = np.max(np.abs(B), axis=(-2, -1)) <= tol
@@ -480,17 +488,11 @@ def normal_form_theta(planes, model: TwistorModel, tol: float = 1e-8):
 def batch_rotated_w_theta(n: int, theta: float, count: int, rng: np.random.Generator):
     """`count` random stabilizer-group rotations g of the normal-form plane
     W_theta: the row frames (count, 3, 4n+2) of the planes W_theta g^T,
-    orthonormalized as `Plane.from_vectors` does it (QR, signs from the
-    diagonal of R, the same rank test), and the rotations (count, 4n+2, 4n+2).
+    orthonormalized as `Plane.from_vectors` does it (`orthonormal_rows`),
+    and the rotations (count, 4n+2, 4n+2).
     Consumes `rng` as `count` calls of `rotated_w_theta` do."""
     g = random_sp_u1_element(n, rng, count)
-    A = make_W_theta(n, theta).frame @ np.swapaxes(g, -1, -2)
-    Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    diag = np.abs(d)
-    if np.any(np.min(diag, axis=-1) <= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1))):
-        raise ValueError("rank-deficient frame")
-    return np.swapaxes(Q * np.sign(d)[..., None, :], -1, -2), g
+    return orthonormal_rows(make_W_theta(n, theta).frame @ np.swapaxes(g, -1, -2)), g
 
 
 def rotated_w_theta(n: int, theta: float, rng: np.random.Generator) -> Plane:
