@@ -420,9 +420,10 @@ def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
     n = model.n
     Mh = F[..., : 4 * n]
     w = np.linalg.svd(Mh, full_matrices=False)[2][:, 0]
-    j = np.argmax(np.abs(w) > 1e-9, axis=-1)
-    w = np.where(np.take_along_axis(w, j[:, None], -1) < 0, -w, w)
-    basis_h = np.stack([w] + [w @ T.T for T in standard_triple_matrices(n)], axis=1)
+    first = w[np.arange(len(w)), np.argmax(np.abs(w) > 1e-9, axis=-1)]
+    w = np.where(first[:, None] < 0, -w, w)
+    T = np.array(standard_triple_matrices(n), dtype=float)
+    basis_h = np.concatenate([w[:, None], (T @ w.T).transpose(2, 0, 1)], axis=1)
     resid = np.max(np.abs(Mh - (Mh @ np.swapaxes(basis_h, -1, -2)) @ basis_h), axis=(-2, -1))
     env = np.zeros((len(F), 4, model.dim))
     env[..., : 4 * n] = basis_h
