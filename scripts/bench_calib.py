@@ -16,6 +16,10 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   model's cached `FormEvaluator`; a checkout without it uses
   `exterior.evaluate` there too);
 - `classify_plane` on one plane per model space at n = 3;
+- `normal_form_theta` on NORMAL_FORM_PLANES `rotated_w_theta` planes at
+  n = 3, one call per plane and one call on their stacked frames (a
+  checkout whose `normal_form_theta` takes only a `Plane` times the
+  per-plane loop under both names);
 - the exact layer: cold builds of `symforms.link_extension_catalog(1)` and
   `(2)` (the catalog cache cleared before each, best of EXACT_REPEAT; the
   model builds stay cached), the wedge power `sigma_t1.power(3)` at n = 2 and
@@ -25,10 +29,12 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   stored under "exact_counts" with the pass's seconds).
 Every input is drawn from a fixed seed with numpy alone, so two checkouts
 time the same work.  The run is stored in the JSON file under `--label`,
-next to the runs already there, so one file holds a before/after pair.  A
-rerun under a label whose digest of `src/caliber` matches keeps, for each
-kernel, the faster of the stored and the new time and counts the runs:
-alternating before/after runs then damp the load of a shared host.
+next to the labels already there, so one file holds a before/after pair.
+Every run of a label is kept (`runs`, one result set each); a run whose
+digest of `src/caliber` differs from the label's stored one starts the
+label afresh.  The label's `results` hold, for each kernel, the median over
+its runs, so labels with different numbers of runs compare fairly, and
+alternating before/after runs spread the load of a shared host over both.
 """
 
 import argparse
@@ -36,6 +42,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import time
 
 import numpy as np
@@ -66,6 +73,8 @@ MODELS = {"cone": model.build_hyperkahler_cone, "link": model.default_link_frame
 CLASSIFY_DEGREES = {"cone": 4, "link": 3, "twistor": 3}
 RETRACTION_SHAPES = ((40, 12, 2), (200, 12, 6), (10000, 8, 3))
 TIED = (200, 12, 4)  # restarts, N, k
+NORMAL_FORM_PLANES = 100  # rotated W_theta planes at n = 3, theta = NORMAL_FORM_THETA
+NORMAL_FORM_THETA = 0.3
 REPEAT = 7
 EXACT_REPEAT = 3
 # (class, method) whose calls the exact pass counts
@@ -156,6 +165,28 @@ def _exact_kernels() -> dict:
     return out
 
 
+def _normal_form_kernels() -> dict:
+    tm = model.build_twistor_model(3)
+    rng = np.random.default_rng(NORMAL_FORM_PLANES)
+    plist = [planes.rotated_w_theta(3, NORMAL_FORM_THETA, rng) for _ in range(NORMAL_FORM_PLANES)]
+    frames = np.array([P.frame for P in plist])
+
+    def per_plane():
+        return [planes.normal_form_theta(P, tm) for P in plist]
+
+    # a checkout without batch_rotated_w_theta normal-forms one plane at a time
+    batched = (lambda: planes.normal_form_theta(frames, tm)) if hasattr(planes, "batch_rotated_w_theta") else per_plane
+    key = f"n3x{NORMAL_FORM_PLANES}"
+    return {f"{key}/per_plane": {"s": _best(per_plane)}, f"{key}/batch": {"s": _best(batched)}}
+
+
+def _median_results(runs: list) -> dict:
+    """The first run's rows, each with "s" the median over every run."""
+    return {group: {key: dict(row, s=statistics.median(run[group][key]["s"] for run in runs))
+                    for key, row in rows.items()}
+            for group, rows in runs[0].items()}
+
+
 def _canonicalize(frames):
     batched = getattr(calib, "canonical_frames", None)
     if batched is not None:
@@ -210,6 +241,7 @@ def run() -> dict:
         m = MODELS[space](3)
         plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
         out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
+    out["normal_form"] = _normal_form_kernels()
     out["exact"] = _exact_kernels()
     out["exact_counts"] = _counted_exact_pass()
     return out
@@ -227,23 +259,21 @@ def main() -> None:
         with open(os.path.join(src, name), "rb") as fh:
             digest.update(fh.read())
     source_digest = digest.hexdigest()[:16]
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            data = json.load(fh)
+    old = data.get(args.label, {})
+    runs = old.get("runs", []) if old.get("src_sha256") == source_digest else []
+    runs.append(run())
     record = {
         "src_sha256": source_digest,
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "machine": platform.machine(), "nproc": os.cpu_count()},
         "repeat": REPEAT,
-        "results": run(),
+        "results": _median_results(runs),
+        "runs": runs,
     }
-    data = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            data = json.load(fh)
-    old = data.get(args.label)
-    if old and old.get("src_sha256") == source_digest:
-        record["runs"] = old.get("runs", 1) + 1
-        for group, rows in record["results"].items():
-            for key, row in rows.items():
-                row["s"] = min(row["s"], old["results"][group][key]["s"])
     data[args.label] = record
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
@@ -251,7 +281,8 @@ def main() -> None:
     for group, rows in record["results"].items():
         for key, row in rows.items():
             counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__")))
-            print(f"{args.label:8s} {group:21s} {key:20s} {row['s'] * 1e3:10.3f} ms{counts}")
+            print(f"{args.label:8s} {group:21s} {key:20s} {row['s'] * 1e3:10.3f} ms"
+                  f" (median of {len(runs)}){counts}")
 
 
 if __name__ == "__main__":

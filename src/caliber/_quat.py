@@ -1,9 +1,10 @@
 """Quaternion-array helpers for sampling structure-preserving isometries.
 
 Quaternions are numpy arrays of shape (..., 4) holding (w, x, y, z) components
-with the multiplication convention i*j = k.  The samplers and the complex
-and real block builders take one matrix or a stack over leading batch axes,
-and give each entry of a stack the same bits as that matrix alone.
+with the multiplication convention i*j = k.  `gram_schmidt_sp`,
+`random_sp_quaternion_matrix`, `sp_complex_block`, `realify_interleaved` and
+`rotation2` take one matrix or a stack over leading batch axes, and give
+each entry of a stack the same bits as that matrix alone.
 """
 
 from __future__ import annotations
