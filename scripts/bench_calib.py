@@ -31,8 +31,9 @@ Every input is drawn from a fixed seed with numpy alone, so two checkouts
 time the same work.  The run is stored in the JSON file under `--label`,
 next to the labels already there, so one file holds a before/after pair.
 Every run of a label is kept (`runs`, one result set each); a run whose
-digest of `src/caliber` differs from the label's stored one starts the
-label afresh.  The label's `results` hold, for each kernel, the median over
+digest of `src/caliber` and of this script differs from the label's stored
+one starts the label afresh, so all runs of a label time the same kernels
+of the same code.  The label's `results` hold, for each kernel, the median over
 its runs, so labels with different numbers of runs compare fairly, and
 alternating before/after runs spread the load of a shared host over both.
 """
@@ -255,8 +256,8 @@ def main() -> None:
 
     digest = hashlib.sha256()
     src = os.path.dirname(calib.__file__)
-    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
-        with open(os.path.join(src, name), "rb") as fh:
+    for path in [os.path.join(src, f) for f in sorted(os.listdir(src)) if f.endswith(".py")] + [__file__]:
+        with open(path, "rb") as fh:
             digest.update(fh.read())
     source_digest = digest.hexdigest()[:16]
     data = {}

@@ -2,9 +2,9 @@
 
 Quaternions are numpy arrays of shape (..., 4) holding (w, x, y, z) components
 with the multiplication convention i*j = k.  `gram_schmidt_sp`,
-`random_sp_quaternion_matrix`, `sp_complex_block`, `realify_interleaved` and
-`rotation2` take one matrix or a stack over leading batch axes, and give
-each entry of a stack the same bits as that matrix alone.
+`sp_complex_block`, `realify_interleaved` and `rotation2` take one matrix
+or a stack over leading batch axes, and give each entry of a stack the same
+bits as that matrix alone.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ def gram_schmidt_sp(mat: np.ndarray) -> np.ndarray:
     return np.swapaxes(Q[..., ::4, :].reshape(mat.shape), -3, -2)
 
 
-def random_sp_quaternion_matrix(m: int, rng: np.random.Generator, size: tuple = ()) -> np.ndarray:
-    """Haar-like random elements of the quaternionic unitary group, as (*size,
-    m, m, 4) quaternion matrices with orthonormal columns."""
-    return gram_schmidt_sp(rng.standard_normal(tuple(size) + (m, m, 4)))
+def random_sp_quaternion_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-like random element of the quaternionic unitary group, as an
+    (m, m, 4) quaternion matrix with orthonormal columns."""
+    return gram_schmidt_sp(rng.standard_normal((m, m, 4)))
 
 
 def right_action_realification(B: np.ndarray) -> np.ndarray:

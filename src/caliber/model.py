@@ -373,6 +373,15 @@ class TwistorModel(_FormCatalog):
     def v_indices(self) -> tuple:
         return (4 * self.n, 4 * self.n + 1)
 
+    def quaternion_triple(self) -> np.ndarray:
+        """The cached, read-only (3, 4n, 4n) float stack of the standard
+        triple `standard_triple_matrices(n)` on the horizontal space H^n."""
+        key = ("quaternion_triple",)
+        if key not in self.cache:
+            self.cache[key] = np.array(standard_triple_matrices(self.n), dtype=float)
+            self.cache[key].setflags(write=False)
+        return self.cache[key]
+
 
 @lru_cache(maxsize=None)
 def build_twistor_model(n: int) -> TwistorModel:

@@ -95,7 +95,8 @@ def intersection_dim(frame: np.ndarray, indices, tol: float = 1e-6):
     int for one frame (k, N), an int array for a batch (..., k, N)."""
     frame = np.asarray(frame)
     k, n = frame.shape[-2:]
-    comp = [i for i in range(n) if i not in set(indices)]
+    inside = set(indices)
+    comp = [i for i in range(n) if i not in inside]
     if comp:
         rank = np.sum(np.linalg.svd(frame[..., comp], compute_uv=False) > tol, axis=-1)
     else:
@@ -367,6 +368,10 @@ def check_equivalences(plane: Plane, model, tol: float = 1e-8) -> list[Equivalen
 # ---------------------------------------------------------------------------
 # normal form for calibrated 3-planes in the twistor model
 
+# largest sup-norm by which a plane's horizontal part may leave its
+# quaternionic line; `normal_form_theta` keeps it whatever its own tol
+_ENVELOPE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class NormalFormResult:
@@ -407,9 +412,8 @@ def _raise_first(failures) -> None:
     ValueError the one-plane path raises for it: `failures` lists (mask over
     the batch, message of plane i) in the order that path runs its checks."""
     masks = np.array([mask for mask, _ in failures])
-    bad = masks.any(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if masks.any():
+        i = int(np.argmax(masks.any(axis=0)))
         raise ValueError(failures[int(np.argmax(masks[:, i]))][1](i))
 
 
@@ -422,9 +426,8 @@ def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
     w = np.linalg.svd(Mh, full_matrices=False)[2][:, 0]
     first = w[np.arange(len(w)), np.argmax(np.abs(w) > 1e-9, axis=-1)]
     w = np.where(first[:, None] < 0, -w, w)
-    T = np.array(standard_triple_matrices(n), dtype=float)
-    basis_h = np.concatenate([w[:, None], (T @ w.T).transpose(2, 0, 1)], axis=1)
-    resid = np.max(np.abs(Mh - (Mh @ np.swapaxes(basis_h, -1, -2)) @ basis_h), axis=(-2, -1))
+    basis_h = np.concatenate([w[:, None], (model.quaternion_triple() @ w.T).transpose(2, 0, 1)], axis=1)
+    resid = np.abs(Mh - (Mh @ np.swapaxes(basis_h, -1, -2)) @ basis_h).max(axis=(-2, -1))
     env = np.zeros((len(F), 4, model.dim))
     env[..., : 4 * n] = basis_h
     return env, [
@@ -433,7 +436,7 @@ def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
     ]
 
 
-def quaternionic_envelope(planes, model: TwistorModel, tol: float = 1e-8,
+def quaternionic_envelope(planes, model: TwistorModel, tol: float = _ENVELOPE_TOL,
                           cal_tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (w, J1 w, J2 w, J3 w) of the quaternionic line whose
     sum with the vertical plane contains the calibrated 3-plane: a (4, dim)
@@ -466,16 +469,17 @@ def normal_form_theta(planes, model: TwistorModel, tol: float = 1e-8):
     F = _frame_batch(planes)
     if F.shape[-2] != 3:
         raise ValueError("normal form applies to 3-planes")
-    env, failures = _envelopes(F, model, tol, tol)  # fails unless calibrated
+    env, failures = _envelopes(F, model, _ENVELOPE_TOL, tol)  # fails unless calibrated
     S = model.skew("omega_KE")
     B = F @ S @ np.swapaxes(F, -1, -2)
     s = np.linalg.svd(B, compute_uv=False)[:, 0]
     theta_spec = [0.5 * math.acos(min(1.0, max(0.0, float(x)))) for x in s]
     sv = np.linalg.svd(F[..., list(model.v_indices)], compute_uv=False)
     theta = [min(math.pi / 4, max(0.0, math.atan2(float(a), float(b)) - math.pi / 4)) for a, b in sv]
-    dim_h = intersection_dim(F, model.h_indices)
+    # `intersection_dim(F, model.h_indices)`, from the SVD it would repeat
+    dim_h = 3 - (sv > 1e-6).sum(axis=-1)
     dim_v = intersection_dim(F, model.v_indices)
-    iso = np.max(np.abs(B), axis=(-2, -1)) <= tol
+    iso = np.abs(B).max(axis=(-2, -1)) <= tol
     _raise_first(failures + [
         (np.abs(np.subtract(theta, theta_spec)) > 1e-6,
          lambda i: f"normal-form extractions disagree: spectral {theta_spec[i]!r} vs vertical-block {theta[i]!r}"),

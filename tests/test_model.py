@@ -143,12 +143,12 @@ def test_sp_invariance_of_cone_catalog(n):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_quaternion_helpers_stack_bit_for_bit(m):
-    rng_stack, rng_single = np.random.default_rng(m), np.random.default_rng(m)
-    B = _quat.random_sp_quaternion_matrix(m, rng_stack, (2, 3))
-    single = [_quat.random_sp_quaternion_matrix(m, rng_single) for _ in range(6)]
+    rng = np.random.default_rng(m)
+    G = rng.standard_normal((2, 3, m, m, 4))
+    B = _quat.gram_schmidt_sp(G)
     assert B.shape == (2, 3, m, m, 4)
-    assert B.tobytes() == np.array(single).tobytes()
-    C = np.exp(1j * rng_stack.standard_normal((6, 2 * m, 2 * m)))
+    assert B.tobytes() == np.array([_quat.gram_schmidt_sp(g) for g in G.reshape(6, m, m, 4)]).tobytes()
+    C = np.exp(1j * rng.standard_normal((6, 2 * m, 2 * m)))
     assert _quat.realify_interleaved(C).tobytes() == np.array([_quat.realify_interleaved(c) for c in C]).tobytes()
 
 

@@ -373,6 +373,27 @@ def test_batch_raises_the_first_check_of_its_first_failing_plane():
     assert message(frames[1:]) == message(Plane.from_vectors(frames[1])) == "plane is not calibrated by the real twistor 3-form"
 
 
+def test_normal_form_tol_leaves_the_envelope_residual_gate():
+    tm = build_twistor_model(2)
+    rng = np.random.default_rng(0)
+    P = rotated_w_theta(2, 0.3, rng)
+    # a horizontal direction off the plane's quaternionic line, added at 1e-10
+    env = quaternionic_envelope(P, tm)
+    u = np.zeros(tm.dim)
+    u[:8] = rng.standard_normal(8)
+    u -= env.T @ (env @ u)
+    frame = P.frame.copy()
+    frame[0] += 1e-10 * u / np.linalg.norm(u)
+    Q = Plane.from_vectors(frame)
+    quaternionic_envelope(Q, tm)  # residual below the 1e-8 gate
+    with pytest.raises(ValueError, match="escapes the quaternionic line"):
+        quaternionic_envelope(Q, tm, tol=1e-12)
+    # normal_form_theta's tol is the calibration and isotropy tolerance only
+    strict = normal_form_theta(Q, tm, tol=1e-12)
+    assert strict.to_json() == normal_form_theta(Q, tm).to_json()
+    assert normal_form_theta(Q.frame[None], tm, tol=1e-12)[0].to_json() == strict.to_json()
+
+
 def test_normal_form_rejects_malformed_batches():
     tm = build_twistor_model(1)
     frames = batch_rotated_w_theta(1, 0.3, 2, np.random.default_rng(0))[0]
