@@ -20,6 +20,11 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   n = 3, one call per plane and one call on their stacked frames (a
   checkout whose `normal_form_theta` takes only a `Plane` times the
   per-plane loop under both names);
+- `exterior.pullback`: the float path on cone `theta_I6` (n = 2) by a
+  seeded random Sp isometry, the integer path on the three `omega{p}` of the
+  cone by the rounded default link frame at n = 3 (a checkout that sends an
+  int64 matrix down its float path times that path there), and a full
+  `build_link_frame(3)` (the cone model stays cached);
 - the exact layer: cold builds of `symforms.link_extension_catalog(1)` and
   `(2)` (the catalog cache cleared before each, best of EXACT_REPEAT; the
   model builds stay cached), the wedge power `sigma_t1.power(3)` at n = 2 and
@@ -76,6 +81,7 @@ RETRACTION_SHAPES = ((40, 12, 2), (200, 12, 6), (10000, 8, 3))
 TIED = (200, 12, 4)  # restarts, N, k
 NORMAL_FORM_PLANES = 100  # rotated W_theta planes at n = 3, theta = NORMAL_FORM_THETA
 NORMAL_FORM_THETA = 0.3
+PULLBACK_SEED = 12
 REPEAT = 7
 EXACT_REPEAT = 3
 # (class, method) whose calls the exact pass counts
@@ -181,6 +187,19 @@ def _normal_form_kernels() -> dict:
     return {f"{key}/per_plane": {"s": _best(per_plane)}, f"{key}/batch": {"s": _best(batched)}}
 
 
+def _pullback_kernels() -> dict:
+    cone2, cone3 = model.build_hyperkahler_cone(2), model.build_hyperkahler_cone(3)
+    theta = cone2.form("theta_I6")
+    g = model.random_sp_cone_isometry(2, np.random.default_rng(PULLBACK_SEED))
+    frame = np.rint(model.default_link_frame(3).frame).astype(int)
+    omegas = [cone3.form(f"omega{p}") for p in (1, 2, 3)]
+    return {
+        "float/theta_I6/n2": {"s": _best(lambda: exterior.pullback(theta, g))},
+        "exact/omega123/link_n3": {"s": _best(lambda: [exterior.pullback(w, frame) for w in omegas])},
+        "build_link_frame/n3": {"s": _best(lambda: model.build_link_frame(3))},
+    }
+
+
 def _median_results(runs: list) -> dict:
     """The first run's rows, each with "s" the median over every run."""
     return {group: {key: dict(row, s=statistics.median(run[group][key]["s"] for run in runs))
@@ -243,6 +262,7 @@ def run() -> dict:
         plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
         out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
     out["normal_form"] = _normal_form_kernels()
+    out["pullback"] = _pullback_kernels()
     out["exact"] = _exact_kernels()
     out["exact_counts"] = _counted_exact_pass()
     return out

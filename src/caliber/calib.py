@@ -11,11 +11,12 @@ Values are resolved only to about eps * |f|, so once a restart's Armijo gain
 c1 * t * |grad|^2 falls to the float floor eps * max(|f|, 1) no step can pass
 the test.  A restart stops when its Riemannian gradient norm falls below
 `tol` (converged), when its next trial gain reaches the float floor
-(float_floor: stationary to working precision), after `max_halvings` failed
-trials, or when `max_iters` runs out; `ComassResult.terminations` counts each
-reason.  Each line search starts at min(step0, t_last / shrink), one step up
-from the restart's last accepted step t_last, and each restart's current
-value is carried from the trial that accepted it rather than re-evaluated.
+(float_floor: stationary to working precision), after `MAX_HALVINGS` failed
+trials (max_halvings), or when `MAX_ITERS` runs out (max_iters);
+`ComassResult.terminations` counts each reason.  Each line search starts at
+min(STEP0, t_last / SHRINK), one step up from the restart's last accepted
+step t_last, and each restart's current value is carried from the trial that
+accepted it rather than re-evaluated.
 
 Values and gradients share one recurrence.  The column-prefix minor
 det V[S, :j] of every j-subset S of the support blades' rows is a Laplace
@@ -154,17 +155,22 @@ class Plane:
 class SearchParams:
     restarts: int = 200
     seed: int = 0
-    max_iters: int = 500
     tol: float = 1e-10  # Riemannian gradient norm for convergence
-    armijo_c1: float = 0.3  # sufficient-increase fraction of the linear model
-    step0: float = 1.0
-    shrink: float = 0.5
-    max_halvings: int = 30
+
+
+# Fixed knobs of the ascent: iteration cap, sufficient-increase fraction of
+# the linear model, first trial step, step shrink factor and halvings per
+# line search.
+MAX_ITERS = 500
+ARMIJO_C1 = 0.3
+STEP0 = 1.0
+SHRINK = 0.5
+MAX_HALVINGS = 30
 
 
 # Why a restart stopped: its Riemannian gradient fell below `tol`; its next
 # Armijo gain fell to the float floor eps * max(|f|, 1), where no step can
-# pass the test; its line search used all `max_halvings`; or `max_iters` ran out.
+# pass the test; its line search used all `MAX_HALVINGS`; or `MAX_ITERS` ran out.
 TERMINATIONS = ("converged", "float_floor", "max_halvings", "max_iters")
 
 
@@ -451,7 +457,7 @@ def canonical_frame(frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return canonical_frames(np.asarray(frame, dtype=float)[None], tol)[0]
 
 
-def comass_search(form: AltForm, k: int | None = None, params: SearchParams = SearchParams()) -> ComassResult:
+def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> ComassResult:
     """Multi-start Riemannian ascent for the comass of a real k-form.
 
     Returns a certified lower bound together with the best local maximizer
@@ -459,13 +465,9 @@ def comass_search(form: AltForm, k: int | None = None, params: SearchParams = Se
     """
     if isinstance(form, ComplexAltForm):
         raise TypeError("comass_search needs a real form; use real_part()/imag_part()")
-    if k is None:
-        k = form.degree
-    if k != form.degree:
-        raise ValueError(f"degree mismatch: form has degree {form.degree}, requested k={k}")
     if params.restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n = form.dim
+    n, k = form.dim, form.degree
     if form.is_zero() or k == 0:
         plane = Plane.from_vectors(np.eye(n)[:k], orthonormalize=False)
         value = abs(float(form._raw_terms().get(0, 0.0))) if k == 0 else 0.0
@@ -480,7 +482,7 @@ def comass_search(form: AltForm, k: int | None = None, params: SearchParams = Se
     t_last = np.full(R, np.inf)  # last accepted step
     reason = np.full(R, -1)  # index into TERMINATIONS once a restart stops
     active = np.arange(R)
-    for _ in range(params.max_iters):
+    for _ in range(MAX_ITERS):
         if active.size == 0:
             break
         Va = V[active]
@@ -494,24 +496,24 @@ def comass_search(form: AltForm, k: int | None = None, params: SearchParams = Se
 
         f0 = f[active]
         floor = np.finfo(float).eps * np.maximum(np.abs(f0), 1.0)
-        t = np.minimum(params.step0, t_last[active] / params.shrink)
+        t = np.minimum(STEP0, t_last[active] / SHRINK)
         pending = np.arange(active.size)
         accepted = np.zeros(active.size, dtype=bool)
-        for _h in range(params.max_halvings):
+        for _h in range(MAX_HALVINGS):
             # a gain at or below the value resolution can never pass the test
-            pending = pending[params.armijo_c1 * t[pending] * gn2[pending] > floor[pending]]
+            pending = pending[ARMIJO_C1 * t[pending] * gn2[pending] > floor[pending]]
             if pending.size == 0:
                 break
             cand = _qf(Va[pending] + t[pending, None, None] * RG[pending])
             f1 = ev.values(cand)
-            ok = f1 >= f0[pending] + params.armijo_c1 * t[pending] * gn2[pending]
+            ok = f1 >= f0[pending] + ARMIJO_C1 * t[pending] * gn2[pending]
             hit = active[pending[ok]]
             V[hit], f[hit], t_last[hit] = cand[ok], f1[ok], t[pending[ok]]
             accepted[pending[ok]] = True
             pending = pending[~ok]
-            t[pending] *= params.shrink
+            t[pending] *= SHRINK
         stuck = np.flatnonzero(~accepted)
-        at_floor = params.armijo_c1 * t[stuck] * gn2[stuck] <= floor[stuck]
+        at_floor = ARMIJO_C1 * t[stuck] * gn2[stuck] <= floor[stuck]
         reason[active[stuck]] = np.where(at_floor, 1, 2)
         active = active[accepted]
 

@@ -94,13 +94,12 @@ def _cmd_forms(args) -> int:
 def _cmd_comass(args) -> int:
     form, space = _load_form(args)
     f = _real_form(form)
-    k = args.k if args.k is not None else f.degree
-    if k != f.degree:
-        raise UsageError(f"requested k={k} but the form has degree {f.degree}")
+    if args.k is not None and args.k != f.degree:
+        raise UsageError(f"requested k={args.k} but the form has degree {f.degree}")
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
     params = SearchParams(restarts=args.restarts, seed=args.seed, tol=args.tol)
-    result = comass_search(f, k=k, params=params)
+    result = comass_search(f, params=params)
     payload = result.to_json()
     payload["form"] = args.form
     if args.explore_envelope:

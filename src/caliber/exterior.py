@@ -17,6 +17,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "interior",
     "hodge",
     "power",
+    "wedge_powers",
     "evaluate",
     "pullback",
     "form_to_json",
@@ -394,13 +396,16 @@ def wedge(a, b):
 
 def power(f, p: int):
     """Wedge power f ^ ... ^ f (p factors); p = 0 gives the constant 1."""
-    if p == 0:
-        one = AltForm.constant(f.dim, 1)
-        return _as_complex(one) if isinstance(f, ComplexAltForm) else one
-    out = f
-    for _ in range(p - 1):
-        out = wedge(out, f)
-    return out
+    return wedge_powers(f, p)[p]
+
+
+def wedge_powers(f, top: int) -> list:
+    """[f^k for k = 0 .. top]: the constant 1, f, then one wedge with f per power."""
+    one = AltForm.constant(f.dim, 1)
+    out = [_as_complex(one) if isinstance(f, ComplexAltForm) else one, f]
+    while len(out) <= top:
+        out.append(wedge(out[-1], f))
+    return out[: top + 1]
 
 
 def interior(v, a):
@@ -487,78 +492,34 @@ def evaluate(a, vectors: Sequence):
 
 
 def pullback(a, matrix):
-    """Pull back a form on R^N along the linear map R^M -> R^N given by an N x M matrix."""
+    """Pull back a form on R^N along the linear map R^M -> R^N given by an N x M matrix.
+
+    Coefficient J of the result is the form's value on the columns J of the
+    matrix.  A float array is evaluated by `calib.FormEvaluator.values`, the
+    one float kernel.  An integer or object array, or a list of rows, is
+    evaluated by `evaluate` in the ring of its entries (an int64 array gives
+    Python ints), so an exact matrix gives an exact pullback.
+    """
     if isinstance(a, ComplexAltForm):
         return ComplexAltForm(pullback(a.re, matrix), pullback(a.im, matrix))
-    L = matrix
-    exact = not isinstance(L, np.ndarray) or L.dtype == object
-    if isinstance(L, np.ndarray):
-        rows, cols = L.shape
-    else:
-        rows, cols = len(L), len(L[0])
+    rows, cols = np.shape(matrix)
     if rows != a.dim:
         raise ValueError(f"shape mismatch: form dim {a.dim}, matrix has {rows} rows")
     k = a.degree
     if k == 0:
         return AltForm(cols, 0, _raw=dict(a._raw_terms()))
     if k > cols:
-        return AltForm.zero(cols, min(k, cols))
-    if exact:
-        return _pullback_exact(a, L, cols)
-    return _pullback_float(a, np.asarray(L, dtype=float), cols)
-
-
-def _pullback_float(a: AltForm, L: np.ndarray, cols: int) -> AltForm:
-    from itertools import combinations
-
-    k = a.degree
+        return AltForm.zero(cols, k)
     combos = list(combinations(range(cols), k))
-    col_idx = np.array(combos, dtype=int)  # (C, k)
-    acc = np.zeros(len(combos))
-    for mask, c in a._raw_terms().items():
-        rows = _indices_from_mask(mask)
-        sub = L[np.ix_(rows, range(cols))]  # (k, M)
-        mats = sub[:, col_idx]  # (k, C, k)
-        dets = np.linalg.det(np.transpose(mats, (1, 0, 2)))
-        acc += float(c) * dets
-    raw = {}
-    for combo, val in zip(combos, acc):
-        if val != 0.0:
-            raw[_mask_from_indices(combo, cols)] = float(val)
-    return AltForm(cols, k, _raw=raw)
+    if isinstance(matrix, np.ndarray) and matrix.dtype.kind not in "biuO":
+        from caliber.calib import FormEvaluator  # calib imports this module
 
-
-def _pullback_exact(a: AltForm, L, cols: int) -> AltForm:
-    from itertools import combinations
-
-    if isinstance(L, np.ndarray):
-        L = L.tolist()
-    k = a.degree
-    acc: dict[int, Scalar] = {}
-    for mask, c in a._raw_terms().items():
-        rows = _indices_from_mask(mask)
-        for combo in combinations(range(cols), k):
-            det = _det_exact([[L[r][j] for j in combo] for r in rows])
-            if det == 0:
-                continue
-            m = _mask_from_indices(combo, cols)
-            acc[m] = acc.get(m, 0) + c * det
-    return AltForm(cols, k, _raw=acc)
-
-
-def _det_exact(m) -> Scalar:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_exact(minor)
-    return total
+        L = np.asarray(matrix, dtype=float)
+        values = FormEvaluator(a).values(L[:, combos].transpose(1, 0, 2)).tolist()
+    else:
+        columns = list(zip(*(matrix.tolist() if isinstance(matrix, np.ndarray) else matrix)))
+        values = [evaluate(a, [columns[j] for j in J]) for J in combos]
+    return AltForm(cols, k, _raw={_mask_from_indices(J, cols): v for J, v in zip(combos, values)})
 
 
 # ---------------------------------------------------------------------------

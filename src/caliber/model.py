@@ -31,7 +31,7 @@ import numpy as np
 
 from caliber import _quat
 from caliber.calib import FormEvaluator, Plane, _gram_schmidt, skew_matrix
-from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
+from caliber.exterior import AltForm, ComplexAltForm, pullback, wedge, wedge_powers
 
 __all__ = [
     "HKModel",
@@ -97,12 +97,14 @@ def standard_kahler_forms(blocks: int, dim: int | None = None):
 
 
 def divided_powers(f, top: int) -> list:
-    """[f^k / k! for k = 0 .. top]: integral wedge powers, each divided by k!
-    once (dividing as they go would put Fractions into every later wedge)."""
-    powers = [power(f, 0), f]
-    while len(powers) <= top:
-        powers.append(wedge(powers[-1], f))
-    return [pw * Fraction(1, math.factorial(k)) for k, pw in enumerate(powers[: top + 1])]
+    """[f^k / k! for k = 0 .. top]: the integral `wedge_powers`, each divided
+    by k! once (dividing as they go would put Fractions into every later wedge)."""
+    return [_over_factorial(pw, k) for k, pw in enumerate(wedge_powers(f, top))]
+
+
+def _over_factorial(f, k: int):
+    """f / k!, or f itself for k < 2, so that its coefficients keep their ring."""
+    return f if k < 2 else f * Fraction(1, math.factorial(k))
 
 
 class _FormCatalog:
@@ -262,12 +264,16 @@ def _exactify(M: np.ndarray):
     return None
 
 
-def link_forms(alpha: dict, Omega: dict, n: int) -> dict:
-    """The link forms built from the contact forms alpha_p and the transverse
-    Kahler forms Omega_p (dicts keyed by p = 1, 2, 3).
+def link_forms(alpha: dict, Omega: dict, sigma_powers: dict) -> dict:
+    """The link forms built from the contact forms alpha_p, the transverse
+    Kahler forms Omega_p and the wedge powers of sigma_p = Omega_q + i Omega_r
+    (dicts keyed by p = 1, 2, 3; `sigma_powers[p]` lists sigma_p^k for
+    k = 0 .. n, as `wedge_powers(sigma_p, n)` does).  The caller computes that
+    sequence once and reads its own forms from it too; psi divides by n! only
+    after its wedge, so the wedge stays in the ring of the powers.
 
     Returns alpha, Omega, kappa_p = Omega_p - alpha_q ^ alpha_r, the complex
-    psi_p = (alpha_q + i alpha_r) ^ (Omega_q + i Omega_r)^n / n! and
+    psi_p = (alpha_q + i alpha_r) ^ sigma_p^n / n! and
     gamma_p = (alpha_q - i alpha_r) ^ (kappa_q + i kappa_r),
     xi_p = kappa_q^2 + kappa_r^2, the associative phi_p and omega1_tilde.
     The recipe only adds, scales and wedges, so it serves every coefficient
@@ -281,9 +287,8 @@ def link_forms(alpha: dict, Omega: dict, n: int) -> dict:
         cat[f"Omega{p}"] = Omega[p]
         cat[f"kappa{p}"] = kappa[p]
     for p, (q, r) in CYCLIC_PAIRS.items():
-        tau = ComplexAltForm(alpha[q], alpha[r])
-        sig = ComplexAltForm(Omega[q], Omega[r])
-        cat[f"psi{p}"] = wedge(tau, power(sig, n)) * Fraction(1, math.factorial(n))
+        n = len(sigma_powers[p]) - 1
+        cat[f"psi{p}"] = _over_factorial(wedge(ComplexAltForm(alpha[q], alpha[r]), sigma_powers[p][n]), n)
         cat[f"gamma{p}"] = wedge(ComplexAltForm(alpha[q], -alpha[r]), ComplexAltForm(kappa[q], kappa[r]))
         cat[f"xi{p}"] = wedge(kappa[q], kappa[q]) + wedge(kappa[r], kappa[r])
     aO = {p: wedge(alpha[p], Omega[p]) for p in (1, 2, 3)}
@@ -298,16 +303,16 @@ def _link_catalog(n: int, frame, cone: HKModel) -> dict:
     dim = 4 * n + 3
     alpha = {p: AltForm.blade(dim, [p - 1]) for p in (1, 2, 3)}
     Omega = {p: pullback(cone.form(f"omega{p}"), frame) for p in (1, 2, 3)}
-    cat = link_forms(alpha, Omega, n)
+    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
+    cat = link_forms(alpha, Omega, sigma_powers)
     for p in (1, 2, 3):
         for name in (f"psi{p}", f"gamma{p}"):
             cat[f"re_{name}"] = cat[name].re
             cat[f"im_{name}"] = cat[name].im
     for label, (p, (q, r)) in zip("IJK", CYCLIC_PAIRS.items()):
         tau = ComplexAltForm(alpha[q], alpha[r])
-        sig_powers = divided_powers(ComplexAltForm(Omega[q], Omega[r]), n - 1)
         for k in range(1, n + 1):
-            cat[f"theta_{label}{2 * k - 1}"] = wedge(tau, sig_powers[k - 1]).re
+            cat[f"theta_{label}{2 * k - 1}"] = _over_factorial(wedge(tau, sigma_powers[p][k - 1]), k - 1).re
         cat[f"theta_{label}{2 * n + 1}"] = cat[f"psi{p}"].re
     cat["vol"] = AltForm.blade(dim, tuple(range(dim)))
     return cat

@@ -18,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,6 +223,10 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
 
     O = {p: cat[f"Omega{p}"] for p in (1, 2, 3)}
     al = {p: cat[f"alpha{p}"] for p in (1, 2, 3)}
+    # sums of alpha_p ^ Omega_p come from the phi family; each Omega_p ^ Omega_p
+    # is wedged once, inside the first check that needs it
+    sq = lru_cache(maxsize=None)(lambda p: O[p].wedge(O[p]))
+    s_aO = lambda: cat["phi1"] + cat["phi2"] + cat["phi3"]  # sum over p of alpha_p ^ Omega_p
 
     checks.append(
         ("cone_split_omega1", lambda: split_check(cc["omega1"], al[1] * rp(1), O[1] * rp(2)))
@@ -231,32 +236,27 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
         w1sq = cc["omega1"].wedge(cc["omega1"]) * Fraction(1, 2)
         return split_check(
             w1sq,
-            al[1].wedge(O[1]) * rp(3),
-            O[1].wedge(O[1]) * Fraction(1, 2) * rp(4),
+            (cat["phi2"] + cat["phi3"]) * Fraction(1, 2) * rp(3),
+            sq(1) * Fraction(1, 2) * rp(4),
         )
 
     checks.append(("cone_split_omega1_sq_half", split_omega1_sq))
 
     def split_theta():
-        aexp = (al[2].wedge(O[2]) - al[3].wedge(O[3])) * rp(3)
-        bexp = (O[2].wedge(O[2]) - O[3].wedge(O[3])) * Fraction(1, 2) * rp(4)
-        return split_check(cc["theta_I4"], aexp, bexp)
+        bexp = (sq(2) - sq(3)) * Fraction(1, 2) * rp(4)
+        return split_check(cc["theta_I4"], cat["theta_I3"] * rp(3), bexp)
 
     checks.append(("cone_split_theta_I4", split_theta))
 
     def split_Phi1():
-        aexp = cat["phi1"] * rp(3)
-        bexp = (
-            (O[2].wedge(O[2]) + O[3].wedge(O[3]) - O[1].wedge(O[1])) * Fraction(1, 2) * rp(4)
-        )
-        return split_check(cc["Phi1"], aexp, bexp)
+        bexp = (sq(2) + sq(3) - sq(1)) * Fraction(1, 2) * rp(4)
+        return split_check(cc["Phi1"], cat["phi1"] * rp(3), bexp)
 
     checks.append(("cone_split_Phi1", split_Phi1))
 
     def split_Lambda():
-        s_aO = al[1].wedge(O[1]) + al[2].wedge(O[2]) + al[3].wedge(O[3])
-        bexp = (O[1].wedge(O[1]) + O[2].wedge(O[2]) + O[3].wedge(O[3])) * Fraction(1, 6) * rp(4)
-        return split_check(cc["Lambda"], s_aO * Fraction(1, 3) * rp(3), bexp)
+        bexp = (sq(1) + sq(2) + sq(3)) * Fraction(1, 6) * rp(4)
+        return split_check(cc["Lambda"], s_aO() * Fraction(1, 3) * rp(3), bexp)
 
     checks.append(("cone_split_Lambda", split_Lambda))
 
@@ -295,11 +295,9 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     )
     checks.append(("potential_Phi1", lambda: potential_check(cc["Phi1"], 4)))
 
-    def potential_Lambda():
-        s_aO = al[1].wedge(O[1]) + al[2].wedge(O[2]) + al[3].wedge(O[3])
-        return potential_check(cc["Lambda"], 4, s_aO * Fraction(1, 12) * rp(4))
-
-    checks.append(("potential_Lambda", potential_Lambda))
+    checks.append(
+        ("potential_Lambda", lambda: potential_check(cc["Lambda"], 4, s_aO() * Fraction(1, 12) * rp(4)))
+    )
 
     def potential_upsilon1():
         u = cc["upsilon1"]

@@ -33,7 +33,7 @@ from operator import or_
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, interior
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, interior, wedge_powers
 
 __all__ = [
     "Poly",
@@ -632,9 +632,10 @@ def link_extension_catalog(n: int) -> dict:
     for p in (1, 2, 3):
         a, b = cone_split(constant_form(hk.form(f"omega{p}")))
         alpha[p], Omega[p] = a * rm1, b * rm2
-    cat = link_forms(alpha, Omega, n)
-    for p, (q, r) in CYCLIC_PAIRS.items():
-        cat[f"sigma_t{p}"] = ComplexAltForm(Omega[q], Omega[r])
+    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
+    cat = link_forms(alpha, Omega, sigma_powers)
+    for p in (1, 2, 3):
+        cat[f"sigma_t{p}"] = sigma_powers[p][1]
     # alpha2 ^ Omega2 - alpha3 ^ Omega3, from the phi family without new wedges
     cat["theta_I3"] = (cat["phi3"] - cat["phi2"]) * Fraction(1, 2)
     cat["alpha123"] = alpha[1].wedge(alpha[2]).wedge(alpha[3])

@@ -111,11 +111,6 @@ def test_comass_zero_form():
     assert res.value == 0.0
 
 
-def test_comass_degree_mismatch():
-    with pytest.raises(ValueError):
-        comass_search(AltForm.blade(5, [0, 1], 1.0), k=3)
-
-
 def test_comass_rejects_complex():
     tm = build_twistor_model(1)
     with pytest.raises(TypeError):

@@ -157,6 +157,12 @@ def test_comass_n_out_of_range_exits_2(capsys):
     assert "--n" in err
 
 
+def test_comass_k_mismatch_exits_2(capsys):
+    code, _, err = invoke(capsys, "comass", "--form", "omega1", "--n", "1", "--k", "3")
+    _assert_usage_error(code, err)
+    assert "k=3" in err
+
+
 def test_comass_zero_restarts_exits_2(capsys):
     code, _, err = invoke(capsys, "comass", "--form", "theta_I4", "--n", "1", "--restarts", "0")
     _assert_usage_error(code, err)

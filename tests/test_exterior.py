@@ -1,5 +1,6 @@
 """Core alternating-algebra engine: wedge, contraction, star, evaluation, pullback."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -18,7 +19,13 @@ from caliber.exterior import (
     pullback,
     wedge,
 )
-from caliber.model import build_twistor_model, default_link_frame, random_sp_u1_element, random_unitary_pair_element
+from caliber.model import (
+    build_hyperkahler_cone,
+    build_twistor_model,
+    default_link_frame,
+    random_sp_u1_element,
+    random_unitary_pair_element,
+)
 
 # -- strategies -------------------------------------------------------------
 
@@ -266,6 +273,48 @@ def test_pullback_contravariant_composition():
 def test_pullback_shape_mismatch():
     with pytest.raises(ValueError):
         pullback(AltForm.blade(4, [0]), np.eye(3))
+
+
+def test_pullback_to_a_smaller_space_keeps_the_degree():
+    f = AltForm.blade(4, [0, 1, 2])
+    for L in (np.ones((4, 2)), np.ones((4, 2), dtype=int)):
+        got = pullback(f, L)
+        assert got.is_zero() and (got.dim, got.degree) == (2, 3)
+
+
+def test_pullback_float_matches_blade_determinants():
+    # the LU determinant sum that the float path replaced, kept as a reference
+    rng = np.random.default_rng(8)
+    L = rng.standard_normal((7, 5))
+    for k in (1, 2, 3, 5):
+        terms = {tuple(sorted(rng.choice(7, k, replace=False).tolist())): float(rng.standard_normal())
+                 for _ in range(6)}
+        f = AltForm(7, k, terms)
+        got = pullback(f, L)
+        for J in itertools.combinations(range(5), k):
+            ref = sum(c * np.linalg.det(L[np.ix_(T, J)]) for T, c in f.terms.items())
+            assert abs(got.coefficient(J) - ref) <= 1e-12 * max(1.0, abs(ref)), (k, J)
+
+
+def test_pullback_exact_matches_float_path_on_cone_catalog():
+    hk = build_hyperkahler_cone(1)
+    L = np.random.default_rng(4).integers(-3, 4, size=(hk.dim, hk.dim))
+    for name, f in hk.catalog.items():
+        for part in (f.re, f.im) if isinstance(f, ComplexAltForm) else (f,):
+            exact = pullback(part, L)
+            assert all(type(c) in (int, Fraction) for c in exact.terms.values()), name
+            numeric = pullback(part, L.astype(float))
+            scale = max(1.0, exact.norm_inf())
+            assert exact.to_float().approx_eq(numeric, 1e-12 * scale), name
+
+
+def test_pullback_by_fraction_rows_is_exact():
+    f = AltForm(3, 2, {(0, 1): 1, (1, 2): Fraction(1, 3)})
+    rows = [[Fraction(1, 2), 0], [0, Fraction(2, 3)], [1, 1]]
+    # det rows (0, 1) = 1/3 and det rows (1, 2) = -2/3, so 1/3 - 2/9
+    got = pullback(f, rows)
+    assert got == AltForm(2, 2, {(0, 1): Fraction(1, 9)})
+    assert type(got.coefficient((0, 1))) is Fraction
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -141,6 +141,13 @@ def test_sp_invariance_of_cone_catalog(n):
             assert pullback(f, g).approx_eq(f.to_float(), 1e-10), name
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_link_catalog_is_exact(n):
+    for name, f in default_link_frame(n).catalog.items():
+        for part in (f.re, f.im) if isinstance(f, ComplexAltForm) else (f,):
+            assert all(type(c) in (int, Fraction) for c in part.terms.values()), name
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_quaternion_helpers_stack_bit_for_bit(m):
     rng = np.random.default_rng(m)
