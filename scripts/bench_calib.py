@@ -25,6 +25,11 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   cone by the rounded default link frame at n = 3 (a checkout that sends an
   int64 matrix down its float path times that path there), and a full
   `build_link_frame(3)` (the cone model stays cached);
+- `comass_search` on the five n = 2 comass-one anchors at ANCHOR_RESTARTS
+  restarts and on the benchmark's 15 oracle 2-forms at ORACLE_RESTARTS
+  (ORACLE_FORMS_PER_DIM random forms in each of R^6, R^8 and R^12, grouped
+  by dimension), each with the frames its `FormEvaluator.grads` and
+  `values` calls evaluate (counted once, outside the timed rounds);
 - the exact layer: cold builds of `symforms.link_extension_catalog(1)` and
   `(2)` (the catalog cache cleared before each, best of EXACT_REPEAT; the
   model builds stay cached), the wedge power `sigma_t1.power(3)` at n = 2 and
@@ -82,6 +87,14 @@ TIED = (200, 12, 4)  # restarts, N, k
 NORMAL_FORM_PLANES = 100  # rotated W_theta planes at n = 3, theta = NORMAL_FORM_THETA
 NORMAL_FORM_THETA = 0.3
 PULLBACK_SEED = 12
+# comass searches as the calibrations-n2 benchmark workload runs them
+ANCHORS = (("theta_I4", "cone"), ("theta_I6", "cone"), ("theta_I3", "link"),
+           ("re_gamma1", "link"), ("re_gamma0", "twistor"))
+ANCHOR_RESTARTS = 200
+ORACLE_DIMS = (6, 8, 12)
+ORACLE_FORMS_PER_DIM = 5
+ORACLE_RESTARTS = 40
+ORACLE_SEED = 0
 REPEAT = 7
 EXACT_REPEAT = 3
 # (class, method) whose calls the exact pass counts
@@ -200,6 +213,49 @@ def _pullback_kernels() -> dict:
     }
 
 
+def _counted_frames(search) -> dict:
+    """Frames that FormEvaluator.grads and .values evaluate in one call of search()."""
+    frames = {"grad_frames": 0, "value_frames": 0}
+    ops = {"grads": "grad_frames", "values": "value_frames"}
+    originals = {op: getattr(calib.FormEvaluator, op) for op in ops}
+
+    def counting(key, fn):
+        def wrapper(self, V):
+            frames[key] += int(np.prod(V.shape[:-2]))
+            return fn(self, V)
+        return wrapper
+
+    for op, fn in originals.items():
+        setattr(calib.FormEvaluator, op, counting(ops[op], fn))
+    try:
+        search()
+    finally:
+        for op, fn in originals.items():
+            setattr(calib.FormEvaluator, op, fn)
+    return frames
+
+
+def _comass_search_kernels() -> dict:
+    out = {}
+    params = calib.SearchParams(restarts=ANCHOR_RESTARTS, seed=0)
+    for name, space in ANCHORS:
+        form, _ = resolve(name, 2, space)
+        form = (form.re if hasattr(form, "re") else form).to_float()
+        search = lambda: calib.comass_search(form, params=params)  # noqa: E731
+        out[f"{space}/{name}/n2/r{ANCHOR_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
+    rng = np.random.default_rng(ORACLE_SEED)
+    params = calib.SearchParams(restarts=ORACLE_RESTARTS, seed=ORACLE_SEED + 1)
+    for N in ORACLE_DIMS:
+        forms = []
+        for _ in range(ORACLE_FORMS_PER_DIM):
+            A = rng.standard_normal((N, N))
+            S = A - A.T
+            forms.append(exterior.AltForm(N, 2, {(i, j): S[i, j] for i in range(N) for j in range(i + 1, N)}))
+        search = lambda: [calib.comass_search(f, params=params) for f in forms]  # noqa: E731
+        out[f"oracle/R{N}x{ORACLE_FORMS_PER_DIM}/r{ORACLE_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
+    return out
+
+
 def _median_results(runs: list) -> dict:
     """The first run's rows, each with "s" the median over every run."""
     return {group: {key: dict(row, s=statistics.median(run[group][key]["s"] for run in runs))
@@ -263,6 +319,7 @@ def run() -> dict:
         out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
     out["normal_form"] = _normal_form_kernels()
     out["pullback"] = _pullback_kernels()
+    out["comass_search"] = _comass_search_kernels()
     out["exact"] = _exact_kernels()
     out["exact_counts"] = _counted_exact_pass()
     return out
@@ -301,8 +358,8 @@ def main() -> None:
         fh.write("\n")
     for group, rows in record["results"].items():
         for key, row in rows.items():
-            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__")))
-            print(f"{args.label:8s} {group:21s} {key:20s} {row['s'] * 1e3:10.3f} ms"
+            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "frames")))
+            print(f"{args.label:8s} {group:21s} {key:30s} {row['s'] * 1e3:10.3f} ms"
                   f" (median of {len(runs)}){counts}")
 
 

@@ -7,6 +7,9 @@ space, Gram-Schmidt retraction, Armijo backtracking.  Search values are
 certified lower bounds only; "comass one" acceptance additionally rests on
 the relevant structure theorem for the form at hand.
 
+The ascent runs on f / 2^e, where 2^e <= max |c_T| < 2^(e+1), and scales
+the values back; both scalings are exact, so the steps, the float floor and
+`tol` see a form of unit size whatever the scale of its coefficients.
 Values are resolved only to about eps * |f|, so once a restart's Armijo gain
 c1 * t * |grad|^2 falls to the float floor eps * max(|f|, 1) no step can pass
 the test.  A restart stops when its Riemannian gradient norm falls below
@@ -14,9 +17,16 @@ the test.  A restart stops when its Riemannian gradient norm falls below
 (float_floor: stationary to working precision), after `MAX_HALVINGS` failed
 trials (max_halvings), or when `MAX_ITERS` runs out (max_iters);
 `ComassResult.terminations` counts each reason.  Each line search starts at
-min(STEP0, t_last / SHRINK), one step up from the restart's last accepted
-step t_last, and each restart's current value is carried from the trial that
-accepted it rather than re-evaluated.
+the Barzilai-Borwein step t = -<s, y> / <y, y> of the restart's last move
+(s = V_k - V_(k-1), y = RG_k - RG_(k-1) for the Riemannian gradient RG;
+Wen & Yin, Math. Program. 142, 2013), capped at `BB_MAX`, where that is
+positive; otherwise at min(STEP0, t_last / SHRINK), one step up from the
+restart's last accepted step t_last.  The Armijo test compares a trial with
+the restart's Zhang-Hager reference C rather than its current value (Zhang &
+Hager, SIAM J. Optim. 14, 2004): C <- (eta Q C + f) / (eta Q + 1) and
+Q <- eta Q + 1 at each accepted value f, with C = f and Q = 1 at the start
+and eta = `ZH_ETA`.  Each restart's current value is carried from the trial
+that accepted it rather than re-evaluated.
 
 Values and gradients share one recurrence.  The column-prefix minor
 det V[S, :j] of every j-subset S of the support blades' rows is a Laplace
@@ -159,11 +169,14 @@ class SearchParams:
 
 
 # Fixed knobs of the ascent: iteration cap, sufficient-increase fraction of
-# the linear model, first trial step, step shrink factor and halvings per
-# line search.
+# the linear model, weight of the past in the Zhang-Hager reference value,
+# first trial step without a Barzilai-Borwein step, cap of the BB step, step
+# shrink factor and halvings per line search.
 MAX_ITERS = 500
 ARMIJO_C1 = 0.3
+ZH_ETA = 0.85
 STEP0 = 1.0
+BB_MAX = 1e3
 SHRINK = 0.5
 MAX_HALVINGS = 30
 
@@ -468,6 +481,8 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
     if params.restarts < 1:
         raise ValueError("restarts must be >= 1")
     n, k = form.dim, form.degree
+    if k > n:
+        raise ValueError(f"a {k}-form on R^{n} has no {k}-planes to search")
     if form.is_zero() or k == 0:
         plane = Plane.from_vectors(np.eye(n)[:k], orthonormalize=False)
         value = abs(float(form._raw_terms().get(0, 0.0))) if k == 0 else 0.0
@@ -476,10 +491,16 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
                             dict.fromkeys(TERMINATIONS, 0) | {"converged": params.restarts})
 
     ev = FormEvaluator(form)
+    # ascend on f / 2^e with 2^e <= max|c_T| < 2^(e+1): exact, and the steps,
+    # the float floor and `tol` then see a form of unit size
+    e = int(np.frexp(np.max(np.abs(ev.coeffs)))[1]) - 1
+    ev.coeffs = np.ldexp(ev.coeffs, -e)
     R = params.restarts
     V = _qf(np.stack([np.random.default_rng(params.seed + r).standard_normal((n, k)) for r in range(R)]))
     f = ev.values(V)  # value of each restart's current frame
-    t_last = np.full(R, np.inf)  # last accepted step
+    C, Q = f.copy(), np.ones(R)  # Zhang-Hager reference value and its weight
+    V_prev, RG_prev = np.zeros_like(V), np.zeros_like(V)  # previous frame and Riemannian gradient
+    t_last = np.full(R, np.inf)  # last accepted step; finite once a restart has a previous frame
     reason = np.full(R, -1)  # index into TERMINATIONS once a restart stops
     active = np.arange(R)
     for _ in range(MAX_ITERS):
@@ -494,9 +515,14 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
         if active.size == 0:
             break
 
-        f0 = f[active]
-        floor = np.finfo(float).eps * np.maximum(np.abs(f0), 1.0)
+        floor = np.finfo(float).eps * np.maximum(np.abs(f[active]), 1.0)
         t = np.minimum(STEP0, t_last[active] / SHRINK)
+        # BB2 step -<s,y>/<y,y> of the ascent where the curvature is negative
+        s, y = Va - V_prev[active], RG - RG_prev[active]
+        sy, yy = np.einsum("bnk,bnk->b", s, y), np.einsum("bnk,bnk->b", y, y)
+        bb = np.flatnonzero(np.isfinite(t_last[active]) & (sy < 0))
+        t[bb] = np.minimum(-sy[bb] / yy[bb], BB_MAX)
+        V_prev[active], RG_prev[active] = Va, RG
         pending = np.arange(active.size)
         accepted = np.zeros(active.size, dtype=bool)
         for _h in range(MAX_HALVINGS):
@@ -506,9 +532,11 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
                 break
             cand = _qf(Va[pending] + t[pending, None, None] * RG[pending])
             f1 = ev.values(cand)
-            ok = f1 >= f0[pending] + ARMIJO_C1 * t[pending] * gn2[pending]
+            ok = f1 >= C[active[pending]] + ARMIJO_C1 * t[pending] * gn2[pending]
             hit = active[pending[ok]]
             V[hit], f[hit], t_last[hit] = cand[ok], f1[ok], t[pending[ok]]
+            C[hit] = (ZH_ETA * Q[hit] * C[hit] + f1[ok]) / (ZH_ETA * Q[hit] + 1)
+            Q[hit] = ZH_ETA * Q[hit] + 1
             accepted[pending[ok]] = True
             pending = pending[~ok]
             t[pending] *= SHRINK
@@ -521,15 +549,15 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
         _, gn2 = _tangent_grad(V[active], ev.grads(V[active]))
         reason[active] = np.where(np.sqrt(gn2) < params.tol, 0, 3)
 
-    best = float(np.max(f))
+    best = float(np.max(f))  # ties are judged on the scaled values
     tied = canonical_frames(np.swapaxes(V[f >= best - 1e-9], -1, -2))
     keys = [np.round(W, 12).tobytes() for W in tied]
     argmax = Plane.from_vectors(tied[keys.index(min(keys))], orthonormalize=True)
-    value = float(ev.values(argmax.frame.T))
+    value = float(np.ldexp(ev.values(argmax.frame.T), e))
     counts = np.bincount(reason, minlength=len(TERMINATIONS))
     terminations = {name: int(c) for name, c in zip(TERMINATIONS, counts)}
     converged = (terminations["converged"] + terminations["float_floor"]) / R
-    return ComassResult(value, argmax, R, converged, f, np.swapaxes(V, -1, -2), terminations)
+    return ComassResult(value, argmax, R, converged, np.ldexp(f, e), np.swapaxes(V, -1, -2), terminations)
 
 
 def skew_matrix(form: AltForm) -> np.ndarray:

@@ -99,7 +99,10 @@ def _cmd_comass(args) -> int:
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
     params = SearchParams(restarts=args.restarts, seed=args.seed, tol=args.tol)
-    result = comass_search(f, params=params)
+    try:
+        result = comass_search(f, params=params)
+    except ValueError as exc:  # a form the search cannot take, e.g. degree above dimension
+        raise UsageError(str(exc)) from exc
     payload = result.to_json()
     payload["form"] = args.form
     if args.explore_envelope:
@@ -188,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comass.add_argument("--restarts", type=int, default=200)
     p_comass.add_argument("--seed", type=int, default=0)
     p_comass.add_argument("--tol", type=float, default=1e-10,
-                          help="Riemannian gradient norm at which a restart has converged; a restart also stops "
-                               "once its next Armijo gain falls to the float floor eps*max(|f|,1)")
+                          help="Riemannian gradient norm at which a restart has converged, measured on the form "
+                               "scaled by the power of two that brings its largest coefficient into [1, 2); a "
+                               "restart also stops once its next Armijo gain falls to the float floor eps*max(|f|,1)")
     p_comass.add_argument("--explore-envelope", action="store_true")
     common(p_comass)
     p_comass.set_defaults(func=_cmd_comass)

@@ -497,8 +497,10 @@ def pullback(a, matrix):
     Coefficient J of the result is the form's value on the columns J of the
     matrix.  A float array is evaluated by `calib.FormEvaluator.values`, the
     one float kernel.  An integer or object array, or a list of rows, is
-    evaluated by `evaluate` in the ring of its entries (an int64 array gives
-    Python ints), so an exact matrix gives an exact pullback.
+    contracted as `evaluate` does, in the ring of its entries (an int64 array
+    gives Python ints), so an exact matrix gives an exact pullback; the
+    column subsets are walked in lexicographic order, and each prefix's
+    partial contraction is shared by every subset that extends it.
     """
     if isinstance(a, ComplexAltForm):
         return ComplexAltForm(pullback(a.re, matrix), pullback(a.im, matrix))
@@ -518,7 +520,18 @@ def pullback(a, matrix):
         values = FormEvaluator(a).values(L[:, combos].transpose(1, 0, 2)).tolist()
     else:
         columns = list(zip(*(matrix.tolist() if isinstance(matrix, np.ndarray) else matrix)))
-        values = [evaluate(a, [columns[j] for j in J]) for J in combos]
+
+        def contracted(form, start, left):
+            # values on the `left`-subsets of columns[start:] in lexicographic
+            # order, as `evaluate` contracts them, each prefix contracted once
+            for j in range(start, cols - left + 1):
+                c = interior(columns[j], form)
+                if left == 1:
+                    yield c._raw_terms().get(0, 0)
+                else:
+                    yield from contracted(c, j + 1, left - 1)
+
+        values = list(contracted(a, 0, k))
     return AltForm(cols, k, _raw={_mask_from_indices(J, cols): v for J, v in zip(combos, values)})
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,8 +135,8 @@ def test_comass_deterministic_given_seed():
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
 
 
-def _counted_gamma0_search(monkeypatch):
-    """re_gamma0 at n=1 (200 restarts, seed 0), counting the frames that
+def _counted_search(monkeypatch, form, params):
+    """comass_search of a real form, counting the frames that
     FormEvaluator.values and FormEvaluator.grads evaluate."""
     frames = {"values": 0, "grads": 0}
     for name in frames:
@@ -146,8 +147,13 @@ def _counted_gamma0_search(monkeypatch):
             return _method(self, V)
 
         monkeypatch.setattr(FormEvaluator, name, counted)
+    return comass_search(form, params=params), frames
+
+
+def _counted_gamma0_search(monkeypatch):
+    """re_gamma0 at n=1 (200 restarts, seed 0), with its evaluator frames."""
     f = build_twistor_model(1).form("re_gamma0").to_float()
-    return comass_search(f, params=SearchParams(restarts=200, seed=0)), frames
+    return _counted_search(monkeypatch, f, SearchParams(restarts=200, seed=0))
 
 
 def test_comass_line_search_spends_few_value_frames(monkeypatch):
@@ -158,6 +164,17 @@ def test_comass_line_search_spends_few_value_frames(monkeypatch):
     assert frames["values"] <= 3 * frames["grads"]
 
 
+def test_comass_ascent_spends_few_frames(monkeypatch):
+    # Barzilai-Borwein trial steps under the nonmonotone Armijo test: most
+    # line searches accept their first trial, and fewer iterations are needed
+    f = build_hyperkahler_cone(2).form("theta_I6").to_float()
+    res, frames = _counted_search(monkeypatch, f, SearchParams(restarts=200, seed=0))
+    assert abs(res.value - 1.0) < 1e-9
+    assert res.terminations["max_iters"] == 0 and res.terminations["max_halvings"] == 0
+    assert frames["grads"] <= 3500
+    assert frames["values"] <= 1.2 * frames["grads"]
+
+
 def test_comass_terminations_account_for_every_restart(monkeypatch):
     res, _ = _counted_gamma0_search(monkeypatch)
     t = res.terminations
@@ -166,6 +183,29 @@ def test_comass_terminations_account_for_every_restart(monkeypatch):
     assert t["max_iters"] == 0 and t["max_halvings"] == 0
     assert res.converged_fraction == 1.0
     assert res.to_json()["terminations"] == t
+
+
+@pytest.mark.parametrize("c", [2.0**-40, 1e-10, -1e-10, 1e-3, 1e12, 1e300])
+def test_comass_search_is_scale_free(c):
+    # the ascent runs on the form scaled into [1, 2) by a power of two, so
+    # neither the float floor, the step sizes nor |grad|^2 depend on |c|
+    f = build_twistor_model(1).form("re_gamma0").to_float()
+    params = SearchParams(restarts=40, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = comass_search(f * c, params=params)
+    assert abs(res.value / abs(c) - 1.0) <= 1e-9
+    assert res.terminations["max_iters"] == 0 and res.terminations["max_halvings"] == 0
+    if np.frexp(c)[0] == 0.5:  # a power of two scales exactly
+        unit = comass_search(f, params=params)
+        assert res.value == c * unit.value
+        assert np.array_equal(res.all_values, c * unit.all_values)
+        assert np.array_equal(res.argmax.frame, unit.argmax.frame)
+
+
+def test_comass_rejects_degree_above_dimension():
+    with pytest.raises(ValueError, match="4-form on R\\^3"):
+        comass_search(AltForm.zero(3, 4), params=SearchParams(restarts=3, seed=0))
 
 
 def test_comass_result_invariant():

@@ -169,6 +169,14 @@ def test_comass_zero_restarts_exits_2(capsys):
     assert "--restarts" in err
 
 
+def test_comass_degree_above_dimension_exits_2(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text('{"dim": 3, "degree": 4, "terms": []}')
+    code, out, err = invoke(capsys, "comass", "--form", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and "4-form on R^3" in err
+
+
 def test_forms_dump_unknown_name_exits_2(capsys):
     code, _, err = invoke(capsys, "forms", "dump", "--name", "nope")
     _assert_usage_error(code, err)

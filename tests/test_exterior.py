@@ -317,6 +317,25 @@ def test_pullback_by_fraction_rows_is_exact():
     assert type(got.coefficient((0, 1))) is Fraction
 
 
+def test_exact_pullback_contracts_each_column_prefix_once(monkeypatch):
+    import caliber.exterior as ext
+
+    f = build_hyperkahler_cone(1).form("omega1")
+    L = np.random.default_rng(5).integers(-3, 4, size=(f.dim, 7))
+    expected = {J: evaluate(f, [L[:, j].tolist() for j in J]) for J in itertools.combinations(range(7), 2)}
+    calls = []
+
+    def counted(v, a):
+        calls.append(a.degree)
+        return interior(v, a)
+
+    monkeypatch.setattr(ext, "interior", counted)
+    got = pullback(f, L)
+    # 6 first columns that some pair extends, then the 21 pairs: 42 from scratch
+    assert len(calls) == 6 + 21
+    assert got == AltForm(7, 2, {J: v for J, v in expected.items() if v})
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_gamma0_stabilizer_fixes_catalog(n):
     tm = build_twistor_model(n)
