@@ -11,6 +11,12 @@ each coefficient, which the float JSON of the registry forms does not show,
 so a coefficient left unreduced fails here.  The normal-form digests were
 recorded while that suite still sampled and normal-formed one plane at a
 time, so batching it may not change one theta, witness or byte.
+
+The calibrations and propositions digests pin float outputs: comass
+searches, maximizer counts and float witnesses.  They were recorded on a
+2-core x86-64 Xeon with numpy 2.4 on OpenBLAS 0.3.31 (Python 3.11), before
+the maximizers of a search became one frame batch.  A change of BLAS or CPU
+may move their last bits; a change of the code must not.
 """
 
 import contextlib
@@ -47,6 +53,14 @@ NORMALFORM_SHA256 = {
     (2, 37): "9ccf1533ac7630b9bfb4b508c4b7fcb073f02a81098da45eb854bec637ca6659",
 }
 
+# sha256 of `verify --no-timing` on the float suites, at the settings of
+# `test_c8_suite_determinism` (seed 0)
+FLOAT_SUITES_SHA256 = {
+    ("calibrations", "--restarts", "40"): "4f85377e2e2d7b3fdddef3d63f7c9580b60f65d95bba02a5e4cbb1a3af36ea8e",
+    ("propositions", "--samples", "300", "--restarts", "300"):
+        "6130d437aaa87896b4d448ef7a966420b72764f9e7c663d68923ea346d096136",
+}
+
 LINK_EXTENSION_COEFFICIENTS_N1_SHA256 = "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3"
 
 
@@ -80,6 +94,11 @@ def test_normalform_suite_is_byte_pinned():
         if samples is not None:
             argv += ["--samples", str(samples)]
         assert verify_digest(argv) == digest, (n, samples)
+
+
+def test_float_suites_are_byte_pinned():
+    for (suite, *options), digest in FLOAT_SUITES_SHA256.items():
+        assert verify_digest(["--suite", suite, "--n", "1", *options]) == digest, suite
 
 
 def coefficient_digest(n: int) -> str:
