@@ -8,22 +8,18 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
 - `FormEvaluator.values` and `FormEvaluator.grads` of one catalog form per
   degree k, on 1000 frames and on 40 frames (the size of a line-search batch);
 - the Stiefel retraction `calib._qf` on tangent steps of three batch shapes;
-- the canonicalization of 200 tied restarts, as `comass_search` does it
-  before picking the smallest key;
+- the canonicalization of 200 tied restarts and the pick of the smallest
+  rounded key, as `comass_search` does it;
 - single-frame evaluation of four catalog forms at n = 3: the exact
-  contraction `exterior.evaluate` on the catalog form, and the value the
-  checkout's plane classification takes (`model.value`, through the
-  model's cached `FormEvaluator`; a checkout without it uses
-  `exterior.evaluate` there too);
+  contraction `exterior.evaluate` on the catalog form, and the value plane
+  classification takes (`model.value`, through the model's cached
+  `FormEvaluator`);
 - `classify_plane` on one plane per model space at n = 3;
 - `normal_form_theta` on NORMAL_FORM_PLANES `rotated_w_theta` planes at
-  n = 3, one call per plane and one call on their stacked frames (a
-  checkout whose `normal_form_theta` takes only a `Plane` times the
-  per-plane loop under both names);
+  n = 3, one call per plane and one call on their stacked frames;
 - `exterior.pullback`: the float path on cone `theta_I6` (n = 2) by a
   seeded random Sp isometry, the integer path on the three `omega{p}` of the
-  cone by the rounded default link frame at n = 3 (a checkout that sends an
-  int64 matrix down its float path times that path there), and a full
+  cone by the rounded default link frame at n = 3, and a full
   `build_link_frame(3)` (the cone model stays cached);
 - `comass_search` on the five n = 2 comass-one anchors at ANCHOR_RESTARTS
   restarts and on the benchmark's 15 oracle 2-forms at ORACLE_RESTARTS
@@ -191,13 +187,9 @@ def _normal_form_kernels() -> dict:
     plist = [planes.rotated_w_theta(3, NORMAL_FORM_THETA, rng) for _ in range(NORMAL_FORM_PLANES)]
     frames = np.array([P.frame for P in plist])
 
-    def per_plane():
-        return [planes.normal_form_theta(P, tm) for P in plist]
-
-    # a checkout without batch_rotated_w_theta normal-forms one plane at a time
-    batched = (lambda: planes.normal_form_theta(frames, tm)) if hasattr(planes, "batch_rotated_w_theta") else per_plane
     key = f"n3x{NORMAL_FORM_PLANES}"
-    return {f"{key}/per_plane": {"s": _best(per_plane)}, f"{key}/batch": {"s": _best(batched)}}
+    return {f"{key}/per_plane": {"s": _best(lambda: [planes.normal_form_theta(P, tm) for P in plist])},
+            f"{key}/batch": {"s": _best(lambda: planes.normal_form_theta(frames, tm))}}
 
 
 def _pullback_kernels() -> dict:
@@ -264,12 +256,8 @@ def _median_results(runs: list) -> dict:
 
 
 def _canonicalize(frames):
-    batched = getattr(calib, "canonical_frames", None)
-    if batched is not None:
-        W = batched(frames)
-    else:  # a checkout that canonicalizes one frame at a time
-        W = [calib.canonical_frame(f) for f in frames]
-    keys = [np.round(w, 12).tobytes() for w in W]
+    W = calib.canonical_frames(frames)
+    keys = [w.tobytes() for w in np.round(W, 12)]
     return W[keys.index(min(keys))]
 
 
@@ -309,10 +297,8 @@ def run() -> dict:
         def contract():
             return exterior.evaluate(form, list(F))
 
-        value = getattr(m, "value", None)  # a checkout without it classifies by contraction
-        cached = contract if value is None else (lambda: value(name, F))
         out["single_frame_evaluate"][row["form"]] = dict(row, s=_best(contract))
-        out["single_frame_value"][row["form"]] = dict(row, s=_best(cached))
+        out["single_frame_value"][row["form"]] = dict(row, s=_best(lambda: m.value(name, F)))
     for space, k in CLASSIFY_DEGREES.items():
         m = MODELS[space](3)
         plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)

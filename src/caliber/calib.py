@@ -48,8 +48,15 @@ basis of `model.build_link_frame`.  The restarts tied with the best value
 are canonicalized in one batched call; the smallest canonical frame, by its
 bytes rounded to 12 digits, is the argmax.
 
-All restarts are seeded independently (seed + restart index), so results are
-deterministic for a fixed seed regardless of batching.
+`ComassResult.maximizer_frames` is the row-frame batch (M, k, N) of the
+restarts within a tolerance relative to the best value, so it is scale-free
+like the search; `splitting_support` and `isotropy_of_maximizers` test a
+whole batch in one array expression.
+
+Restart r is seeded by seed + r, and reruns with the same parameters are
+byte-identical.  A value's last bit can still depend on the batch it is
+computed in, since `FormEvaluator.values` ends in a BLAS dot or gemv, so a
+different restart count may move a witness at round-off.
 """
 
 from __future__ import annotations
@@ -58,7 +65,6 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -197,13 +203,10 @@ class ComassResult:
     all_frames: np.ndarray = field(repr=False, default=None)
     terminations: dict = field(default=None)  # restarts per reason in TERMINATIONS
 
-    def maximizer_planes(self, tol: float = 1e-6) -> list[Plane]:
-        """Planes from restarts whose value is within tol of the best found."""
-        out = []
-        for val, fr in zip(self.all_values, self.all_frames):
-            if abs(val - self.value) <= tol:
-                out.append(Plane(fr.shape[1], fr.shape[0], fr))
-        return out
+    def maximizer_frames(self, tol: float = 1e-6) -> np.ndarray:
+        """Row frames (M, k, N) of the restarts whose value is within
+        tol * |value| of the best found, in restart order."""
+        return self.all_frames[np.abs(self.all_values - self.value) <= tol * abs(self.value)]
 
     def to_json(self) -> dict:
         return {
@@ -551,7 +554,7 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
 
     best = float(np.max(f))  # ties are judged on the scaled values
     tied = canonical_frames(np.swapaxes(V[f >= best - 1e-9], -1, -2))
-    keys = [np.round(W, 12).tobytes() for W in tied]
+    keys = [W.tobytes() for W in np.round(tied, 12)]
     argmax = Plane.from_vectors(tied[keys.index(min(keys))], orthonormalize=True)
     value = float(np.ldexp(ev.values(argmax.frame.T), e))
     counts = np.bincount(reason, minlength=len(TERMINATIONS))
@@ -709,19 +712,16 @@ def transported_semicalibration(form: AltForm, *, scaling: tuple | None = None,
 # structure of maximizers
 
 
-def splitting_support(form: AltForm, e, maximizers: Sequence[Plane], tol: float = 1e-8) -> bool:
-    """True iff every supplied calibrated plane is orthogonal to e.
+def splitting_support(form: AltForm, e, maximizers: np.ndarray, tol: float = 1e-8) -> bool:
+    """True iff every calibrated plane of the row-frame batch (M, k, N) is
+    orthogonal to e.
 
     Precondition: interior(e, form) = 0 (within 1e-12).
     """
     e = np.asarray(e, dtype=float)
-    res = interior(e, form)
-    if res.norm_inf() > 1e-12:
+    if interior(e, form).norm_inf() > 1e-12:
         raise ValueError("precondition failed: interior(e, form) != 0")
-    for plane in maximizers:
-        if np.max(np.abs(plane.frame @ e)) > tol:
-            return False
-    return True
+    return bool(np.all(np.abs(maximizers @ e) <= tol))
 
 
 def is_pure_type(form: AltForm, J: np.ndarray, tol: float = 1e-8) -> bool:
@@ -740,16 +740,12 @@ def is_pure_type(form: AltForm, J: np.ndarray, tol: float = 1e-8) -> bool:
 
 
 def isotropy_of_maximizers(form: AltForm, J: np.ndarray, omega: AltForm,
-                           maximizers: Sequence[Plane], tol: float = 1e-8) -> bool:
-    """True iff omega vanishes on every maximizer plane.
+                           maximizers: np.ndarray, tol: float = 1e-8) -> bool:
+    """True iff omega vanishes on every plane of the row-frame batch (M, k, N).
 
     Precondition (checked): form has J-type (k,0)+(0,k).
     """
     if not is_pure_type(form, J):
         raise ValueError("type precondition failed: form is not of J-type (k,0)+(0,k)")
     S = skew_matrix(omega)
-    for plane in maximizers:
-        B = plane.frame @ S @ plane.frame.T
-        if np.max(np.abs(B)) > tol:
-            return False
-    return True
+    return bool(np.all(np.abs(maximizers @ S @ np.swapaxes(maximizers, -1, -2)) <= tol))

@@ -55,15 +55,14 @@ def _real_form(form):
 
 
 def quaternionic_span_counts(result, n: int, tol: float = 1e-6) -> dict[int, int]:
-    """How many maximizer planes (within `tol` of the best value) have each
-    dimension of quaternionic span dim(P + I1 P + I2 P + I3 P) in the cone."""
+    """How many maximizer planes (within `tol` of the best value, relative
+    to it) have each dimension of quaternionic span dim(P + I1 P + I2 P + I3 P)
+    in the cone."""
     hk = registry.model("cone", n)
-    counts: dict[int, int] = {}
-    for plane in result.maximizer_planes(tol):
-        stacked = np.vstack([plane.frame] + [plane.frame @ Ip.T for Ip in hk.complex_structures])
-        rank = int(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-8))
-        counts[rank] = counts.get(rank, 0) + 1
-    return dict(sorted(counts.items()))
+    frames = result.maximizer_frames(tol)
+    stacked = np.concatenate([frames] + [frames @ Ip.T for Ip in hk.complex_structures], axis=1)
+    ranks, counts = np.unique(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-8, axis=-1), return_counts=True)
+    return {int(r): int(c) for r, c in zip(ranks, counts)}
 
 
 def _envelope_report(result, n: int) -> dict:

@@ -81,19 +81,14 @@ def standard_triple_matrices(blocks: int, dim: int | None = None):
 
 
 def standard_kahler_forms(blocks: int, dim: int | None = None):
-    """Exact Kahler 2-forms of the standard triple: for each block,
+    """Exact Kahler 2-forms omega_p(X, Y) = <I_p X, Y> of the standard triple:
+    the (i, j) coefficient, i < j, is I_p[j, i].  Per block this gives
     beta_1 = e01 + e23, beta_2 = e02 - e13, beta_3 = e03 + e12."""
-    n = dim if dim is not None else 4 * blocks
-    b1, b2, b3 = {}, {}, {}
-    for j in range(blocks):
-        s = 4 * j
-        b1[(s, s + 1)] = 1
-        b1[(s + 2, s + 3)] = 1
-        b2[(s, s + 2)] = 1
-        b2[(s + 1, s + 3)] = -1
-        b3[(s, s + 3)] = 1
-        b3[(s + 1, s + 2)] = 1
-    return AltForm(n, 2, b1), AltForm(n, 2, b2), AltForm(n, 2, b3)
+    forms = []
+    for I in standard_triple_matrices(blocks, dim):
+        upper = np.triu(I.T, 1)
+        forms.append(AltForm(len(I), 2, {(int(i), int(j)): int(upper[i, j]) for i, j in zip(*np.nonzero(upper))}))
+    return tuple(forms)
 
 
 def divided_powers(f, top: int) -> list:

@@ -538,14 +538,14 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         tI3 = lf.value("theta_I3", frames)
         family_gap = float(np.max(np.abs(tI3 + 1.0)))
         res = comass_search(lf.form("theta_I3").to_float() * -1.0, params=SearchParams(restarts=restarts, seed=seed))
-        maxers = res.maximizer_planes(1e-12)
-        phi2_vals = lf.value("phi2", np.array([p.frame for p in maxers]))
-        horiz = max(float(np.max(np.abs(p.frame[:, 0]))) for p in maxers)
-        ok = family_gap <= 1e-7 and res.value >= 1 - 1e-6 and float(np.max(np.abs(phi2_vals - 1.0))) <= 1e-6 and horiz <= 1e-6
+        maxers = res.maximizer_frames(1e-12)
+        phi2_gap = float(np.max(np.abs(lf.value("phi2", maxers) - 1.0)))
+        horiz = float(np.max(np.abs(maxers[:, :, 0])))
+        ok = family_gap <= 1e-7 and res.value >= 1 - 1e-6 and phi2_gap <= 1e-6 and horiz <= 1e-6
         return ok, {
             "family_theta_gap": family_gap,
             "maximizers": len(maxers),
-            "phi2_gap": float(np.max(np.abs(phi2_vals - 1.0))),
+            "phi2_gap": phi2_gap,
             "alpha1_component": horiz,
         }
 
@@ -553,14 +553,13 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
 
     def maximizers_isotropic_upsilon():
         res = comass_search(hk.form("re_upsilon1").to_float(), params=SearchParams(restarts=restarts, seed=seed + 7))
-        maxers = res.maximizer_planes(1e-12)
+        maxers = res.maximizer_frames(1e-12)
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
             hk.form("re_upsilon1").to_float(), hk.I1.astype(float), hk.form("omega1"), maxers, tol=1e-7
         )
-        im_vals = hk.value("im_upsilon1", np.array([p.frame for p in maxers]))
-        ok = ok and float(np.max(np.abs(im_vals))) <= 1e-6
-        return ok, {"maximizers": len(maxers), "restarts": restarts, "value": res.value,
-                    "im_gap": float(np.max(np.abs(im_vals)))}
+        im_gap = float(np.max(np.abs(hk.value("im_upsilon1", maxers))))
+        ok = ok and im_gap <= 1e-6
+        return ok, {"maximizers": len(maxers), "restarts": restarts, "value": res.value, "im_gap": im_gap}
 
     checks.append(("maximizers_isotropic_re_upsilon1", maximizers_isotropic_upsilon))
 
@@ -569,7 +568,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         # omega_H - omega_V; omega_NK does not vanish on every calibrated
         # plane (it restricts to cos(2 theta) on the normal-form family)
         res = comass_search(tm.form("re_gamma0").to_float(), params=SearchParams(restarts=restarts, seed=seed + 8))
-        maxers = res.maximizer_planes(1e-12)
+        maxers = res.maximizer_frames(1e-12)
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
             tm.form("re_gamma0").to_float(), tm.J_minus, tm.form("omega_minus"), maxers, tol=1e-7
         )
@@ -580,7 +579,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def maximizers_horizontal(name):
         form = lf.form(name).to_float()
         res = comass_search(form, params=SearchParams(restarts=restarts, seed=seed + 9))
-        maxers = res.maximizer_planes(1e-12)
+        maxers = res.maximizer_frames(1e-12)
         e = np.zeros(lf.dim)
         e[0] = 1.0
         ok = len(maxers) >= restarts // 2 and splitting_support(form, e, maxers, tol=1e-7)
@@ -592,9 +591,8 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def argmax_class_omega_power():
         f = hk.form("omega1_power2").to_float()
         res = comass_search(f, params=SearchParams(restarts=restarts, seed=seed + 10))
-        maxers = res.maximizer_planes(1e-12)
-        frames = np.array([p.frame for p in maxers])
-        inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
+        maxers = res.maximizer_frames(1e-12)
+        inv = pl.projector_invariance_residual(maxers, hk.I1.astype(float))
         return len(maxers) >= restarts // 2 and inv <= 1e-6, {"maximizers": len(maxers), "I1_residual": inv}
 
     checks.append(("argmax_complex_omega1_power2", argmax_class_omega_power))

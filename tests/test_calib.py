@@ -203,6 +203,16 @@ def test_comass_search_is_scale_free(c):
         assert np.array_equal(res.argmax.frame, unit.argmax.frame)
 
 
+def test_maximizer_frames_tolerance_is_relative():
+    # every restart reaches the comass |c| to about 15 digits, so a tolerance
+    # relative to the value keeps the same restarts at every scale
+    f = build_twistor_model(1).form("re_gamma0").to_float()
+    params = SearchParams(restarts=40, seed=0)
+    batches = [comass_search(f * c, params=params).maximizer_frames(1e-12) for c in (1.0, 1e6, 1e-13)]
+    assert batches[0].shape[1:] == (3, 6)
+    assert len({len(frames) for frames in batches}) == 1
+
+
 def test_comass_rejects_degree_above_dimension():
     with pytest.raises(ValueError, match="4-form on R\\^3"):
         comass_search(AltForm.zero(3, 4), params=SearchParams(restarts=3, seed=0))
@@ -374,23 +384,23 @@ def test_submersion_transport_rejects_non_submersion():
 def test_splitting_support_blade():
     f = AltForm.blade(4, [1, 2], 1.0)
     e0 = np.eye(4)[0]
-    planes = [Plane.from_vectors(np.eye(4)[1:3])]
-    assert splitting_support(f, e0, planes)
-    tilted = Plane.from_vectors([[0.6, 0.8, 0, 0], [0, 0, 1, 0]])
-    assert not splitting_support(f, e0, [tilted])
+    flat = np.eye(4)[1:3]
+    tilted = np.array([[0.6, 0.8, 0, 0], [0, 0, 1, 0]])
+    assert splitting_support(f, e0, flat[None])
+    assert not splitting_support(f, e0, np.stack([flat, tilted]))
 
 
 def test_splitting_support_precondition():
     f = AltForm.blade(4, [0, 1], 1.0)
     with pytest.raises(ValueError):
-        splitting_support(f, np.eye(4)[0], [])
+        splitting_support(f, np.eye(4)[0], np.zeros((0, 2, 4)))
 
 
 def test_splitting_support_re_gamma1():
     lf = default_link_frame(1)
     f = lf.form("re_gamma1").to_float()
     res = comass_search(f, params=SearchParams(restarts=120, seed=3))
-    maxers = res.maximizer_planes(1e-12)
+    maxers = res.maximizer_frames(1e-12)
     assert len(maxers) >= 60
     e = np.zeros(7)
     e[0] = 1.0
@@ -412,7 +422,7 @@ def test_isotropy_of_maximizers_omega2():
     hk = build_hyperkahler_cone(1)
     w2 = hk.form("omega2").to_float()
     res = comass_search(w2, params=SearchParams(restarts=120, seed=6))
-    maxers = res.maximizer_planes(1e-12)
+    maxers = res.maximizer_frames(1e-12)
     assert len(maxers) >= 60
     assert isotropy_of_maximizers(w2, hk.I1.astype(float), hk.form("omega1"), maxers, tol=1e-7)
 
@@ -420,7 +430,7 @@ def test_isotropy_of_maximizers_omega2():
 def test_isotropy_requires_pure_type():
     hk = build_hyperkahler_cone(1)
     with pytest.raises(ValueError):
-        isotropy_of_maximizers(hk.form("omega1").to_float(), hk.I1.astype(float), hk.form("omega2"), [])
+        isotropy_of_maximizers(hk.form("omega1").to_float(), hk.I1.astype(float), hk.form("omega2"), np.zeros((0, 2, 8)))
 
 
 def test_batch_evaluate_matches_pointwise():
