@@ -32,7 +32,12 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   `ext_d` of `psi1` at n = 1, and the number of `Poly.try_div_sumsq`,
   `Poly.__mul__` and `RCoef.__add__` calls in one `identities` plus `cones`
   pass at n = 1 made after a first pass has built the catalogs (exact counts,
-  stored under "exact_counts" with the pass's seconds).
+  stored under "exact_counts" with the pass's seconds);
+- the plain-ring sums of the form algebra: uncached builds of the n = 3 cone
+  catalog (`model._cone_catalog`) and twistor model (int and Fraction
+  wedges), and a float `wedge` of a dense seeded 3-form and 2-form on R^12
+  and a float `interior` of a seeded vector with a dense seeded 4-form on
+  R^12.
 Every input is drawn from a fixed seed with numpy alone, so two checkouts
 time the same work.  The run is stored in the JSON file under `--label`,
 next to the labels already there, so one file holds a before/after pair.
@@ -51,6 +56,8 @@ import os
 import platform
 import statistics
 import time
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -91,6 +98,8 @@ ORACLE_DIMS = (6, 8, 12)
 ORACLE_FORMS_PER_DIM = 5
 ORACLE_RESTARTS = 40
 ORACLE_SEED = 0
+PLAIN_SEED = 15
+PLAIN_DIM = 12
 REPEAT = 7
 EXACT_REPEAT = 3
 # (class, method) whose calls the exact pass counts
@@ -179,6 +188,23 @@ def _exact_kernels() -> dict:
     psi = cat(1)["psi1"]
     out["ext_d.psi1/n1"] = {"s": _best(lambda: symforms.ext_d(psi))}
     return out
+
+
+def _dense_float_form(rng, dim, k):
+    return exterior.AltForm(dim, k, {J: float(c) for J, c in
+                                     zip(combinations(range(dim), k), rng.standard_normal(comb(dim, k)))})
+
+
+def _plain_ring_kernels() -> dict:
+    rng = np.random.default_rng(PLAIN_SEED)
+    a, b, c = (_dense_float_form(rng, PLAIN_DIM, k) for k in (3, 2, 4))
+    v = rng.standard_normal(PLAIN_DIM)
+    return {
+        "cone_catalog/n3": {"s": _best(lambda: model._cone_catalog(3))},
+        "build_twistor_model/n3": {"s": _best(lambda: model.build_twistor_model.__wrapped__(3))},
+        f"float_wedge/k3^k2/R{PLAIN_DIM}": {"s": _best(lambda: exterior.wedge(a, b))},
+        f"float_interior/k4/R{PLAIN_DIM}": {"s": _best(lambda: exterior.interior(v, c))},
+    }
 
 
 def _normal_form_kernels() -> dict:
@@ -308,6 +334,7 @@ def run() -> dict:
     out["comass_search"] = _comass_search_kernels()
     out["exact"] = _exact_kernels()
     out["exact_counts"] = _counted_exact_pass()
+    out["plain_ring"] = _plain_ring_kernels()
     return out
 
 

@@ -161,7 +161,13 @@ class Plane:
     def from_json(cls, data) -> "Plane":
         if isinstance(data, str):
             data = json.loads(data)
-        plane = cls.from_vectors(data["frame"])
+        if not isinstance(data, dict):
+            raise ValueError(f"a plane must be a JSON object, got {type(data).__name__}")
+        try:
+            frame = np.asarray(data["frame"], dtype=float)
+        except TypeError as exc:  # an entry that is an object or a list of objects
+            raise ValueError(f"frame must be an array of numbers: {exc}") from exc
+        plane = cls.from_vectors(frame)
         if data.get("dim", plane.dim) != plane.dim:
             raise ValueError(f"declared dim {data['dim']!r} does not match the frame rows of length {plane.dim}")
         return plane

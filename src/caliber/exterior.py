@@ -5,8 +5,11 @@ from strictly increasing index lists to coefficients.  Coefficients may come
 from any commutative ring whose elements support +, -, * and truth testing
 (false exactly for zero): int, Fraction, float, or the exact cone
 coefficients `symforms.RCoef`.  Exact types stay exact through every
-operation.  Complex-valued forms are a pair of real forms (`ComplexAltForm`),
-and all operations distribute over the pair.
+operation.  The products that land on one blade are summed in the order they
+are made: by `sum_of` where their ring defines one (`RCoef` reduces a whole
+blade sum once), else left to right with `+`.  Complex-valued forms are a
+pair of real forms (`ComplexAltForm`), and all operations distribute over the
+pair.
 
 Vectors are plain sequences / 1-D numpy arrays of length N.
 """
@@ -15,9 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import reduce
 from itertools import combinations
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -83,22 +89,20 @@ def _drop_sign(mask: int, i: int) -> int:
     return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
 
 
-def _summing_ring(c1, c2):
-    """The class of c1 or of c2 if it sums a blade at once, else None.
+def _totals(products: dict) -> dict:
+    """{mask: the sum of its list of products}, each list summed in order.
 
-    Such a ring (the exact cone coefficients, whose every sum tries a
-    reduction) gives an `accumulator()` with `add` and `total`; the wedge and
-    the contraction keep one per blade and total it once.  Other rings fold
-    each product into a running sum, so float and Fraction results round as
-    they always have.
+    The products of one operation share a ring, read off the first product.
+    A ring that defines `sum_of` (the exact cone coefficients) sums each list
+    in one call; any other folds it left to right with `+`, so a float total
+    has the bits of a running sum (builtin `sum` compensates float sums from
+    Python 3.12 on).
     """
-    t1, t2 = type(c1), type(c2)
-    return t1 if _has_accumulator(t1) else t2 if _has_accumulator(t2) else None
-
-
-@lru_cache(maxsize=None)
-def _has_accumulator(t: type) -> bool:
-    return hasattr(t, "accumulator")
+    ring = type(next(iter(products.values()))[0]) if products else None
+    sum_of = getattr(ring, "sum_of", None)
+    if sum_of is None:
+        return {m: reduce(add, ps) for m, ps in products.items()}
+    return {m: sum_of(ps) for m, ps in products.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +128,15 @@ class AltForm:
         if _raw is not None:
             self._terms = {m: c for m, c in _raw.items() if c}
         else:
-            acc: dict[int, Scalar] = {}
+            products: dict[int, list] = defaultdict(list)
             for key, coeff in (terms or {}).items():
                 mask = key if isinstance(key, int) else _mask_from_indices(key, dim)
                 if mask.bit_count() != degree:
                     raise ValueError(f"blade {key} has wrong length for degree {degree}")
                 if mask >= (1 << dim):
                     raise ValueError(f"blade {key} out of range for dimension {dim}")
-                prev = acc.get(mask)
-                acc[mask] = coeff if prev is None else prev + coeff
-            self._terms = {m: c for m, c in acc.items() if c}
+                products[mask].append(coeff)
+            self._terms = {m: c for m, c in _totals(products).items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -367,31 +370,13 @@ def wedge(a, b):
     degree = a.degree + b.degree
     if degree > a.dim:
         return AltForm.zero(a.dim, degree)
-    ta, tb = a._raw_terms(), b._raw_terms()
-    ring = _summing_ring(next(iter(ta.values()), None), next(iter(tb.values()), None))
-    if ring is not None:
-        sums: dict = {}
-        for m1, c1 in ta.items():
-            n1 = -c1  # negated once per term of a, not once per product
-            for m2, c2 in tb.items():
-                if not m1 & m2:
-                    acc = sums.get(m1 | m2)
-                    if acc is None:
-                        acc = sums[m1 | m2] = ring.accumulator()
-                    acc.add(c1 * c2 if _merge_sign(m1, m2) > 0 else n1 * c2)
-        return AltForm(a.dim, degree, _raw={m: acc.total() for m, acc in sums.items()})
-    acc: dict[int, Scalar] = {}
-    for m1, c1 in ta.items():
-        for m2, c2 in tb.items():
-            if m1 & m2:
-                continue
-            m = m1 | m2
-            c = c1 * c2
-            if _merge_sign(m1, m2) < 0:
-                c = -c
-            prev = acc.get(m)
-            acc[m] = c if prev is None else prev + c
-    return AltForm(a.dim, degree, _raw=acc)
+    products: dict[int, list] = defaultdict(list)
+    for m1, c1 in a._raw_terms().items():
+        n1 = -c1  # negated once per term of a, not once per product
+        for m2, c2 in b._raw_terms().items():
+            if not m1 & m2:
+                products[m1 | m2].append(c1 * c2 if _merge_sign(m1, m2) > 0 else n1 * c2)
+    return AltForm(a.dim, degree, _raw=_totals(products))
 
 
 def power(f, p: int):
@@ -422,8 +407,7 @@ def interior(v, a):
         raise ValueError(f"dimension mismatch: vector has {len(entries)} entries, form dim {a.dim}")
     if a.degree == 0:
         raise ValueError("cannot contract a 0-form")
-    ring = _summing_ring(next(iter(a._raw_terms().values()), None), entries[0])
-    acc: dict = {}
+    products: dict[int, list] = defaultdict(list)
     for mask, c in a._raw_terms().items():
         m = mask
         while m:
@@ -431,22 +415,10 @@ def interior(v, a):
             i = low.bit_length() - 1
             m ^= low
             vi = entries[i]
-            if not vi:
-                continue
-            nm = mask ^ low
-            term = c * vi
-            if _drop_sign(mask, i) < 0:
-                term = -term
-            prev = acc.get(nm)
-            if ring is not None:
-                if prev is None:
-                    prev = acc[nm] = ring.accumulator()
-                prev.add(term)
-            else:
-                acc[nm] = term if prev is None else prev + term
-    if ring is not None:
-        acc = {m: running.total() for m, running in acc.items()}
-    return AltForm(a.dim, a.degree - 1, _raw=acc)
+            if vi:
+                term = c * vi
+                products[mask ^ low].append(term if _drop_sign(mask, i) > 0 else -term)
+    return AltForm(a.dim, a.degree - 1, _raw=_totals(products))
 
 
 def hodge(a):
@@ -559,23 +531,48 @@ def form_to_json(f) -> dict:
     return {"dim": dim, "degree": degree, "terms": terms}
 
 
+def _json_count(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {x!r}")
+    return int(x)
+
+
+def _json_object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(x).__name__}")
+    return x
+
+
 def form_from_json(data) -> AltForm | ComplexAltForm:
+    """The form a schema document describes; a malformed one raises ValueError.
+
+    Terms on the same blade are summed, and every summed coefficient must be
+    finite.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    dim, degree = int(data["dim"]), int(data["degree"])
-    re_terms: dict[int, float] = {}
-    im_terms: dict[int, float] = {}
-    for t in data.get("terms", []):
-        mask = _mask_from_indices(t["indices"], dim)
+    data = _json_object(data, "a form")
+    dim, degree = _json_count(data["dim"], "dim"), _json_count(data["degree"], "degree")
+    terms = data.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValueError(f"terms must be a list, got {type(terms).__name__}")
+    parts = {"re": defaultdict(list), "im": defaultdict(list)}
+    for t in terms:
+        indices = _json_object(t, "a term")["indices"]
+        if not isinstance(indices, list):
+            raise ValueError(f"indices must be a list, got {indices!r}")
+        mask = _mask_from_indices([_json_count(i, "an index") for i in indices], dim)
         if mask.bit_count() != degree:
-            raise ValueError(f"term {t['indices']} does not have degree {degree}")
-        c_re, c_im = float(t.get("re", 0.0)), float(t.get("im", 0.0))
-        if not (math.isfinite(c_re) and math.isfinite(c_im)):
-            raise ValueError(f"term {t['indices']} has a non-finite coefficient")
-        re_terms[mask] = re_terms.get(mask, 0.0) + c_re
-        im_terms[mask] = im_terms.get(mask, 0.0) + c_im
-    re = AltForm(dim, degree, _raw=re_terms)
-    im = AltForm(dim, degree, _raw=im_terms)
+            raise ValueError(f"term {indices} does not have degree {degree}")
+        for key, part in parts.items():
+            c = t.get(key, 0.0)
+            if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                raise ValueError(f"term {indices} has a coefficient {key!r} that is not a number: {c!r}")
+            part[mask].append(float(c))
+    re, im = (AltForm(dim, degree, _raw=_totals(part)) for part in parts.values())
+    for m, c in [*re._raw_terms().items(), *im._raw_terms().items()]:
+        if not math.isfinite(c):
+            raise ValueError(f"blade {list(_indices_from_mask(m))} has a non-finite coefficient")
     if im.is_zero():
         return re
     return ComplexAltForm(re, im)

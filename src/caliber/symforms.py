@@ -26,14 +26,16 @@ the same recipe (`model.link_forms`) as the numeric link catalog.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
+from typing import Sequence
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, interior, wedge_powers
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, _totals, interior, wedge_powers
 
 __all__ = [
     "Poly",
@@ -262,7 +264,7 @@ class RCoef:
       only, with s > 0 for one of them: S can divide the product only through
       the numerator of a factor with s = 0, so that small numerator is the one
       divided (`_one_part_product`);
-    - a sum whose largest s > 0 belongs to one term alone (`accumulator`).
+    - a sum whose largest s > 0 belongs to one term alone (`sum_of`).
     Every other result gets the generic reduction, which rules most failing
     divisions out by two key comparisons (`Poly.try_div_sumsq`).  At N = 1,
     S = x_0^2 is a square, (x_0 / r^2)^2 = 1 / r^2, and only the shortcuts
@@ -321,9 +323,38 @@ class RCoef:
         return cls(dim, zero, one, (mm + 1) // 2)
 
     @staticmethod
-    def accumulator() -> "_RCoefSum":
-        """An empty running sum, reduced once by its `total`."""
-        return _RCoefSum()
+    def sum_of(coeffs: Sequence["RCoef"]) -> "RCoef":
+        """The sum of one or more coefficients, reduced once.
+
+        Each coefficient's numerators fold into the level of its s, so the
+        sum holds one numerator pair per level rather than every term; every
+        level is lifted to the largest s, and the result reduced.  When that
+        s > 0 belongs to one term only (N >= 2), the other levels bring a
+        factor S and the one term is reduced, so S cannot divide the sum and
+        no division is tried.  A one-term sum is the term itself.
+        """
+        if len(coeffs) == 1:
+            return coeffs[0]
+        dim = coeffs[0].dim
+        levels: dict[int, list] = defaultdict(lambda: [{}, {}, 0])
+        for c in coeffs:
+            level = levels[c.s]
+            _add_into(level[0], c.p.terms)
+            _add_into(level[1], c.q.terms)
+            level[2] += 1
+        top = max(levels)
+        p_acc, q_acc, at_top = levels[top]
+        for s, (p, q, _) in levels.items():
+            if s < top:
+                for part, acc in ((p, p_acc), (q, q_acc)):
+                    part = {k: c for k, c in part.items() if c}
+                    if part:
+                        _add_into(acc, (Poly._wrap(dim, part) * _sumsq(dim, top - s)).terms)
+        p = Poly._wrap(dim, {k: c for k, c in p_acc.items() if c})
+        q = Poly._wrap(dim, {k: c for k, c in q_acc.items() if c})
+        if top > 0 and dim >= 2 and at_top == 1:
+            return RCoef._reduced(dim, p, q, top)
+        return RCoef(dim, p, q, top)
 
     def __bool__(self) -> bool:
         return bool(self.p.terms or self.q.terms)
@@ -336,10 +367,7 @@ class RCoef:
     __hash__ = None
 
     def __add__(self, other: "RCoef") -> "RCoef":
-        acc = _RCoefSum()
-        acc.add(self)
-        acc.add(other)
-        return acc.total()
+        return RCoef.sum_of((self, other))
 
     def __neg__(self) -> "RCoef":
         return RCoef._reduced(self.dim, -self.p, -self.q, self.s)
@@ -415,57 +443,6 @@ class RCoef:
         return f"RCoef(p={len(self.p.terms)}t, q={len(self.q.terms)}t, s={self.s})"
 
 
-class _RCoefSum:
-    """A running sum of cone coefficients, reduced once by `total`.
-
-    `add` folds each coefficient's numerators into the level of its s, so the
-    sum holds one numerator pair per level rather than every term.  `total`
-    lifts every level to the largest s and reduces.  When that s > 0 belongs
-    to one term only (N >= 2), the other levels bring a factor S and the one
-    term is reduced, so S cannot divide the sum and no division is tried.
-    """
-
-    __slots__ = ("first", "count", "levels")
-
-    def __init__(self):
-        self.first, self.count, self.levels = None, 0, {}
-
-    def add(self, c: RCoef) -> None:
-        self.count += 1
-        if self.count == 1:
-            self.first = c  # a one-term sum is the term itself, never copied
-            return
-        if self.count == 2:
-            self._fold(self.first)
-        self._fold(c)
-
-    def _fold(self, c: RCoef) -> None:
-        level = self.levels.get(c.s)
-        if level is None:
-            level = self.levels[c.s] = [{}, {}, 0]
-        _add_into(level[0], c.p.terms)
-        _add_into(level[1], c.q.terms)
-        level[2] += 1
-
-    def total(self) -> RCoef:
-        if self.count == 1:
-            return self.first
-        dim = self.first.dim
-        top = max(self.levels)
-        p_acc, q_acc, at_top = self.levels[top]
-        for s, (p, q, _) in self.levels.items():
-            if s < top:
-                for part, acc in ((p, p_acc), (q, q_acc)):
-                    part = {k: c for k, c in part.items() if c}
-                    if part:
-                        _add_into(acc, (Poly._wrap(dim, part) * _sumsq(dim, top - s)).terms)
-        p = Poly._wrap(dim, {k: c for k, c in p_acc.items() if c})
-        q = Poly._wrap(dim, {k: c for k, c in q_acc.items() if c})
-        if top > 0 and dim >= 2 and at_top == 1:
-            return RCoef._reduced(dim, p, q, top)
-        return RCoef(dim, p, q, top)
-
-
 @dataclass(frozen=True)
 class PolyVectorField:
     """Vector field on the cone with RCoef components."""
@@ -522,21 +499,17 @@ def ext_d(f):
     """Exterior derivative; d(r^m) = m r^{m-2} sum_i x_i dx_i, d o d = 0 exactly."""
     if isinstance(f, ComplexAltForm):
         return ComplexAltForm(ext_d(f.re), ext_d(f.im))
-    sums: dict[int, _RCoefSum] = {}
+    products: dict[int, list] = defaultdict(list)
     dim = f.dim
     for mask, c in f._raw_terms().items():
         nc = -c
         for i in range(dim):
             bit = 1 << i
-            if mask & bit:
-                continue
-            dc = c.diff(i) if _drop_sign(mask, i) > 0 else nc.diff(i)
-            if dc:
-                acc = sums.get(mask | bit)
-                if acc is None:
-                    acc = sums[mask | bit] = _RCoefSum()
-                acc.add(dc)
-    return AltForm(dim, f.degree + 1, _raw={m: acc.total() for m, acc in sums.items()})
+            if not mask & bit:
+                dc = c.diff(i) if _drop_sign(mask, i) > 0 else nc.diff(i)
+                if dc:
+                    products[mask | bit].append(dc)
+    return AltForm(dim, f.degree + 1, _raw=_totals(products))
 
 
 def interior_field(X: PolyVectorField, f):

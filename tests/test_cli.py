@@ -191,6 +191,32 @@ def test_comass_nan_form_file_exits_2(tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param('[{"dim": 4, "degree": 2, "terms": []}]', "JSON object", id="top-level-list"),
+    pytest.param('{"dim": 4, "degree": 2, "terms": 5}', "terms must be a list", id="terms-number"),
+    pytest.param('{"dim": 4, "degree": 2, "terms": [5]}', "JSON object", id="term-number"),
+    pytest.param('{"dim": 4, "degree": 1, "terms": [{"indices": 0, "re": 1}]}', "indices must be a list",
+                 id="indices-number"),
+    pytest.param('{"dim": 4, "degree": 2, "terms": [{"indices": [0, 1], "re": null}]}', "not a number",
+                 id="re-null"),
+    pytest.param('{"dim": 4, "degree": 1, "terms": [{"indices": [0.7], "re": 1}]}', "nonnegative integer",
+                 id="index-fraction"),
+    pytest.param('{"dim": 4, "degree": 1, "terms": [{"indices": [-1], "re": 1}]}', "nonnegative integer",
+                 id="index-negative"),
+    pytest.param('{"dim": 3.9, "degree": 1, "terms": [{"indices": [0], "re": 1}]}', "nonnegative integer",
+                 id="dim-fraction"),
+    # each term is finite, their sum on the one blade is not
+    pytest.param('{"dim": 4, "degree": 2, "terms": [{"indices": [0, 1], "re": 1e308},'
+                 ' {"indices": [0, 1], "re": 1e308}]}', "non-finite", id="blade-sum-overflows"),
+])
+def test_comass_malformed_form_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "form.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "comass", "--form", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and message in err
+
+
 def test_classify_nan_plane_exits_2(tmp_path, capsys):
     frame = np.eye(8)[:2].tolist()
     frame[1][1] = float("nan")
@@ -199,6 +225,18 @@ def test_classify_nan_plane_exits_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
     _assert_usage_error(code, err)
     assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(np.eye(8)[:2].tolist(), "JSON object", id="top-level-list"),
+    pytest.param({"dim": 8, "frame": {"rows": 2}}, "array of numbers", id="frame-object"),
+])
+def test_classify_malformed_plane_exits_2(tmp_path, capsys, data, message):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(data))
+    code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
+    _assert_usage_error(code, err)
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caliber import symforms as sf
-from caliber.exterior import AltForm, ComplexAltForm, power, pullback, wedge
+from caliber.exterior import AltForm, ComplexAltForm, interior, power, pullback, wedge
 from caliber.model import build_link_frame
 
 
@@ -135,11 +135,8 @@ def test_rcoef_sums_match_generic_reduction(data):
     a, b = terms[0], terms[-1]
     assert same(a + b, generic_sum([a, b]))
     assert same(a - a, sf.RCoef.const(dim, 0))
-    # wedge, interior and ext_d sum each blade through one running sum
-    acc = sf.RCoef.accumulator()
-    for t in terms:
-        acc.add(t)
-    grouped = acc.total()
+    # wedge, interior and ext_d sum each blade in one call
+    grouped = sf.RCoef.sum_of(terms)
     assert same(grouped, generic_sum(terms))
     fold = terms[0]
     for t in terms[1:]:
@@ -164,6 +161,12 @@ def test_float_wedge_sums_each_blade_left_to_right():
     a = AltForm(3, 1, {(0,): 1e16, (1,): 1.0, (2,): -1e16})
     b = AltForm(3, 2, {(1, 2): 1.0, (0, 2): -1.0, (0, 1): 1.0})
     assert wedge(a, b).coefficient((0, 1, 2)) == (1e16 + 1.0) + -1e16 == 0.0
+
+
+def test_float_interior_sums_each_blade_left_to_right():
+    # the three contractions land on e3; a compensated or reordered sum gives 1.0
+    a = AltForm(4, 2, {(0, 3): 1e16, (1, 3): 1.0, (2, 3): -1e16})
+    assert interior((1, 1, 1, 0), a).coefficient((3,)) == (1e16 + 1.0) + -1e16 == 0.0
 
 
 def test_rcoef_one_variable_square_still_reduces():
@@ -355,6 +358,8 @@ def test_constant_form_commutes_with_the_algebra(data):
     lift = sf.constant_form
     assert lift(a + a2) == lift(a) + lift(a2)
     assert lift(wedge(a, b)) == wedge(lift(a), lift(b))
+    # Fraction x RCoef products are summed in the ring of the products
+    assert lift(wedge(a, b)) == wedge(a, lift(b)) == wedge(lift(a), b)
     assert lift(power(a, p)) == power(lift(a), p)
     z = ComplexAltForm(a, a2)
     assert lift(wedge(z, b)) == wedge(lift(z), lift(b))
