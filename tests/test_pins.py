@@ -1,6 +1,7 @@
 """Byte pins: every registry form, the exact suites' --no-timing output,
-the normal-form suite's --no-timing output and every exact coefficient of
-the link extension catalog.
+the normal-form suite's --no-timing output, the `classify` output on every
+special and some random planes, and every exact coefficient of the link
+extension catalog.
 
 The digests were recorded from the code before the form algebra was unified,
 so a refactor of `exterior`, `symforms`, `model` or `registry` that changes
@@ -16,7 +17,10 @@ The calibrations and propositions digests pin float outputs: comass
 searches, maximizer counts and float witnesses.  They were recorded on a
 2-core x86-64 Xeon with numpy 2.4 on OpenBLAS 0.3.31 (Python 3.11), before
 the maximizers of a search became one frame batch.  A change of BLAS or CPU
-may move their last bits; a change of the code must not.
+may move their last bits; a change of the code must not.  The propositions
+digests at n = 2, 3 and the `classify` digests were recorded while the
+propositions suite still computed the plane-level implications itself,
+apart from `planes.check_equivalences`.
 """
 
 import contextlib
@@ -24,9 +28,14 @@ import hashlib
 import io
 import json
 
+import numpy as np
+from test_planes import _special_planes
+
 from caliber import registry, symforms
+from caliber.calib import Plane
 from caliber.cli import run
 from caliber.exterior import ComplexAltForm, form_to_json
+from caliber.planes import batch_random_planes
 
 CATALOG_SHA256 = {
     ("cone", 1): "228ea506cfa66771ae3ed30cc0c3495191f4a34a1507b1c6d10d21c14bd8463f",
@@ -59,6 +68,27 @@ FLOAT_SUITES_SHA256 = {
     ("calibrations", "--restarts", "40"): "4f85377e2e2d7b3fdddef3d63f7c9580b60f65d95bba02a5e4cbb1a3af36ea8e",
     ("propositions", "--samples", "300", "--restarts", "300"):
         "6130d437aaa87896b4d448ef7a966420b72764f9e7c663d68923ea346d096136",
+}
+
+# (n, --samples, --restarts) -> sha256 of `verify --suite propositions`
+# where k = 2n+2 and k = 2n+1 differ from the sampled degrees 3 and 4
+PROPOSITIONS_SHA256 = {
+    (2, 300, 300): "91a1346cff90688a1e9ca58e2ac7d237784afaaee08c9a099a17bc21c6a60f99",
+    (3, 300, 40): "8263144195742c18521b387b86b1feefa3ee95be35394c59861f883891d02cc1",
+}
+
+# (space, n) -> sha256 of `classify --space S --n n` on every `_special_planes(n)`
+# frame of that space, then on two seeded Haar-random planes of each degree 2..4
+CLASSIFY_SHA256 = {
+    ("cone", 1): "f35c86ff5c56715b93a8b37cb37f240ed388712bbcfcbd021f220d2e94ef240e",
+    ("link", 1): "f5c09a7a002f108a7df90c227bda82bb4b7221ad6fd4ff2f04fb27c02a4af888",
+    ("twistor", 1): "99240e87e936b593768839bdcbb8b6db8bd0ed5045e9daf3397b3d91b7d6e50e",
+    ("cone", 2): "1e1bcfe2b9e5365839fc7b529999627e8f59d1a18b3ac94e30c2d6e1379d59d4",
+    ("link", 2): "5fa7b0bc149e2cf57fb329c7ea9a4f74817adaadca48afb88ae6abd4f900e3db",
+    ("twistor", 2): "5618d6841c7a667dcd673ad0d164addccce77c96a0ab6a10071d6c02a3042c05",
+    ("cone", 3): "e656aa9428fee995d7891376ac9b75ea40dcbf8be0329a0caf18386fb7f4f38d",
+    ("link", 3): "cd83e13f8b20f50136bce05ad7d0e875b9744d0b22363e0aa796a681b2f4984a",
+    ("twistor", 3): "35f0ad00f1f52e7b397b25842e9be46683a2481a4e26924d7f0a2d52450dbafa",
 }
 
 LINK_EXTENSION_COEFFICIENTS_N1_SHA256 = "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3"
@@ -99,6 +129,41 @@ def test_normalform_suite_is_byte_pinned():
 def test_float_suites_are_byte_pinned():
     for (suite, *options), digest in FLOAT_SUITES_SHA256.items():
         assert verify_digest(["--suite", suite, "--n", "1", *options]) == digest, suite
+
+
+def test_propositions_suite_is_byte_pinned_at_n2_n3():
+    for (n, samples, restarts), digest in PROPOSITIONS_SHA256.items():
+        argv = ["--suite", "propositions", "--n", str(n), "--samples", str(samples), "--restarts", str(restarts)]
+        assert verify_digest(argv) == digest, (n, samples, restarts)
+
+
+def classify_digests(n: int, tmp_path) -> dict:
+    models = {space: registry.model(space, n) for space in registry.SPACES}
+    space_of = {id(m): space for space, m in models.items()}
+    rng = np.random.default_rng(40 + n)
+    frames = {space: [] for space in models}
+    for m, F in _special_planes(n, rng):
+        frames[space_of[id(m)]].append(F)
+    for space, m in models.items():
+        for k in (2, 3, 4):
+            frames[space].extend(batch_random_planes(m.dim, k, 2, rng))
+    digests = {}
+    for space, planes in frames.items():
+        out = io.StringIO()
+        for i, F in enumerate(planes):
+            path = tmp_path / f"{space}_{n}_{i}.json"
+            path.write_text(json.dumps(Plane.from_vectors(F).to_json()))
+            with contextlib.redirect_stdout(out):
+                assert run(["classify", "--space", space, "--n", str(n), "--plane", str(path)]) == 0
+        digests[(space, n)] = _sha256(out.getvalue())
+    return digests
+
+
+def test_classify_is_byte_pinned(tmp_path):
+    digests = {}
+    for n in (1, 2, 3):
+        digests.update(classify_digests(n, tmp_path))
+    assert digests == CLASSIFY_SHA256
 
 
 def coefficient_digest(n: int) -> str:
