@@ -15,6 +15,9 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   classification takes (`model.value`, through the model's cached
   `FormEvaluator`);
 - `classify_plane` on one plane per model space at n = 3;
+- the six propositions checks that run `planes.check_equivalences`
+  (IMPLICATION_CHECKS), together, at the suite's default 10^4 samples, for
+  n = 1, 2, 3;
 - `normal_form_theta` on NORMAL_FORM_PLANES `rotated_w_theta` planes at
   n = 3, one call per plane and one call on their stacked frames;
 - `exterior.pullback`: the float path on cone `theta_I6` (n = 2) by a
@@ -61,7 +64,7 @@ from math import comb
 
 import numpy as np
 
-from caliber import calib, exterior, model, planes, symforms
+from caliber import calib, exterior, model, planes, suites, symforms
 from caliber.registry import resolve
 from caliber.suites import run_suite
 
@@ -85,6 +88,9 @@ SINGLE_FRAME_FORMS = (
 MODELS = {"cone": model.build_hyperkahler_cone, "link": model.default_link_frame,
           "twistor": model.build_twistor_model}
 CLASSIFY_DEGREES = {"cone": 4, "link": 3, "twistor": 3}
+IMPLICATION_CHECKS = ("complex_w2iso_implies_w3iso", "double_lagrangian_complex_and_volume", "associative_from_cr",
+                      "hv_compatible_iso_ke_iff_nk", "double_lagrangian_hv_dimensions", "cr_legendrian_special_phases")
+IMPLICATION_SAMPLES = 10000
 RETRACTION_SHAPES = ((40, 12, 2), (200, 12, 6), (10000, 8, 3))
 TIED = (200, 12, 4)  # restarts, N, k
 NORMAL_FORM_PLANES = 100  # rotated W_theta planes at n = 3, theta = NORMAL_FORM_THETA
@@ -218,6 +224,15 @@ def _normal_form_kernels() -> dict:
             f"{key}/batch": {"s": _best(lambda: planes.normal_form_theta(frames, tm))}}
 
 
+def _implication_kernels() -> dict:
+    out = {}
+    for n in (1, 2, 3):
+        checks = dict(suites._propositions_checks(n, 0, IMPLICATION_SAMPLES, IMPLICATION_SAMPLES))
+        six = [checks[check_id] for check_id in IMPLICATION_CHECKS]
+        out[f"n{n}/samples{IMPLICATION_SAMPLES}"] = {"s": _best(lambda: [check() for check in six])}
+    return out
+
+
 def _pullback_kernels() -> dict:
     cone2, cone3 = model.build_hyperkahler_cone(2), model.build_hyperkahler_cone(3)
     theta = cone2.form("theta_I6")
@@ -329,6 +344,7 @@ def run() -> dict:
         m = MODELS[space](3)
         plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
         out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
+    out["implication_checks"] = _implication_kernels()
     out["normal_form"] = _normal_form_kernels()
     out["pullback"] = _pullback_kernels()
     out["comass_search"] = _comass_search_kernels()

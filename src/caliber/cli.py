@@ -147,6 +147,8 @@ def _cmd_verify(args) -> int:
         for name, value in (("samples", args.samples), ("restarts", args.restarts)):
             if value is not None and value < 1:
                 raise UsageError(f"{name} must be at least 1, got {value}")
+        if args.samples is not None:
+            raise UsageError(f"suite 'phase-scan' does not use samples, got samples={args.samples}")
         model = registry.model("twistor", args.n)
         params = SearchParams(restarts=400 if args.restarts is None else args.restarts, seed=args.seed)
         report = phase_rigidity_scan(model, params=params)

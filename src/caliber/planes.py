@@ -11,15 +11,18 @@ is the skew matrix (`model.skew`) behind each isotropy residual.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
 
-The normal form (`normal_form_theta`, `quaternionic_envelope`) takes a
-`Plane` or a batch of row frames (B, 3, N), like `intersection_dim` and
-`model.value`; a `Plane` is the batch of one, so both run one code path.
+The normal form (`normal_form_theta`, `quaternionic_envelope`) and the
+plane-level implications (`check_equivalences`, which the propositions suite
+runs) take a `Plane` or a batch of row frames (B, k, N); a `Plane` is the
+batch of one, so each runs one code path.  Each flag that `check_equivalences`
+shares with the one-plane `classify_plane` comes from one helper.
 `batch_rotated_w_theta` draws a batch of rotated W_theta planes with one
 batched quaternionic Gram-Schmidt and one stacked QR.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,33 +79,76 @@ __all__ = [
 # basic geometric measurements
 
 
-def projector_invariance_residual(frame: np.ndarray, J: np.ndarray) -> float:
-    """sup-norm of proj_E J proj_E - J proj_E, maximized over a (..., k, N)
-    batch of frames; zero iff J(E) is contained in E."""
+def _item(a: np.ndarray):
+    """A per-plane result: the array for a batch, a Python scalar for one plane."""
+    return a if a.ndim else a.item()
+
+
+def _blockwise(measure):
+    """Measure a batch (..., k, N) in blocks of 512 planes, whose temporaries
+    stay in cache; each plane gets the value it gets alone."""
+
+    @functools.wraps(measure)
+    def blocked(frame: np.ndarray, *args):
+        frame = np.asarray(frame)
+        if frame.ndim == 2:
+            return measure(frame, *args)
+        flat = frame.reshape(-1, *frame.shape[-2:])
+        return np.concatenate([measure(flat[i:i + 512], *args) for i in range(0, len(flat), 512)]
+                              ).reshape(frame.shape[:-2])
+
+    return blocked
+
+
+@_blockwise
+def projector_invariance_residual(frame: np.ndarray, J: np.ndarray):
+    """sup-norm of proj_E J proj_E - J proj_E, zero iff J(E) is contained in E:
+    a float for one frame (k, N), an array for a batch (..., k, N)."""
     P = np.swapaxes(frame, -1, -2) @ frame
     JP = J @ P
-    return float(np.max(np.abs(P @ JP - JP)))
+    return _item(np.abs(P @ JP - JP).max(axis=(-2, -1)))
 
 
-def isotropy_residual(frame: np.ndarray, S: np.ndarray) -> float:
+@_blockwise
+def isotropy_residual(frame: np.ndarray, S: np.ndarray):
     """sup-norm of the 2-form with skew matrix S (`model.skew`,
-    `calib.skew_matrix`) restricted to E, maximized over a (..., k, N) batch."""
-    return float(np.max(np.abs(frame @ S @ np.swapaxes(frame, -1, -2))))
+    `calib.skew_matrix`) restricted to E: a float for one frame (k, N), an
+    array for a batch (..., k, N)."""
+    return _item(np.abs(frame @ S @ np.swapaxes(frame, -1, -2)).max(axis=(-2, -1)))
+
+
+def _alpha_residual(frame: np.ndarray, p: int):
+    """sup-norm of the contact form alpha_p on E at the link frame."""
+    return _item(np.abs(frame[..., p - 1]).max(axis=-1))
+
+
+def _cr(frame: np.ndarray, lf: LinkFrame, p: int, tol: float):
+    """The CR test for I_p at the link frame, (flag, Reeb test, J_p residual):
+    E holds A_p (to 10 tol) and is J_p-invariant (to tol)."""
+    reeb = np.linalg.norm((frame[..., p - 1:p] * frame).sum(axis=-2) - np.eye(lf.dim)[p - 1], axis=-1)
+    has_reeb = _item(reeb <= 10 * tol)
+    jres = projector_invariance_residual(frame, lf.transverse_structures[p - 1])
+    return has_reeb & (jres <= tol), has_reeb, jres
 
 
 def intersection_dim(frame: np.ndarray, indices, tol: float = 1e-6):
     """dim of the intersection with the coordinate subspace on `indices`: an
-    int for one frame (k, N), an int array for a batch (..., k, N)."""
+    int for one frame (k, N), an int array for a batch (..., k, N).  The rank
+    of the other columns M counts the eigenvalues above tol^2 of the smaller
+    Gram matrix of M (faster than an SVD), resolved to about 1e-15: so `tol`
+    must be well above 1e-7."""
     frame = np.asarray(frame)
     k, n = frame.shape[-2:]
     inside = set(indices)
     comp = [i for i in range(n) if i not in inside]
     if comp:
-        rank = np.sum(np.linalg.svd(frame[..., comp], compute_uv=False) > tol, axis=-1)
+        M = frame[..., comp]
+        if M.shape[-2] > M.shape[-1]:
+            M = np.swapaxes(M, -1, -2)
+        rank = np.sum(np.linalg.eigvalsh(M @ np.swapaxes(M, -1, -2).copy()) > tol * tol, axis=-1)
     else:
         rank = np.zeros(frame.shape[:-2], dtype=int)
-    dims = k - rank
-    return dims if dims.ndim else int(dims)
+    return _item(k - rank)
 
 
 def _phase(value: complex, tol: float) -> float | None:
@@ -124,12 +170,10 @@ class ClassificationReport:
     tol: float
     flags: dict = field(default_factory=dict)
 
-    def add(self, name: str, flag, witness, tol=None) -> None:
+    def add(self, name: str, flag, witness, **extra) -> None:
         if isinstance(witness, complex):
             witness = {"re": float(witness.real), "im": float(witness.imag)}
-        elif isinstance(witness, (np.floating, np.integer)):
-            witness = float(witness)
-        self.flags[name] = {"flag": flag, "witness": witness, "tol": self.tol if tol is None else tol}
+        self.flags[name] = {"flag": flag, "witness": witness, "tol": self.tol, **extra}
 
     def flag(self, name: str):
         return self.flags[name]["flag"]
@@ -148,26 +192,28 @@ class ClassificationReport:
         }
 
 
+def _space(model, dim: int) -> str:
+    """The space of a model, checked against the dimension of the planes."""
+    space = {HKModel: "cone", LinkFrame: "link", TwistorModel: "twistor"}.get(type(model))
+    if space is None:
+        raise TypeError(f"unsupported model type {type(model)!r}")
+    if dim != model.dim:
+        raise ValueError(f"dimension mismatch: plane {dim}, model {model.dim}")
+    return space
+
+
 def classify_plane(plane: Plane, model, tol: float = 1e-8) -> ClassificationReport:
     """Full vector of membership flags and numeric witnesses for a plane."""
-    if isinstance(model, HKModel):
-        return _classify_cone(plane, model, tol)
-    if isinstance(model, LinkFrame):
-        return _classify_link(plane, model, tol)
-    if isinstance(model, TwistorModel):
-        return _classify_twistor(plane, model, tol)
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    space = _space(model, plane.dim)
+    rep = ClassificationReport(space, model.n, model.dim, plane.degree, tol)
+    {"cone": _classify_cone, "link": _classify_link, "twistor": _classify_twistor}[space](plane.frame, model, rep)
+    return rep
 
 
-def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationReport:
-    if plane.dim != hk.dim:
-        raise ValueError(f"dimension mismatch: plane {plane.dim}, model {hk.dim}")
-    F = plane.frame
-    k = plane.degree
-    rep = ClassificationReport("cone", hk.n, hk.dim, k, tol)
-    structures = dict(zip((1, 2, 3), hk.complex_structures))
+def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> None:
+    k, tol = rep.degree, rep.tol
     for p in (1, 2, 3):
-        res = projector_invariance_residual(F, structures[p])
+        res = projector_invariance_residual(F, hk.complex_structures[p - 1])
         invariant = res <= tol
         rep.add(f"invariant_I{p}", invariant, res)
         if invariant and k % 2 == 0:
@@ -188,8 +234,7 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
         for p in (1, 2, 3):
             val = hk.value(f"upsilon{p}", F)
             ph = _phase(val, tol)
-            rep.add(f"special_lagrangian_phase_upsilon{p}", ph is not None, val)
-            rep.flags[f"special_lagrangian_phase_upsilon{p}"]["phase"] = ph
+            rep.add(f"special_lagrangian_phase_upsilon{p}", ph is not None, val, phase=ph)
     if k % 2 == 0 and 2 <= k <= 2 * hk.n + 2:
         for label in ("I", "J", "K"):
             val = hk.value(f"theta_{label}{k}", F)
@@ -199,29 +244,19 @@ def _classify_cone(plane: Plane, hk: HKModel, tol: float) -> ClassificationRepor
             val = hk.value(f"Phi{p}", F)
             rep.add(f"cayley_Phi{p}", abs(val - 1) <= tol, val)
         rep.add("quaternionic_Lambda_value", None, hk.value("Lambda", F))
-    return rep
 
 
-def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationReport:
-    if plane.dim != lf.dim:
-        raise ValueError(f"dimension mismatch: plane {plane.dim}, model {lf.dim}")
-    F = plane.frame
-    k = plane.degree
-    n = lf.n
-    rep = ClassificationReport("link", n, lf.dim, k, tol)
-    J = dict(zip((1, 2, 3), lf.transverse_structures))
-    reeb = np.eye(lf.dim)[:3]
+def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> None:
+    k, n, tol = rep.degree, lf.n, rep.tol
     for p in (1, 2, 3):
-        has_reeb = bool(np.linalg.norm(F.T @ (F @ reeb[p - 1]) - reeb[p - 1]) <= 10 * tol)
-        jres = projector_invariance_residual(F, J[p])
-        cr = has_reeb and jres <= tol
+        cr, has_reeb, jres = _cr(F, lf, p, tol)
         rep.add(f"cr_I{p}", cr, {"reeb": has_reeb, "J_residual": jres})
         if cr and k % 2 == 1:
             m = (k - 1) // 2
             rep.flags[f"cr_I{p}"]["oriented_value"] = lf.value(
                 f"alpha{p}_Omega{p}_power{m}", F,
                 lambda: wedge(lf.form(f"alpha{p}"), divided_powers(lf.form(f"Omega{p}"), m)[m]))
-        aval = float(np.max(np.abs(F[:, p - 1])))
+        aval = _alpha_residual(F, p)
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)
     for p, (q, r) in CYCLIC_PAIRS.items():
@@ -231,8 +266,7 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
         for p in (1, 2, 3):
             val = lf.value(f"psi{p}", F)
             ph = _phase(val, tol)
-            rep.add(f"special_legendrian_phase_psi{p}", ph is not None, val)
-            rep.flags[f"special_legendrian_phase_psi{p}"]["phase"] = ph
+            rep.add(f"special_legendrian_phase_psi{p}", ph is not None, val, phase=ph)
     if k % 2 == 1 and k <= 2 * n + 1:
         for label in ("I", "J", "K"):
             val = lf.value(f"theta_{label}{k}", F)
@@ -246,23 +280,16 @@ def _classify_link(plane: Plane, lf: LinkFrame, tol: float) -> ClassificationRep
     horiz = float(np.max(np.abs(F[:, :3])))
     rep.add("horizontal_p1", rep.flag("isotropic_alpha1"), rep.witness("isotropic_alpha1"))
     rep.add("horizontal", horiz <= tol, horiz)
-    return rep
 
 
-def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> ClassificationReport:
-    if plane.dim != tm.dim:
-        raise ValueError(f"dimension mismatch: plane {plane.dim}, model {tm.dim}")
-    F = plane.frame
-    k = plane.degree
-    n = tm.n
-    rep = ClassificationReport("twistor", n, tm.dim, k, tol)
+def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport) -> None:
+    k, n, tol = rep.degree, tm.n, rep.tol
     for name, J in (("J_plus", tm.J_plus), ("J_minus", tm.J_minus)):
         res = projector_invariance_residual(F, J)
         rep.add(f"complex_{name}", res <= tol, res)
     for name in ("omega_KE", "omega_NK", "omega_H", "omega_V"):
         res = isotropy_residual(F, tm.skew(name))
-        rep.add(f"isotropic_{name}", res <= tol, res)
-        rep.flags[f"isotropic_{name}"]["restriction_norm"] = res
+        rep.add(f"isotropic_{name}", res <= tol, res, restriction_norm=res)
     rep.add("lagrangian_omega_KE", rep.flag("isotropic_omega_KE") and k == 2 * n + 1, rep.witness("isotropic_omega_KE"))
     rep.add("lagrangian_omega_NK", rep.flag("isotropic_omega_NK") and k == 2 * n + 1, rep.witness("isotropic_omega_NK"))
     horiz = float(np.max(np.abs(F[:, list(tm.v_indices)])))
@@ -274,9 +301,7 @@ def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> Classificat
     rep.add("hv_compatible", dim_h + dim_v == k, {"dim_cap_H": dim_h, "dim_cap_V": dim_v})
     if k == 3:
         val = tm.value("gamma0", F)
-        rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val)
-        rep.flags["re_gamma0_calibrated"]["phase"] = _phase(val, tol)
-    return rep
+        rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val, phase=_phase(val, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -285,83 +310,66 @@ def _classify_twistor(plane: Plane, tm: TwistorModel, tol: float) -> Classificat
 
 @dataclass(frozen=True)
 class EquivalenceResult:
+    """Whether an implication's premise holds and whether it holds, with the
+    residuals and values it read: scalars for a `Plane`, arrays for a batch."""
+
     check_id: str
-    holds: bool
+    premise: object
+    holds: object
     witness: dict
 
 
-def check_equivalences(plane: Plane, model, tol: float = 1e-8) -> list[EquivalenceResult]:
-    """Evaluate both sides of the plane-level structure implications.
-
-    A failure on any plane contradicts a theorem, so a False result is a test
-    failure of the suite.
+def check_equivalences(planes, model, tol: float = 1e-8) -> list[EquivalenceResult]:
+    """Evaluate both sides of the plane-level structure implications on a
+    `Plane` or a batch of row frames (B, k, N).  A failure on any plane
+    contradicts a theorem.  The propositions suite runs this on its batches.
     """
-    rep = classify_plane(plane, model, tol)
+    F = _frame_batch(planes)
+    space = _space(model, F.shape[-1])
+    k, n = F.shape[-2], model.n
     out: list[EquivalenceResult] = []
 
-    def implication(check_id: str, premise: bool, conclusion: bool, witness: dict):
-        out.append(EquivalenceResult(check_id, (not premise) or conclusion, {"premise": premise, **witness}))
+    def implication(check_id: str, premise, conclusion, **witness):
+        out.append(EquivalenceResult(check_id, premise, ~premise | conclusion, witness))
 
-    if isinstance(model, HKModel):
-        premise = bool(rep.flag("invariant_I1")) and bool(rep.flag("isotropic_omega2"))
-        implication(
-            "complex_w2iso_implies_w3iso",
-            premise,
-            bool(rep.flag("isotropic_omega3")),
-            {"w3_residual": rep.witness("isotropic_omega3")},
-        )
-        if plane.degree == 2 * model.n + 2:
-            dl = bool(rep.flag("lagrangian_omega2")) and bool(rep.flag("lagrangian_omega3"))
-            implication(
-                "double_lagrangian_implies_I1_invariant",
-                dl,
-                bool(rep.flag("invariant_I1")),
-                {"I1_residual": rep.witness("invariant_I1")},
-            )
-            ups2 = model.value("upsilon2", plane.frame)
-            rot = ups2 * (-1j) ** (model.n + 1)
-            implication(
-                "double_lagrangian_upsilon2_volume",
-                dl,
-                abs(abs(rot.real) - 1) <= tol and abs(rot.imag) <= tol,
-                {"rotated_upsilon2": {"re": rot.real, "im": rot.imag}},
-            )
-    elif isinstance(model, LinkFrame):
-        if plane.degree == 3:
+    def plus_minus(z, target):  # z = +-target, to tol
+        return np.minimum(np.abs(z - target), np.abs(z + target)) <= tol
+
+    if space == "cone":
+        inv, w2, w3 = (projector_invariance_residual(F, model.I1), isotropy_residual(F, model.skew("omega2")),
+                       isotropy_residual(F, model.skew("omega3")))
+        residuals = dict(I1_residual=inv, w2_residual=w2, w3_residual=w3)
+        implication("complex_w2iso_implies_w3iso", (inv <= tol) & (w2 <= tol), w3 <= tol, **residuals)
+        if k == 2 * n + 2:
+            rot = model.value("upsilon2", F) * (-1j) ** (n + 1)
+            implication("double_lagrangian_implies_I1_invariant", (w2 <= tol) & (w3 <= tol), inv <= tol, **residuals)
+            implication("double_lagrangian_upsilon2_volume", (w2 <= tol) & (w3 <= tol),
+                        plus_minus(rot.real, 1) & (np.abs(rot.imag) <= tol), rotated_upsilon2=rot, **residuals)
+    elif space == "link":
+        cr = {p: _cr(F, model, p, tol) for p in ((1, 3) if k == 3 else (1,) if k == 2 * n + 1 else ())}
+        if k == 3:
+            phi2 = model.value("phi2", F)
             for p in (1, 3):
-                implication(
-                    f"cr_I{p}_implies_phi2_associative",
-                    bool(rep.flag(f"cr_I{p}")),
-                    abs(abs(rep.witness("associative_phi2")) - 1) <= tol,
-                    {"phi2": rep.witness("associative_phi2")},
-                )
-        if plane.degree == 2 * model.n + 1:
-            leg = bool(rep.flag("cr_I1")) and rep.flag("legendrian_alpha2") and rep.flag("legendrian_alpha3")
-            psi2 = model.value("psi2", plane.frame)
-            psi3 = model.value("psi3", plane.frame)
-            target2 = 1j ** (model.n + 1)
-            ok2 = min(abs(psi2 - target2), abs(psi2 + target2)) <= tol
-            ok3 = min(abs(psi3 - 1), abs(psi3 + 1)) <= tol
-            implication(
-                "cr_legendrian_special_phases",
-                leg,
-                ok2 and ok3,
-                {"psi2": {"re": psi2.real, "im": psi2.imag}, "psi3": {"re": psi3.real, "im": psi3.imag}},
-            )
-    elif isinstance(model, TwistorModel):
-        hv = bool(rep.flag("hv_compatible"))
-        iso_ke = bool(rep.flag("isotropic_omega_KE"))
-        iso_nk = bool(rep.flag("isotropic_omega_NK"))
-        implication("hv_compatible_iso_KE_iff_NK", hv, iso_ke == iso_nk, {"iso_KE": iso_ke, "iso_NK": iso_nk})
-        if plane.degree == 2 * model.n + 1:
-            dl = bool(rep.flag("lagrangian_omega_KE")) and bool(rep.flag("lagrangian_omega_NK"))
-            dims_ok = rep.witness("dim_cap_H") == 2 * model.n and rep.witness("dim_cap_V") == 1
-            implication(
-                "double_lagrangian_hv_dimensions",
-                dl,
-                hv and dims_ok,
-                {"dim_cap_H": rep.witness("dim_cap_H"), "dim_cap_V": rep.witness("dim_cap_V")},
-            )
+                implication(f"cr_I{p}_implies_phi2_associative", cr[p][0], plus_minus(phi2, 1),
+                            reeb=cr[p][1], J_residual=cr[p][2], phi2=phi2)
+        if k == 2 * n + 1:
+            a2, a3 = _alpha_residual(F, 2), _alpha_residual(F, 3)
+            psi2, psi3 = model.value("psi2", F), model.value("psi3", F)
+            implication("cr_legendrian_special_phases", cr[1][0] & (a2 <= tol) & (a3 <= tol),
+                        plus_minus(psi2, 1j ** (n + 1)) & plus_minus(psi3, 1), reeb=cr[1][1], J_residual=cr[1][2],
+                        alpha2_residual=a2, alpha3_residual=a3, psi2=psi2, psi3=psi3)
+    else:
+        ke, nk = (isotropy_residual(F, model.skew(name)) for name in ("omega_KE", "omega_NK"))
+        dim_h, dim_v = (intersection_dim(F, indices) for indices in (model.h_indices, model.v_indices))
+        hv = dim_h + dim_v == k
+        witness = dict(ke_residual=ke, nk_residual=nk, dim_cap_H=dim_h, dim_cap_V=dim_v)
+        implication("hv_compatible_iso_KE_iff_NK", hv, (ke <= tol) == (nk <= tol), **witness)
+        if k == 2 * n + 1:
+            implication("double_lagrangian_hv_dimensions", (ke <= tol) & (nk <= tol),
+                        hv & (dim_h == 2 * n) & (dim_v == 1), **witness)
+    if isinstance(planes, Plane):
+        return [EquivalenceResult(r.check_id, r.premise[0].item(), r.holds[0].item(),
+                                  {key: v[0].item() for key, v in r.witness.items()}) for r in out]
     return out
 
 
@@ -401,7 +409,7 @@ def _frame_batch(planes) -> np.ndarray:
         raise ValueError(f"expected a Plane or a (B, k, N) batch of row frames, got shape {F.shape}")
     if not np.all(np.isfinite(F)):
         raise ValueError("frame has non-finite entries")
-    gram = F @ np.swapaxes(F, -1, -2)
+    gram = F @ np.swapaxes(F, -1, -2).copy()  # a copy: numpy's A @ A.T path (syrk) is slower
     if np.any(np.abs(gram - np.eye(F.shape[-2])) > 1e-10):
         raise ValueError("frame is not orthonormal")
     return F
@@ -476,7 +484,7 @@ def normal_form_theta(planes, model: TwistorModel, tol: float = 1e-8):
     theta_spec = [0.5 * math.acos(min(1.0, max(0.0, float(x)))) for x in s]
     sv = np.linalg.svd(F[..., list(model.v_indices)], compute_uv=False)
     theta = [min(math.pi / 4, max(0.0, math.atan2(float(a), float(b)) - math.pi / 4)) for a, b in sv]
-    # `intersection_dim(F, model.h_indices)`, from the SVD it would repeat
+    # the rank test of `intersection_dim(F, model.h_indices)`, on the singular values at hand
     dim_h = 3 - (sv > 1e-6).sum(axis=-1)
     dim_v = intersection_dim(F, model.v_indices)
     iso = np.abs(B).max(axis=(-2, -1)) <= tol

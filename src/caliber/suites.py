@@ -5,6 +5,7 @@ Five suites:
   cones         radial splitting and primitive reconstruction, exact
   calibrations  comass-one anchors, the 2-form oracle, duality, homogeneity
   propositions  seeded random-plane scans of the structure implications
+                (the plane-level ones through `planes.check_equivalences`)
   normalform    normal-form angle recovery and its four-way equivalence
 
 Each check maps to one structure identity or invariant; a check returns pass
@@ -37,7 +38,6 @@ from caliber.registry import resolve
 
 __all__ = ["SuiteReport", "CheckResult", "run_suite", "SUITES", "coverage_table"]
 
-SUITES = ("identities", "cones", "calibrations", "propositions", "normalform")
 
 
 @dataclass(frozen=True)
@@ -456,34 +456,33 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks: list[tuple[str, object]] = []
     tol = 1e-8
 
+    def implications(frames, model, *check_ids):
+        """Whether every plane of a sampled batch meets the premise and the
+        implication of each of `check_ids`, and their per-plane witnesses."""
+        results = {r.check_id: r for r in pl.check_equivalences(frames, model, tol)}
+        chosen = [results[check_id] for check_id in check_ids]
+        return (all(r.premise.all() and r.holds.all() for r in chosen),
+                {key: v for r in chosen for key, v in r.witness.items()})
+
+    def peak(values) -> float:
+        return float(np.max(values))
+
     def complex_w2iso_implies_w3iso():
-        rng = np.random.default_rng(seed)
-        frames = pl.batch_complex_isotropic_planes(hk, 2, samples, rng)
-        premise_inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
-        premise_iso = pl.isotropy_residual(frames, hk.skew("omega2"))
-        conclusion = pl.isotropy_residual(frames, hk.skew("omega3"))
-        ok = premise_inv <= tol and premise_iso <= tol and conclusion <= tol
-        return ok, {"premise_residuals": [premise_inv, premise_iso], "w3_residual": conclusion, "samples": samples}
+        frames = pl.batch_complex_isotropic_planes(hk, 2, samples, np.random.default_rng(seed))
+        ok, w = implications(frames, hk, "complex_w2iso_implies_w3iso")
+        return ok, {"premise_residuals": [peak(w["I1_residual"]), peak(w["w2_residual"])],
+                    "w3_residual": peak(w["w3_residual"]), "samples": samples}
 
     checks.append(("complex_w2iso_implies_w3iso", complex_w2iso_implies_w3iso))
 
     def double_lagrangian():
-        rng = np.random.default_rng(seed + 1)
-        frames = pl.batch_double_lagrangian_planes(hk, samples, rng)
-        lag2 = pl.isotropy_residual(frames, hk.skew("omega2"))
-        lag3 = pl.isotropy_residual(frames, hk.skew("omega3"))
-        inv = pl.projector_invariance_residual(frames, hk.I1.astype(float))
-        rot = hk.value("upsilon2", frames) * (-1j) ** (n + 1)
-        vol_gap = float(np.max(np.abs(rot.real - 1.0)))
-        im_gap = float(np.max(np.abs(rot.imag)))
-        ok = lag2 <= tol and lag3 <= tol and inv <= tol and vol_gap <= 1e-7 and im_gap <= 1e-7
-        return ok, {
-            "lagrangian_residuals": [lag2, lag3],
-            "I1_residual": inv,
-            "upsilon2_volume_gap": vol_gap,
-            "upsilon2_imag_gap": im_gap,
-            "samples": samples,
-        }
+        frames = pl.batch_double_lagrangian_planes(hk, samples, np.random.default_rng(seed + 1))
+        ok, w = implications(frames, hk, "double_lagrangian_implies_I1_invariant", "double_lagrangian_upsilon2_volume")
+        rot = w["rotated_upsilon2"]  # the sampler orients each plane so that rot = +1
+        vol_gap = peak(np.abs(rot.real - 1.0))
+        return ok and vol_gap <= 1e-7, {"lagrangian_residuals": [peak(w["w2_residual"]), peak(w["w3_residual"])],
+                                        "I1_residual": peak(w["I1_residual"]), "upsilon2_volume_gap": vol_gap,
+                                        "upsilon2_imag_gap": peak(np.abs(rot.imag)), "samples": samples}
 
     checks.append(("double_lagrangian_complex_and_volume", double_lagrangian))
 
@@ -512,12 +511,10 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
 
     def assoc_cr():
         rng = np.random.default_rng(seed + 4)
-        gaps = []
-        for p in (1, 3):
-            frames = pl.batch_cr_planes(lf, samples // 2 + 1, rng, horizontal=False, p=p)
-            vals = lf.value("phi2", frames)
-            gaps.append(float(np.max(np.abs(vals - 1.0))))
-        return max(gaps) <= 1e-7, {"value_gaps_I1_I3": gaps}
+        results = [implications(pl.batch_cr_planes(lf, samples // 2 + 1, rng, horizontal=False, p=p), lf,
+                                f"cr_I{p}_implies_phi2_associative") for p in (1, 3)]
+        gaps = [peak(np.abs(w["phi2"] - 1.0)) for _, w in results]  # the sampler orients each plane to phi2 = +1
+        return all(ok for ok, _ in results) and max(gaps) <= 1e-7, {"value_gaps_I1_I3": gaps}
 
     checks.append(("associative_from_cr", assoc_cr))
 
@@ -592,44 +589,34 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         f = hk.form("omega1_power2").to_float()
         res = comass_search(f, params=SearchParams(restarts=restarts, seed=seed + 10))
         maxers = res.maximizer_frames(1e-12)
-        inv = pl.projector_invariance_residual(maxers, hk.I1.astype(float))
+        inv = peak(pl.projector_invariance_residual(maxers, hk.I1.astype(float)))
         return len(maxers) >= restarts // 2 and inv <= 1e-6, {"maximizers": len(maxers), "I1_residual": inv}
 
     checks.append(("argmax_complex_omega1_power2", argmax_class_omega_power))
 
     def hv_iso_equivalence():
-        rng = np.random.default_rng(seed + 11)
-        frames = pl.batch_hv_isotropic_planes(tm, tm.n, samples, rng)
-        ke = pl.isotropy_residual(frames, tm.skew("omega_KE"))
-        nk = pl.isotropy_residual(frames, tm.skew("omega_NK"))
-        ok = ke <= tol and nk <= tol
-        return ok, {"ke_residual": ke, "nk_residual": nk, "samples": samples}
+        frames = pl.batch_hv_isotropic_planes(tm, tm.n, samples, np.random.default_rng(seed + 11))
+        ok, w = implications(frames, tm, "hv_compatible_iso_KE_iff_NK")
+        ke, nk = peak(w["ke_residual"]), peak(w["nk_residual"])
+        return ok and ke <= tol, {"ke_residual": ke, "nk_residual": nk, "samples": samples}  # isotropic, as sampled
 
     checks.append(("hv_compatible_iso_ke_iff_nk", hv_iso_equivalence))
 
     def double_lagrangian_hv():
-        rng = np.random.default_rng(seed + 12)
-        frames = pl.batch_double_lagrangian_twistor(tm, samples, rng)
-        ke = pl.isotropy_residual(frames, tm.skew("omega_KE"))
-        nk = pl.isotropy_residual(frames, tm.skew("omega_NK"))
-        dim_h = pl.intersection_dim(frames, tm.h_indices)
-        dim_v = pl.intersection_dim(frames, tm.v_indices)
-        dims_ok = bool(np.all(dim_h == 2 * n) and np.all(dim_v == 1))
-        ok = ke <= tol and nk <= tol and dims_ok
-        return ok, {"ke_residual": ke, "nk_residual": nk, "dims_ok": dims_ok, "samples": samples}
+        frames = pl.batch_double_lagrangian_twistor(tm, samples, np.random.default_rng(seed + 12))
+        ok, w = implications(frames, tm, "double_lagrangian_hv_dimensions")
+        dims_ok = bool(np.all(w["dim_cap_H"] == 2 * n) and np.all(w["dim_cap_V"] == 1))
+        return ok, {"ke_residual": peak(w["ke_residual"]), "nk_residual": peak(w["nk_residual"]),
+                    "dims_ok": dims_ok, "samples": samples}
 
     checks.append(("double_lagrangian_hv_dimensions", double_lagrangian_hv))
 
     def cr_legendrian_phases():
-        rng = np.random.default_rng(seed + 13)
-        frames = pl.batch_cr_legendrian_planes(lf, samples, rng)
-        v2 = lf.value("psi2", frames)
-        v3 = lf.value("psi3", frames)
-        target2 = 1j ** (n + 1)
-        gap2 = float(np.max(np.abs(v2 - target2)))
-        gap3 = float(np.max(np.abs(v3 - 1.0)))
-        ok = gap2 <= 1e-7 and gap3 <= 1e-7
-        return ok, {"psi2_phase_gap": gap2, "psi3_phase_gap": gap3, "samples": samples}
+        frames = pl.batch_cr_legendrian_planes(lf, samples, np.random.default_rng(seed + 13))
+        ok, w = implications(frames, lf, "cr_legendrian_special_phases")
+        gap2 = peak(np.abs(w["psi2"] - 1j ** (n + 1)))  # the sampler orients each plane to psi2 = i^(n+1)
+        gap3 = peak(np.abs(w["psi3"] - 1.0))  # and psi3 = +1
+        return ok and max(gap2, gap3) <= 1e-7, {"psi2_phase_gap": gap2, "psi3_phase_gap": gap3, "samples": samples}
 
     checks.append(("cr_legendrian_special_phases", cr_legendrian_phases))
     return checks
@@ -702,6 +689,18 @@ def _normalform_checks(n: int, seed: int, samples: int) -> list[tuple[str, objec
 # entry point
 
 
+# suite -> (its checks, the counts it reads and their defaults); `run_suite`
+# rejects any other count
+_SUITES = {
+    "identities": (_identities_checks, {}),
+    "cones": (_cones_checks, {}),
+    "calibrations": (_calibrations_checks, {"restarts": 200}),
+    "propositions": (_propositions_checks, {"samples": 10000, "restarts": 10000}),
+    "normalform": (_normalform_checks, {"samples": 100}),
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(suite: str, n: int, seed: int = 0, samples: int | None = None,
               restarts: int | None = None) -> SuiteReport:
     if suite not in SUITES:
@@ -710,34 +709,23 @@ def run_suite(suite: str, n: int, seed: int = 0, samples: int | None = None,
         raise ValueError(f"suite {suite!r} supports n in (1, 2), got {n}")
     if n not in (1, 2, 3):
         raise ValueError(f"n must be in (1, 2, 3), got {n}")
-    for name, value in (("samples", samples), ("restarts", restarts)):
+    counts = {"samples": samples, "restarts": restarts}
+    for name, value in counts.items():
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    build, defaults = _SUITES[suite]
+    for name, value in counts.items():
+        if value is not None and name not in defaults:
+            raise ValueError(f"suite {suite!r} does not use {name}, got {name}={value}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if suite == "identities":
-        checks = _identities_checks(n, seed)
-    elif suite == "cones":
-        checks = _cones_checks(n, seed)
-    elif suite == "calibrations":
-        checks = _calibrations_checks(n, seed, 200 if restarts is None else restarts)
-    elif suite == "propositions":
-        checks = _propositions_checks(n, seed, 10000 if samples is None else samples,
-                                      10000 if restarts is None else restarts)
-    else:
-        checks = _normalform_checks(n, seed, 100 if samples is None else samples)
     report = SuiteReport(suite, n, seed)
-    report.checks = _run_checks(checks)
+    report.checks = _run_checks(build(n, seed, **{name: default if counts[name] is None else counts[name]
+                                                  for name, default in defaults.items()}))
     return report
 
 
 def coverage_table() -> dict:
     """Stable listing of every check id per suite (for n = 1 parameters)."""
-    table = {
-        "identities": [cid for cid, _ in _identities_checks(1, 0)],
-        "cones": [cid for cid, _ in _cones_checks(1, 0)],
-        "calibrations": [cid for cid, _ in _calibrations_checks(1, 0, 1)],
-        "propositions": [cid for cid, _ in _propositions_checks(1, 0, 1, 1)],
-        "normalform": [cid for cid, _ in _normalform_checks(1, 0, 1)],
-    }
-    return {suite: sorted(ids) for suite, ids in table.items()}
+    return {suite: sorted(cid for cid, _ in build(1, 0, **dict.fromkeys(defaults, 1)))
+            for suite, (build, defaults) in _SUITES.items()}

@@ -196,6 +196,9 @@ def test_c6_proposition_scans():
         "maximizers_horizontal_theta_I3",
         "hv_compatible_iso_ke_iff_nk",
         "double_lagrangian_hv_dimensions",
+        "cr_legendrian_special_phases",
+        "special_isotropic3_assoc_horizontal",
+        "argmax_complex_omega1_power2",
     }
     have = {c.check_id for c in report.checks}
     _report("criterion 6", not failures and wanted <= have,

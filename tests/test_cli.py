@@ -253,6 +253,20 @@ def test_verify_nonpositive_counts_exit_2(capsys, argv):
     assert out == "" and "at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "identities", "--samples", "3"),
+    ("verify", "--suite", "cones", "--restarts", "2"),
+    ("verify", "--suite", "calibrations", "--samples", "5"),
+    ("verify", "--suite", "normalform", "--restarts", "999999"),
+    ("verify", "--suite", "phase-scan", "--samples", "7"),
+])
+def test_verify_unused_count_exits_2(capsys, argv):
+    # a count the suite does not read is an error, not silently dropped
+    code, out, err = invoke(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert out == "" and f"does not use {argv[-2][2:]}" in err
+
+
 def test_classify_dimension_mismatch_exits_2(tmp_path, capsys):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(Plane.from_vectors(np.eye(10)[:2]).to_json()))

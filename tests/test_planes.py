@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from caliber import exterior
+from caliber import exterior, suites
+from caliber import planes as pl
 from caliber.calib import FormEvaluator, Plane, SearchParams, batch_evaluate
 from caliber.exterior import evaluate, power, wedge
 from caliber.model import (
@@ -167,10 +168,12 @@ def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
         got = value(self, name, frame, derive)
         form = _reference_form(self, name)
         key = (type(self).__name__, name)
-        gaps[key] = max(gaps.get(key, 0.0), abs(got - complex(evaluate(form, list(frame)))))
         frames, gots = seen.setdefault((id(self), name), (self, [], []))[1:]
-        frames.append(frame)
-        gots.append(got)
+        # check_equivalences evaluates a plane as a batch of one
+        for F, g in zip(frame, got) if np.ndim(got) else [(frame, got)]:
+            gaps[key] = max(gaps.get(key, 0.0), abs(g - complex(evaluate(form, list(F)))))
+            frames.append(F)
+            gots.append(g)
         return got
 
     monkeypatch.setattr(_FormCatalog, "value", checked)
@@ -234,31 +237,82 @@ def test_repeat_classification_builds_no_evaluator_and_contracts_nothing(monkeyp
 
 
 def test_equivalences_hold_on_class_generators():
-    hk = build_hyperkahler_cone(1)
+    hk, lf, tm = build_hyperkahler_cone(1), default_link_frame(1), build_twistor_model(1)
     rng = np.random.default_rng(3)
-    for fr in batch_complex_isotropic_planes(hk, 2, 5, rng):
-        for res in check_equivalences(Plane.from_vectors(fr), hk):
-            assert res.holds, res
-    for fr in batch_double_lagrangian_planes(hk, 5, rng):
-        for res in check_equivalences(Plane.from_vectors(fr), hk):
-            assert res.holds, res
-    lf = default_link_frame(1)
-    for fr in batch_cr_legendrian_planes(lf, 5, rng):
-        for res in check_equivalences(Plane.from_vectors(fr), lf):
-            assert res.holds, res
-    tm = build_twistor_model(1)
-    for fr in batch_double_lagrangian_twistor(tm, 5, rng):
-        for res in check_equivalences(Plane.from_vectors(fr), tm):
-            assert res.holds, res
+    batches = [
+        (hk, batch_complex_isotropic_planes(hk, 2, 5, rng)),
+        (hk, batch_double_lagrangian_planes(hk, 5, rng)),
+        (lf, batch_cr_legendrian_planes(lf, 5, rng)),
+        (tm, batch_double_lagrangian_twistor(tm, 5, rng)),
+    ]
+    for m, frames in batches:
+        for res in check_equivalences(frames, m):
+            assert res.holds.shape == (5,) and res.holds.all(), res
 
 
 def test_equivalences_vacuous_on_random_planes():
     # random planes essentially never satisfy the premises; implications hold
     hk = build_hyperkahler_cone(1)
-    rng = np.random.default_rng(4)
-    for fr in batch_random_planes(8, 4, 25, rng):
-        for res in check_equivalences(Plane.from_vectors(fr, orthonormalize=False), hk):
-            assert res.holds
+    frames = batch_random_planes(8, 4, 25, np.random.default_rng(4))
+    for res in check_equivalences(frames, hk):
+        assert res.holds.all() and not res.premise.any(), res
+
+
+# form values of the witnesses; every other witness is a residual, a Reeb
+# test or an intersection dimension
+_VALUE_WITNESSES = {"rotated_upsilon2", "phi2", "psi2", "psi3"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_equivalence_batch_agrees_with_each_plane(n):
+    rng = np.random.default_rng(50 + n)
+    models = (build_hyperkahler_cone(n), default_link_frame(n), build_twistor_model(n))
+    cases = _special_planes(n, rng) + [
+        (m, F) for m in models for k in (2, 3, 4) for F in batch_random_planes(m.dim, k, 3, rng)]
+    groups = {}
+    for m, F in cases:
+        groups.setdefault((id(m), len(F)), (m, []))[1].append(F)
+    for m, frames in groups.values():
+        batch = check_equivalences(np.array(frames), m)
+        for i, F in enumerate(frames):
+            alone = check_equivalences(Plane.from_vectors(F, orthonormalize=False), m)
+            assert [r.check_id for r in alone] == [r.check_id for r in batch]
+            for a, b in zip(alone, batch):
+                assert (a.premise, a.holds) == (b.premise[i], b.holds[i]), a.check_id
+                assert a.witness.keys() == b.witness.keys()
+                for key, value in a.witness.items():
+                    if key in _VALUE_WITNESSES:
+                        # BLAS sums one frame (dot) and a batch (gemv) in different orders
+                        assert abs(value - b.witness[key][i]) <= 1e-14, (a.check_id, key)
+                    else:
+                        assert value == b.witness[key][i], (a.check_id, key)
+
+
+# the propositions checks that run `check_equivalences`, and their samplers
+_IMPLICATION_CHECKS = {
+    "complex_w2iso_implies_w3iso": "batch_complex_isotropic_planes",
+    "double_lagrangian_complex_and_volume": "batch_double_lagrangian_planes",
+    "associative_from_cr": "batch_cr_planes",
+    "hv_compatible_iso_ke_iff_nk": "batch_hv_isotropic_planes",
+    "double_lagrangian_hv_dimensions": "batch_double_lagrangian_twistor",
+    "cr_legendrian_special_phases": "batch_cr_legendrian_planes",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("check_id", _IMPLICATION_CHECKS)
+def test_implication_checks_fail_on_random_planes(monkeypatch, check_id, n):
+    # a check must not pass vacuously: fed Haar-random planes of the sampled
+    # shape, whose premises fail, it fails
+    sampler = getattr(pl, _IMPLICATION_CHECKS[check_id])
+
+    def haar(*args, **kwargs):
+        frames = sampler(*args, **kwargs)
+        return batch_random_planes(frames.shape[-1], frames.shape[-2], len(frames), np.random.default_rng(7))
+
+    monkeypatch.setattr(pl, _IMPLICATION_CHECKS[check_id], haar)
+    ok, witness = dict(suites._propositions_checks(n, 0, 40, 1))[check_id]()
+    assert not ok, witness
 
 
 # -- normal form ------------------------------------------------------------------
@@ -483,9 +537,9 @@ def test_generators_produce_orthonormal_frames():
         eye = np.eye(frames.shape[1])
         assert np.max(np.abs(gram - eye)) < 1e-10
         for Jp in structures:
-            assert projector_invariance_residual(frames, Jp) <= 1e-10
+            assert np.max(projector_invariance_residual(frames, Jp)) <= 1e-10
         for w in forms:
-            assert isotropy_residual(frames, w) <= 1e-10
+            assert np.max(isotropy_residual(frames, w)) <= 1e-10
 
 
 def test_generators_reject_overlong_requests():
@@ -504,11 +558,12 @@ def test_intersection_dim():
     assert intersection_dim(np.stack([F, np.eye(6)[3:]]), [0, 1]).tolist() == [2, 0]
 
 
-def test_batched_measurements_take_the_worst_frame():
+def test_batched_measurements_match_each_frame():
     hk = build_hyperkahler_cone(1)
     frames = batch_random_planes(hk.dim, 3, 6, np.random.default_rng(2))
     w = hk.skew("omega2")
-    assert isotropy_residual(frames, w) == max(isotropy_residual(F, w) for F in frames)
-    assert projector_invariance_residual(frames, hk.I1) == max(
+    assert isotropy_residual(frames, w).tolist() == [isotropy_residual(F, w) for F in frames]
+    assert projector_invariance_residual(frames, hk.I1).tolist() == [
         projector_invariance_residual(F, hk.I1) for F in frames
-    )
+    ]
+    assert isotropy_residual(frames[None], w).shape == (1, 6)
