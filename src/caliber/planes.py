@@ -563,15 +563,16 @@ def _constrained_lines(count: int, rng: np.random.Generator, dim: int, support, 
     """`lines` unit vectors per sample, shape (count, lines, dim): line l is a
     Gaussian on the coordinates `support`, made orthogonal to every earlier
     line and its images under `structures` by one batched Gram-Schmidt over
-    the candidates (g_1, g_1 J^T for J in structures, g_2, ...).  Raises
-    ValueError when the support cannot hold that many constrained lines."""
+    (g_1, g_1 J^T for J in structures, g_2, ..., g_lines): no line needs the
+    images of the last.  Raises ValueError when the support cannot hold them."""
     support = list(support)
     m = 1 + len(structures)
     g = np.zeros((lines, count, dim))
     g[..., support] = rng.standard_normal((lines, count, len(support)))
     cand = np.stack([g] + [g @ J.T for J in structures], axis=2)
-    Q, kept = _gram_schmidt(cand.transpose(1, 0, 2, 3).reshape(count, lines * m, dim), lines * m)
-    if np.any(kept < lines * m):
+    rows = max(lines * m - m + 1, 0)
+    Q, kept = _gram_schmidt(cand.transpose(1, 0, 2, 3).reshape(count, lines * m, dim), rows)
+    if np.any(kept < rows):
         raise ValueError(f"{lines} constrained lines do not fit in {len(support)} coordinates")
     return Q[:, ::m]
 
