@@ -41,10 +41,10 @@ one signed matrix scatters them to the rows.  The path has no division, no
 LU and no SVD, so it stays exact on singular frames, for every degree.
 
 One batched Gram-Schmidt (`_gram_schmidt`) serves the retraction (the Q
-factor with positive diagonal of each trial frame), the starting frames, the
-canonical frames and the completion in `reduce_along_line`; outside this
-module it draws every `planes.batch_*_planes` sample and builds the adapted
-basis of `model.build_link_frame`.  The restarts tied with the best value
+factor with positive diagonal of each trial frame), the starting frames and
+the canonical frames; outside this module it draws every
+`planes.batch_*_planes` sample and builds the adapted basis of
+`model.build_link_frame`.  The restarts tied with the best value
 are canonicalized in one batched call; the smallest canonical frame, by its
 bytes rounded to 12 digits, is the argmax.
 
@@ -68,7 +68,7 @@ from itertools import combinations
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, _indices_from_mask, interior, pullback, wedge
+from caliber.exterior import AltForm, ComplexAltForm, _indices_from_mask, interior
 
 __all__ = [
     "Plane",
@@ -81,11 +81,6 @@ __all__ = [
     "is_calibrated",
     "orthonormal_rows",
     "batch_evaluate",
-    "LineReduction",
-    "reduce_along_line",
-    "ScalingMetric",
-    "TransportedForm",
-    "transported_semicalibration",
     "splitting_support",
     "is_pure_type",
     "isotropy_of_maximizers",
@@ -602,116 +597,6 @@ def is_calibrated(form: AltForm | FormEvaluator, plane: Plane | np.ndarray, tol:
         raise ValueError(f"degree mismatch: form {ev.degree}, plane {frames.shape[-2]}")
     ok = np.abs(ev.values(np.swapaxes(frames, -1, -2)) - 1) <= tol
     return ok if ok.ndim else bool(ok)
-
-
-# ---------------------------------------------------------------------------
-# line reduction and transported semi-calibrations
-
-
-@dataclass(frozen=True)
-class LineReduction:
-    alpha: AltForm
-    beta: AltForm
-    basis: np.ndarray  # (N, N-1) orthonormal columns spanning e-perp
-    alpha_comass: ComassResult | None = None
-
-
-def reduce_along_line(form, e, basis: np.ndarray | None = None, *,
-                      lines_fill_calibrated_planes: bool = False,
-                      params: SearchParams = SearchParams()) -> LineReduction:
-    """Split form = e^flat ^ alpha + beta relative to a unit direction e.
-
-    alpha and beta are returned as forms on e-perp, expressed in `basis`
-    (orthonormal columns perpendicular to e; a deterministic completion is
-    built when not supplied).  With `lines_fill_calibrated_planes`, alpha is
-    additionally checked as a semi-calibration candidate by comass search.
-    """
-    e = np.asarray(e, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-9:
-        raise ValueError("e must be a unit vector")
-    n = e.shape[0]
-    if form.dim != n:
-        raise ValueError("dimension mismatch")
-    if basis is None:
-        basis = _gram_schmidt(np.vstack([e, np.eye(n)]), n)[0][1:].T
-    else:
-        basis = np.asarray(basis, dtype=float)
-        if basis.shape != (n, n - 1):
-            raise ValueError("basis must be N x (N-1)")
-        if np.max(np.abs(basis.T @ basis - np.eye(n - 1))) > 1e-9 or np.max(np.abs(basis.T @ e)) > 1e-9:
-            raise ValueError("basis must be orthonormal and perpendicular to e")
-    alpha_full = interior(e, form)
-    e_flat = AltForm.one_form(e.tolist())
-    beta_full = form - wedge(e_flat, alpha_full)
-    alpha = pullback(alpha_full, basis)
-    beta = pullback(beta_full, basis)
-    alpha_res = None
-    if lines_fill_calibrated_planes:
-        alpha_real = alpha.real_part() if isinstance(alpha, ComplexAltForm) else alpha
-        alpha_res = comass_search(alpha_real, params=params)
-    return LineReduction(alpha, beta, basis, alpha_res)
-
-
-@dataclass(frozen=True)
-class ScalingMetric:
-    """The metric t^2 g_H + g_V for a declared coordinate split."""
-
-    t: float
-    h_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TransportedForm:
-    form: AltForm
-    metric: ScalingMetric | None
-
-    def orthonormal_components(self) -> AltForm:
-        """Components in an orthonormal coframe of the recorded metric.
-
-        Comass with respect to the metric equals the Euclidean comass of the
-        returned form.
-        """
-        if self.metric is None:
-            return self.form
-        h = set(self.metric.h_indices)
-        t = self.metric.t
-        raw = {}
-        for mask, c in self.form._raw_terms().items():
-            m = sum(1 for i in _indices_from_mask(mask) if i in h)
-            raw[mask] = c / (t**m)
-        return AltForm(self.form.dim, self.form.degree, _raw=raw)
-
-
-def transported_semicalibration(form: AltForm, *, scaling: tuple | None = None,
-                                submersion: np.ndarray | None = None) -> TransportedForm:
-    """Transport a semi-calibration through metric scaling or a submersion.
-
-    scaling=(t, h_indices): requires every term of the form to have the same
-    number m of indices inside the declared horizontal split; returns t^m f,
-    which has comass one for the metric t^2 g_H + g_V.
-
-    submersion=p (W x N matrix with orthonormal rows): returns the pullback
-    p^* f, a semi-calibration for the Euclidean metric upstairs.
-    """
-    if (scaling is None) == (submersion is None):
-        raise ValueError("exactly one of scaling= or submersion= must be given")
-    if scaling is not None:
-        t, h_indices = scaling
-        if t <= 0:
-            raise ValueError("scaling factor must be positive")
-        h = set(int(i) for i in h_indices)
-        counts = {sum(1 for i in _indices_from_mask(m) if i in h) for m in form._raw_terms()}
-        if len(counts) > 1:
-            raise ValueError(f"form does not split: horizontal index counts {sorted(counts)}")
-        m = counts.pop() if counts else 0
-        return TransportedForm(form * (float(t) ** m), ScalingMetric(float(t), tuple(sorted(h))))
-    p = np.asarray(submersion, dtype=float)
-    w = p.shape[0]
-    if np.max(np.abs(p @ p.T - np.eye(w))) > 1e-10:
-        raise ValueError("map is not a Riemannian submersion (rows not orthonormal)")
-    if form.dim != w:
-        raise ValueError("dimension mismatch between form and submersion target")
-    return TransportedForm(pullback(form, p), None)
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,6 @@ class AltForm:
     def constant(cls, dim: int, value: Scalar) -> "AltForm":
         return cls(dim, 0, _raw={0: value} if value != 0 else {})
 
-    @classmethod
-    def one_form(cls, covector: Sequence[Scalar]) -> "AltForm":
-        cov = list(covector)
-        return cls(len(cov), 1, _raw={1 << i: c for i, c in enumerate(cov) if c != 0})
-
     # -- views --------------------------------------------------------------
 
     @property

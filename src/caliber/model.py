@@ -45,7 +45,6 @@ __all__ = [
     "divided_powers",
     "make_V_theta",
     "make_W_theta",
-    "make_squashed_associative",
     "standard_triple_matrices",
     "standard_kahler_forms",
     "random_sp_cone_isometry",
@@ -243,12 +242,13 @@ class LinkFrame(_FormCatalog):
 
     def submersion_to_twistor(self) -> np.ndarray:
         """The linear model of the circle projection along A_1: a
-        (4n+2) x (4n+3) matrix sending (A_2, A_3) to (f_2, f_3) and the
-        horizontal block to H^n, killing A_1."""
-        m = np.zeros((self.dim - 1, self.dim))
-        m[: self.dim - 3, 3:] = np.eye(self.dim - 3)
-        m[self.dim - 3, 1] = 1.0
-        m[self.dim - 2, 2] = 1.0
+        (4n+2) x (4n+3) integer 0/1 matrix sending (A_2, A_3) to (f_2, f_3)
+        and the horizontal block to H^n, killing A_1.  It is integral, so
+        `exterior.pullback` by it is exact on the exact twistor catalog."""
+        m = np.zeros((self.dim - 1, self.dim), dtype=int)
+        m[: self.dim - 3, 3:] = np.eye(self.dim - 3, dtype=int)
+        m[self.dim - 3, 1] = 1
+        m[self.dim - 2, 2] = 1
         return m
 
 
@@ -451,25 +451,6 @@ def make_W_theta(n: int, theta: float) -> Plane:
     e10 = np.zeros(V.dim)
     e10[0] = 1.0
     return Plane.from_vectors(np.vstack([e10, V.frame]))
-
-
-def make_squashed_associative(n: int, t: float):
-    """The squashed associative 3-form family at the default link frame.
-
-    Returns the pair (-phi_minus_t, phi_plus_t); both tend to
-    alpha_1 ^ alpha_2 ^ alpha_3 as t -> 0.
-    """
-    if n != 1:
-        raise ValueError("squashed associative forms are a 7-dimensional construction (n = 1)")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    lf = default_link_frame(n)
-    a123 = wedge(wedge(lf.form("alpha1"), lf.form("alpha2")), lf.form("alpha3"))
-    ak = [wedge(lf.form(f"alpha{p}"), lf.form(f"kappa{p}")) for p in (1, 2, 3)]
-    t2 = t * t
-    minus_phi_minus = a123 + (ak[0] * -1 + ak[1] + ak[2]) * t2
-    phi_plus = a123 - (ak[0] + ak[1] + ak[2]) * t2
-    return minus_phi_minus, phi_plus
 
 
 # ---------------------------------------------------------------------------

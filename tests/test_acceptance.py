@@ -152,27 +152,30 @@ def test_c5_phase_rigidity_gap_at_intermediate_phases():
     whole phase family shares the comass one of Re(gamma0): the S^1-family of
     comass-one 3-forms of the paper.  The spec asked for a gap
     max <= 1 - 1e-3 here, which this identity rules out.  The test checks the
-    identity exactly at n = 1, 2 and the search value at n = 1.
+    identity with == at n = 1..3, on rotations with rational (cos, sin) given
+    as Fraction matrices so that the pullback is exact, and the search value
+    at n = 1.
     """
     thetas = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
-    worst_identity = 0.0
-    for n in (1, 2):
+    rotations = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+                 (Fraction(0), Fraction(1)), (Fraction(-4, 5), Fraction(3, 5))]
+    failed = []
+    for n in (1, 2, 3):
         tm = build_twistor_model(n)
-        re = tm.form("re_gamma0").to_float()
-        im = tm.form("im_gamma0").to_float()
-        for theta in thetas:
-            rot = np.eye(tm.dim)
-            c, s = math.cos(theta), math.sin(theta)
+        re, im = tm.form("re_gamma0"), tm.form("im_gamma0")
+        for c, s in rotations:
+            rot = np.eye(tm.dim, dtype=object)
             rot[np.ix_(tm.v_indices, tm.v_indices)] = [[c, -s], [s, c]]
-            residual = pullback(re, rot) - (re * c + im * s)
-            worst_identity = max(worst_identity, residual.norm_inf())
+            if pullback(re, rot) != re * c + im * s:
+                failed.append((n, c, s))
     values = {theta: _phase_value(theta, 400) for theta in thetas}
     worst_value = max(abs(v - 1.0) for v in values.values())
-    ok = worst_identity <= 1e-12 and worst_value <= 1e-6
+    ok = not failed and worst_value <= 1e-6
+    identity = (f"pullback identity fails at (n, cos, sin) {failed}" if failed
+                else "pullback identity exact at n = 1..3")
     _report("criterion 5 (no gap)", ok,
-            f"pullback identity residual {worst_identity:.1e}; measured max values "
-            + ", ".join(f"{t:.3f}: {v:.9f}" for t, v in values.items()))
-    assert worst_identity <= 1e-12
+            f"{identity}; measured max values " + ", ".join(f"{t:.3f}: {v:.9f}" for t, v in values.items()))
+    assert not failed, failed
     for theta, value in values.items():
         assert abs(value - 1.0) <= 1e-6, f"phase {theta}: measured {value}, expected comass one"
 

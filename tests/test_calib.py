@@ -1,4 +1,6 @@
-"""Comass search, exact 2-form oracle, and the semi-calibration toolkit."""
+"""Planes, comass search, the exact 2-form oracle, calibrated planes, the
+reduction of cone forms to the link, the structure of maximizers and the
+evaluator gradients."""
 
 import json
 import math
@@ -20,11 +22,9 @@ from caliber.calib import (
     is_calibrated,
     is_pure_type,
     isotropy_of_maximizers,
-    reduce_along_line,
     splitting_support,
-    transported_semicalibration,
 )
-from caliber.exterior import AltForm, evaluate, hodge, wedge
+from caliber.exterior import AltForm, evaluate, hodge, interior, pullback, wedge
 from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
 
 FAST = SearchParams(restarts=60, seed=5)
@@ -279,103 +279,30 @@ def test_is_calibrated_degree_mismatch():
         is_calibrated(tm.form("re_gamma0").to_float(), Plane.from_vectors(np.eye(6)[:2]))
 
 
-# -- reduce_along_line ----------------------------------------------------------
+# -- reduction along the radial line ---------------------------------------------
+# A cone form reduces to the link by contracting with the base point x and
+# pulling back by the link frame; both maps are integral, so == holds.
 
 
-def test_reduce_along_line_blade():
-    f = AltForm.blade(6, [0, 1, 2], 1.0)
-    e0 = np.eye(6)[0]
-    red = reduce_along_line(f, e0)
-    # basis completion after e0 is (e1, ..., e5), so alpha = e^{01} downstairs
-    assert red.alpha.approx_eq(AltForm.blade(5, [0, 1], 1.0), 1e-12)
-    assert red.beta.is_zero()
+def _reduce_to_link(form, n):
+    lf = default_link_frame(n)
+    assert np.array_equal(lf.frame, np.rint(lf.frame))
+    assert np.array_equal(lf.base_point, np.rint(lf.base_point))
+    return lf, pullback(interior(lf.base_point.astype(int), form), lf.frame.astype(int))
 
 
 def test_reduce_along_line_kahler_power_gives_cr_calibration():
     n = 1
     hk = build_hyperkahler_cone(n)
-    lf = default_link_frame(n)
-    w1 = hk.form("omega1").to_float()
-    f = wedge(w1, w1) * 0.5
-    x = np.zeros(8)
-    x[0] = 1.0
-    red = reduce_along_line(f, x, basis=lf.frame.astype(float))
-    expect = wedge(lf.form("alpha1").to_float(), lf.form("Omega1").to_float())
-    assert red.alpha.approx_eq(expect, 1e-12)
+    lf, red = _reduce_to_link(hk.form("omega1_power2"), n)
+    assert red == wedge(lf.form("alpha1"), lf.form("Omega1"))
 
 
 def test_reduce_along_line_upsilon_gives_psi():
     n = 1
     hk = build_hyperkahler_cone(n)
-    lf = default_link_frame(n)
-    x = np.zeros(8)
-    x[0] = 1.0
-    red = reduce_along_line(hk.form("upsilon1"), x, basis=lf.frame.astype(float))
-    psi = lf.form("psi1")
-    assert red.alpha.re.approx_eq(psi.re.to_float(), 1e-12)
-    assert red.alpha.im.approx_eq(psi.im.to_float(), 1e-12)
-
-
-def test_reduce_along_line_candidate_check():
-    f = AltForm.blade(6, [0, 1, 2], 1.0)
-    red = reduce_along_line(f, np.eye(6)[0], lines_fill_calibrated_planes=True,
-                            params=SearchParams(restarts=10, seed=0))
-    assert red.alpha_comass is not None
-    assert abs(red.alpha_comass.value - 1.0) < 1e-6
-
-
-def test_reduce_along_line_requires_unit_vector():
-    with pytest.raises(ValueError):
-        reduce_along_line(AltForm.blade(4, [0, 1], 1.0), [2.0, 0, 0, 0])
-
-
-# -- transported semi-calibrations ---------------------------------------------
-
-
-def test_scaling_transport_identity():
-    tm = build_twistor_model(1)
-    f = tm.form("re_gamma0").to_float()
-    moved = transported_semicalibration(f, scaling=(1.0, tm.h_indices))
-    assert moved.form.approx_eq(f, 1e-15)
-
-
-def test_scaling_transport_nearly_kahler_metric():
-    tm = build_twistor_model(1)
-    f = tm.form("re_gamma0").to_float()
-    moved = transported_semicalibration(f, scaling=(math.sqrt(2.0), tm.h_indices))
-    # t^m with m = 2 horizontal slots: the doubled 3-form
-    assert moved.form.approx_eq(f * 2.0, 1e-12)
-    assert moved.metric.t == pytest.approx(math.sqrt(2.0))
-    remapped = moved.orthonormal_components()
-    res = comass_search(remapped, params=FAST)
-    assert res.value <= 1.0 + 1e-6
-    assert abs(res.value - 1.0) < 1e-6
-
-
-def test_scaling_transport_rejects_mixed_split():
-    tm = build_twistor_model(1)
-    f = tm.form("omega_KE").to_float()  # has both pure-H and pure-V terms
-    with pytest.raises(ValueError):
-        transported_semicalibration(f, scaling=(2.0, tm.h_indices))
-
-
-def test_submersion_transport_recovers_link_gamma():
-    for n in (1, 2):
-        tm = build_twistor_model(n)
-        lf = default_link_frame(n)
-        p = lf.submersion_to_twistor()
-        moved = transported_semicalibration(tm.form("re_gamma0").to_float(), submersion=p)
-        expect = lf.form("re_gamma1")
-        assert moved.form.approx_eq(expect.to_float() if hasattr(expect, "to_float") else expect, 1e-12)
-        res = comass_search(moved.form, params=FAST)
-        assert abs(res.value - 1.0) < 1e-6
-
-
-def test_submersion_transport_rejects_non_submersion():
-    tm = build_twistor_model(1)
-    bad = np.ones((6, 7))
-    with pytest.raises(ValueError):
-        transported_semicalibration(tm.form("re_gamma0").to_float(), submersion=bad)
+    lf, red = _reduce_to_link(hk.form("upsilon1"), n)
+    assert red.re == lf.form("re_psi1") and red.im == lf.form("im_psi1")
 
 
 # -- maximizer structure ---------------------------------------------------------

@@ -14,7 +14,6 @@ from caliber.model import (
     build_twistor_model,
     default_link_frame,
     divided_powers,
-    make_squashed_associative,
     make_V_theta,
     make_W_theta,
     random_sp_cone_isometry,
@@ -307,7 +306,7 @@ def test_omega_nk_values():
     assert evaluate(wnk, [e[4], e[5]]) == -1.0
 
 
-# -- V_theta and the squashed family -----------------------------------------
+# -- V_theta -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -327,18 +326,47 @@ def test_v_theta_planes(n):
         assert V.degree == 2 and np.allclose(V.frame @ V.frame.T, np.eye(2))
 
 
-def test_squashed_associative_family():
-    lf = default_link_frame(1)
-    a123 = wedge(wedge(lf.form("alpha1"), lf.form("alpha2")), lf.form("alpha3"))
-    ak = [wedge(lf.form(f"alpha{p}"), lf.form(f"kappa{p}")) for p in (1, 2, 3)]
-    minus_phi_minus, phi_plus = make_squashed_associative(1, 1.0)
-    assert minus_phi_minus.approx_eq(a123.to_float() + (ak[0] * -1 + ak[1] + ak[2]).to_float(), 1e-15)
-    assert phi_plus.approx_eq(a123.to_float() - (ak[0] + ak[1] + ak[2]).to_float(), 1e-15)
-    # t -> 0 limit: both tend to the contact volume alpha_123
-    m_small, p_small = make_squashed_associative(1, 1e-8)
-    assert m_small.approx_eq(a123.to_float(), 1e-15)
-    assert p_small.approx_eq(a123.to_float(), 1e-15)
-    with pytest.raises(ValueError):
-        make_squashed_associative(1, 0.0)
-    with pytest.raises(ValueError):
-        make_squashed_associative(2, 1.0)
+# -- the cone -> link -> twistor dictionary ------------------------------------
+
+
+def _exact(form):
+    """The form itself, after asserting that every coefficient is an int or a
+    Fraction, so that no float enters an == comparison unnoticed."""
+    parts = (form.re, form.im) if isinstance(form, ComplexAltForm) else (form,)
+    coeffs = [c for part in parts for c in part.terms.values()]
+    assert coeffs and all(type(c) in (int, Fraction) for c in coeffs)
+    return form
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_link_twistor_dictionary_exact(n):
+    """Cone -> link: at the base point x of the default link frame, contracting
+    with x and pulling back by the frame sends omega1^2/2 to alpha1 ^ Omega1 and
+    upsilon1 to psi1.  Link -> twistor: the submersion p along A_1 pulls gamma0
+    back to gamma1.  Every map is integral and every catalog exact, so each
+    identity holds with ==; a sign flip in Re gamma0 and omega2 in place of
+    omega1 break their identities."""
+    hk, lf, tm = build_hyperkahler_cone(n), default_link_frame(n), build_twistor_model(n)
+    assert np.array_equal(lf.frame, np.rint(lf.frame))
+    assert np.array_equal(lf.base_point, np.rint(lf.base_point))
+    frame, x = lf.frame.astype(int), lf.base_point.astype(int)
+
+    def to_link(form):
+        return _exact(pullback(interior(x, form), frame))
+
+    alpha_Omega = wedge(lf.form("alpha1"), lf.form("Omega1"))
+    assert to_link(hk.form("omega1_power2")) == alpha_Omega
+    upsilon = to_link(hk.form("upsilon1"))
+    assert upsilon.re == lf.form("re_psi1") and upsilon.im == lf.form("im_psi1")
+
+    p = lf.submersion_to_twistor()
+    assert p.dtype.kind == "i"
+    re_gamma0 = tm.form("re_gamma0")
+    assert _exact(pullback(re_gamma0, p)) == lf.form("re_gamma1")
+    assert _exact(pullback(tm.form("im_gamma0"), p)) == lf.form("im_gamma1")
+
+    terms = re_gamma0.terms
+    first = next(iter(terms))
+    flipped = AltForm(tm.dim, 3, {**terms, first: -terms[first]})
+    assert _exact(pullback(flipped, p)) != lf.form("re_gamma1")
+    assert to_link(hk.form("omega2_power2")) != alpha_Omega
