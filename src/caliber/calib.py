@@ -50,8 +50,8 @@ bytes rounded to 12 digits, is the argmax.
 
 `ComassResult.maximizer_frames` is the row-frame batch (M, k, N) of the
 restarts within a tolerance relative to the best value, so it is scale-free
-like the search; `splitting_support` and `isotropy_of_maximizers` test a
-whole batch in one array expression.
+like the search; `isotropy_of_maximizers` reads `planes.isotropy_residual`
+of a whole batch after an exact zero test of its premise (`is_pure_type`).
 
 Restart r is seeded by seed + r, and reruns with the same parameters are
 byte-identical.  A value's last bit can still depend on the batch it is
@@ -81,7 +81,6 @@ __all__ = [
     "is_calibrated",
     "orthonormal_rows",
     "batch_evaluate",
-    "splitting_support",
     "is_pure_type",
     "isotropy_of_maximizers",
     "canonical_frame",
@@ -93,15 +92,15 @@ __all__ = [
 # planes
 
 
-def orthonormal_rows(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def orthonormal_rows(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the oriented plane of the rows of each frame
     (..., k, N): the Q factor of QR with signs fixed by the diagonal of R.
     Raises ValueError when some frame's rows are rank-deficient (a diagonal
-    entry of R within tol of zero, relative to the largest)."""
+    entry of R within 1e-10 of zero, relative to the largest)."""
     Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
     d = np.diagonal(R, axis1=-2, axis2=-1)
     diag = np.abs(d)
-    if np.any(np.min(diag, axis=-1) <= tol * np.maximum(1.0, np.max(diag, axis=-1))):
+    if np.any(np.min(diag, axis=-1) <= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1))):
         raise ValueError("rank-deficient frame")
     return np.swapaxes(Q * np.sign(d)[..., None, :], -1, -2)
 
@@ -120,7 +119,7 @@ class Plane:
     frame: np.ndarray
 
     @classmethod
-    def from_vectors(cls, vectors, *, orthonormalize: bool = True, tol: float = 1e-10) -> "Plane":
+    def from_vectors(cls, vectors, *, orthonormalize: bool = True) -> "Plane":
         A = np.asarray(vectors, dtype=float)
         if A.ndim != 2:
             raise ValueError("frame must be a 2-D array of row vectors")
@@ -134,10 +133,10 @@ class Plane:
             frame.setflags(write=False)
             return cls(n, 0, frame)
         if orthonormalize:
-            frame = orthonormal_rows(A, tol)
+            frame = orthonormal_rows(A)
         else:
             gram = A @ A.T
-            if np.max(np.abs(gram - np.eye(k))) > tol:
+            if np.max(np.abs(gram - np.eye(k))) > 1e-10:
                 raise ValueError("frame is not orthonormal")
             frame = A.copy()
         frame.setflags(write=False)
@@ -451,7 +450,7 @@ def _tangent_grad(V: np.ndarray, G: np.ndarray):
     return RG, np.sum(RG * RG, axis=(1, 2))
 
 
-def canonical_frames(frames: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def canonical_frames(frames: np.ndarray) -> np.ndarray:
     """`canonical_frame` of every row-vector frame in a batch (B, k, N)."""
     frames = np.asarray(frames, dtype=float)
     k = frames.shape[-2]
@@ -459,19 +458,19 @@ def canonical_frames(frames: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     W, kept = _gram_schmidt(P, k)
     if np.any(kept < k):
         raise ValueError("could not canonicalize frame")
-    first = np.argmax(np.abs(W) > tol, axis=-1)
+    first = np.argmax(np.abs(W) > 1e-9, axis=-1)
     W *= np.where(np.take_along_axis(W, first[..., None], -1) < 0, -1.0, 1.0)
     W[np.linalg.det(W @ np.swapaxes(frames, -1, -2)) < 0, k - 1] *= -1.0
     return W
 
 
-def canonical_frame(frame: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def canonical_frame(frame: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal frame spanning the same oriented plane.
 
     Gram-Schmidt on the projections of the standard basis vectors, signs fixed
     by first significant coordinate, last vector flipped to match orientation.
     """
-    return canonical_frames(np.asarray(frame, dtype=float)[None], tol)[0]
+    return canonical_frames(np.asarray(frame, dtype=float)[None])[0]
 
 
 def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> ComassResult:
@@ -603,29 +602,16 @@ def is_calibrated(form: AltForm | FormEvaluator, plane: Plane | np.ndarray, tol:
 # structure of maximizers
 
 
-def splitting_support(form: AltForm, e, maximizers: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff every calibrated plane of the row-frame batch (M, k, N) is
-    orthogonal to e.
-
-    Precondition: interior(e, form) = 0 (within 1e-12).
-    """
-    e = np.asarray(e, dtype=float)
-    if interior(e, form).norm_inf() > 1e-12:
-        raise ValueError("precondition failed: interior(e, form) != 0")
-    return bool(np.all(np.abs(maximizers @ e) <= tol))
-
-
-def is_pure_type(form: AltForm, J: np.ndarray, tol: float = 1e-8) -> bool:
+def is_pure_type(form: AltForm, J: np.ndarray) -> bool:
     """Projector test for J-type (k,0)+(0,k): the polarized double contraction
-    with (u, Jv) vanishes for all basis pairs."""
+    with (u, Jv) is the zero form for all basis pairs (exact for an exact
+    form and an integer J)."""
     n = form.dim
-    J = np.asarray(J, dtype=float)
-    basis = np.eye(n)
+    basis = np.eye(n, dtype=int)
     contracted = [interior(J[:, a], form) for a in range(n)]
     for a in range(n):
         for b in range(a, n):
-            g = interior(basis[a], contracted[b]) + interior(basis[b], contracted[a])
-            if g.norm_inf() > tol:
+            if not (interior(basis[a], contracted[b]) + interior(basis[b], contracted[a])).is_zero():
                 return False
     return True
 
@@ -636,7 +622,8 @@ def isotropy_of_maximizers(form: AltForm, J: np.ndarray, omega: AltForm,
 
     Precondition (checked): form has J-type (k,0)+(0,k).
     """
+    from caliber.planes import isotropy_residual  # planes imports calib
+
     if not is_pure_type(form, J):
         raise ValueError("type precondition failed: form is not of J-type (k,0)+(0,k)")
-    S = skew_matrix(omega)
-    return bool(np.all(np.abs(maximizers @ S @ np.swapaxes(maximizers, -1, -2)) <= tol))
+    return bool(np.all(isotropy_residual(maximizers, skew_matrix(omega)) <= tol))

@@ -19,7 +19,7 @@ from caliber import registry
 from caliber.calib import Plane, SearchParams, comass_search
 from caliber.exterior import ComplexAltForm, form_from_json, form_to_json
 from caliber.planes import classify_plane, normal_form_theta, phase_rigidity_scan
-from caliber.suites import SUITES, coverage_table, run_suite
+from caliber.suites import SUITES, coverage_table, run_suite, suite_counts
 
 
 class UsageError(Exception):
@@ -144,14 +144,12 @@ def _cmd_normalform(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "phase-scan":
-        for name, value in (("samples", args.samples), ("restarts", args.restarts)):
-            if value is not None and value < 1:
-                raise UsageError(f"{name} must be at least 1, got {value}")
-        if args.samples is not None:
-            raise UsageError(f"suite 'phase-scan' does not use samples, got samples={args.samples}")
+        try:
+            counts = suite_counts("phase-scan", {"restarts": 400}, args.samples, args.restarts)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         model = registry.model("twistor", args.n)
-        params = SearchParams(restarts=400 if args.restarts is None else args.restarts, seed=args.seed)
-        report = phase_rigidity_scan(model, params=params)
+        report = phase_rigidity_scan(model, params=SearchParams(restarts=counts["restarts"], seed=args.seed))
         _emit(report.to_json(), args.pretty)
         return 0
     try:

@@ -507,23 +507,15 @@ def pullback(a, matrix):
 
 
 def form_to_json(f) -> dict:
-    cf = _as_complex(f) if isinstance(f, ComplexAltForm) else None
-    dim = f.dim
-    degree = f.degree
-    if cf is None:
-        entries = {m: (c, 0) for m, c in f._raw_terms().items()}
-    else:
-        entries = {}
-        for m, c in cf.re._raw_terms().items():
-            entries[m] = (c, 0)
-        for m, c in cf.im._raw_terms().items():
-            re_val = entries.get(m, (0, 0))[0]
-            entries[m] = (re_val, c)
+    cf = _as_complex(f)
+    entries = {m: (c, 0) for m, c in cf.re._raw_terms().items()}
+    for m, c in cf.im._raw_terms().items():
+        entries[m] = (entries.get(m, (0, 0))[0], c)
     terms = [
         {"indices": list(_indices_from_mask(m)), "re": float(re), "im": float(im)}
         for m, (re, im) in sorted(entries.items())
     ]
-    return {"dim": dim, "degree": degree, "terms": terms}
+    return {"dim": f.dim, "degree": f.degree, "terms": terms}
 
 
 def _json_count(x, what: str) -> int:

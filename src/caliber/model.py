@@ -353,15 +353,15 @@ def default_link_frame(n: int) -> LinkFrame:
 
 @dataclass(frozen=True)
 class TwistorModel(_FormCatalog):
-    """The linear twistor model R^{4n+2} = H^n + C with its form catalog and
-    compatible complex structures."""
+    """The linear twistor model R^{4n+2} = H^n + C with its form catalog, its
+    integer compatible complex structures, and the read-only (3, 4n, 4n) float
+    stack of the standard triple on the horizontal space H^n."""
 
     n: int
     dim: int
     J_plus: np.ndarray
     J_minus: np.ndarray
-    J2: np.ndarray
-    J3: np.ndarray
+    quaternion_triple: np.ndarray = field(repr=False)
     catalog: dict = field(repr=False)
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -372,15 +372,6 @@ class TwistorModel(_FormCatalog):
     @property
     def v_indices(self) -> tuple:
         return (4 * self.n, 4 * self.n + 1)
-
-    def quaternion_triple(self) -> np.ndarray:
-        """The cached, read-only (3, 4n, 4n) float stack of the standard
-        triple `standard_triple_matrices(n)` on the horizontal space H^n."""
-        key = ("quaternion_triple",)
-        if key not in self.cache:
-            self.cache[key] = np.array(standard_triple_matrices(self.n), dtype=float)
-            self.cache[key].setflags(write=False)
-        return self.cache[key]
 
 
 @lru_cache(maxsize=None)
@@ -414,14 +405,13 @@ def build_twistor_model(n: int) -> TwistorModel:
         "xi": xi,
         "vol": AltForm.blade(dim, tuple(range(dim))),
     }
-    T1, T2, T3 = standard_triple_matrices(n, dim)
-    J_plus = T1.astype(float)
-    J_plus[f2, f3] = -1.0
-    J_plus[f3, f2] = 1.0
-    J_minus = T1.astype(float)
-    J_minus[f2, f3] = 1.0
-    J_minus[f3, f2] = -1.0
-    return TwistorModel(n, dim, J_plus, J_minus, T2.astype(float), T3.astype(float), cat)
+    J_plus = standard_triple_matrices(n, dim)[0]
+    J_plus[f2:, f2:] = [[0, -1], [1, 0]]
+    J_minus = J_plus.copy()
+    J_minus[f2:, f2:] = [[0, 1], [-1, 0]]
+    triple = np.array(standard_triple_matrices(n), dtype=float)
+    triple.setflags(write=False)
+    return TwistorModel(n, dim, J_plus, J_minus, triple, cat)
 
 
 def make_V_theta(n: int, theta: float) -> Plane:

@@ -71,6 +71,7 @@ __all__ = [
     "batch_double_lagrangian_twistor",
     "projector_invariance_residual",
     "isotropy_residual",
+    "alpha_residual",
     "intersection_dim",
 ]
 
@@ -86,7 +87,8 @@ def _item(a: np.ndarray):
 
 def _blockwise(measure):
     """Measure a batch (..., k, N) in blocks of 512 planes, whose temporaries
-    stay in cache; each plane gets the value it gets alone."""
+    stay in cache; each plane gets the value it gets alone, and an empty batch
+    gets an empty array."""
 
     @functools.wraps(measure)
     def blocked(frame: np.ndarray, *args):
@@ -94,7 +96,7 @@ def _blockwise(measure):
         if frame.ndim == 2:
             return measure(frame, *args)
         flat = frame.reshape(-1, *frame.shape[-2:])
-        return np.concatenate([measure(flat[i:i + 512], *args) for i in range(0, len(flat), 512)]
+        return np.concatenate([measure(flat[i:i + 512], *args) for i in range(0, max(len(flat), 1), 512)]
                               ).reshape(frame.shape[:-2])
 
     return blocked
@@ -117,8 +119,9 @@ def isotropy_residual(frame: np.ndarray, S: np.ndarray):
     return _item(np.abs(frame @ S @ np.swapaxes(frame, -1, -2)).max(axis=(-2, -1)))
 
 
-def _alpha_residual(frame: np.ndarray, p: int):
-    """sup-norm of the contact form alpha_p on E at the link frame."""
+def alpha_residual(frame: np.ndarray, p: int):
+    """sup-norm of the contact form alpha_p on E at the link frame: a float
+    for one frame (k, N), an array for a batch (..., k, N)."""
     return _item(np.abs(frame[..., p - 1]).max(axis=-1))
 
 
@@ -131,12 +134,12 @@ def _cr(frame: np.ndarray, lf: LinkFrame, p: int, tol: float):
     return has_reeb & (jres <= tol), has_reeb, jres
 
 
-def intersection_dim(frame: np.ndarray, indices, tol: float = 1e-6):
+def intersection_dim(frame: np.ndarray, indices):
     """dim of the intersection with the coordinate subspace on `indices`: an
     int for one frame (k, N), an int array for a batch (..., k, N).  The rank
-    of the other columns M counts the eigenvalues above tol^2 of the smaller
-    Gram matrix of M (faster than an SVD), resolved to about 1e-15: so `tol`
-    must be well above 1e-7."""
+    of the other columns M counts the eigenvalues above (1e-6)^2 of the
+    smaller Gram matrix of M (faster than an SVD), that is its singular
+    values above 1e-6."""
     frame = np.asarray(frame)
     k, n = frame.shape[-2:]
     inside = set(indices)
@@ -145,7 +148,7 @@ def intersection_dim(frame: np.ndarray, indices, tol: float = 1e-6):
         M = frame[..., comp]
         if M.shape[-2] > M.shape[-1]:
             M = np.swapaxes(M, -1, -2)
-        rank = np.sum(np.linalg.eigvalsh(M @ np.swapaxes(M, -1, -2).copy()) > tol * tol, axis=-1)
+        rank = np.sum(np.linalg.eigvalsh(M @ np.swapaxes(M, -1, -2).copy()) > 1e-6 * 1e-6, axis=-1)
     else:
         rank = np.zeros(frame.shape[:-2], dtype=int)
     return _item(k - rank)
@@ -256,7 +259,7 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
             rep.flags[f"cr_I{p}"]["oriented_value"] = lf.value(
                 f"alpha{p}_Omega{p}_power{m}", F,
                 lambda: wedge(lf.form(f"alpha{p}"), divided_powers(lf.form(f"Omega{p}"), m)[m]))
-        aval = _alpha_residual(F, p)
+        aval = alpha_residual(F, p)
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)
     for p, (q, r) in CYCLIC_PAIRS.items():
@@ -353,7 +356,7 @@ def check_equivalences(planes, model, tol: float = 1e-8) -> list[EquivalenceResu
                 implication(f"cr_I{p}_implies_phi2_associative", cr[p][0], plus_minus(phi2, 1),
                             reeb=cr[p][1], J_residual=cr[p][2], phi2=phi2)
         if k == 2 * n + 1:
-            a2, a3 = _alpha_residual(F, 2), _alpha_residual(F, 3)
+            a2, a3 = alpha_residual(F, 2), alpha_residual(F, 3)
             psi2, psi3 = model.value("psi2", F), model.value("psi3", F)
             implication("cr_legendrian_special_phases", cr[1][0] & (a2 <= tol) & (a3 <= tol),
                         plus_minus(psi2, 1j ** (n + 1)) & plus_minus(psi3, 1), reeb=cr[1][1], J_residual=cr[1][2],
@@ -434,7 +437,7 @@ def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
     w = np.linalg.svd(Mh, full_matrices=False)[2][:, 0]
     first = w[np.arange(len(w)), np.argmax(np.abs(w) > 1e-9, axis=-1)]
     w = np.where(first[:, None] < 0, -w, w)
-    basis_h = np.concatenate([w[:, None], (model.quaternion_triple() @ w.T).transpose(2, 0, 1)], axis=1)
+    basis_h = np.concatenate([w[:, None], (model.quaternion_triple @ w.T).transpose(2, 0, 1)], axis=1)
     resid = np.abs(Mh - (Mh @ np.swapaxes(basis_h, -1, -2)) @ basis_h).max(axis=(-2, -1))
     env = np.zeros((len(F), 4, model.dim))
     env[..., : 4 * n] = basis_h

@@ -22,10 +22,10 @@ from caliber.calib import (
     is_calibrated,
     is_pure_type,
     isotropy_of_maximizers,
-    splitting_support,
 )
 from caliber.exterior import AltForm, evaluate, hodge, interior, pullback, wedge
 from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
+from caliber.planes import alpha_residual
 
 FAST = SearchParams(restarts=60, seed=5)
 
@@ -308,56 +308,46 @@ def test_reduce_along_line_upsilon_gives_psi():
 # -- maximizer structure ---------------------------------------------------------
 
 
-def test_splitting_support_blade():
-    f = AltForm.blade(4, [1, 2], 1.0)
-    e0 = np.eye(4)[0]
-    flat = np.eye(4)[1:3]
-    tilted = np.array([[0.6, 0.8, 0, 0], [0, 0, 1, 0]])
-    assert splitting_support(f, e0, flat[None])
-    assert not splitting_support(f, e0, np.stack([flat, tilted]))
-
-
-def test_splitting_support_precondition():
-    f = AltForm.blade(4, [0, 1], 1.0)
-    with pytest.raises(ValueError):
-        splitting_support(f, np.eye(4)[0], np.zeros((0, 2, 4)))
-
-
-def test_splitting_support_re_gamma1():
+def test_horizontal_maximizers_re_gamma1():
+    # iota_{A1} Re gamma1 = 0 exactly, so every calibrated plane has alpha1 = 0
     lf = default_link_frame(1)
-    f = lf.form("re_gamma1").to_float()
-    res = comass_search(f, params=SearchParams(restarts=120, seed=3))
+    A1 = np.eye(lf.dim, dtype=int)[0]
+    assert interior(A1, lf.form("re_gamma1")).is_zero()
+    assert not interior(A1, lf.form("phi1")).is_zero()
+    res = comass_search(lf.form("re_gamma1").to_float(), params=SearchParams(restarts=120, seed=3))
     maxers = res.maximizer_frames(1e-12)
     assert len(maxers) >= 60
-    e = np.zeros(7)
-    e[0] = 1.0
-    assert splitting_support(f, e, maxers, tol=1e-7)
+    assert np.max(alpha_residual(maxers, 1)) <= 1e-7
+    tilted = maxers[0].copy()
+    tilted[0] = 0.6 * tilted[0] + 0.8 * A1
+    assert alpha_residual(tilted, 1) > 1e-7
 
 
 def test_pure_type_projector():
     hk = build_hyperkahler_cone(1)
-    assert is_pure_type(hk.form("re_upsilon1").to_float(), hk.I1.astype(float))
-    assert is_pure_type(hk.form("omega2").to_float(), hk.I1.astype(float))
-    assert not is_pure_type(hk.form("omega1").to_float(), hk.I1.astype(float))
+    assert is_pure_type(hk.form("re_upsilon1"), hk.I1)
+    assert is_pure_type(hk.form("omega2"), hk.I1)
+    assert not is_pure_type(hk.form("omega1"), hk.I1)
     tm = build_twistor_model(1)
-    assert is_pure_type(tm.form("re_gamma0").to_float(), tm.J_minus)
+    assert tm.J_minus.dtype.kind == "i"
+    assert is_pure_type(tm.form("re_gamma0"), tm.J_minus)
 
 
 def test_isotropy_of_maximizers_omega2():
     # maximizers of the second Kahler form are its complex lines, on which the
     # first Kahler form vanishes
     hk = build_hyperkahler_cone(1)
-    w2 = hk.form("omega2").to_float()
-    res = comass_search(w2, params=SearchParams(restarts=120, seed=6))
+    res = comass_search(hk.form("omega2").to_float(), params=SearchParams(restarts=120, seed=6))
     maxers = res.maximizer_frames(1e-12)
     assert len(maxers) >= 60
-    assert isotropy_of_maximizers(w2, hk.I1.astype(float), hk.form("omega1"), maxers, tol=1e-7)
+    assert isotropy_of_maximizers(hk.form("omega2"), hk.I1, hk.form("omega1"), maxers, tol=1e-7)
+    assert isotropy_of_maximizers(hk.form("omega2"), hk.I1, hk.form("omega1"), maxers[:0])
 
 
 def test_isotropy_requires_pure_type():
     hk = build_hyperkahler_cone(1)
     with pytest.raises(ValueError):
-        isotropy_of_maximizers(hk.form("omega1").to_float(), hk.I1.astype(float), hk.form("omega2"), np.zeros((0, 2, 8)))
+        isotropy_of_maximizers(hk.form("omega1"), hk.I1, hk.form("omega2"), np.zeros((0, 2, 8)))
 
 
 def test_batch_evaluate_matches_pointwise():

@@ -567,3 +567,4 @@ def test_batched_measurements_match_each_frame():
         projector_invariance_residual(F, hk.I1) for F in frames
     ]
     assert isotropy_residual(frames[None], w).shape == (1, 6)
+    assert isotropy_residual(frames[:0], w).shape == (0,)
