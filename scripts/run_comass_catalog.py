@@ -26,7 +26,7 @@ def main() -> None:
             if form.scalar_kind != "real" or form.degree == 0 or form.degree > args.max_degree:
                 continue
             t0 = time.perf_counter()
-            res = comass_search(form.to_float(), params=params)
+            res = comass_search(form, params=params)
             dt = time.perf_counter() - t0
             print(f"{space:8s} {name:22s} {form.degree:3d} {res.value:14.10f} "
                   f"{res.converged_fraction:6.2f} {res.terminations['float_floor']:6d} {dt:6.2f}")

@@ -51,7 +51,12 @@ bytes rounded to 12 digits, is the argmax.
 `ComassResult.maximizer_frames` is the row-frame batch (M, k, N) of the
 restarts within a tolerance relative to the best value, so it is scale-free
 like the search; `isotropy_of_maximizers` reads `planes.isotropy_residual`
-of a whole batch after an exact zero test of its premise (`is_pure_type`).
+of a whole batch, to 1e-7, after an exact zero test of its premise
+(`is_pure_type`).
+
+`FormEvaluator` takes float(c) of each coefficient, so an exact catalog form
+(int or Fraction coefficients) goes to the search as it is: the search runs
+bit for bit as on its `to_float()` copy.
 
 Restart r is seeded by seed + r, and reruns with the same parameters are
 byte-identical.  A value's last bit can still depend on the batch it is
@@ -300,7 +305,7 @@ class FormEvaluator:
 
     def __init__(self, form: AltForm):
         if isinstance(form, ComplexAltForm):
-            raise TypeError("comass machinery operates on real forms; take real_part() first")
+            raise TypeError("comass machinery operates on real forms; take .re or .im first")
         if form.degree < 1:
             raise ValueError("comass machinery operates on forms of degree at least 1")
         self.dim = form.dim
@@ -480,7 +485,7 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
     found; deterministic given `params.seed`.
     """
     if isinstance(form, ComplexAltForm):
-        raise TypeError("comass_search needs a real form; use real_part()/imag_part()")
+        raise TypeError("comass_search needs a real form; use its .re or .im")
     if params.restarts < 1:
         raise ValueError("restarts must be >= 1")
     n, k = form.dim, form.degree
@@ -616,9 +621,8 @@ def is_pure_type(form: AltForm, J: np.ndarray) -> bool:
     return True
 
 
-def isotropy_of_maximizers(form: AltForm, J: np.ndarray, omega: AltForm,
-                           maximizers: np.ndarray, tol: float = 1e-8) -> bool:
-    """True iff omega vanishes on every plane of the row-frame batch (M, k, N).
+def isotropy_of_maximizers(form: AltForm, J: np.ndarray, omega: AltForm, maximizers: np.ndarray) -> bool:
+    """True iff omega vanishes, to 1e-7, on every plane of the row-frame batch (M, k, N).
 
     Precondition (checked): form has J-type (k,0)+(0,k).
     """
@@ -626,4 +630,4 @@ def isotropy_of_maximizers(form: AltForm, J: np.ndarray, omega: AltForm,
 
     if not is_pure_type(form, J):
         raise ValueError("type precondition failed: form is not of J-type (k,0)+(0,k)")
-    return bool(np.all(isotropy_residual(maximizers, skew_matrix(omega)) <= tol))
+    return bool(np.all(isotropy_residual(maximizers, skew_matrix(omega)) <= 1e-7))

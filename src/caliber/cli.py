@@ -1,6 +1,7 @@
 """JSON-first command line front end.
 
-Subcommands: forms, comass, classify, normalform, verify.
+Subcommands: forms, comass, classify, normalform, verify; forms, comass and
+classify take --space.
 Exit codes: 0 success / all checks pass, 1 suite failures, 2 usage or input
 errors.  Output is compact JSON on stdout; --pretty indents it, --no-timing
 removes elapsed-time fields so reruns are byte-identical.
@@ -26,6 +27,11 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr and exit 2, as every usage error
+        raise UsageError(message)
+
+
 def _emit(data, pretty: bool) -> None:
     if pretty:
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -48,31 +54,19 @@ def _load_form(args) -> tuple[object, str | None]:
     return form, space
 
 
-def _real_form(form):
-    if isinstance(form, ComplexAltForm):
-        raise UsageError("form is complex valued; use its re_*/im_* registry entry instead")
-    return form.to_float()
-
-
-def quaternionic_span_counts(result, n: int, tol: float = 1e-6) -> dict[int, int]:
-    """How many maximizer planes (within `tol` of the best value, relative
-    to it) have each dimension of quaternionic span dim(P + I1 P + I2 P + I3 P)
-    in the cone."""
-    hk = registry.model("cone", n)
-    frames = result.maximizer_frames(tol)
-    stacked = np.concatenate([frames] + [frames @ Ip.T for Ip in hk.complex_structures], axis=1)
-    ranks, counts = np.unique(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-8, axis=-1), return_counts=True)
-    return {int(r): int(c) for r, c in zip(ranks, counts)}
-
-
 def _envelope_report(result, n: int) -> dict:
-    """Exploratory: dimensions of the quaternionic spans of maximizer planes.
+    """Exploratory: how many maximizer planes (within 1e-6 of the best value,
+    relative to it) have each dimension of quaternionic span
+    dim(P + I1 P + I2 P + I3 P) in the cone.
 
     Reported only, never asserted: it probes whether special-isotropic
     maximizers stay inside quaternionic subspaces of the expected dimension.
     """
-    counts = quaternionic_span_counts(result, n)
-    return {"quaternionic_span_dim_counts": {str(k): v for k, v in counts.items()}}
+    hk = registry.model("cone", n)
+    frames = result.maximizer_frames(1e-6)
+    stacked = np.concatenate([frames] + [frames @ Ip.T for Ip in hk.complex_structures], axis=1)
+    ranks, counts = np.unique(np.sum(np.linalg.svd(stacked, compute_uv=False) > 1e-8, axis=-1), return_counts=True)
+    return {"quaternionic_span_dim_counts": {str(int(r)): int(c) for r, c in zip(ranks, counts)}}
 
 
 def _cmd_forms(args) -> int:
@@ -91,8 +85,9 @@ def _cmd_forms(args) -> int:
 
 
 def _cmd_comass(args) -> int:
-    form, space = _load_form(args)
-    f = _real_form(form)
+    f, space = _load_form(args)
+    if isinstance(f, ComplexAltForm):
+        raise UsageError("form is complex valued; use its re_*/im_* registry entry instead")
     if args.k is not None and args.k != f.degree:
         raise UsageError(f"requested k={args.k} but the form has degree {f.degree}")
     if args.restarts < 1:
@@ -163,25 +158,23 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="caliber", description=__doc__)
+    parser = _Parser(prog="caliber", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space_default=None, space_required=False):
+    def common(p, **space):  # --space, with these keywords, where the command reads it
         p.add_argument("--n", type=int, default=1, help="quaternionic dimension parameter (1..3)")
         p.add_argument("--pretty", action="store_true")
-        if space_required:
-            p.add_argument("--space", choices=registry.SPACES, required=True)
-        else:
-            p.add_argument("--space", choices=registry.SPACES, default=space_default)
+        if space:
+            p.add_argument("--space", choices=registry.SPACES, **space)
 
     p_forms = sub.add_parser("forms", help="list the form catalog or dump one form as JSON")
     forms_sub = p_forms.add_subparsers(dest="action", required=True)
     p_list = forms_sub.add_parser("list")
-    common(p_list, space_default="cone")
+    common(p_list, default="cone")
     p_list.set_defaults(func=_cmd_forms)
     p_dump = forms_sub.add_parser("dump")
     p_dump.add_argument("--name", required=True)
-    common(p_dump)
+    common(p_dump, default=None)
     p_dump.set_defaults(func=_cmd_forms)
 
     p_comass = sub.add_parser("comass", help="multi-start comass search for a named form or JSON file")
@@ -194,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "scaled by the power of two that brings its largest coefficient into [1, 2); a "
                                "restart also stops once its next Armijo gain falls to the float floor eps*max(|f|,1)")
     p_comass.add_argument("--explore-envelope", action="store_true")
-    common(p_comass)
+    common(p_comass, default=None)
     p_comass.set_defaults(func=_cmd_comass)
 
     p_classify = sub.add_parser("classify", help="classify a plane from a JSON file against a model space")
     p_classify.add_argument("--plane", required=True)
     p_classify.add_argument("--tol", type=float, default=1e-8)
-    common(p_classify, space_required=True)
+    common(p_classify, required=True)
     p_classify.set_defaults(func=_cmd_classify)
 
     p_nf = sub.add_parser("normalform", help="normal-form angle of a calibrated 3-plane (twistor model)")
@@ -221,12 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.n not in (1, 2, 3):
             raise UsageError(f"--n must be in 1..3, got {args.n}")
         tol = getattr(args, "tol", None)
@@ -236,6 +225,8 @@ def run(argv=None) -> int:
         if seed is not None and seed < 0:
             raise UsageError(f"--seed must be non-negative, got {seed}")
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -194,21 +194,9 @@ class AltForm:
         return AltForm(self.dim, self.degree, _raw={m: -c for m, c in self._terms.items()})
 
     def __mul__(self, scalar):
-        if isinstance(scalar, complex):
-            return ComplexAltForm(self * scalar.real, self * scalar.imag)
         return AltForm(self.dim, self.degree, _raw={m: c * scalar for m, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, int):
-            return self * Fraction(1, scalar)
-        if isinstance(scalar, Fraction):
-            return self * (1 / scalar)
-        return self * (1.0 / scalar)
-
-    def __xor__(self, other):
-        return wedge(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AltForm):
@@ -224,12 +212,6 @@ class AltForm:
 
     def wedge(self, other):
         return wedge(self, other)
-
-    def real_part(self) -> "AltForm":
-        return self
-
-    def imag_part(self) -> "AltForm":
-        return AltForm.zero(self.dim, self.degree)
 
     def to_float(self) -> "AltForm":
         return AltForm(self.dim, self.degree, _raw={m: float(c) for m, c in self._terms.items()})
@@ -284,17 +266,8 @@ class ComplexAltForm:
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
-    def norm_inf(self) -> float:
-        return max(self.re.norm_inf(), self.im.norm_inf())
-
     def conjugate(self) -> "ComplexAltForm":
         return ComplexAltForm(self.re, -self.im)
-
-    def real_part(self) -> AltForm:
-        return self.re
-
-    def imag_part(self) -> AltForm:
-        return self.im
 
     def __add__(self, other):
         other = _as_complex(other)
@@ -308,18 +281,12 @@ class ComplexAltForm:
         return ComplexAltForm(-self.re, -self.im)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, complex):
-            a, b = scalar.real, scalar.imag
-        elif isinstance(scalar, tuple):
-            a, b = scalar
-        else:
+        if not isinstance(scalar, complex):
             return ComplexAltForm(self.re * scalar, self.im * scalar)
+        a, b = scalar.real, scalar.imag
         return ComplexAltForm(self.re * a - self.im * b, self.re * b + self.im * a)
 
     __rmul__ = __mul__
-
-    def __xor__(self, other):
-        return wedge(self, other)
 
     def wedge(self, other):
         return wedge(self, other)

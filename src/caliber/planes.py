@@ -322,11 +322,13 @@ class EquivalenceResult:
     witness: dict
 
 
-def check_equivalences(planes, model, tol: float = 1e-8) -> list[EquivalenceResult]:
+def check_equivalences(planes, model) -> list[EquivalenceResult]:
     """Evaluate both sides of the plane-level structure implications on a
-    `Plane` or a batch of row frames (B, k, N).  A failure on any plane
-    contradicts a theorem.  The propositions suite runs this on its batches.
+    `Plane` or a batch of row frames (B, k, N), each residual and phase to
+    1e-8.  A failure on any plane contradicts a theorem.  The propositions
+    suite runs this on its batches.
     """
+    tol = 1e-8
     F = _frame_batch(planes)
     space = _space(model, F.shape[-1])
     k, n = F.shape[-2], model.n
@@ -447,14 +449,14 @@ def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
     ]
 
 
-def quaternionic_envelope(planes, model: TwistorModel, tol: float = _ENVELOPE_TOL,
-                          cal_tol: float = 1e-8) -> np.ndarray:
+def quaternionic_envelope(planes, model: TwistorModel, tol: float = _ENVELOPE_TOL) -> np.ndarray:
     """Orthonormal basis (w, J1 w, J2 w, J3 w) of the quaternionic line whose
     sum with the vertical plane contains the calibrated 3-plane: a (4, dim)
     array for a `Plane`, a (B, 4, dim) array for a batch of row frames
-    (B, 3, dim), which raises the error of its first failing plane."""
+    (B, 3, dim), which raises the error of its first failing plane.  The
+    plane must be calibrated to 1e-8."""
     F = _frame_batch(planes)
-    env, failures = _envelopes(F, model, tol, cal_tol)
+    env, failures = _envelopes(F, model, tol, 1e-8)
     _raise_first(failures)
     return env[0] if isinstance(planes, Plane) else env
 
@@ -546,8 +548,7 @@ def phase_rigidity_scan(model: TwistorModel, thetas=None,
     """
     if thetas is None:
         thetas = [k * math.pi / 8 for k in range(9)]
-    re = model.form("re_gamma0").to_float()
-    im = model.form("im_gamma0").to_float()
+    re, im = model.form("re_gamma0"), model.form("im_gamma0")
     values = []
     for th in thetas:
         f = re * math.cos(th) + im * math.sin(th)

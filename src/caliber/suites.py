@@ -358,19 +358,18 @@ _ANCHORS = {
 }
 
 
-def _as_real_float(form) -> AltForm:
-    if hasattr(form, "re"):
-        form = form.re
-    return form.to_float()
-
-
 def _calibrations_checks(n: int, seed: int, restarts: int) -> list[tuple[str, object]]:
     checks: list[tuple[str, object]] = []
     params = SearchParams(restarts=restarts, seed=seed)
 
+    @lru_cache(maxsize=None)
+    def search(name, space):
+        """The search at `params` on a catalog form, shared by every check of
+        this build that runs it (the anchors, duality, homogeneity, phase 0)."""
+        return comass_search(resolve(name, n, space)[0], params=params)
+
     def anchor_check(name, space):
-        form, _ = resolve(name, n, space)
-        res = comass_search(_as_real_float(form), params=params)
+        res = search(name, space)
         err = abs(res.value - 1.0)
         return err <= 1e-6, {"value": res.value, "error": err, "converged_fraction": res.converged_fraction}
 
@@ -400,10 +399,8 @@ def _calibrations_checks(n: int, seed: int, restarts: int) -> list[tuple[str, ob
         worst = 0.0
         rows = {}
         for name in names:
-            form, _ = resolve(name, n, "cone")
-            f = _as_real_float(form)
-            v1 = comass_search(f, params=params).value
-            v2 = comass_search(hodge(f), params=params).value
+            v1 = search(name, "cone").value
+            v2 = comass_search(hodge(resolve(name, n, "cone")[0]), params=params).value
             rows[name] = {"comass": v1, "dual_comass": v2}
             worst = max(worst, abs(v1 - v2))
         return worst <= 2e-6, {"worst_gap": worst, "rows": rows}
@@ -412,9 +409,8 @@ def _calibrations_checks(n: int, seed: int, restarts: int) -> list[tuple[str, ob
 
     def homogeneity_scaling():
         rng = np.random.default_rng(seed + 2)
-        form, _ = resolve("re_gamma0", n, "twistor")
-        f = _as_real_float(form)
-        base = comass_search(f, params=params).value
+        f, _ = resolve("re_gamma0", n, "twistor")
+        base = search("re_gamma0", "twistor").value
         worst = 0.0
         for _ in range(3):
             c = float(rng.uniform(0.25, 4.0)) * (1 if rng.uniform() < 0.5 else -1)
@@ -425,15 +421,10 @@ def _calibrations_checks(n: int, seed: int, restarts: int) -> list[tuple[str, ob
     checks.append(("comass_positive_homogeneity", homogeneity_scaling))
 
     def phase_anchors():
-        tm = build_twistor_model(n)
-        re = tm.form("re_gamma0").to_float()
-        rows = {}
-        ok = True
-        for label, f in (("phase_0", re), ("phase_pi", re * -1.0)):
-            v = comass_search(f, params=params).value
-            rows[label] = v
-            ok = ok and abs(v - 1.0) <= 1e-6
-        return ok, rows
+        re, _ = resolve("re_gamma0", n, "twistor")
+        rows = {"phase_0": search("re_gamma0", "twistor").value,
+                "phase_pi": comass_search(re * -1.0, params=params).value}
+        return all(abs(v - 1.0) <= 1e-6 for v in rows.values()), rows
 
     checks.append(("re_gamma0_phase_anchors", phase_anchors))
     return checks
@@ -448,12 +439,11 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     lf = default_link_frame(n)
     tm = build_twistor_model(n)
     checks: list[tuple[str, object]] = []
-    tol = 1e-8
 
     def implications(frames, model, *check_ids):
         """Whether every plane of a sampled batch meets the premise and the
         implication of each of `check_ids`, and their per-plane witnesses."""
-        results = {r.check_id: r for r in pl.check_equivalences(frames, model, tol)}
+        results = {r.check_id: r for r in pl.check_equivalences(frames, model)}
         chosen = [results[check_id] for check_id in check_ids]
         return (all(r.premise.all() and r.holds.all() for r in chosen),
                 {key: v for r in chosen for key, v in r.witness.items()})
@@ -528,7 +518,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         frames = pl.batch_cr_planes(lf, samples, rng, horizontal=True, p=3)
         tI3 = lf.value("theta_I3", frames)
         family_gap = float(np.max(np.abs(tI3 + 1.0)))
-        res = comass_search(lf.form("theta_I3").to_float() * -1.0, params=SearchParams(restarts=restarts, seed=seed))
+        res = comass_search(lf.form("theta_I3") * -1.0, params=SearchParams(restarts=restarts, seed=seed))
         maxers = res.maximizer_frames(1e-12)
         phi2_gap = float(np.max(np.abs(lf.value("phi2", maxers) - 1.0)))
         horiz = peak(pl.alpha_residual(maxers, 1))
@@ -543,10 +533,10 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("special_isotropic3_assoc_horizontal", special_isotropic_assoc_horizontal))
 
     def maximizers_isotropic_upsilon():
-        res = comass_search(hk.form("re_upsilon1").to_float(), params=SearchParams(restarts=restarts, seed=seed + 7))
+        res = comass_search(hk.form("re_upsilon1"), params=SearchParams(restarts=restarts, seed=seed + 7))
         maxers = res.maximizer_frames(1e-12)
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
-            hk.form("re_upsilon1"), hk.I1, hk.form("omega1"), maxers, tol=1e-7
+            hk.form("re_upsilon1"), hk.I1, hk.form("omega1"), maxers
         )
         im_gap = float(np.max(np.abs(hk.value("im_upsilon1", maxers))))
         ok = ok and im_gap <= 1e-6
@@ -558,10 +548,10 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         # the pure-type lemma yields isotropy for the Kahler form of J_minus,
         # omega_H - omega_V; omega_NK does not vanish on every calibrated
         # plane (it restricts to cos(2 theta) on the normal-form family)
-        res = comass_search(tm.form("re_gamma0").to_float(), params=SearchParams(restarts=restarts, seed=seed + 8))
+        res = comass_search(tm.form("re_gamma0"), params=SearchParams(restarts=restarts, seed=seed + 8))
         maxers = res.maximizer_frames(1e-12)
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
-            tm.form("re_gamma0"), tm.J_minus, tm.form("omega_minus"), maxers, tol=1e-7
+            tm.form("re_gamma0"), tm.J_minus, tm.form("omega_minus"), maxers
         )
         return ok, {"maximizers": len(maxers), "value": res.value}
 
@@ -570,7 +560,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def maximizers_horizontal(name):
         # iota_{A1} form = 0 exactly, so every calibrated plane has alpha1 = 0
         annihilated = interior(np.eye(lf.dim, dtype=int)[0], lf.form(name)).is_zero()
-        res = comass_search(lf.form(name).to_float(), params=SearchParams(restarts=restarts, seed=seed + 9))
+        res = comass_search(lf.form(name), params=SearchParams(restarts=restarts, seed=seed + 9))
         maxers = res.maximizer_frames(1e-12)
         ok = annihilated and len(maxers) >= restarts // 2 and peak(pl.alpha_residual(maxers, 1)) <= 1e-7
         return ok, {"maximizers": len(maxers), "value": res.value}
@@ -579,8 +569,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("maximizers_horizontal_theta_I3", lambda: maximizers_horizontal("theta_I3")))
 
     def argmax_class_omega_power():
-        f = hk.form("omega1_power2").to_float()
-        res = comass_search(f, params=SearchParams(restarts=restarts, seed=seed + 10))
+        res = comass_search(hk.form("omega1_power2"), params=SearchParams(restarts=restarts, seed=seed + 10))
         maxers = res.maximizer_frames(1e-12)
         inv = peak(pl.projector_invariance_residual(maxers, hk.I1.astype(float)))
         return len(maxers) >= restarts // 2 and inv <= 1e-6, {"maximizers": len(maxers), "I1_residual": inv}
@@ -591,7 +580,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         frames = pl.batch_hv_isotropic_planes(tm, tm.n, samples, np.random.default_rng(seed + 11))
         ok, w = implications(frames, tm, "hv_compatible_iso_KE_iff_NK")
         ke, nk = peak(w["ke_residual"]), peak(w["nk_residual"])
-        return ok and ke <= tol, {"ke_residual": ke, "nk_residual": nk, "samples": samples}  # isotropic, as sampled
+        return ok and ke <= 1e-8, {"ke_residual": ke, "nk_residual": nk, "samples": samples}  # isotropic, as sampled
 
     checks.append(("hv_compatible_iso_ke_iff_nk", hv_iso_equivalence))
 

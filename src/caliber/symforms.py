@@ -249,9 +249,9 @@ class RCoef:
     """A cone coefficient (P + Q r) / r^{2s} in canonical reduced form.
 
     Reduced means s = 0, or s > 0 and S = sum x_i^2 does not divide both P
-    and Q; a zero coefficient has s = 0.  The generic constructor divides by S
-    until that holds, so the reduced form of a value is unique and equal
-    coefficients have equal (p, q, s).
+    and Q; a zero coefficient has s = 0.  The generic constructor takes
+    s >= 0 and divides by S until that holds, so the reduced form of a value
+    is unique and equal coefficients have equal (p, q, s).
 
     For N >= 2, S is prime in Q[x_0..x_{N-1}] (irreducible, and the ring is a
     UFD), and does not divide x_i.  So these results are reduced already and
@@ -278,9 +278,6 @@ class RCoef:
     __slots__ = ("dim", "p", "q", "s")
 
     def __init__(self, dim: int, p: Poly, q: Poly, s: int):
-        if s < 0:
-            boost = _sumsq(dim, -s)
-            p, q, s = p * boost, q * boost, 0
         while s > 0:
             if p.is_zero() and q.is_zero():
                 s = 0

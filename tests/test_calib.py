@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from caliber import suites
 from caliber.calib import (
     FormEvaluator,
     Plane,
@@ -26,6 +27,7 @@ from caliber.calib import (
 from caliber.exterior import AltForm, evaluate, hodge, interior, pullback, wedge
 from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
 from caliber.planes import alpha_residual
+from caliber.registry import resolve
 
 FAST = SearchParams(restarts=60, seed=5)
 
@@ -116,6 +118,33 @@ def test_comass_rejects_complex():
     tm = build_twistor_model(1)
     with pytest.raises(TypeError):
         comass_search(tm.form("gamma0"))
+
+
+def test_search_on_exact_form_matches_its_float_copy():
+    # FormEvaluator takes float(c) of each coefficient, so an exact catalog
+    # form needs no .to_float() copy: the search is the same to the bit
+    params = SearchParams(restarts=40, seed=0)
+    for name, space in suites._ANCHORS[1]:
+        form, _ = resolve(name, 1, space)
+        exact, copy = comass_search(form, params), comass_search(form.to_float(), params)
+        assert np.float64(exact.value).tobytes() == np.float64(copy.value).tobytes(), name
+        assert exact.all_values.tobytes() == copy.all_values.tobytes(), name
+        assert exact.all_frames.tobytes() == copy.all_frames.tobytes(), name
+
+
+@pytest.mark.parametrize("n, searches", [(1, 169), (2, 159), (3, 157)])
+def test_calibrations_suite_searches_each_anchor_once(monkeypatch, n, searches):
+    # duality, homogeneity and phase 0 read the anchor checks' searches
+    # rather than repeating them with the same form and parameters
+    calls = []
+
+    def counted(form, params):
+        calls.append(form)
+        return comass_search(form, params)
+
+    monkeypatch.setattr(suites, "comass_search", counted)
+    assert suites.run_suite("calibrations", n, restarts=40).overall == "pass"
+    assert len(calls) == searches
 
 
 def test_comass_theta_and_gamma_anchors():
@@ -340,7 +369,7 @@ def test_isotropy_of_maximizers_omega2():
     res = comass_search(hk.form("omega2").to_float(), params=SearchParams(restarts=120, seed=6))
     maxers = res.maximizer_frames(1e-12)
     assert len(maxers) >= 60
-    assert isotropy_of_maximizers(hk.form("omega2"), hk.I1, hk.form("omega1"), maxers, tol=1e-7)
+    assert isotropy_of_maximizers(hk.form("omega2"), hk.I1, hk.form("omega1"), maxers)
     assert isotropy_of_maximizers(hk.form("omega2"), hk.I1, hk.form("omega1"), maxers[:0])
 
 

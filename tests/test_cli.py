@@ -112,8 +112,28 @@ def test_verify_unsupported_n_exits_2(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code = run(["comass", "--form", "omega1", "--bogus"])
-    assert code == 2
+    code, out, err = invoke(capsys, "comass", "--form", "omega1", "--bogus")
+    _assert_usage_error(code, err)
+    assert out == "" and "unrecognized arguments: --bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "cones", "--space", "link"),
+    ("normalform", "--space", "twistor", "--plane", "plane.json"),
+])
+def test_space_where_the_command_does_not_read_it_exits_2(capsys, argv):
+    # only forms, comass and classify read --space
+    code, out, err = invoke(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert out == "" and "unrecognized arguments: --space" in err
+
+
+def test_comass_space_selects_the_model(capsys):
+    # theta_I3 is a link form only; --space link finds it, --space cone does not
+    code, out, _ = invoke(capsys, "comass", "--form", "theta_I3", "--space", "link", "--restarts", "5")
+    assert code == 0 and json.loads(out)["restarts_used"] == 5
+    code, _, err = invoke(capsys, "comass", "--form", "theta_I3", "--space", "cone", "--restarts", "5")
+    _assert_usage_error(code, err)
 
 
 def test_verify_byte_identical_reruns(capsys):
