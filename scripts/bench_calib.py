@@ -273,7 +273,6 @@ def _comass_search_kernels() -> dict:
     params = calib.SearchParams(restarts=ANCHOR_RESTARTS, seed=0)
     for name, space in ANCHORS:
         form, _ = resolve(name, 2, space)
-        form = (form.re if hasattr(form, "re") else form).to_float()
         search = lambda: calib.comass_search(form, params=params)  # noqa: E731
         out[f"{space}/{name}/n2/r{ANCHOR_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
     rng = np.random.default_rng(ORACLE_SEED)
@@ -313,7 +312,7 @@ def run() -> dict:
     out = {"values": {}, "grads": {}, "retraction": {}, "canonicalize_tied": {}}
     for name, n, space in FORMS:
         form, _ = resolve(name, n, space)
-        ev = calib.FormEvaluator(form.to_float())
+        ev = calib.FormEvaluator(form)
         k = form.degree
         rng = np.random.default_rng(k)
         for B in FRAME_COUNTS:

@@ -39,19 +39,22 @@ def _emit(data, pretty: bool) -> None:
         print(json.dumps(data, sort_keys=True, separators=(",", ":")))
 
 
-def _load_form(args) -> tuple[object, str | None]:
-    name = args.form
-    if name.endswith(".json"):
-        try:
-            with open(name, "r", encoding="utf-8") as fh:
-                return form_from_json(json.load(fh)), None
-        except (OSError, ValueError, KeyError) as exc:
-            raise UsageError(f"could not load form file {name!r}: {exc}") from exc
+def _read_json(path: str, what: str, parse):
+    """`parse` of the JSON in the file at `path`, a usage error naming the
+    `what` file if it cannot be read or parsed."""
     try:
-        form, space = registry.resolve(name, args.n, args.space)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError(f"could not load {what} file {path!r}: {exc}") from exc
+
+
+def _resolve(name: str, args) -> tuple[object, str]:
+    """The registry form `name` at --n and --space, and its space."""
+    try:
+        return registry.resolve(name, args.n, args.space)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
-    return form, space
 
 
 def _envelope_report(result, n: int) -> dict:
@@ -73,10 +76,7 @@ def _cmd_forms(args) -> int:
     if args.action == "list":
         _emit({"space": args.space, "n": args.n, "forms": registry.list_entries(args.space, args.n)}, args.pretty)
         return 0
-    try:
-        form, space = registry.resolve(args.name, args.n, args.space)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from exc
+    form, space = _resolve(args.name, args)
     payload = form_to_json(form)
     payload["name"] = args.name
     payload["space"] = space
@@ -85,7 +85,10 @@ def _cmd_forms(args) -> int:
 
 
 def _cmd_comass(args) -> int:
-    f, space = _load_form(args)
+    if args.form.endswith(".json"):
+        f, space = _read_json(args.form, "form", form_from_json), None
+    else:
+        f, space = _resolve(args.form, args)
     if isinstance(f, ComplexAltForm):
         raise UsageError("form is complex valued; use its re_*/im_* registry entry instead")
     if args.k is not None and args.k != f.degree:
@@ -107,17 +110,9 @@ def _cmd_comass(args) -> int:
     return 0
 
 
-def _read_plane(path: str) -> Plane:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return Plane.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
-        raise UsageError(f"could not load plane file {path!r}: {exc}") from exc
-
-
 def _cmd_classify(args) -> int:
     model = registry.model(args.space, args.n)
-    plane = _read_plane(args.plane)
+    plane = _read_json(args.plane, "plane", Plane.from_json)
     try:
         report = classify_plane(plane, model, tol=args.tol)
     except ValueError as exc:
@@ -128,7 +123,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_normalform(args) -> int:
     model = registry.model("twistor", args.n)
-    plane = _read_plane(args.plane)
+    plane = _read_json(args.plane, "plane", Plane.from_json)
     try:
         result = normal_form_theta(plane, model, tol=args.tol)
     except ValueError as exc:

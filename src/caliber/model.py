@@ -223,7 +223,6 @@ class LinkFrame(_FormCatalog):
     dim: int
     base_point: np.ndarray
     frame: np.ndarray  # (4n+4, 4n+3) columns: A1, A2, A3, horizontal blocks
-    reeb: tuple
     J1: np.ndarray
     J2: np.ndarray
     J3: np.ndarray
@@ -337,14 +336,12 @@ def build_link_frame(n: int, x=None) -> LinkFrame:
     catalog = _link_catalog(n, frame_for_pullback, cone)
     J = tuple(frame.T @ cone.complex_structures[p] @ frame for p in range(3))
     frame.setflags(write=False)
-    return LinkFrame(n, N - 1, x, frame, tuple(A), J[0], J[1], J[2], catalog)
+    return LinkFrame(n, N - 1, x, frame, J[0], J[1], J[2], catalog)
 
 
-_default_link_frame = lru_cache(maxsize=None)(lambda n: build_link_frame(n))
-
-
+@lru_cache(maxsize=None)
 def default_link_frame(n: int) -> LinkFrame:
-    return _default_link_frame(n)
+    return build_link_frame(n)
 
 
 # ---------------------------------------------------------------------------

@@ -528,13 +528,12 @@ def rotated_w_theta(n: int, theta: float, rng: np.random.Generator) -> Plane:
 class PhaseRigidityReport:
     thetas: tuple
     values: tuple
-    margins: tuple
 
     def to_json(self) -> dict:
         return {
             "rows": [
-                {"theta": float(t), "max_value": float(v), "margin": float(m)}
-                for t, v, m in zip(self.thetas, self.values, self.margins)
+                {"theta": float(t), "max_value": float(v), "margin": float(1.0 - v)}
+                for t, v in zip(self.thetas, self.values)
             ]
         }
 
@@ -549,13 +548,8 @@ def phase_rigidity_scan(model: TwistorModel, thetas=None,
     if thetas is None:
         thetas = [k * math.pi / 8 for k in range(9)]
     re, im = model.form("re_gamma0"), model.form("im_gamma0")
-    values = []
-    for th in thetas:
-        f = re * math.cos(th) + im * math.sin(th)
-        res = comass_search(f, params=params)
-        values.append(res.value)
-    margins = [1.0 - v for v in values]
-    return PhaseRigidityReport(tuple(thetas), tuple(values), tuple(margins))
+    values = [comass_search(re * math.cos(th) + im * math.sin(th), params=params).value for th in thetas]
+    return PhaseRigidityReport(tuple(thetas), tuple(values))
 
 
 # ---------------------------------------------------------------------------

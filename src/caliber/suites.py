@@ -399,8 +399,10 @@ def _calibrations_checks(n: int, seed: int, restarts: int) -> list[tuple[str, ob
         worst = 0.0
         rows = {}
         for name in names:
+            form = resolve(name, n, "cone")[0]
+            dual = hodge(form)  # equal to the form itself for all but omega1
             v1 = search(name, "cone").value
-            v2 = comass_search(hodge(resolve(name, n, "cone")[0]), params=params).value
+            v2 = v1 if dual == form else comass_search(dual, params=params).value
             rows[name] = {"comass": v1, "dual_comass": v2}
             worst = max(worst, abs(v1 - v2))
         return worst <= 2e-6, {"worst_gap": worst, "rows": rows}
@@ -451,6 +453,16 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def peak(values) -> float:
         return float(np.max(values))
 
+    def value_gaps(model, frames, *terms):
+        """peak |sign * value - 1| on `frames` of each (sign, name) in `terms`."""
+        return [peak(np.abs(sign * model.value(name, frames) - 1.0)) for sign, name in terms]
+
+    def maximizers(form, offset):
+        """The search on `form` at `restarts` restarts seeded by seed + offset,
+        and its maximizer frames."""
+        res = comass_search(form, params=SearchParams(restarts=restarts, seed=seed + offset))
+        return res, res.maximizer_frames(1e-12)
+
     def complex_w2iso_implies_w3iso():
         frames = pl.batch_complex_isotropic_planes(hk, 2, samples, np.random.default_rng(seed))
         ok, w = implications(frames, hk, "complex_w2iso_implies_w3iso")
@@ -475,20 +487,15 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         gaps = []
         for structures in ((hk.I1, hk.I2, hk.I3), (hk.I3, hk.I1, hk.I2)):
             frames = pl.batch_complex_planes(structures, 2, samples // 2 + 1, rng)
-            vals = hk.value("Phi2", frames)
-            gaps.append(float(np.max(np.abs(vals - 1.0))))
-        ok = max(gaps) <= 1e-7
-        return ok, {"value_gaps_I1_I3": gaps, "samples": 2 * (samples // 2 + 1)}
+            gaps += value_gaps(hk, frames, (1, "Phi2"))
+        return max(gaps) <= 1e-7, {"value_gaps_I1_I3": gaps, "samples": 2 * (samples // 2 + 1)}
 
     checks.append(("cayley_from_complex_planes", cayley_complex))
 
     def cayley_complex_isotropic():
         rng = np.random.default_rng(seed + 3)
         frames = pl.batch_complex_isotropic_planes(hk, 2, samples, rng)
-        vals_J = -hk.value("theta_J4", frames)
-        vals_K = hk.value("theta_K4", frames)
-        vals_P = hk.value("Phi2", frames)
-        gaps = [float(np.max(np.abs(v - 1.0))) for v in (vals_J, vals_K, vals_P)]
+        gaps = value_gaps(hk, frames, (-1, "theta_J4"), (1, "theta_K4"), (1, "Phi2"))
         return max(gaps) <= 1e-7, {"value_gaps": gaps, "samples": samples}
 
     checks.append(("cayley_from_complex_isotropic", cayley_complex_isotropic))
@@ -505,10 +512,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def assoc_cr_isotropic():
         rng = np.random.default_rng(seed + 5)
         frames = pl.batch_cr_planes(lf, samples, rng, horizontal=True, p=1)
-        vals_J = -lf.value("theta_J3", frames)
-        vals_K = lf.value("theta_K3", frames)
-        vals_p = lf.value("phi2", frames)
-        gaps = [float(np.max(np.abs(v - 1.0))) for v in (vals_J, vals_K, vals_p)]
+        gaps = value_gaps(lf, frames, (-1, "theta_J3"), (1, "theta_K3"), (1, "phi2"))
         return max(gaps) <= 1e-7, {"value_gaps": gaps, "samples": samples}
 
     checks.append(("associative_from_cr_isotropic", assoc_cr_isotropic))
@@ -516,11 +520,9 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def special_isotropic_assoc_horizontal():
         rng = np.random.default_rng(seed + 6)
         frames = pl.batch_cr_planes(lf, samples, rng, horizontal=True, p=3)
-        tI3 = lf.value("theta_I3", frames)
-        family_gap = float(np.max(np.abs(tI3 + 1.0)))
-        res = comass_search(lf.form("theta_I3") * -1.0, params=SearchParams(restarts=restarts, seed=seed))
-        maxers = res.maximizer_frames(1e-12)
-        phi2_gap = float(np.max(np.abs(lf.value("phi2", maxers) - 1.0)))
+        [family_gap] = value_gaps(lf, frames, (-1, "theta_I3"))
+        res, maxers = maximizers(lf.form("theta_I3") * -1.0, 0)
+        [phi2_gap] = value_gaps(lf, maxers, (1, "phi2"))
         horiz = peak(pl.alpha_residual(maxers, 1))
         ok = family_gap <= 1e-7 and res.value >= 1 - 1e-6 and phi2_gap <= 1e-6 and horiz <= 1e-6
         return ok, {
@@ -533,12 +535,11 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("special_isotropic3_assoc_horizontal", special_isotropic_assoc_horizontal))
 
     def maximizers_isotropic_upsilon():
-        res = comass_search(hk.form("re_upsilon1"), params=SearchParams(restarts=restarts, seed=seed + 7))
-        maxers = res.maximizer_frames(1e-12)
+        res, maxers = maximizers(hk.form("re_upsilon1"), 7)
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
             hk.form("re_upsilon1"), hk.I1, hk.form("omega1"), maxers
         )
-        im_gap = float(np.max(np.abs(hk.value("im_upsilon1", maxers))))
+        im_gap = peak(np.abs(hk.value("im_upsilon1", maxers)))
         ok = ok and im_gap <= 1e-6
         return ok, {"maximizers": len(maxers), "restarts": restarts, "value": res.value, "im_gap": im_gap}
 
@@ -548,8 +549,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
         # the pure-type lemma yields isotropy for the Kahler form of J_minus,
         # omega_H - omega_V; omega_NK does not vanish on every calibrated
         # plane (it restricts to cos(2 theta) on the normal-form family)
-        res = comass_search(tm.form("re_gamma0"), params=SearchParams(restarts=restarts, seed=seed + 8))
-        maxers = res.maximizer_frames(1e-12)
+        res, maxers = maximizers(tm.form("re_gamma0"), 8)
         ok = len(maxers) >= restarts // 2 and isotropy_of_maximizers(
             tm.form("re_gamma0"), tm.J_minus, tm.form("omega_minus"), maxers
         )
@@ -560,8 +560,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     def maximizers_horizontal(name):
         # iota_{A1} form = 0 exactly, so every calibrated plane has alpha1 = 0
         annihilated = interior(np.eye(lf.dim, dtype=int)[0], lf.form(name)).is_zero()
-        res = comass_search(lf.form(name), params=SearchParams(restarts=restarts, seed=seed + 9))
-        maxers = res.maximizer_frames(1e-12)
+        res, maxers = maximizers(lf.form(name), 9)
         ok = annihilated and len(maxers) >= restarts // 2 and peak(pl.alpha_residual(maxers, 1)) <= 1e-7
         return ok, {"maximizers": len(maxers), "value": res.value}
 
@@ -569,8 +568,7 @@ def _propositions_checks(n: int, seed: int, samples: int, restarts: int) -> list
     checks.append(("maximizers_horizontal_theta_I3", lambda: maximizers_horizontal("theta_I3")))
 
     def argmax_class_omega_power():
-        res = comass_search(hk.form("omega1_power2"), params=SearchParams(restarts=restarts, seed=seed + 10))
-        maxers = res.maximizer_frames(1e-12)
+        res, maxers = maximizers(hk.form("omega1_power2"), 10)
         inv = peak(pl.projector_invariance_residual(maxers, hk.I1.astype(float)))
         return len(maxers) >= restarts // 2 and inv <= 1e-6, {"maximizers": len(maxers), "I1_residual": inv}
 

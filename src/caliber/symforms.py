@@ -14,7 +14,8 @@ coefficients: the same sparse algebra (sum, scalar and coefficient multiples,
 wedge, wedge powers, contraction) that evaluates forms numerically.  This
 module adds the calculus that needs point-dependent coefficients: the
 exterior derivative, contraction with vector fields, Lie derivatives, the
-radial split and homogeneous potentials.
+radial split and homogeneous potentials.  A vector field is the tuple of its
+`RCoef` components, the sequence that `exterior.interior` contracts with.
 
 The distinguished link forms (contact one-forms, transverse Kahler forms, and
 everything built from them) are represented by their canonical conical
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -42,7 +42,6 @@ __all__ = [
     "RCoef",
     "RationalForm",
     "CRationalForm",
-    "PolyVectorField",
     "constant_form",
     "eval_at",
     "ext_d",
@@ -440,26 +439,18 @@ class RCoef:
         return f"RCoef(p={len(self.p.terms)}t, q={len(self.q.terms)}t, s={self.s})"
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
-    """Vector field on the cone with RCoef components."""
-
-    dim: int
-    components: tuple
-
-
-def dilation_field(dim: int) -> PolyVectorField:
+def dilation_field(dim: int) -> tuple:
     """The dilation field r d/dr, with components x_i."""
-    return PolyVectorField(dim, tuple(RCoef.from_poly(Poly.x(dim, i)) for i in range(dim)))
+    return tuple(RCoef.from_poly(Poly.x(dim, i)) for i in range(dim))
 
 
-def unit_radial_field(dim: int) -> PolyVectorField:
+def unit_radial_field(dim: int) -> tuple:
     """d/dr, with components x_i / r."""
     zero = Poly(dim, {})
-    return PolyVectorField(dim, tuple(RCoef(dim, zero, Poly.x(dim, i), 1) for i in range(dim)))
+    return tuple(RCoef(dim, zero, Poly.x(dim, i), 1) for i in range(dim))
 
 
-def reeb_extension(Ip: np.ndarray) -> PolyVectorField:
+def reeb_extension(Ip: np.ndarray) -> tuple:
     """Degree-0 extension of a Reeb field: components (I x)_i / r for an
     integer complex-structure matrix I."""
     dim = Ip.shape[0]
@@ -471,7 +462,7 @@ def reeb_extension(Ip: np.ndarray) -> PolyVectorField:
             if Ip[i, j]:
                 poly = poly + Poly.x(dim, j).scale(int(Ip[i, j]))
         comps.append(RCoef(dim, zero, poly, 1))
-    return PolyVectorField(dim, tuple(comps))
+    return tuple(comps)
 
 
 # Forms on the cone are exterior forms with RCoef coefficients; the old names
@@ -509,12 +500,12 @@ def ext_d(f):
     return AltForm(dim, f.degree + 1, _raw=_totals(products))
 
 
-def interior_field(X: PolyVectorField, f):
+def interior_field(X: tuple, f):
     """Contraction with a vector field (antiderivation of degree -1)."""
-    return interior(X.components, f)
+    return interior(X, f)
 
 
-def lie_derivative(X: PolyVectorField, f):
+def lie_derivative(X: tuple, f):
     """Cartan formula L_X = d iota_X + iota_X d, computed exactly."""
     if f.degree == 0:
         df = ext_d(f)

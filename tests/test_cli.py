@@ -228,10 +228,13 @@ def test_comass_nan_form_file_exits_2(tmp_path, capsys):
     # each term is finite, their sum on the one blade is not
     pytest.param('{"dim": 4, "degree": 2, "terms": [{"indices": [0, 1], "re": 1e308},'
                  ' {"indices": [0, 1], "re": 1e308}]}', "non-finite", id="blade-sum-overflows"),
+    pytest.param(None, "could not load form file", id="missing-file"),
+    pytest.param('{"dim": 4, "degree": 2, "terms": [', "could not load form file", id="not-json"),
 ])
 def test_comass_malformed_form_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "form.json"
-    path.write_text(text)
+    if text is not None:  # None: no file at the path
+        path.write_text(text)
     code, out, err = invoke(capsys, "comass", "--form", str(path))
     _assert_usage_error(code, err)
     assert out == "" and message in err
@@ -247,16 +250,21 @@ def test_classify_nan_plane_exits_2(tmp_path, capsys):
     assert out == "" and "non-finite" in err
 
 
-@pytest.mark.parametrize("data, message", [
-    pytest.param(np.eye(8)[:2].tolist(), "JSON object", id="top-level-list"),
-    pytest.param({"dim": 8, "frame": {"rows": 2}}, "array of numbers", id="frame-object"),
+@pytest.mark.parametrize("text, message", [
+    pytest.param(json.dumps(np.eye(8)[:2].tolist()), "JSON object", id="top-level-list"),
+    pytest.param(json.dumps({"dim": 8, "frame": {"rows": 2}}), "array of numbers", id="frame-object"),
+    pytest.param(None, "could not load plane file", id="missing-file"),
+    pytest.param('{"dim": 8, "frame": [', "could not load plane file", id="not-json"),
 ])
-def test_classify_malformed_plane_exits_2(tmp_path, capsys, data, message):
+def test_classify_malformed_plane_exits_2(tmp_path, capsys, text, message):
+    # normalform reads its plane file the same way
     path = tmp_path / "plane.json"
-    path.write_text(json.dumps(data))
-    code, out, err = invoke(capsys, "classify", "--space", "cone", "--n", "1", "--plane", str(path))
-    _assert_usage_error(code, err)
-    assert out == "" and message in err
+    if text is not None:  # None: no file at the path
+        path.write_text(text)
+    for command in (["classify", "--space", "cone"], ["normalform"]):
+        code, out, err = invoke(capsys, *command, "--n", "1", "--plane", str(path))
+        _assert_usage_error(code, err)
+        assert out == "" and message in err
 
 
 @pytest.mark.parametrize("argv", [

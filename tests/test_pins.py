@@ -176,8 +176,8 @@ def coefficient_digest(n: int) -> str:
 
     rows = []
     for name, entry in sorted(symforms.link_extension_catalog(n).items()):
-        if isinstance(entry, symforms.PolyVectorField):
-            parts = [("field", dict(enumerate(entry.components)))]
+        if isinstance(entry, tuple):
+            parts = [("field", dict(enumerate(entry)))]
         elif isinstance(entry, ComplexAltForm):
             parts = [("re", entry.re._raw_terms()), ("im", entry.im._raw_terms())]
         else:
