@@ -1,4 +1,4 @@
-"""Comass computation and semi-calibration certification.
+"""Comass computation and the structure of comass maximizers.
 
 The comass of a k-form is its maximum over oriented orthonormal k-planes.
 `comass_search` runs multi-start Riemannian ascent on the Stiefel manifold of
@@ -83,7 +83,6 @@ __all__ = [
     "comass_search",
     "comass_2form_exact",
     "skew_matrix",
-    "is_calibrated",
     "orthonormal_rows",
     "batch_evaluate",
     "is_pure_type",
@@ -119,9 +118,15 @@ class Plane:
     orientation preserved) and rejects rank-deficient input.
     """
 
-    dim: int
-    degree: int
     frame: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.frame.shape[1]
+
+    @property
+    def degree(self) -> int:
+        return self.frame.shape[0]
 
     @classmethod
     def from_vectors(cls, vectors, *, orthonormalize: bool = True) -> "Plane":
@@ -136,7 +141,7 @@ class Plane:
         if k == 0:
             frame = A.copy()
             frame.setflags(write=False)
-            return cls(n, 0, frame)
+            return cls(frame)
         if orthonormalize:
             frame = orthonormal_rows(A)
         else:
@@ -145,7 +150,7 @@ class Plane:
                 raise ValueError("frame is not orthonormal")
             frame = A.copy()
         frame.setflags(write=False)
-        return cls(n, k, frame)
+        return cls(frame)
 
     def spans_same_oriented(self, other: "Plane", tol: float = 1e-8) -> bool:
         if (self.dim, self.degree) != (other.dim, other.degree):
@@ -202,11 +207,18 @@ TERMINATIONS = ("converged", "float_floor", "max_halvings", "max_iters")
 class ComassResult:
     value: float
     argmax: Plane
-    restarts_used: int
-    converged_fraction: float
-    all_values: np.ndarray = field(repr=False, default=None)
-    all_frames: np.ndarray = field(repr=False, default=None)
-    terminations: dict = field(default=None)  # restarts per reason in TERMINATIONS
+    all_values: np.ndarray = field(repr=False)
+    all_frames: np.ndarray = field(repr=False)
+    terminations: dict  # restarts per reason in TERMINATIONS
+
+    @property
+    def restarts_used(self) -> int:
+        return len(self.all_values)
+
+    @property
+    def converged_fraction(self) -> float:
+        """Share of restarts that converged or stopped at the float floor."""
+        return (self.terminations["converged"] + self.terminations["float_floor"]) / self.restarts_used
 
     def maximizer_frames(self, tol: float = 1e-6) -> np.ndarray:
         """Row frames (M, k, N) of the restarts whose value is within
@@ -494,7 +506,7 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
     if form.is_zero() or k == 0:
         plane = Plane.from_vectors(np.eye(n)[:k], orthonormalize=False)
         value = abs(float(form._raw_terms().get(0, 0.0))) if k == 0 else 0.0
-        return ComassResult(value, plane, params.restarts, 1.0, np.full(params.restarts, value),
+        return ComassResult(value, plane, np.full(params.restarts, value),
                             np.repeat(plane.frame[None, :, :], params.restarts, axis=0),
                             dict.fromkeys(TERMINATIONS, 0) | {"converged": params.restarts})
 
@@ -564,8 +576,7 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
     value = float(np.ldexp(ev.values(argmax.frame.T), e))
     counts = np.bincount(reason, minlength=len(TERMINATIONS))
     terminations = {name: int(c) for name, c in zip(TERMINATIONS, counts)}
-    converged = (terminations["converged"] + terminations["float_floor"]) / R
-    return ComassResult(value, argmax, R, converged, np.ldexp(f, e), np.swapaxes(V, -1, -2), terminations)
+    return ComassResult(value, argmax, np.ldexp(f, e), np.swapaxes(V, -1, -2), terminations)
 
 
 def skew_matrix(form: AltForm) -> np.ndarray:
@@ -585,22 +596,6 @@ def comass_2form_exact(form: AltForm) -> float:
     if not np.any(S):
         return 0.0
     return float(np.linalg.svd(S, compute_uv=False)[0])
-
-
-def is_calibrated(form: AltForm | FormEvaluator, plane: Plane | np.ndarray, tol: float = 1e-9):
-    """Whether the form attains 1 on the oriented plane (comass-one forms only):
-    a bool for a `Plane`, a bool array (...) for a batch of row frames (..., k, N).
-
-    The value is `FormEvaluator.values` on the plane's frame.  `form` is a
-    real form or its evaluator; callers that test many planes pass the one a
-    model caches (`model.evaluator(name)`) instead of building one per call.
-    """
-    ev = form if isinstance(form, FormEvaluator) else FormEvaluator(form)
-    frames = plane.frame if isinstance(plane, Plane) else np.asarray(plane, dtype=float)
-    if ev.degree != frames.shape[-2]:
-        raise ValueError(f"degree mismatch: form {ev.degree}, plane {frames.shape[-2]}")
-    ok = np.abs(ev.values(np.swapaxes(frames, -1, -2)) - 1) <= tol
-    return ok if ok.ndim else bool(ok)
 
 
 # ---------------------------------------------------------------------------

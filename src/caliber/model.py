@@ -114,21 +114,18 @@ class _FormCatalog:
     def form(self, name: str):
         return self.catalog[name]
 
-    def evaluator(self, name: str, derive=None):
-        """The cached evaluator of catalog form `name`; for a name outside the
-        catalog, of the form `derive()` returns, then cached under `name`."""
+    def value(self, name: str, frames: np.ndarray, derive=None):
+        """Values of form `name` on one row frame (k, N), as a float, or on a
+        batch (..., k, N), as an array of shape (...); complex for a complex
+        form, its parts assigned so signed zeros stay.  A name outside the
+        catalog names the form `derive()` returns.  The evaluator is built on
+        the first call and cached under `name`."""
         key = ("evaluator", name)
         if key not in self.cache:
             form = derive() if derive is not None and name not in self.catalog else self.form(name)
             self.cache[key] = ((FormEvaluator(form.re), FormEvaluator(form.im))
                                if isinstance(form, ComplexAltForm) else FormEvaluator(form))
-        return self.cache[key]
-
-    def value(self, name: str, frames: np.ndarray, derive=None):
-        """Values of form `name` (see `evaluator`) on one row frame (k, N),
-        as a float, or on a batch (..., k, N), as an array of shape (...);
-        complex for a complex form, its parts assigned so signed zeros stay."""
-        ev = self.evaluator(name, derive)
+        ev = self.cache[key]
         V = np.swapaxes(frames, -1, -2)
         if isinstance(ev, tuple):
             out = np.empty(V.shape[:-2], dtype=complex)
@@ -227,13 +224,7 @@ class LinkFrame(_FormCatalog):
     J2: np.ndarray
     J3: np.ndarray
     catalog: dict = field(repr=False)
-
-    vertical_indices: tuple = (0, 1, 2)
     cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def horizontal_indices(self) -> tuple:
-        return tuple(range(3, self.dim))
 
     @property
     def transverse_structures(self):
@@ -258,15 +249,16 @@ def _exactify(M: np.ndarray):
     return None
 
 
-def link_forms(alpha: dict, Omega: dict, sigma_powers: dict) -> dict:
-    """The link forms built from the contact forms alpha_p, the transverse
-    Kahler forms Omega_p and the wedge powers of sigma_p = Omega_q + i Omega_r
-    (dicts keyed by p = 1, 2, 3; `sigma_powers[p]` lists sigma_p^k for
-    k = 0 .. n, as `wedge_powers(sigma_p, n)` does).  The caller computes that
-    sequence once and reads its own forms from it too; psi divides by n! only
-    after its wedge, so the wedge stays in the ring of the powers.
+def link_forms(alpha: dict, Omega: dict, n: int) -> tuple[dict, dict]:
+    """The link forms built from the contact forms alpha_p and the transverse
+    Kahler forms Omega_p (dicts keyed by p = 1, 2, 3), and the wedge powers
+    `sigma_powers[p] = wedge_powers(sigma_p, n)` of sigma_p = Omega_q + i Omega_r,
+    which list sigma_p^k for k = 0 .. n.  The caller reads its own forms from
+    those powers too; psi divides by n! only after its wedge, so the wedge
+    stays in the ring of the powers.
 
-    Returns alpha, Omega, kappa_p = Omega_p - alpha_q ^ alpha_r, the complex
+    Returns (catalog, sigma_powers).  The catalog holds alpha, Omega,
+    kappa_p = Omega_p - alpha_q ^ alpha_r, the complex
     psi_p = (alpha_q + i alpha_r) ^ sigma_p^n / n! and
     gamma_p = (alpha_q - i alpha_r) ^ (kappa_q + i kappa_r),
     xi_p = kappa_q^2 + kappa_r^2, the associative phi_p and omega1_tilde.
@@ -274,6 +266,7 @@ def link_forms(alpha: dict, Omega: dict, sigma_powers: dict) -> dict:
     ring: the frame catalog (pulled-back constant forms) and the exact cone
     extensions of `symforms.link_extension_catalog` both come from it.
     """
+    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
     kappa = {p: Omega[p] - wedge(alpha[q], alpha[r]) for p, (q, r) in CYCLIC_PAIRS.items()}
     cat: dict = {}
     for p in (1, 2, 3):
@@ -281,7 +274,6 @@ def link_forms(alpha: dict, Omega: dict, sigma_powers: dict) -> dict:
         cat[f"Omega{p}"] = Omega[p]
         cat[f"kappa{p}"] = kappa[p]
     for p, (q, r) in CYCLIC_PAIRS.items():
-        n = len(sigma_powers[p]) - 1
         cat[f"psi{p}"] = _over_factorial(wedge(ComplexAltForm(alpha[q], alpha[r]), sigma_powers[p][n]), n)
         cat[f"gamma{p}"] = wedge(ComplexAltForm(alpha[q], -alpha[r]), ComplexAltForm(kappa[q], kappa[r]))
         cat[f"xi{p}"] = wedge(kappa[q], kappa[q]) + wedge(kappa[r], kappa[r])
@@ -290,15 +282,14 @@ def link_forms(alpha: dict, Omega: dict, sigma_powers: dict) -> dict:
     cat["phi2"] = aO[1] - aO[2] + aO[3]
     cat["phi3"] = aO[1] + aO[2] - aO[3]
     cat["omega1_tilde"] = kappa[1] * 2 - wedge(alpha[2], alpha[3])
-    return cat
+    return cat, sigma_powers
 
 
 def _link_catalog(n: int, frame, cone: HKModel) -> dict:
     dim = 4 * n + 3
     alpha = {p: AltForm.blade(dim, [p - 1]) for p in (1, 2, 3)}
     Omega = {p: pullback(cone.form(f"omega{p}"), frame) for p in (1, 2, 3)}
-    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
-    cat = link_forms(alpha, Omega, sigma_powers)
+    cat, sigma_powers = link_forms(alpha, Omega, n)
     for p in (1, 2, 3):
         for name in (f"psi{p}", f"gamma{p}"):
             cat[f"re_{name}"] = cat[name].re

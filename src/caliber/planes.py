@@ -5,9 +5,10 @@ Membership tests are basis-free: J-invariance through the orthogonal projector
 onto the plane, isotropy through the restricted 2-form, phases through the
 complex value of the relevant volume form (defined only on calibrated planes).
 
-Every form value on a plane is `model.value(name, frame)`: the model's cached
-`FormEvaluator` of that form, built on first use and kept with the model, as
-is the skew matrix (`model.skew`) behind each isotropy residual.  The derived
+Every form value on a plane, the Re gamma0 gate of the normal form included,
+is `model.value(name, frame)`: the model's cached `FormEvaluator` of that
+form, built on first use and kept with the model, as is the skew matrix
+(`model.skew`) behind each isotropy residual.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
 
@@ -34,7 +35,6 @@ from caliber.calib import (
     _gram_schmidt,
     _qf,
     comass_search,
-    is_calibrated,
     orthonormal_rows,
 )
 from caliber.exterior import wedge
@@ -433,7 +433,9 @@ def _raise_first(failures) -> None:
 def _envelopes(F: np.ndarray, model: TwistorModel, tol: float, cal_tol: float):
     """Envelopes (B, 4, dim) of the row frames F (B, 3, dim) and the failures
     of `quaternionic_envelope` on them (see `_raise_first`)."""
-    calibrated = is_calibrated(model.evaluator("re_gamma0"), F, cal_tol)
+    if F.shape[-2] != 3:
+        raise ValueError("normal form applies to 3-planes")
+    calibrated = np.abs(model.value("re_gamma0", F) - 1) <= cal_tol
     n = model.n
     Mh = F[..., : 4 * n]
     w = np.linalg.svd(Mh, full_matrices=False)[2][:, 0]
@@ -480,8 +482,6 @@ def normal_form_theta(planes, model: TwistorModel, tol: float = 1e-8):
     so each is the same float whether its plane comes alone or in a batch.
     """
     F = _frame_batch(planes)
-    if F.shape[-2] != 3:
-        raise ValueError("normal form applies to 3-planes")
     env, failures = _envelopes(F, model, _ENVELOPE_TOL, tol)  # fails unless calibrated
     S = model.skew("omega_KE")
     B = F @ S @ np.swapaxes(F, -1, -2)
@@ -580,20 +580,19 @@ def batch_random_planes(dim: int, k: int, count: int, rng: np.random.Generator) 
     return np.swapaxes(_qf(rng.standard_normal((count, dim, k))), -1, -2)
 
 
-def batch_complex_planes(structures, line_count: int, count: int, rng: np.random.Generator,
-                         isotropic: bool = False) -> np.ndarray:
-    """J1-complex planes built from complex lines (v, J1 v); with `isotropic`,
-    successive generators are chosen in the quaternionic orthocomplement, so
-    the planes are additionally isotropic for the other two Kahler forms."""
-    I1 = structures[0]
-    dim = I1.shape[0]
-    V = _constrained_lines(count, rng, dim, range(dim), line_count, structures if isotropic else (I1,))
-    return np.stack([V, V @ I1.T], axis=2).reshape(count, 2 * line_count, dim)
+def batch_complex_planes(structures, line_count: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """J-complex planes, J = structures[0], spanned by lines (v, J v); each v
+    is orthogonal to the earlier lines and their images under `structures`, so
+    under the triple the planes are isotropic for the other two Kahler forms."""
+    J = structures[0]
+    dim = J.shape[0]
+    V = _constrained_lines(count, rng, dim, range(dim), line_count, structures)
+    return np.stack([V, V @ J.T], axis=2).reshape(count, 2 * line_count, dim)
 
 
 def batch_complex_isotropic_planes(hk: HKModel, line_count: int, count: int,
                                    rng: np.random.Generator) -> np.ndarray:
-    return batch_complex_planes(hk.complex_structures, line_count, count, rng, isotropic=True)
+    return batch_complex_planes(hk.complex_structures, line_count, count, rng)
 
 
 def batch_double_lagrangian_planes(hk: HKModel, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, _totals, interior, wedge_powers
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, _totals, interior
 
 __all__ = [
     "Poly",
@@ -584,7 +584,7 @@ def link_extension_catalog(n: int) -> dict:
     the same structure identities as the link forms themselves, with exact
     rational coefficients throughout.
     """
-    from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone, link_forms
+    from caliber.model import build_hyperkahler_cone, link_forms
 
     hk = build_hyperkahler_cone(n)
     dim = hk.dim
@@ -593,8 +593,7 @@ def link_extension_catalog(n: int) -> dict:
     for p in (1, 2, 3):
         a, b = cone_split(constant_form(hk.form(f"omega{p}")))
         alpha[p], Omega[p] = a * rm1, b * rm2
-    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
-    cat = link_forms(alpha, Omega, sigma_powers)
+    cat, sigma_powers = link_forms(alpha, Omega, n)
     for p in (1, 2, 3):
         cat[f"sigma_t{p}"] = sigma_powers[p][1]
     # alpha2 ^ Omega2 - alpha3 ^ Omega3, from the phi family without new wedges

@@ -187,9 +187,6 @@ def test_link_frame_structure_relations(n):
     assert lf.form("re_gamma1") == wedge(lf.form("alpha2"), lf.form("kappa2")) + wedge(
         lf.form("alpha3"), lf.form("kappa3")
     )
-    # splitting dimensions
-    assert len(lf.horizontal_indices) == 4 * n
-    assert lf.vertical_indices == (0, 1, 2)
 
 
 def test_link_theta_forms():

@@ -66,6 +66,16 @@ def test_classify_complex_isotropic_plane():
     assert rep.witness("special_isotropic_theta_K4") == pytest.approx(-1.0)
 
 
+def test_classify_complex_line_orientation():
+    # omega1 calibrates the complex line (e0, I1 e0) and not its reversal
+    hk = build_hyperkahler_cone(1)
+    e0 = np.eye(8)[0]
+    line = classify_plane(Plane.from_vectors([e0, hk.I1 @ e0]), hk)
+    assert line.flag("complex_I1") and not line.flag("anti_complex_I1")
+    reversed_line = classify_plane(Plane.from_vectors([hk.I1 @ e0, e0]), hk)
+    assert not reversed_line.flag("complex_I1") and reversed_line.flag("anti_complex_I1")
+
+
 def test_classify_cr_plane_at_link():
     lf = default_link_frame(1)
     frames = batch_cr_planes(lf, 3, np.random.default_rng(0), horizontal=False)
@@ -130,7 +140,7 @@ def _special_planes(n: int, rng) -> list:
     hk, lf, tm = build_hyperkahler_cone(n), default_link_frame(n), build_twistor_model(n)
     out = [(hk, np.eye(hk.dim)[:4])]
     for lines in (1, 2):
-        out += [(hk, F) for F in batch_complex_planes(hk.complex_structures, lines, 2, rng)]
+        out += [(hk, F) for F in batch_complex_planes((hk.I1,), lines, 2, rng)]
         out += [(hk, F) for F in batch_complex_isotropic_planes(hk, lines, 2, rng)]
     out += [(hk, F) for F in batch_double_lagrangian_planes(hk, 2, rng)]
     for p in (1, 2, 3):
@@ -457,8 +467,9 @@ def test_normal_form_rejects_malformed_batches():
         normal_form_theta(2 * frames, tm)
     with pytest.raises(ValueError, match="non-finite"):
         normal_form_theta(np.where(frames > 0.5, np.nan, frames), tm)
-    with pytest.raises(ValueError, match="3-planes"):
-        normal_form_theta(frames[:, :2], tm)
+    for recover in (normal_form_theta, quaternionic_envelope):
+        with pytest.raises(ValueError, match="3-planes"):
+            recover(frames[:, :2], tm)
     assert normal_form_theta(frames[:0], tm) == []
 
 
@@ -525,7 +536,7 @@ def test_generators_produce_orthonormal_frames():
     batches = [
         (batch_complex_isotropic_planes(hk, 2, 50, rng), [hk.I1], hk_iso),
         (batch_double_lagrangian_planes(hk, 50, rng), [hk.I1], hk_iso),
-        (batch_complex_planes((hk.I3, hk.I1, hk.I2), 2, 50, rng), [hk.I3], []),
+        (batch_complex_planes((hk.I3,), 2, 50, rng), [hk.I3], []),
         (batch_cr_planes(lf, 50, rng, horizontal=True), [J[0]], lf_iso),
         (batch_cr_planes(lf, 50, rng, horizontal=False, p=3), [J[2]], []),
         (batch_cr_legendrian_planes(lf, 50, rng), [J[0]], lf_iso),
