@@ -14,7 +14,12 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   contraction `exterior.evaluate` on the catalog form, and the value plane
   classification takes (`model.value`, through the model's cached
   `FormEvaluator`);
-- `classify_plane` on one plane per model space at n = 3;
+- `classify_plane` on one plane per model space and degree k = 2, 3, 4 at
+  n = 1 and n = 2, and on one plane per model space at n = 3;
+- one plane, all its values: the catalog values `classify_plane` reads on
+  one plane per model space at n = 3 (PLANE_VALUES), once as one tuple read
+  of `model.value` (one evaluator, one minor table) and once as one read per
+  name (a checkout whose `model.value` takes one name only has no tuple row);
 - the six propositions checks that run `planes.check_equivalences`
   (IMPLICATION_CHECKS), together, at the suite's default 10^4 samples, for
   n = 1, 2, 3;
@@ -88,6 +93,12 @@ SINGLE_FRAME_FORMS = (
 MODELS = {"cone": model.build_hyperkahler_cone, "link": model.default_link_frame,
           "twistor": model.build_twistor_model}
 CLASSIFY_DEGREES = {"cone": 4, "link": 3, "twistor": 3}
+# the plane degrees classify_plane is timed at, per space, at n = 1 and 2
+CLASSIFY_SMALL_DEGREES = (2, 3, 4)
+# the catalog values classify_plane reads on a plane of CLASSIFY_DEGREES at n = 3
+PLANE_VALUES = {"cone": ("theta_I4", "theta_J4", "theta_K4", "Phi1", "Phi2", "Phi3", "Lambda"),
+                "link": ("theta_I3", "theta_J3", "theta_K3", "phi1", "phi2", "phi3", "gamma1"),
+                "twistor": ("gamma0",)}
 IMPLICATION_CHECKS = ("complex_w2iso_implies_w3iso", "double_lagrangian_complex_and_volume", "associative_from_cr",
                       "hv_compatible_iso_ke_iff_nk", "double_lagrangian_hv_dimensions", "cr_legendrian_special_phases")
 IMPLICATION_SAMPLES = 10000
@@ -224,6 +235,21 @@ def _normal_form_kernels() -> dict:
             f"{key}/batch": {"s": _best(lambda: planes.normal_form_theta(frames, tm))}}
 
 
+def _plane_value_kernels() -> dict:
+    out = {}
+    for space, k in CLASSIFY_DEGREES.items():
+        m, names = MODELS[space](3), PLANE_VALUES[space]
+        F = _orthonormal(np.random.default_rng(k), (m.dim, k)).T
+        key = f"{space}/n3/k{k}"
+        out[f"{key}/per_name"] = {"forms": len(names), "s": _best(lambda: [m.value(name, F) for name in names])}
+        try:
+            m.value(names, F)
+        except KeyError:  # model.value reads one name only
+            continue
+        out[f"{key}/tuple"] = {"forms": len(names), "s": _best(lambda: m.value(names, F))}
+    return out
+
+
 def _implication_kernels() -> dict:
     out = {}
     for n in (1, 2, 3):
@@ -339,10 +365,12 @@ def run() -> dict:
 
         out["single_frame_evaluate"][row["form"]] = dict(row, s=_best(contract))
         out["single_frame_value"][row["form"]] = dict(row, s=_best(lambda: m.value(name, F)))
-    for space, k in CLASSIFY_DEGREES.items():
-        m = MODELS[space](3)
+    cases = [(space, n, k) for space in MODELS for n in (1, 2) for k in CLASSIFY_SMALL_DEGREES]
+    for space, n, k in cases + [(space, 3, k) for space, k in CLASSIFY_DEGREES.items()]:
+        m = MODELS[space](n)
         plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
-        out["classify_plane"][f"{space}/n3/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
+        out["classify_plane"][f"{space}/n{n}/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
+    out["plane_values"] = _plane_value_kernels()
     out["implication_checks"] = _implication_kernels()
     out["normal_form"] = _normal_form_kernels()
     out["pullback"] = _pullback_kernels()

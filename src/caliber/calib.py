@@ -56,7 +56,13 @@ of a whole batch, to 1e-7, after an exact zero test of its premise
 
 `FormEvaluator` takes float(c) of each coefficient, so an exact catalog form
 (int or Fraction coefficients) goes to the search as it is: the search runs
-bit for bit as on its `to_float()` copy.
+bit for bit as on its `to_float()` copy.  A tuple of forms of one degree
+gets one evaluator whose plan covers the union of their support blades:
+`planes.classify_plane` reads all of a plane's unconditional catalog values
+from one such minor table (`model.value` over a tuple of names).  A minor
+is computed from its row subset alone, so it is the same in any plan, and
+each form's last contraction is the one-form evaluator's BLAS call on the
+same rows, so each value is bit for bit the one-form value on one frame.
 
 Restart r is seeded by seed + r, and reruns with the same parameters are
 byte-identical.  A value's last bit can still depend on the batch it is
@@ -313,18 +319,37 @@ class FormEvaluator:
     columns; `values` returns shape (...,) and `grads` shape (..., N, k).
     Both run in frame chunks of the plan's size, so memory stays flat in the
     frame count.
+
+    A tuple of real forms of one degree on one space gets one evaluator
+    whose plan covers the union of their support blades, and `values` then
+    returns shape (..., F): column f contracts form f's own coefficients
+    with its own blades' minors.  The recurrence builds each minor from its
+    subset alone, so a minor is the same in any plan, and the contraction is
+    the one-form evaluator's BLAS call on the same rows: on one frame each
+    column is, bit for bit, that form's own value.  Such an evaluator has no
+    `grads`.
     """
 
-    def __init__(self, form: AltForm):
-        if isinstance(form, ComplexAltForm):
+    def __init__(self, form):
+        forms = form if isinstance(form, tuple) else (form,)
+        if any(isinstance(f, ComplexAltForm) for f in forms):
             raise TypeError("comass machinery operates on real forms; take .re or .im first")
-        if form.degree < 1:
+        if any(f.degree < 1 for f in forms):
             raise ValueError("comass machinery operates on forms of degree at least 1")
-        self.dim = form.dim
-        self.degree = form.degree
-        items = sorted(form._raw_terms().items())
-        self.idx = np.array([_indices_from_mask(m) for m, _ in items], dtype=np.intp).reshape(len(items), form.degree)
-        self.coeffs = np.array([float(c) for _, c in items])
+        if len({(f.dim, f.degree) for f in forms}) != 1:
+            raise ValueError("the forms of one evaluator share one space and one degree")
+        self.dim = forms[0].dim
+        self.degree = forms[0].degree
+        terms = [sorted(f._raw_terms().items()) for f in forms]
+        masks = sorted({m for t in terms for m, _ in t})
+        self.idx = np.array([_indices_from_mask(m) for m in masks], dtype=np.intp).reshape(len(masks), self.degree)
+        coeffs = [np.array([float(c) for _, c in t]) for t in terms]
+        self._parts = None  # (coefficients, blade positions) of each form of a tuple
+        if isinstance(form, tuple):
+            where = {m: i for i, m in enumerate(masks)}
+            self._parts = tuple((c, np.array([where[m] for m, _ in t], dtype=np.intp)) for c, t in zip(coeffs, terms))
+        else:
+            self.coeffs = coeffs[0]
         self._plan = None  # built on the first call
         self._scatter = None  # built on the first `grads` call
 
@@ -336,7 +361,7 @@ class FormEvaluator:
                              f"the form needs (..., {self.dim}, {self.degree})")
         flat = V.reshape(-1, self.dim, self.degree)
         out = np.zeros((len(flat),) + shape)
-        if self.coeffs.size:
+        if len(self.idx):
             if self._plan is None:
                 self._plan = _minor_plan(tuple(map(tuple, self.idx.tolist())))
             step = self._plan.chunk
@@ -347,8 +372,10 @@ class FormEvaluator:
 
     def values(self, V: np.ndarray) -> np.ndarray:
         """Form values sum_T c_T det V[T, :k]: the prefix-minor recurrence of
-        `grads` run one level further, up to the support blades themselves."""
-        return self._chunks(V, (), self._values_chunk).reshape(V.shape[:-2])
+        `grads` run one level further, up to the support blades themselves;
+        shape (..., F) for a tuple of F forms."""
+        shape = () if self._parts is None else (len(self._parts),)
+        return self._chunks(V, shape, self._values_chunk).reshape(V.shape[:-2] + shape)
 
     def grads(self, V: np.ndarray) -> np.ndarray:
         """Shared-minor gradient: G[n, j] = (-1)^j sum_F W[n, F] E[F, j].
@@ -359,6 +386,8 @@ class FormEvaluator:
         once per frame by Laplace recurrences on the subsets of the support
         blades.  No division, so the gradient stays exact on singular frames.
         """
+        if self._parts is not None:
+            raise TypeError("gradients are of one form; this evaluator holds a tuple")
         return self._chunks(V, (self.dim, self.degree), self._grads_chunk).reshape(V.shape)
 
     def _values_chunk(self, X: np.ndarray) -> np.ndarray:
@@ -366,7 +395,9 @@ class FormEvaluator:
         minors = X[0][children[1][0][0]]  # level 1: the entries of column 0
         for j in range(2, self.degree + 1):
             minors = _laplace_level(children[j], X[j - 1], minors, j - 1)
-        return self.coeffs @ minors
+        if self._parts is None:
+            return self.coeffs @ minors
+        return np.stack([c @ minors[pos] for c, pos in self._parts], axis=-1)
 
     def _grads_chunk(self, X: np.ndarray) -> np.ndarray:
         plan, N, k = self._plan, self.dim, self.degree

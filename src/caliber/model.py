@@ -101,6 +101,22 @@ def _over_factorial(f, k: int):
     return f if k < 2 else f * Fraction(1, math.factorial(k))
 
 
+def _real_parts(form) -> tuple:
+    """(re, im) of a complex form, (form,) of a real one."""
+    return (form.re, form.im) if isinstance(form, ComplexAltForm) else (form,)
+
+
+def _assemble(re: np.ndarray, im: np.ndarray | None = None):
+    """A value as `_FormCatalog.value` returns it: complex when there is an
+    imaginary part, its parts assigned so signed zeros stay, and a Python
+    scalar for one frame."""
+    out = re
+    if im is not None:
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, im
+    return out if out.ndim else out.item()
+
+
 class _FormCatalog:
     """Named forms of a model and their float evaluation on planes.
 
@@ -108,37 +124,48 @@ class _FormCatalog:
     and each 2-form one skew matrix, built on first use and kept in the
     model's `cache`; the models of the lru_cached builders therefore evaluate
     every plane with the same evaluators, and the cache is bounded by the
-    catalog plus the derived calibrations named by callers.
+    catalog, the derived calibrations named by callers and the name tuples
+    that `classify_plane` reads.  A tuple of names is one evaluator over the
+    real parts of all its forms, so a plane's minor table is built once for
+    all of them; on one frame each value is, bit for bit, its one-name read
+    (see `FormEvaluator`).
     """
 
     def form(self, name: str):
         return self.catalog[name]
 
-    def value(self, name: str, frames: np.ndarray, derive=None):
+    def value(self, name, frames: np.ndarray, derive=None):
         """Values of form `name` on one row frame (k, N), as a float, or on a
         batch (..., k, N), as an array of shape (...); complex for a complex
         form, its parts assigned so signed zeros stay.  A name outside the
-        catalog names the form `derive()` returns.  The evaluator is built on
-        the first call and cached under `name`."""
+        catalog names the form `derive()` returns.  A tuple of catalog names
+        gives the tuple of their values from one evaluator.  The evaluators
+        are built on the first call and cached under `name`."""
         key = ("evaluator", name)
         if key not in self.cache:
-            form = derive() if derive is not None and name not in self.catalog else self.form(name)
-            self.cache[key] = ((FormEvaluator(form.re), FormEvaluator(form.im))
-                               if isinstance(form, ComplexAltForm) else FormEvaluator(form))
+            if isinstance(name, tuple):
+                parts = [_real_parts(self.form(n)) for n in name]
+                ends = np.cumsum([len(p) for p in parts]).tolist()
+                self.cache[key] = (FormEvaluator(sum(parts, ())), tuple(zip([0] + ends, ends)))
+            else:
+                form = derive() if derive is not None and name not in self.catalog else self.form(name)
+                evs = tuple(FormEvaluator(p) for p in _real_parts(form))
+                self.cache[key] = evs if len(evs) == 2 else evs[0]
         ev = self.cache[key]
         V = np.swapaxes(frames, -1, -2)
-        if isinstance(ev, tuple):
-            out = np.empty(V.shape[:-2], dtype=complex)
-            out.real, out.imag = ev[0].values(V), ev[1].values(V)
-        else:
+        if isinstance(name, tuple):
+            ev, spans = ev
             out = ev.values(V)
-        return out if out.ndim else out.item()
+            return tuple(_assemble(*(out[..., i] for i in range(a, b))) for a, b in spans)
+        return _assemble(*(e.values(V) for e in (ev if isinstance(ev, tuple) else (ev,))))
 
-    def skew(self, name: str) -> np.ndarray:
-        """The cached, read-only `skew_matrix` of catalog 2-form `name`."""
+    def skew(self, name) -> np.ndarray:
+        """The cached, read-only `skew_matrix` of catalog 2-form `name`, or
+        the stack (m, N, N) of those of a tuple of m names."""
         key = ("skew", name)
         if key not in self.cache:
-            self.cache[key] = skew_matrix(self.form(name))
+            self.cache[key] = (np.array([self.skew(n) for n in name]) if isinstance(name, tuple)
+                               else skew_matrix(self.form(name)))
             self.cache[key].setflags(write=False)
         return self.cache[key]
 

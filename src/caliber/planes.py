@@ -8,7 +8,14 @@ complex value of the relevant volume form (defined only on calibrated planes).
 Every form value on a plane, the Re gamma0 gate of the normal form included,
 is `model.value(name, frame)`: the model's cached `FormEvaluator` of that
 form, built on first use and kept with the model, as is the skew matrix
-(`model.skew`) behind each isotropy residual.  The derived
+(`model.skew`) behind each isotropy residual.  `classify_plane` measures a
+plane once: its unconditional catalog values come from one tuple read
+`model.value(names, frame)`, one evaluator and one minor table for all of
+them, and each is bit for bit its one-name read, since a minor depends only
+on its rows and each form's last contraction is the same BLAS call on the
+same rows; its J-invariance residuals share one projector over the stacked
+structures, and its isotropy residuals one product over the stacked skew
+matrices.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
 
@@ -96,8 +103,8 @@ def _blockwise(measure):
         if frame.ndim == 2:
             return measure(frame, *args)
         flat = frame.reshape(-1, *frame.shape[-2:])
-        return np.concatenate([measure(flat[i:i + 512], *args) for i in range(0, max(len(flat), 1), 512)]
-                              ).reshape(frame.shape[:-2])
+        out = np.concatenate([measure(flat[i:i + 512], *args) for i in range(0, max(len(flat), 1), 512)])
+        return out.reshape(frame.shape[:-2] + out.shape[1:])
 
     return blocked
 
@@ -105,8 +112,12 @@ def _blockwise(measure):
 @_blockwise
 def projector_invariance_residual(frame: np.ndarray, J: np.ndarray):
     """sup-norm of proj_E J proj_E - J proj_E, zero iff J(E) is contained in E:
-    a float for one frame (k, N), an array for a batch (..., k, N)."""
+    a float for one frame (k, N), an array for a batch (..., k, N).  A stack
+    of structures J (m, N, N) shares one projector and gives the m residuals
+    of each frame on a last axis."""
     P = np.swapaxes(frame, -1, -2) @ frame
+    if J.ndim == 3:
+        P = P[..., None, :, :]
     JP = J @ P
     return _item(np.abs(P @ JP - JP).max(axis=(-2, -1)))
 
@@ -115,7 +126,10 @@ def projector_invariance_residual(frame: np.ndarray, J: np.ndarray):
 def isotropy_residual(frame: np.ndarray, S: np.ndarray):
     """sup-norm of the 2-form with skew matrix S (`model.skew`,
     `calib.skew_matrix`) restricted to E: a float for one frame (k, N), an
-    array for a batch (..., k, N)."""
+    array for a batch (..., k, N).  A stack of skew matrices S (m, N, N)
+    gives the m residuals of each frame on a last axis."""
+    if S.ndim == 3:
+        frame = frame[..., None, :, :]
     return _item(np.abs(frame @ S @ np.swapaxes(frame, -1, -2)).max(axis=(-2, -1)))
 
 
@@ -208,15 +222,27 @@ def _space(model, dim: int) -> str:
 def classify_plane(plane: Plane, model, tol: float = 1e-8) -> ClassificationReport:
     """Full vector of membership flags and numeric witnesses for a plane."""
     space = _space(model, plane.dim)
+    if plane.degree < 1:
+        raise ValueError(f"classify_plane needs a plane of degree at least 1, got degree {plane.degree}")
     rep = ClassificationReport(space, model.n, model.dim, plane.degree, tol)
     {"cone": _classify_cone, "link": _classify_link, "twistor": _classify_twistor}[space](plane.frame, model, rep)
     return rep
 
 
+def _catalog_values(model, names: list, F: np.ndarray) -> dict:
+    """The values on F of the catalog forms `names`, by name, from one tuple
+    read of `model.value` (one minor table for all of them)."""
+    return dict(zip(names, model.value(tuple(names), F))) if names else {}
+
+
 def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> None:
-    k, tol = rep.degree, rep.tol
-    for p in (1, 2, 3):
-        res = projector_invariance_residual(F, hk.complex_structures[p - 1])
+    k, tol, top = rep.degree, rep.tol, 2 * hk.n + 2
+    values = _catalog_values(hk, [f"upsilon{p}" for p in (1, 2, 3) if k == top]
+                             + [f"theta_{label}{k}" for label in "IJK" if k % 2 == 0 and k <= top]
+                             + (["Phi1", "Phi2", "Phi3", "Lambda"] if k == 4 else []), F)
+    invariance = projector_invariance_residual(F, np.array(hk.complex_structures)).tolist()
+    isotropy = isotropy_residual(F, hk.skew(("omega1", "omega2", "omega3"))).tolist()
+    for p, res, iso in zip((1, 2, 3), invariance, isotropy):
         invariant = res <= tol
         rep.add(f"invariant_I{p}", invariant, res)
         if invariant and k % 2 == 0:
@@ -227,30 +253,32 @@ def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> Non
         else:
             rep.add(f"complex_I{p}", False if not invariant else None, res)
             rep.add(f"anti_complex_I{p}", False if not invariant else None, res)
-        iso = isotropy_residual(F, hk.skew(f"omega{p}"))
         rep.add(f"isotropic_omega{p}", iso <= tol, iso)
-        rep.add(f"lagrangian_omega{p}", iso <= tol and k == 2 * hk.n + 2, iso)
+        rep.add(f"lagrangian_omega{p}", iso <= tol and k == top, iso)
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"complex_I{p}")) and rep.flag(f"isotropic_omega{q}") and rep.flag(f"isotropic_omega{r}")
         rep.add(f"complex_isotropic_I{p}", ci, None)
-    if k == 2 * hk.n + 2:
+    if k == top:
         for p in (1, 2, 3):
-            val = hk.value(f"upsilon{p}", F)
+            val = values[f"upsilon{p}"]
             ph = _phase(val, tol)
             rep.add(f"special_lagrangian_phase_upsilon{p}", ph is not None, val, phase=ph)
-    if k % 2 == 0 and 2 <= k <= 2 * hk.n + 2:
+    if k % 2 == 0 and k <= top:
         for label in ("I", "J", "K"):
-            val = hk.value(f"theta_{label}{k}", F)
+            val = values[f"theta_{label}{k}"]
             rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
     if k == 4:
         for p in (1, 2, 3):
-            val = hk.value(f"Phi{p}", F)
+            val = values[f"Phi{p}"]
             rep.add(f"cayley_Phi{p}", abs(val - 1) <= tol, val)
-        rep.add("quaternionic_Lambda_value", None, hk.value("Lambda", F))
+        rep.add("quaternionic_Lambda_value", None, values["Lambda"])
 
 
 def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> None:
     k, n, tol = rep.degree, lf.n, rep.tol
+    values = _catalog_values(lf, [f"psi{p}" for p in (1, 2, 3) if k == 2 * n + 1]
+                             + [f"theta_{label}{k}" for label in "IJK" if k % 2 == 1 and k <= 2 * n + 1]
+                             + (["phi1", "phi2", "phi3", "gamma1"] if k == 3 else []), F)
     for p in (1, 2, 3):
         cr, has_reeb, jres = _cr(F, lf, p, tol)
         rep.add(f"cr_I{p}", cr, {"reeb": has_reeb, "J_residual": jres})
@@ -267,18 +295,18 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
         rep.add(f"cr_isotropic_I{p}", ci, None)
     if k == 2 * n + 1:
         for p in (1, 2, 3):
-            val = lf.value(f"psi{p}", F)
+            val = values[f"psi{p}"]
             ph = _phase(val, tol)
             rep.add(f"special_legendrian_phase_psi{p}", ph is not None, val, phase=ph)
     if k % 2 == 1 and k <= 2 * n + 1:
         for label in ("I", "J", "K"):
-            val = lf.value(f"theta_{label}{k}", F)
+            val = values[f"theta_{label}{k}"]
             rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
     if k == 3:
         for p in (1, 2, 3):
-            val = lf.value(f"phi{p}", F)
+            val = values[f"phi{p}"]
             rep.add(f"associative_phi{p}", abs(val - 1) <= tol, val)
-        val = lf.value("gamma1", F)
+        val = values["gamma1"]
         rep.add("re_gamma1_value", abs(val.real - 1) <= tol, val)
     horiz = float(np.max(np.abs(F[:, :3])))
     rep.add("horizontal_p1", rep.flag("isotropic_alpha1"), rep.witness("isotropic_alpha1"))
@@ -287,11 +315,11 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
 
 def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport) -> None:
     k, n, tol = rep.degree, tm.n, rep.tol
-    for name, J in (("J_plus", tm.J_plus), ("J_minus", tm.J_minus)):
-        res = projector_invariance_residual(F, J)
+    invariance = projector_invariance_residual(F, np.array([tm.J_plus, tm.J_minus])).tolist()
+    for name, res in zip(("J_plus", "J_minus"), invariance):
         rep.add(f"complex_{name}", res <= tol, res)
-    for name in ("omega_KE", "omega_NK", "omega_H", "omega_V"):
-        res = isotropy_residual(F, tm.skew(name))
+    names = ("omega_KE", "omega_NK", "omega_H", "omega_V")
+    for name, res in zip(names, isotropy_residual(F, tm.skew(names)).tolist()):
         rep.add(f"isotropic_{name}", res <= tol, res, restriction_norm=res)
     rep.add("lagrangian_omega_KE", rep.flag("isotropic_omega_KE") and k == 2 * n + 1, rep.witness("isotropic_omega_KE"))
     rep.add("lagrangian_omega_NK", rep.flag("isotropic_omega_NK") and k == 2 * n + 1, rep.witness("isotropic_omega_NK"))
@@ -303,7 +331,7 @@ def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport
     rep.add("dim_cap_V", None, dim_v)
     rep.add("hv_compatible", dim_h + dim_v == k, {"dim_cap_H": dim_h, "dim_cap_V": dim_v})
     if k == 3:
-        val = tm.value("gamma0", F)
+        (val,) = tm.value(("gamma0",), F)
         rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val, phase=_phase(val, tol))
 
 

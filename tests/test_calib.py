@@ -500,3 +500,13 @@ def test_evaluator_rejects_frames_of_the_wrong_shape(shape):
     for method in (ev.values, ev.grads):
         with pytest.raises(ValueError, match="dimension mismatch"):
             method(np.zeros(shape))
+
+
+def test_tuple_evaluator_reads_values_of_forms_of_one_degree_only():
+    hk = build_hyperkahler_cone(1)
+    ev = FormEvaluator((hk.form("theta_I4"), hk.form("Phi1")))
+    assert ev.values(np.eye(8)[:, :4]).shape == (2,)
+    with pytest.raises(TypeError, match="gradients are of one form"):
+        ev.grads(np.eye(8)[:, :4])
+    with pytest.raises(ValueError, match="share one space and one degree"):
+        FormEvaluator((hk.form("omega1"), hk.form("Phi1")))

@@ -121,6 +121,10 @@ def test_classify_dimension_mismatch():
     tm = build_twistor_model(1)
     with pytest.raises(ValueError):
         classify_plane(Plane.from_vectors(np.eye(8)[:3]), tm)
+    # a plane of degree 0 is refused in each space, its degree named
+    for m in (build_hyperkahler_cone(1), default_link_frame(1), tm):
+        with pytest.raises(ValueError, match="degree at least 1, got degree 0$"):
+            classify_plane(Plane.from_vectors(np.zeros((0, m.dim))), m)
 
 
 def test_report_json_shape():
@@ -169,21 +173,30 @@ def _reference_form(model, name: str):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
     # every form classify_plane and check_equivalences evaluate, against the
-    # exact contraction path on the same frame
+    # exact contraction path on the same frame; a tuple read of several names
+    # (classify_plane's catalog values) gives, bit for bit, each name's
+    # one-name read, signed zeros included
     gaps = {}
     seen = {}
     value = _FormCatalog.value
 
-    def checked(self, name, frame, derive=None):
-        got = value(self, name, frame, derive)
-        form = _reference_form(self, name)
-        key = (type(self).__name__, name)
-        frames, gots = seen.setdefault((id(self), name), (self, [], []))[1:]
-        # check_equivalences evaluates a plane as a batch of one
-        for F, g in zip(frame, got) if np.ndim(got) else [(frame, got)]:
-            gaps[key] = max(gaps.get(key, 0.0), abs(g - complex(evaluate(form, list(F)))))
-            frames.append(F)
-            gots.append(g)
+    def checked(self, names, frame, derive=None):
+        got = value(self, names, frame, derive)
+        reads = [(names, got)]
+        if isinstance(names, tuple):
+            assert len(got) == len(names)
+            reads = list(zip(names, got))
+            for name, g in reads:
+                assert np.asarray(g).tobytes() == np.asarray(value(self, name, frame)).tobytes(), name
+        for name, read in reads:
+            form = _reference_form(self, name)
+            key = (type(self).__name__, name)
+            frames, gots = seen.setdefault((id(self), name), (self, [], []))[1:]
+            # check_equivalences evaluates a plane as a batch of one
+            for F, g in zip(frame, read) if np.ndim(read) else [(frame, read)]:
+                gaps[key] = max(gaps.get(key, 0.0), abs(g - complex(evaluate(form, list(F)))))
+                frames.append(F)
+                gots.append(g)
         return got
 
     monkeypatch.setattr(_FormCatalog, "value", checked)
@@ -579,3 +592,10 @@ def test_batched_measurements_match_each_frame():
     ]
     assert isotropy_residual(frames[None], w).shape == (1, 6)
     assert isotropy_residual(frames[:0], w).shape == (0,)
+    # a stack of structures gives, on a last axis, each structure's residual
+    S, J = hk.skew(("omega1", "omega2", "omega3")), np.array(hk.complex_structures)
+    for measure, stack in ((isotropy_residual, S), (projector_invariance_residual, J)):
+        each = [[measure(F, M) for M in stack] for F in frames]
+        assert measure(frames, stack).tolist() == each
+        assert [measure(F, stack).tolist() for F in frames] == each
+    assert isotropy_residual(frames[:0], S).shape == (0, 3)
