@@ -1,7 +1,7 @@
-"""Byte pins: every registry form, the exact suites' --no-timing output,
-the normal-form suite's --no-timing output, the `classify` output on every
-special and some random planes, and every exact coefficient of the link
-extension catalog.
+"""Byte pins: every registry form, the exact suites' --no-timing output at
+n = 1 and 2, the normal-form suite's --no-timing output, the `classify`
+output on every special and some random planes, and every exact coefficient
+of the link extension catalog at n = 1 and 2.
 
 The digests were recorded from the code before the form algebra was unified,
 so a refactor of `exterior`, `symforms`, `model` or `registry` that changes
@@ -9,9 +9,12 @@ one coefficient, one catalog entry or one suite witness fails here.  The
 coefficient digest was recorded before the reduction by sum(x_i^2) learned
 to skip divisions that cannot succeed; it hashes the canonical (p, q, s) of
 each coefficient, which the float JSON of the registry forms does not show,
-so a coefficient left unreduced fails here.  The normal-form digests were
-recorded while that suite still sampled and normal-formed one plane at a
-time, so batching it may not change one theta, witness or byte.
+so a coefficient left unreduced fails here.  The n=2 exact pins were
+recorded while the catalog still built its sigma_p powers with the generic
+wedge power and `RCoef.diff` still took its derivative through `Poly`
+products.  The normal-form digests were recorded while that suite still
+sampled and normal-formed one plane at a time, so batching it may not
+change one theta, witness or byte.
 
 The calibrations and propositions digests pin float outputs: comass
 searches, maximizer counts and float witnesses.  They were recorded on a
@@ -33,9 +36,10 @@ from test_planes import _special_planes
 
 from caliber import registry, symforms
 from caliber.calib import Plane
-from caliber.cli import run
+from caliber.cli import _emit, run
 from caliber.exterior import ComplexAltForm, form_to_json
 from caliber.planes import batch_random_planes
+from caliber.suites import coverage_table
 
 CATALOG_SHA256 = {
     ("cone", 1): "228ea506cfa66771ae3ed30cc0c3495191f4a34a1507b1c6d10d21c14bd8463f",
@@ -52,6 +56,15 @@ CATALOG_SHA256 = {
 VERIFY_N1_SHA256 = {
     "identities": "09d468d5fe790b1c615e23a11b734bbffae55252d6b59d57bfd874db81448e43",
     "cones": "415aa429ec5d12cb8c565f0d5276afbd97f20e3b9698c120a1dfd47dfb03d7b6",
+}
+
+# (suite, --seed) -> sha256 of `verify --suite S --n 2 --no-timing`.  The
+# identities digest is at the seed of `test_c1_identity_suite_exact`, which
+# checks it on the n=2 report it builds anyway; the seed reaches the output
+# only through the report's "seed" field and `dd_zero_random`.
+VERIFY_N2_SHA256 = {
+    ("identities", 20260808): "48295e165e0113415afc4b5d22eb8ef32b25fa0280217537801e0b281f73d3a5",
+    ("cones", 0): "c6f799fd71cca450b3aef659add2f239d9bb1849207e5224825844a9e6bc72ea",
 }
 
 # (n, --samples or None for the default) -> sha256 of `verify --suite normalform`
@@ -91,7 +104,11 @@ CLASSIFY_SHA256 = {
     ("twistor", 3): "35f0ad00f1f52e7b397b25842e9be46683a2481a4e26924d7f0a2d52450dbafa",
 }
 
-LINK_EXTENSION_COEFFICIENTS_N1_SHA256 = "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3"
+# n -> coefficient digest of `symforms.link_extension_catalog(n)`
+LINK_EXTENSION_COEFFICIENTS_SHA256 = {
+    1: "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3",
+    2: "3a92899ea1e60428b5a082b018fd84650e641befa55824121a7992f0d6c0eaf8",
+}
 
 
 def _sha256(text: str) -> str:
@@ -101,6 +118,14 @@ def _sha256(text: str) -> str:
 def catalog_digest(space: str, n: int) -> str:
     forms = {name: form_to_json(f) for name, f in sorted(registry.catalog(space, n).items())}
     return _sha256(json.dumps({"entries": registry.list_entries(space, n), "forms": forms}, sort_keys=True))
+
+
+def verify_bytes(report) -> str:
+    """What `verify --no-timing` prints for a suite report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(dict(report.to_json(include_timing=False), coverage=coverage_table()), pretty=False)
+    return out.getvalue()
 
 
 def verify_digest(argv: list[str]) -> str:
@@ -116,6 +141,11 @@ def test_registry_forms_and_exact_suites_are_byte_pinned():
         assert catalog_digest(space, n) == digest, (space, n)
     for suite, digest in VERIFY_N1_SHA256.items():
         assert verify_digest(["--suite", suite, "--n", "1"]) == digest, suite
+
+
+def test_cones_suite_is_byte_pinned_at_n2():
+    (seed,) = [seed for suite, seed in VERIFY_N2_SHA256 if suite == "cones"]
+    assert verify_digest(["--suite", "cones", "--n", "2", "--seed", str(seed)]) == VERIFY_N2_SHA256["cones", seed]
 
 
 def test_normalform_suite_is_byte_pinned():
@@ -188,4 +218,5 @@ def coefficient_digest(n: int) -> str:
 
 
 def test_link_extension_coefficients_are_pinned():
-    assert coefficient_digest(1) == LINK_EXTENSION_COEFFICIENTS_N1_SHA256
+    for n, digest in LINK_EXTENSION_COEFFICIENTS_SHA256.items():
+        assert coefficient_digest(n) == digest, n
