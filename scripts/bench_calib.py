@@ -36,11 +36,19 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   `values` calls evaluate (counted once, outside the timed rounds);
 - the exact layer: cold builds of `symforms.link_extension_catalog(1)` and
   `(2)` (the catalog cache cleared before each, best of EXACT_REPEAT; the
-  model builds stay cached), the wedge power `sigma_t1.power(3)` at n = 2 and
-  `ext_d` of `psi1` at n = 1, and the number of `Poly.try_div_sumsq`,
-  `Poly.__mul__` and `RCoef.__add__` calls in one `identities` plus `cones`
-  pass at n = 1 made after a first pass has built the catalogs (exact counts,
-  stored under "exact_counts" with the pass's seconds);
+  model builds stay cached); sigma_1^{n+1} at n = 1, 2, as the generic wedge
+  power and as `symforms.transverse_powers` (a checkout without that helper
+  has no binomial row); every product by r^m of the cones suite at n = 1, 2
+  (`symforms.times_r_power`, or the product by `RCoef.r_power` where that
+  shift is missing); `ext_d` of `psi1` at n = 1; `ext_d` twice on the 100
+  forms of the identities suite's `dd_zero_random` check; `try_div_sumsq` of
+  S^4 on R^16; and the number of `Poly.try_div_sumsq`, `Poly.__mul__` and
+  `RCoef.__add__` calls in one `identities` plus `cones` pass at n = 1 made
+  after a first pass has built the catalogs (exact counts, stored under
+  "exact_counts" with the pass's seconds);
+- the wall time of `verify --suite identities|cones --no-timing` in a fresh
+  process of the same checkout at n = 1, 2, and at n = 3 where the checkout
+  accepts it (one run each, with its exit code);
 - the plain-ring sums of the form algebra: uncached builds of the n = 3 cone
   catalog (`model._cone_catalog`) and twistor model (int and Fraction
   wedges), and a float `wedge` of a dense seeded 3-form and 2-form on R^12
@@ -63,9 +71,12 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -119,6 +130,7 @@ PLAIN_SEED = 15
 PLAIN_DIM = 12
 REPEAT = 7
 EXACT_REPEAT = 3
+DIV_DIM = 16  # S^4 on R^16 is the r^8 of cone_split_upsilon1 at n = 3
 # (class, method) whose calls the exact pass counts
 EXACT_COUNTED = ((symforms.Poly, "try_div_sumsq"), (symforms.Poly, "__mul__"), (symforms.RCoef, "__add__"))
 
@@ -197,13 +209,75 @@ def _counted_exact_pass() -> dict:
     return {"identities+cones/n1": dict(counts, s=seconds)}
 
 
+def _dd_zero_forms() -> list:
+    """The forms the identities suite's dd_zero_random check (n=1, seed 0)
+    takes d of twice, recorded from one run of the check."""
+    check = dict(suites._identities_checks(1, 0))["dd_zero_random"]
+    seen, ext_d = [], symforms.ext_d
+
+    def recording(f):
+        seen.append(f)
+        return ext_d(f)
+
+    symforms.ext_d = recording
+    try:
+        check()
+    finally:
+        symforms.ext_d = ext_d
+    return seen[::2]  # d(d(f)) calls d on f first
+
+
+def _rp_products(n: int) -> list:
+    """(form, m) of each product by r^m in the cones suite at n."""
+    cat, half = symforms.link_extension_catalog(n), Fraction(1, 2)
+    sq = {p: cat[f"Omega{p}"].wedge(cat[f"Omega{p}"]) for p in (1, 2, 3)}
+    s_aO = cat["phi1"] + cat["phi2"] + cat["phi3"]
+    rhs = cat["sigma_t1"].power(n + 1) * Fraction(1, factorial(n + 1))
+    psi = cat["psi1"]
+    return [(cat["alpha1"], 1), (cat["Omega1"], 2), ((cat["phi2"] + cat["phi3"]) * half, 3), (sq[1] * half, 4),
+            ((sq[2] - sq[3]) * half, 4), (cat["theta_I3"], 3), ((sq[2] + sq[3] - sq[1]) * half, 4),
+            (cat["phi1"], 3), ((sq[1] + sq[2] + sq[3]) * Fraction(1, 6), 4), (s_aO * Fraction(1, 3), 3),
+            (psi.re, 2 * n + 1), (psi.im, 2 * n + 1), (rhs.re, 2 * n + 2), (rhs.im, 2 * n + 2),
+            (cat["alpha1"], 2), (s_aO * Fraction(1, 12), 4)]
+
+
 def _exact_kernels() -> dict:
     cat = symforms.link_extension_catalog
     out = {f"link_extension_catalog/n{n}": {"s": _best_cold(lambda: cat(n), cat.cache_clear)} for n in (1, 2)}
-    sigma = cat(2)["sigma_t1"]
-    out["sigma_t1.power3/n2"] = {"s": _best(lambda: sigma.power(3))}
+    # a checkout without the binomial helper or the r-power shift times only
+    # the generic power, and multiplies by r^m as a product
+    binomial = getattr(symforms, "transverse_powers", None)
+    times_r_power = getattr(symforms, "times_r_power", None) or (lambda f, m: f * symforms.RCoef.r_power(f.dim, m))
+    for n in (1, 2):
+        sigma = cat(n)["sigma_t1"]
+        out[f"sigma_t1.power{n + 1}/n{n}/generic"] = {"s": _best(lambda: sigma.power(n + 1))}
+        if binomial is not None:
+            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = {"s": _best(lambda: binomial(n, 1, sigma, n + 1)[n + 1])}
+        products = _rp_products(n)
+        out[f"rp_products/n{n}"] = {"products": len(products),
+                                    "s": _best(lambda: [times_r_power(f, m) for f, m in products])}
     psi = cat(1)["psi1"]
     out["ext_d.psi1/n1"] = {"s": _best(lambda: symforms.ext_d(psi))}
+    forms = _dd_zero_forms()
+    out["ext_d.ext_d/dd_zero_random"] = {"forms": len(forms),
+                                         "s": _best(lambda: [symforms.ext_d(symforms.ext_d(f)) for f in forms])}
+    S4 = symforms._sumsq(DIV_DIM, 4)
+    out[f"try_div_sumsq/S^4/R{DIV_DIM}"] = {"terms": len(S4.terms), "s": _best(S4.try_div_sumsq)}
+    return out
+
+
+def _exact_cli() -> dict:
+    """Wall seconds of `verify --suite S --n n --no-timing` in a fresh
+    process of this checkout, for the exact suites at each n it accepts."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(calib.__file__)))
+    out = {}
+    for suite in ("identities", "cones"):
+        for n in (1, 2, 3):
+            argv = [sys.executable, "-m", "caliber", "verify", "--suite", suite, "--n", str(n), "--no-timing"]
+            t0 = time.perf_counter()
+            code = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+            if code != 2:  # 2: this checkout rejects the n
+                out[f"{suite}/n{n}"] = {"exit": code, "s": time.perf_counter() - t0}
     return out
 
 
@@ -377,6 +451,7 @@ def run() -> dict:
     out["comass_search"] = _comass_search_kernels()
     out["exact"] = _exact_kernels()
     out["exact_counts"] = _counted_exact_pass()
+    out["exact_cli"] = _exact_cli()
     out["plain_ring"] = _plain_ring_kernels()
     return out
 

@@ -276,15 +276,16 @@ def _exactify(M: np.ndarray):
     return None
 
 
-def link_forms(alpha: dict, Omega: dict, n: int) -> tuple[dict, dict]:
-    """The link forms built from the contact forms alpha_p and the transverse
-    Kahler forms Omega_p (dicts keyed by p = 1, 2, 3), and the wedge powers
-    `sigma_powers[p] = wedge_powers(sigma_p, n)` of sigma_p = Omega_q + i Omega_r,
-    which list sigma_p^k for k = 0 .. n.  The caller reads its own forms from
-    those powers too; psi divides by n! only after its wedge, so the wedge
-    stays in the ring of the powers.
+def link_forms(alpha: dict, Omega: dict, sigma_powers: dict, n: int) -> dict:
+    """The link forms built from the contact forms alpha_p, the transverse
+    Kahler forms Omega_p and the powers `sigma_powers[p]` of
+    sigma_p = Omega_q + i Omega_r, which list sigma_p^k for k = 0 .. n (dicts
+    keyed by p = 1, 2, 3).  The link frame catalog takes those powers from
+    `wedge_powers`, the exact cone catalog from `symforms.transverse_powers`,
+    and each reads its own forms from them too; psi divides by n! only after
+    its wedge, so the wedge stays in the ring of the powers.
 
-    Returns (catalog, sigma_powers).  The catalog holds alpha, Omega,
+    The catalog holds alpha, Omega,
     kappa_p = Omega_p - alpha_q ^ alpha_r, the complex
     psi_p = (alpha_q + i alpha_r) ^ sigma_p^n / n! and
     gamma_p = (alpha_q - i alpha_r) ^ (kappa_q + i kappa_r),
@@ -293,7 +294,6 @@ def link_forms(alpha: dict, Omega: dict, n: int) -> tuple[dict, dict]:
     ring: the frame catalog (pulled-back constant forms) and the exact cone
     extensions of `symforms.link_extension_catalog` both come from it.
     """
-    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
     kappa = {p: Omega[p] - wedge(alpha[q], alpha[r]) for p, (q, r) in CYCLIC_PAIRS.items()}
     cat: dict = {}
     for p in (1, 2, 3):
@@ -309,14 +309,15 @@ def link_forms(alpha: dict, Omega: dict, n: int) -> tuple[dict, dict]:
     cat["phi2"] = aO[1] - aO[2] + aO[3]
     cat["phi3"] = aO[1] + aO[2] - aO[3]
     cat["omega1_tilde"] = kappa[1] * 2 - wedge(alpha[2], alpha[3])
-    return cat, sigma_powers
+    return cat
 
 
 def _link_catalog(n: int, frame, cone: HKModel) -> dict:
     dim = 4 * n + 3
     alpha = {p: AltForm.blade(dim, [p - 1]) for p in (1, 2, 3)}
     Omega = {p: pullback(cone.form(f"omega{p}"), frame) for p in (1, 2, 3)}
-    cat, sigma_powers = link_forms(alpha, Omega, n)
+    sigma_powers = {p: wedge_powers(ComplexAltForm(Omega[q], Omega[r]), n) for p, (q, r) in CYCLIC_PAIRS.items()}
+    cat = link_forms(alpha, Omega, sigma_powers, n)
     for p in (1, 2, 3):
         for name in (f"psi{p}", f"gamma{p}"):
             cat[f"re_{name}"] = cat[name].re

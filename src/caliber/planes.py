@@ -139,13 +139,16 @@ def alpha_residual(frame: np.ndarray, p: int):
     return _item(np.abs(frame[..., p - 1]).max(axis=-1))
 
 
-def _cr(frame: np.ndarray, lf: LinkFrame, p: int, tol: float):
-    """The CR test for I_p at the link frame, (flag, Reeb test, J_p residual):
-    E holds A_p (to 10 tol) and is J_p-invariant (to tol)."""
-    reeb = np.linalg.norm((frame[..., p - 1:p] * frame).sum(axis=-2) - np.eye(lf.dim)[p - 1], axis=-1)
-    has_reeb = _item(reeb <= 10 * tol)
-    jres = projector_invariance_residual(frame, lf.transverse_structures[p - 1])
-    return has_reeb & (jres <= tol), has_reeb, jres
+def _cr(frame: np.ndarray, lf: LinkFrame, ps, tol: float) -> dict:
+    """The CR tests for I_p at the link frame, {p: (flag, Reeb test, J_p
+    residual)} for p in ps: E holds A_p (to 10 tol) and is J_p-invariant (to
+    tol), from one stacked Reeb test and one projector."""
+    idx = [p - 1 for p in ps]
+    A = np.swapaxes(frame[..., idx], -1, -2)[..., None]  # (..., m, k, 1): the A_p components
+    reeb = np.linalg.norm((A * frame[..., None, :, :]).sum(axis=-2) - np.eye(lf.dim)[idx], axis=-1) <= 10 * tol
+    jres = projector_invariance_residual(frame, np.array(lf.transverse_structures)[idx])
+    return {p: (_item(reeb[..., i] & (jres[..., i] <= tol)), _item(reeb[..., i]), _item(jres[..., i]))
+            for i, p in enumerate(ps)}
 
 
 def intersection_dim(frame: np.ndarray, indices):
@@ -279,8 +282,9 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
     values = _catalog_values(lf, [f"psi{p}" for p in (1, 2, 3) if k == 2 * n + 1]
                              + [f"theta_{label}{k}" for label in "IJK" if k % 2 == 1 and k <= 2 * n + 1]
                              + (["phi1", "phi2", "phi3", "gamma1"] if k == 3 else []), F)
+    crs = _cr(F, lf, (1, 2, 3), tol)
     for p in (1, 2, 3):
-        cr, has_reeb, jres = _cr(F, lf, p, tol)
+        cr, has_reeb, jres = crs[p]
         rep.add(f"cr_I{p}", cr, {"reeb": has_reeb, "J_residual": jres})
         if cr and k % 2 == 1:
             m = (k - 1) // 2
@@ -379,7 +383,8 @@ def check_equivalences(planes, model) -> list[EquivalenceResult]:
             implication("double_lagrangian_upsilon2_volume", (w2 <= tol) & (w3 <= tol),
                         plus_minus(rot.real, 1) & (np.abs(rot.imag) <= tol), rotated_upsilon2=rot, **residuals)
     elif space == "link":
-        cr = {p: _cr(F, model, p, tol) for p in ((1, 3) if k == 3 else (1,) if k == 2 * n + 1 else ())}
+        ps = (1, 3) if k == 3 else (1,) if k == 2 * n + 1 else ()
+        cr = _cr(F, model, ps, tol) if ps else {}
         if k == 3:
             phi2 = model.value("phi2", F)
             for p in (1, 3):

@@ -112,8 +112,8 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
     for p, (q, r) in CYCLIC_PAIRS.items():
         checks.append((f"d_kappa{p}_cyclic", lambda p=p, q=q, r=r: kappa_check(p, q, r)))
 
-    def psi_check(p):
-        rhs = cat[f"sigma_t{p}"].power(n + 1) * Fraction(2, math.factorial(n))
+    def psi_check(p):  # sigma_p^{n+1} binomially; cone_split_upsilon1 keeps the generic power
+        rhs = sf.transverse_powers(n, p, cat[f"sigma_t{p}"], n + 1)[n + 1] * Fraction(2, math.factorial(n))
         return _zero_check(sf.ext_d(cat[f"psi{p}"]) - rhs)
 
     for p in (1, 2, 3):
@@ -206,7 +206,7 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     cat = sf.link_extension_catalog(n)
     cc = sf.cone_constant_catalog(n)
     dim = 4 * (n + 1)
-    rp = lambda m: sf.RCoef.r_power(dim, m)
+    rp = sf.times_r_power  # rp(f, m) = f * r^m
     checks: list[tuple[str, object]] = []
 
     def split_check(form, alpha_expect, beta_expect):
@@ -223,34 +223,34 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     s_aO = lambda: cat["phi1"] + cat["phi2"] + cat["phi3"]  # sum over p of alpha_p ^ Omega_p
 
     checks.append(
-        ("cone_split_omega1", lambda: split_check(cc["omega1"], al[1] * rp(1), O[1] * rp(2)))
+        ("cone_split_omega1", lambda: split_check(cc["omega1"], rp(al[1], 1), rp(O[1], 2)))
     )
 
     def split_omega1_sq():
         w1sq = cc["omega1"].wedge(cc["omega1"]) * Fraction(1, 2)
         return split_check(
             w1sq,
-            (cat["phi2"] + cat["phi3"]) * Fraction(1, 2) * rp(3),
-            sq(1) * Fraction(1, 2) * rp(4),
+            rp((cat["phi2"] + cat["phi3"]) * Fraction(1, 2), 3),
+            rp(sq(1) * Fraction(1, 2), 4),
         )
 
     checks.append(("cone_split_omega1_sq_half", split_omega1_sq))
 
     def split_theta():
-        bexp = (sq(2) - sq(3)) * Fraction(1, 2) * rp(4)
-        return split_check(cc["theta_I4"], cat["theta_I3"] * rp(3), bexp)
+        bexp = rp((sq(2) - sq(3)) * Fraction(1, 2), 4)
+        return split_check(cc["theta_I4"], rp(cat["theta_I3"], 3), bexp)
 
     checks.append(("cone_split_theta_I4", split_theta))
 
     def split_Phi1():
-        bexp = (sq(2) + sq(3) - sq(1)) * Fraction(1, 2) * rp(4)
-        return split_check(cc["Phi1"], cat["phi1"] * rp(3), bexp)
+        bexp = rp((sq(2) + sq(3) - sq(1)) * Fraction(1, 2), 4)
+        return split_check(cc["Phi1"], rp(cat["phi1"], 3), bexp)
 
     checks.append(("cone_split_Phi1", split_Phi1))
 
     def split_Lambda():
-        bexp = (sq(1) + sq(2) + sq(3)) * Fraction(1, 6) * rp(4)
-        return split_check(cc["Lambda"], s_aO() * Fraction(1, 3) * rp(3), bexp)
+        bexp = rp((sq(1) + sq(2) + sq(3)) * Fraction(1, 6), 4)
+        return split_check(cc["Lambda"], rp(s_aO() * Fraction(1, 3), 3), bexp)
 
     checks.append(("cone_split_Lambda", split_Lambda))
 
@@ -261,10 +261,10 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
         ar, br = sf.cone_split(u.re)
         ai, bi = sf.cone_split(u.im)
         oks = [
-            (ar - psi.re * rp(2 * n + 1)).is_zero(),
-            (ai - psi.im * rp(2 * n + 1)).is_zero(),
-            (br - rhs.re * rp(2 * n + 2)).is_zero(),
-            (bi - rhs.im * rp(2 * n + 2)).is_zero(),
+            (ar - rp(psi.re, 2 * n + 1)).is_zero(),
+            (ai - rp(psi.im, 2 * n + 1)).is_zero(),
+            (br - rp(rhs.re, 2 * n + 2)).is_zero(),
+            (bi - rp(rhs.im, 2 * n + 2)).is_zero(),
         ]
         return all(oks), {"parts_ok": oks}
 
@@ -284,13 +284,13 @@ def _cones_checks(n: int, seed: int) -> list[tuple[str, object]]:
     checks.append(
         (
             "potential_omega1",
-            lambda: potential_check(cc["omega1"], 2, al[1] * rp(2) * Fraction(1, 2)),
+            lambda: potential_check(cc["omega1"], 2, rp(al[1], 2) * Fraction(1, 2)),
         )
     )
     checks.append(("potential_Phi1", lambda: potential_check(cc["Phi1"], 4)))
 
     checks.append(
-        ("potential_Lambda", lambda: potential_check(cc["Lambda"], 4, s_aO() * Fraction(1, 12) * rp(4)))
+        ("potential_Lambda", lambda: potential_check(cc["Lambda"], 4, rp(s_aO() * Fraction(1, 12), 4)))
     )
 
     def potential_upsilon1():

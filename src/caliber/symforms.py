@@ -14,8 +14,10 @@ coefficients: the same sparse algebra (sum, scalar and coefficient multiples,
 wedge, wedge powers, contraction) that evaluates forms numerically.  This
 module adds the calculus that needs point-dependent coefficients: the
 exterior derivative, contraction with vector fields, Lie derivatives, the
-radial split and homogeneous potentials.  A vector field is the tuple of its
-`RCoef` components, the sequence that `exterior.interior` contracts with.
+radial split, homogeneous potentials, products by powers of r and the
+binomial powers of sigma_p = Omega_q + i Omega_r.  A vector field is the
+tuple of its `RCoef` components, the sequence that `exterior.interior`
+contracts with.
 
 The distinguished link forms (contact one-forms, transverse Kahler forms, and
 everything built from them) are represented by their canonical conical
@@ -30,12 +32,13 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from operator import or_
 from typing import Sequence
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, _totals, interior
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, _totals, interior, wedge, wedge_powers
 
 __all__ = [
     "Poly",
@@ -43,6 +46,8 @@ __all__ = [
     "RationalForm",
     "CRationalForm",
     "constant_form",
+    "times_r_power",
+    "transverse_powers",
     "eval_at",
     "ext_d",
     "interior_field",
@@ -205,23 +210,52 @@ class Poly:
             return None
         sq = _square_keys(dim)
         rem = dict(self.terms)
+        # largest key first, off a heap: a key the subtraction makes trades
+        # x_{N-1}^2 for a smaller square, so it is below the key just popped
+        heap = [-k for k in rem]
+        heapify(heap)
         quot: dict[int, object] = {}
-        while rem:
-            k = max(rem)
-            c = rem.pop(k)
-            if (k >> top_shift) & _MASK >= 2:
-                qk = k - sq[dim - 1]
-                quot[qk] = quot.get(qk, 0) + c
-                for i in range(dim - 1):
-                    kk = qk + sq[i]
-                    v = rem.get(kk, 0) - c
-                    if v == 0:
-                        rem.pop(kk, None)
-                    else:
-                        rem[kk] = v
-            else:
+        while rem:  # every live key is on the heap
+            k = -heappop(heap)
+            if k not in rem:  # cancelled after it was pushed
+                continue
+            if (k >> top_shift) & _MASK < 2:
                 return None
+            qk = k - sq[dim - 1]
+            c = quot[qk] = rem.pop(k)
+            for i in range(dim - 1):
+                kk = qk + sq[i]
+                v = rem.get(kk)
+                if v is None:
+                    heappush(heap, -kk)
+                    rem[kk] = -c
+                elif v == c:
+                    del rem[kk]
+                else:
+                    rem[kk] = v - c
         return Poly._wrap(dim, quot)
+
+
+def _diff_part(poly: Poly, i: int, m: int) -> Poly:
+    """S dP/dx_i + m x_i P for S = sum x_j^2, in one pass over P's terms;
+    raises OverflowError where the products S * dP/dx_i and m x_i * P would."""
+    dim, terms = poly.dim, poly.terms
+    if terms and reduce(or_, terms, 0) & _high_bits(dim):  # an exponent >= 128
+        _check_product_exponents(poly.diff(i), _sumsq(dim))
+        if m:
+            _check_product_exponents(poly, Poly.x(dim, i))
+    shift, sq, acc = _BITS * i, _square_keys(dim), {}
+    for k, c in terms.items():
+        if e := (k >> shift) & _MASK:
+            ce, base = c * e, k - (1 << shift)
+            for s2 in sq:
+                v = acc.get(base + s2)
+                acc[base + s2] = ce if v is None else v + ce
+        if m:
+            kk = k + (1 << shift)
+            v = acc.get(kk)
+            acc[kk] = c * m if v is None else v + c * m
+    return Poly._wrap(dim, {k: c for k, c in acc.items() if c})
 
 
 def _add_into(acc: dict, terms: dict) -> None:
@@ -263,11 +297,16 @@ class RCoef:
       only, with s > 0 for one of them: S can divide the product only through
       the numerator of a factor with s = 0, so that small numerator is the one
       divided (`_one_part_product`);
-    - a sum whose largest s > 0 belongs to one term alone (`sum_of`).
+    - a sum whose largest s > 0 belongs to one term alone (`sum_of`);
+    - a one-part coefficient times r^m that keeps its numerator, when s > 0
+      before or s = 0 after (`times_r_power`, at every N).
     Every other result gets the generic reduction, which rules most failing
     divisions out by two key comparisons (`Poly.try_div_sumsq`).  At N = 1,
     S = x_0^2 is a square, (x_0 / r^2)^2 = 1 / r^2, and only the shortcuts
     marked "at every N" apply.
+
+    The derivative ((S P_i - 2s x_i P) + (S Q_i + (1 - 2s) x_i Q) r) / r^{2s+2}
+    makes each part in one pass over its numerator's terms (`_diff_part`).
 
     Multiplying by a rational scalar is allowed, and a rational compares
     equal to its constant coefficient, so `RCoef` can be the coefficient ring
@@ -419,16 +458,26 @@ class RCoef:
         dim = self.dim
         if not (self.s or self.q.terms):
             return RCoef._reduced(dim, self.p.diff(i), self.q, 0)
-        ss = _sumsq(dim)
-        xi = Poly.x(dim, i)
         two_s = 2 * self.s
-        p_new = self.p.diff(i) * ss - self.p * xi.scale(two_s) if self.p.terms else self.p
-        q_new = self.q.diff(i) * ss + self.q * xi.scale(1 - two_s) if self.q.terms else self.q
+        p_new, q_new = _diff_part(self.p, i, -two_s), _diff_part(self.q, i, 1 - two_s)
         if self.s and dim >= 2:
             # modulo S the parts are -2s x_i P and (1 - 2s) x_i Q, and S divides
             # neither x_i nor both of P, Q
             return RCoef._reduced(dim, p_new, q_new, self.s + 1)
         return RCoef(dim, p_new, q_new, self.s + 1)
+
+    def times_r_power(self, m: int) -> "RCoef":
+        """self * r^m.  A one-part X r^e / r^{2s} (e = 1 for a Q part) gives
+        X r^{(e + m) mod 2} / r^{2s'}, s' = s - floor((e + m) / 2): the same
+        numerator, reduced when s' = 0, or when s > 0 (a reduced X with s > 0
+        has no factor S, in every dimension).  Other cases take the product
+        with `r_power`."""
+        e = m + bool(self.q.terms)
+        s = self.s - e // 2
+        if s < 0 or (s and not self.s) or not self._one_part():
+            return self * RCoef.r_power(self.dim, m)
+        x, empty = self.q if self.q.terms else self.p, Poly._wrap(self.dim, {})
+        return RCoef._reduced(self.dim, empty, x, s) if e % 2 else RCoef._reduced(self.dim, x, empty, s)
 
     def eval(self, point) -> float:
         r2 = float(sum(float(x) * float(x) for x in point))
@@ -476,6 +525,13 @@ def constant_form(f):
     if isinstance(f, ComplexAltForm):
         return ComplexAltForm(constant_form(f.re), constant_form(f.im))
     return AltForm(f.dim, f.degree, _raw={m: RCoef.const(f.dim, c) for m, c in f._raw_terms().items()})
+
+
+def times_r_power(f, m: int):
+    """f * r^m, coefficient by coefficient through `RCoef.times_r_power`."""
+    if isinstance(f, ComplexAltForm):
+        return ComplexAltForm(times_r_power(f.re, m), times_r_power(f.im, m))
+    return AltForm(f.dim, f.degree, _raw={mask: c.times_r_power(m) for mask, c in f._raw_terms().items()})
 
 
 def eval_at(f: AltForm, point) -> AltForm:
@@ -526,6 +582,27 @@ def cone_split(f):
     alpha = interior_field(unit_radial_field(f.dim), f)
     beta = f - dr_form(f.dim).wedge(alpha)
     return alpha, beta
+
+
+def transverse_powers(n: int, p: int, sigma, top: int) -> list:
+    """[sigma^k for k = 0 .. top], sigma = sigma_p = Omega_q + i Omega_r on the cone.
+
+    With (a_p, b_p) = cone_split(omega_p), r^2 Omega_p = b_p = omega_p - dr ^ a_p,
+    so r^2 sigma = A - D for the integer constant form A = omega_q + i omega_r
+    and D = dr ^ (a_q + i a_r).  D ^ D = 0 and 2-forms commute, so
+    sigma^k = r^{-2k} (A^k - k D ^ A^{k-1}): integer wedge powers of A, D's
+    coefficients scaled by integers, and no wedge of two cone forms.  Powers
+    0 and 1 are those of `exterior.wedge_powers`.
+    """
+    from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone
+
+    out = wedge_powers(sigma, min(top, 1))
+    if top > 1:
+        hk, (q, r) = build_hyperkahler_cone(n), CYCLIC_PAIRS[p]
+        A = wedge_powers(ComplexAltForm(hk.form(f"omega{q}"), hk.form(f"omega{r}")), top)
+        D = constant_form(A[1]) - times_r_power(sigma, 2)
+        out += [times_r_power(constant_form(A[k]) - wedge(D, A[k - 1]) * k, -2 * k) for k in range(2, top + 1)]
+    return out
 
 
 class NotClosedError(ValueError):
@@ -584,16 +661,16 @@ def link_extension_catalog(n: int) -> dict:
     the same structure identities as the link forms themselves, with exact
     rational coefficients throughout.
     """
-    from caliber.model import build_hyperkahler_cone, link_forms
+    from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone, link_forms
 
     hk = build_hyperkahler_cone(n)
-    dim = hk.dim
-    rm1, rm2 = RCoef.r_power(dim, -1), RCoef.r_power(dim, -2)
     alpha, Omega = {}, {}
     for p in (1, 2, 3):
         a, b = cone_split(constant_form(hk.form(f"omega{p}")))
-        alpha[p], Omega[p] = a * rm1, b * rm2
-    cat, sigma_powers = link_forms(alpha, Omega, n)
+        alpha[p], Omega[p] = times_r_power(a, -1), times_r_power(b, -2)
+    sigma_powers = {p: transverse_powers(n, p, ComplexAltForm(Omega[q], Omega[r]), n)
+                    for p, (q, r) in CYCLIC_PAIRS.items()}
+    cat = link_forms(alpha, Omega, sigma_powers, n)
     for p in (1, 2, 3):
         cat[f"sigma_t{p}"] = sigma_powers[p][1]
     # alpha2 ^ Omega2 - alpha3 ^ Omega3, from the phi family without new wedges

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caliber import symforms as sf
-from caliber.exterior import AltForm, ComplexAltForm, interior, power, pullback, wedge
+from caliber.exterior import AltForm, ComplexAltForm, interior, power, pullback, wedge, wedge_powers
 from caliber.model import build_link_frame
 
 
@@ -147,13 +147,109 @@ def test_rcoef_sums_match_generic_reduction(data):
 @settings(deadline=None)
 @given(st.data())
 def test_rcoef_diff_matches_generic_reduction(data):
-    dim = data.draw(dims)
+    dim = data.draw(st.integers(1, 5))
     c = data.draw(reduced_coefs(dim))
     i = data.draw(st.integers(0, dim - 1))
     ss, xi = sumsq_power(dim, 1), sf.Poly.x(dim, i)
     p = c.p.diff(i) * ss - c.p * xi.scale(2 * c.s)
     q = c.q.diff(i) * ss + c.q * xi.scale(1 - 2 * c.s)
+    # the one-pass parts are the product formula's, term for term
+    assert sf._diff_part(c.p, i, -2 * c.s) == p and sf._diff_part(c.q, i, 1 - 2 * c.s) == q
     assert same(c.diff(i), generic(dim, p, q, c.s + 1))
+
+
+def test_rcoef_diff_exponent_overflow_raises():
+    # S dP/dx_i adds 2 to every exponent but x_i's (which loses 1 first) and
+    # m x_i P adds 1 to x_i's; past 255 a key would carry into the next field
+    dim, zero = 3, sf.Poly(3, {})
+    x = lambda i, e: sf.Poly.x(dim, i, e)  # noqa: E731
+    raising = [
+        (x(0, 1) * x(1, 254), zero, 1),  # S dP/dx_0 has x_1^256
+        (x(0, 255), zero, 1),  # S dP/dx_0 and -2 x_0 P have x_0^256
+        (x(0, 1), x(0, 1) * x(2, 254), 0),  # S dQ/dx_0 has x_2^256
+        (zero, x(0, 255) * x(1, 1), 2),  # both parts of Q reach x_0^256
+    ]
+    for p, q, s in raising:
+        c = sf.RCoef(dim, p, q, s)
+        with pytest.raises(OverflowError):
+            c.diff(0)
+        with pytest.raises(OverflowError):  # as the product formula does
+            (c.p.diff(0) * sumsq_power(dim, 1) - c.p * sf.Poly.x(dim, 0).scale(2 * c.s)
+             + c.q.diff(0) * sumsq_power(dim, 1) + c.q * sf.Poly.x(dim, 0).scale(1 - 2 * c.s))
+    # one exponent short of each limit, every key is exact
+    c = sf.RCoef(dim, x(0, 1) * x(1, 253) + x(0, 254), zero, 1)
+    d = c.diff(0)
+    assert max(e for k in d.p.terms for e in sf._mono_exponents(k, dim)) == 255
+    ss, x0 = sumsq_power(dim, 1), sf.Poly.x(dim, 0)
+    assert same(d, generic(dim, c.p.diff(0) * ss - c.p * x0.scale(2), zero, 2))
+    # at s = 0 the P part is S dP/dx_0 alone: a P without x_0 cannot overflow
+    assert not sf.RCoef(dim, x(1, 255), x(0, 1), 0).diff(0).p.terms
+
+
+def div_sumsq_by_max(poly):
+    """The quadratic division loop: take the largest remaining key each step."""
+    dim = poly.dim
+    top_shift = 8 * (dim - 1)
+    sq = [2 << (8 * i) for i in range(dim)]
+    rem, quot = dict(poly.terms), {}
+    while rem:
+        k = max(rem)
+        c = rem.pop(k)
+        if (k >> top_shift) & 255 < 2:
+            return None
+        qk = k - sq[dim - 1]
+        quot[qk] = c
+        for i in range(dim - 1):
+            v = rem.get(qk + sq[i], 0) - c
+            if v == 0:
+                rem.pop(qk + sq[i], None)
+            else:
+                rem[qk + sq[i]] = v
+    return sf.Poly(dim, quot)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_heap_division_matches_the_quadratic_loop(data):
+    dim = data.draw(st.integers(1, 5))
+    q = data.draw(polys(dim))
+    if q.is_zero():
+        q = sf.Poly.const(dim, 1)
+    dividend = q * sumsq_power(dim, data.draw(st.integers(1, 2))) + data.draw(polys(dim))
+    expect = div_sumsq_by_max(dividend) if dividend.terms else None
+    got = dividend.try_div_sumsq() if dividend.terms else None
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert got.terms == expect.terms and list(got.terms) == list(expect.terms)
+        assert got * sumsq_power(dim, 1) == dividend
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_r_power_shift_matches_the_product(data):
+    dim = data.draw(dims)
+    c = data.draw(reduced_coefs(dim))
+    m = data.draw(st.integers(-5, 5))
+    assert same(c.times_r_power(m), c * sf.RCoef.r_power(dim, m))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_transverse_powers_match_the_generic_power(n):
+    # sigma_p^k = r^{-2k} (A^k - k dr ^ a ^ A^{k-1}) against the wedge power
+    cat = sf.link_extension_catalog(n)
+    for p in (1, 2, 3):
+        sigma = cat[f"sigma_t{p}"]
+        binomial, generic_powers = sf.transverse_powers(n, p, sigma, n + 1), wedge_powers(sigma, n + 1)
+        assert len(binomial) == len(generic_powers) == n + 2
+        for k, (b, g) in enumerate(zip(binomial, generic_powers)):
+            for b_part, g_part in ((b.re, g.re), (b.im, g.im)):
+                b_terms, g_terms = b_part._raw_terms(), g_part._raw_terms()
+                assert b_terms.keys() == g_terms.keys(), (p, k)
+                for blade, coef in g_terms.items():
+                    if isinstance(coef, sf.RCoef):
+                        assert same(b_terms[blade], coef), (p, k, blade)
+                    else:  # the constant 1 of the zeroth power
+                        assert b_terms[blade] == coef
 
 
 def test_float_wedge_sums_each_blade_left_to_right():
