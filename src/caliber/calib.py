@@ -58,8 +58,8 @@ of a whole batch, to 1e-7, after an exact zero test of its premise
 (int or Fraction coefficients) goes to the search as it is: the search runs
 bit for bit as on its `to_float()` copy.  A tuple of forms of one degree
 gets one evaluator whose plan covers the union of their support blades:
-`planes.classify_plane` reads all of a plane's unconditional catalog values
-from one such minor table (`model.value` over a tuple of names).  A minor
+`model.value` reads a complex form as its (Re, Im), and `classify_plane`
+all of a plane's unconditional catalog values from one minor table.  A minor
 is computed from its row subset alone, so it is the same in any plan, and
 each form's last contraction is the one-form evaluator's BLAS call on the
 same rows, so each value is bit for bit the one-form value on one frame.
@@ -326,8 +326,9 @@ class FormEvaluator:
     with its own blades' minors.  The recurrence builds each minor from its
     subset alone, so a minor is the same in any plan, and the contraction is
     the one-form evaluator's BLAS call on the same rows: on one frame each
-    column is, bit for bit, that form's own value.  Such an evaluator has no
-    `grads`.
+    column is, bit for bit, that form's own value; on a batch only within one
+    chunk of the union plan, which may be smaller than the form's own (a
+    complex form's Re and Im share one).  Such an evaluator has no `grads`.
     """
 
     def __init__(self, form):
@@ -397,7 +398,7 @@ class FormEvaluator:
             minors = _laplace_level(children[j], X[j - 1], minors, j - 1)
         if self._parts is None:
             return self.coeffs @ minors
-        return np.stack([c @ minors[pos] for c, pos in self._parts], axis=-1)
+        return np.array([c @ minors[pos] for c, pos in self._parts]).T
 
     def _grads_chunk(self, X: np.ndarray) -> np.ndarray:
         plan, N, k = self._plan, self.dim, self.degree

@@ -101,11 +101,6 @@ def _over_factorial(f, k: int):
     return f if k < 2 else f * Fraction(1, math.factorial(k))
 
 
-def _real_parts(form) -> tuple:
-    """(re, im) of a complex form, (form,) of a real one."""
-    return (form.re, form.im) if isinstance(form, ComplexAltForm) else (form,)
-
-
 def _assemble(re: np.ndarray, im: np.ndarray | None = None):
     """A value as `_FormCatalog.value` returns it: complex when there is an
     imaginary part, its parts assigned so signed zeros stay, and a Python
@@ -120,15 +115,15 @@ def _assemble(re: np.ndarray, im: np.ndarray | None = None):
 class _FormCatalog:
     """Named forms of a model and their float evaluation on planes.
 
-    Each form gets one `FormEvaluator` (a (re, im) pair for a complex form)
-    and each 2-form one skew matrix, built on first use and kept in the
-    model's `cache`; the models of the lru_cached builders therefore evaluate
-    every plane with the same evaluators, and the cache is bounded by the
-    catalog, the derived calibrations named by callers and the name tuples
-    that `classify_plane` reads.  A tuple of names is one evaluator over the
-    real parts of all its forms, so a plane's minor table is built once for
-    all of them; on one frame each value is, bit for bit, its one-name read
-    (see `FormEvaluator`).
+    Each read gets one `FormEvaluator` over the real parts of all its forms
+    (a single name is the tuple of one, a complex form its Re and Im), and
+    each 2-form one skew matrix, built on first use and kept in the model's
+    `cache`; the models of the lru_cached builders therefore evaluate every
+    plane with the same evaluators, and the cache is bounded by the catalog,
+    the derived calibrations named by callers and the name tuples that
+    `classify_plane` reads.  A tuple builds a plane's minor table once for
+    all its forms, each value bit for bit its one-name read on one frame; on
+    a batch wider than the tuple's plan chunk the last bits may move.
     """
 
     def form(self, name: str):
@@ -138,26 +133,20 @@ class _FormCatalog:
         """Values of form `name` on one row frame (k, N), as a float, or on a
         batch (..., k, N), as an array of shape (...); complex for a complex
         form, its parts assigned so signed zeros stay.  A name outside the
-        catalog names the form `derive()` returns.  A tuple of catalog names
-        gives the tuple of their values from one evaluator.  The evaluators
-        are built on the first call and cached under `name`."""
-        key = ("evaluator", name)
+        catalog names the form `derive()` returns.  A tuple of names gives
+        the tuple of their values.  The evaluator of `name`, or of the tuple
+        `(name,)`, is built on the first call and cached under that tuple."""
+        names = name if isinstance(name, tuple) else (name,)
+        key = ("evaluator", names)
         if key not in self.cache:
-            if isinstance(name, tuple):
-                parts = [_real_parts(self.form(n)) for n in name]
-                ends = np.cumsum([len(p) for p in parts]).tolist()
-                self.cache[key] = (FormEvaluator(sum(parts, ())), tuple(zip([0] + ends, ends)))
-            else:
-                form = derive() if derive is not None and name not in self.catalog else self.form(name)
-                evs = tuple(FormEvaluator(p) for p in _real_parts(form))
-                self.cache[key] = evs if len(evs) == 2 else evs[0]
-        ev = self.cache[key]
-        V = np.swapaxes(frames, -1, -2)
-        if isinstance(name, tuple):
-            ev, spans = ev
-            out = ev.values(V)
-            return tuple(_assemble(*(out[..., i] for i in range(a, b))) for a, b in spans)
-        return _assemble(*(e.values(V) for e in (ev if isinstance(ev, tuple) else (ev,))))
+            forms = [derive() if derive is not None and n not in self.catalog else self.form(n) for n in names]
+            parts = [(f.re, f.im) if isinstance(f, ComplexAltForm) else (f,) for f in forms]
+            ends = np.cumsum([len(p) for p in parts]).tolist()
+            self.cache[key] = (FormEvaluator(sum(parts, ())), tuple(zip([0] + ends, ends)))
+        ev, spans = self.cache[key]
+        out = ev.values(np.swapaxes(frames, -1, -2))
+        values = tuple(_assemble(*(out[..., i] for i in range(a, b))) for a, b in spans)
+        return values if isinstance(name, tuple) else values[0]
 
     def skew(self, name) -> np.ndarray:
         """The cached, read-only `skew_matrix` of catalog 2-form `name`, or

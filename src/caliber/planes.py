@@ -7,15 +7,16 @@ complex value of the relevant volume form (defined only on calibrated planes).
 
 Every form value on a plane, the Re gamma0 gate of the normal form included,
 is `model.value(name, frame)`: the model's cached `FormEvaluator` of that
-form, built on first use and kept with the model, as is the skew matrix
-(`model.skew`) behind each isotropy residual.  `classify_plane` measures a
-plane once: its unconditional catalog values come from one tuple read
-`model.value(names, frame)`, one evaluator and one minor table for all of
-them, and each is bit for bit its one-name read, since a minor depends only
-on its rows and each form's last contraction is the same BLAS call on the
-same rows; its J-invariance residuals share one projector over the stacked
-structures, and its isotropy residuals one product over the stacked skew
-matrices.  The derived
+form (one for a complex form's Re and Im), built on first use and kept with
+the model, as is the skew matrix (`model.skew`) behind each isotropy
+residual.  `classify_plane` reads a plane's unconditional catalog values in
+one tuple read `model.value(names, frame)`, one minor table for all of them,
+each bit for bit its one-name read: a minor depends only on its rows, and
+each form's last contraction is the same BLAS call on the same rows.  On a
+batch wider than the tuple's plan chunk the last bits may move, so
+`check_equivalences` reads its forms by name.  Isotropy residuals, in both,
+are one product over the stacked skew matrices, and `classify_plane`'s
+J-invariance residuals share one projector.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
 
@@ -335,7 +336,7 @@ def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport
     rep.add("dim_cap_V", None, dim_v)
     rep.add("hv_compatible", dim_h + dim_v == k, {"dim_cap_H": dim_h, "dim_cap_V": dim_v})
     if k == 3:
-        (val,) = tm.value(("gamma0",), F)
+        val = tm.value("gamma0", F)
         rep.add("re_gamma0_calibrated", abs(val.real - 1) <= tol, val, phase=_phase(val, tol))
 
 
@@ -373,8 +374,8 @@ def check_equivalences(planes, model) -> list[EquivalenceResult]:
         return np.minimum(np.abs(z - target), np.abs(z + target)) <= tol
 
     if space == "cone":
-        inv, w2, w3 = (projector_invariance_residual(F, model.I1), isotropy_residual(F, model.skew("omega2")),
-                       isotropy_residual(F, model.skew("omega3")))
+        inv = projector_invariance_residual(F, model.I1)
+        w2, w3 = isotropy_residual(F, model.skew(("omega2", "omega3"))).T
         residuals = dict(I1_residual=inv, w2_residual=w2, w3_residual=w3)
         implication("complex_w2iso_implies_w3iso", (inv <= tol) & (w2 <= tol), w3 <= tol, **residuals)
         if k == 2 * n + 2:
@@ -397,7 +398,7 @@ def check_equivalences(planes, model) -> list[EquivalenceResult]:
                         plus_minus(psi2, 1j ** (n + 1)) & plus_minus(psi3, 1), reeb=cr[1][1], J_residual=cr[1][2],
                         alpha2_residual=a2, alpha3_residual=a3, psi2=psi2, psi3=psi3)
     else:
-        ke, nk = (isotropy_residual(F, model.skew(name)) for name in ("omega_KE", "omega_NK"))
+        ke, nk = isotropy_residual(F, model.skew(("omega_KE", "omega_NK"))).T
         dim_h, dim_v = (intersection_dim(F, indices) for indices in (model.h_indices, model.v_indices))
         hv = dim_h + dim_v == k
         witness = dict(ke_residual=ke, nk_residual=nk, dim_cap_H=dim_h, dim_cap_V=dim_v)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from caliber import _quat, registry
+from caliber.calib import FormEvaluator
 from caliber.exterior import AltForm, ComplexAltForm, evaluate, interior, power, pullback, wedge
 from caliber.model import (
     build_hyperkahler_cone,
@@ -18,6 +19,7 @@ from caliber.model import (
     make_W_theta,
     random_sp_cone_isometry,
 )
+from caliber.planes import batch_random_planes
 
 EPS = {
     (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -107,12 +109,32 @@ class _FixedValues:
 def test_complex_value_keeps_signed_zeros():
     # the float kernel never returns -0.0 itself, so fixed values stand in
     lf = build_link_frame(1)
-    lf.cache[("evaluator", "psi1")] = (_FixedValues([-0.0, 1.0]), _FixedValues([-0.0, -0.0]))
+    # psi1 is one evaluator over (Re, Im), its values (..., 2) spanning (0, 2)
+    lf.cache[("evaluator", ("psi1",))] = (_FixedValues([[-0.0, -0.0], [1.0, -0.0]]), ((0, 2),))
     got = lf.value("psi1", np.zeros((2, 3, lf.dim)))
     assert np.signbit(got.real).tolist() == [True, False] and np.signbit(got.imag).all()
-    lf.cache[("evaluator", "psi1")] = (_FixedValues(-0.0), _FixedValues(-0.0))
+    lf.cache[("evaluator", ("psi1",))] = (_FixedValues([-0.0, -0.0]), ((0, 2),))
     one = lf.value("psi1", np.zeros((3, lf.dim)))
     assert type(one) is complex and math.copysign(1, one.real) == math.copysign(1, one.imag) == -1
+
+
+@pytest.mark.parametrize("space", registry.SPACES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_complex_value_is_its_parts_values_on_batches(space, n):
+    # a complex form is read by one evaluator over (Re, Im); on a batch one
+    # frame wider than two of its plan's chunks each part is, bit for bit,
+    # the value of that part's own evaluator
+    model = registry.model(space, n)
+    rng = np.random.default_rng(24 + n)
+    forms = {name: f for name, f in model.catalog.items() if isinstance(f, ComplexAltForm)}
+    assert forms
+    for name, form in forms.items():
+        model.value(name, np.eye(model.dim)[:form.degree])
+        ev, _ = model.cache[("evaluator", (name,))]
+        F = batch_random_planes(model.dim, form.degree, 2 * ev._plan.chunk + 1, rng)
+        got, V = model.value(name, F), np.swapaxes(F, -1, -2)
+        assert got.real.tobytes() == FormEvaluator(form.re).values(V).tobytes(), name
+        assert got.imag.tobytes() == FormEvaluator(form.im).values(V).tobytes(), name
 
 
 def test_registry_rejects_an_unknown_space():
