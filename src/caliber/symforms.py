@@ -371,11 +371,15 @@ class RCoef:
         if len(coeffs) == 1:
             return coeffs[0]
         dim = coeffs[0].dim
-        levels: dict[int, list] = defaultdict(lambda: [{}, {}, 0])
+        levels: dict[int, list] = {}
         for c in coeffs:
-            level = levels[c.s]
-            _add_into(level[0], c.p.terms)
-            _add_into(level[1], c.q.terms)
+            level = levels.get(c.s)
+            if level is None:  # a level starts from copies of its first numerators
+                levels[c.s] = [dict(c.p.terms), dict(c.q.terms), 1]
+                continue
+            for acc, part in ((level[0], c.p.terms), (level[1], c.q.terms)):
+                if part:
+                    _add_into(acc, part)
             level[2] += 1
         top = max(levels)
         p_acc, q_acc, at_top = levels[top]
