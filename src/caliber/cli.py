@@ -147,7 +147,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = report.to_json(include_timing=not args.no_timing)
-    payload["coverage"] = coverage_table()
+    payload["coverage"] = coverage_table(args.suite)
     _emit(payload, args.pretty)
     return 0 if report.overall == "pass" else 1
 

@@ -712,7 +712,8 @@ def suite_counts(suite: str, defaults: dict, samples: int | None, restarts: int 
     return {name: default if counts[name] is None else counts[name] for name, default in defaults.items()}
 
 
-def coverage_table() -> dict:
-    """Stable listing of every check id per suite (for n = 1 parameters)."""
+def coverage_table(*suites: str) -> dict:
+    """Stable listing of every check id of `suites` (of every suite if none
+    is named) for n = 1 parameters, from the builders of those suites alone."""
     return {suite: sorted(cid for cid, _ in build(1, 0, **dict.fromkeys(defaults, 1)))
-            for suite, (build, defaults) in _SUITES.items()}
+            for suite, (build, defaults) in _SUITES.items() if suite in (suites or SUITES)}

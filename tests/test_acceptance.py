@@ -8,7 +8,6 @@ phase family has comass one, the S^1-family of comass-one 3-forms that the
 paper puts on every twistor space.
 """
 
-import hashlib
 import json
 import math
 import time
@@ -16,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_pins import VERIFY_N2_SHA256, verify_bytes
+from test_pins import VERIFY_N2_SHA256, pinned_digest, verify_bytes
 
 from caliber.calib import SearchParams, comass_2form_exact, comass_search
 from caliber.exterior import AltForm, pullback, wedge
@@ -45,8 +44,7 @@ def test_c1_identity_suite_exact(n):
     assert failures == []
     assert elapsed < 300.0
     if n == 2:
-        digest = hashlib.sha256(verify_bytes(report).encode()).hexdigest()
-        assert digest == VERIFY_N2_SHA256["identities", SEED]
+        assert pinned_digest(verify_bytes(report)) == VERIFY_N2_SHA256["identities", SEED]
 
 
 # -- criterion 2: cone calculus -----------------------------------------------

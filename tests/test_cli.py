@@ -103,7 +103,7 @@ def test_verify_pass_and_exit_codes(capsys):
     data = json.loads(out)
     assert data["overall"] == "pass"
     assert all(c["status"] == "pass" for c in data["checks"])
-    assert set(data["coverage"]) == {"identities", "cones", "calibrations", "propositions", "normalform"}
+    assert data["coverage"] == {"cones": coverage_table()["cones"]}
 
 
 def test_verify_unsupported_n_exits_2(capsys):

@@ -24,6 +24,10 @@ may move their last bits; a change of the code must not.  The propositions
 digests at n = 2, 3 and the `classify` digests were recorded while the
 propositions suite still computed the plane-level implications itself,
 apart from `planes.check_equivalences`.
+
+Every `verify` digest was re-recorded once, when a report's "coverage" came
+to list only its own suite's check ids; `FULL_COVERAGE_SHA256` ties each to
+the digest pinned before, so no other byte of a report moved then.
 """
 
 import contextlib
@@ -54,8 +58,8 @@ CATALOG_SHA256 = {
 }
 
 VERIFY_N1_SHA256 = {
-    "identities": "09d468d5fe790b1c615e23a11b734bbffae55252d6b59d57bfd874db81448e43",
-    "cones": "415aa429ec5d12cb8c565f0d5276afbd97f20e3b9698c120a1dfd47dfb03d7b6",
+    "identities": "6358b4752347524abc1e79e97d3e0be55bd2022c1027ce23ffdca247fc819609",
+    "cones": "a414c6d05814cd173dfdc5e86638f7aba2ed4b54d1c302f944611ec6589bb559",
 }
 
 # (suite, --seed) -> sha256 of `verify --suite S --n 2 --no-timing`.  The
@@ -63,31 +67,62 @@ VERIFY_N1_SHA256 = {
 # checks it on the n=2 report it builds anyway; the seed reaches the output
 # only through the report's "seed" field and `dd_zero_random`.
 VERIFY_N2_SHA256 = {
-    ("identities", 20260808): "48295e165e0113415afc4b5d22eb8ef32b25fa0280217537801e0b281f73d3a5",
-    ("cones", 0): "c6f799fd71cca450b3aef659add2f239d9bb1849207e5224825844a9e6bc72ea",
+    ("identities", 20260808): "358d628b70b6c603aa6df24cd5bd741dc85d4dc92068c29dd5a3e202382420ff",
+    ("cones", 0): "abb5ef3a85d2fc8bc460e2c97cd2c5e68b9934bf1e9cd58d04c3a4b59787cf51",
 }
 
 # (n, --samples or None for the default) -> sha256 of `verify --suite normalform`
 NORMALFORM_SHA256 = {
-    (1, None): "5fc1a0cfd1887528a322816b7d2b4908d8837aa175fa873beed88b2d7a2c67d0",
-    (2, None): "48c009181e344448276ea7e6f504475f2895b720ef7d213c90c7519f5610c8a7",
-    (3, None): "2b2e69066ff651e9653a8f518aff373d9413675aaaa04a4816e19060661a90e1",
-    (2, 37): "9ccf1533ac7630b9bfb4b508c4b7fcb073f02a81098da45eb854bec637ca6659",
+    (1, None): "55a24949f0c941efa6bb98b029336a2fc6e25e8c0686dbe7281d1014f19fc6b0",
+    (2, None): "c2ae6e15251bdc2e52f387d859fa8d6a30214da933ff7b5a5e80bccf576db404",
+    (3, None): "acd36766055395755a2d516708ffa8392796046ebc2e1ba746072fb8b3abe63b",
+    (2, 37): "bdca7d4256c47f4f9fb8a219c29bd893bd0fcc06b1a6d32fdd9749be169a8245",
 }
 
 # sha256 of `verify --no-timing` on the float suites, at the settings of
 # `test_c8_suite_determinism` (seed 0)
 FLOAT_SUITES_SHA256 = {
-    ("calibrations", "--restarts", "40"): "4f85377e2e2d7b3fdddef3d63f7c9580b60f65d95bba02a5e4cbb1a3af36ea8e",
+    ("calibrations", "--restarts", "40"): "85a26fc1b186c27eab1082d4bef69e0b36fc955aa695ecf02b4a8da8a7c38f7b",
     ("propositions", "--samples", "300", "--restarts", "300"):
-        "6130d437aaa87896b4d448ef7a966420b72764f9e7c663d68923ea346d096136",
+        "bf4e79449631cf158f9ee1287d91ba9a77b5c75ce81fc0c1b5fb45bffbd70a1e",
 }
 
 # (n, --samples, --restarts) -> sha256 of `verify --suite propositions`
 # where k = 2n+2 and k = 2n+1 differ from the sampled degrees 3 and 4
 PROPOSITIONS_SHA256 = {
-    (2, 300, 300): "91a1346cff90688a1e9ca58e2ac7d237784afaaee08c9a099a17bc21c6a60f99",
-    (3, 300, 40): "8263144195742c18521b387b86b1feefa3ee95be35394c59861f883891d02cc1",
+    (2, 300, 300): "3bff61f4cf60d93b8ff224bf0a4af6d267e590497f9caef9540b74db43a8170c",
+    (3, 300, 40): "0f4ed9d72fd240b40ef975c4d91401b9e76d51b8bb94f84c7df5a54c7bf93c77",
+}
+
+# sha256 of each verify output pinned above -> sha256 of that output with the
+# whole `coverage_table()` as its "coverage", the bytes `verify` printed while
+# every report carried every suite's ids: the digests pinned then.  So each
+# report changed only under "coverage" when it came to list its own suite only.
+FULL_COVERAGE_SHA256 = {
+    "6358b4752347524abc1e79e97d3e0be55bd2022c1027ce23ffdca247fc819609":
+        "09d468d5fe790b1c615e23a11b734bbffae55252d6b59d57bfd874db81448e43",
+    "a414c6d05814cd173dfdc5e86638f7aba2ed4b54d1c302f944611ec6589bb559":
+        "415aa429ec5d12cb8c565f0d5276afbd97f20e3b9698c120a1dfd47dfb03d7b6",
+    "358d628b70b6c603aa6df24cd5bd741dc85d4dc92068c29dd5a3e202382420ff":
+        "48295e165e0113415afc4b5d22eb8ef32b25fa0280217537801e0b281f73d3a5",
+    "abb5ef3a85d2fc8bc460e2c97cd2c5e68b9934bf1e9cd58d04c3a4b59787cf51":
+        "c6f799fd71cca450b3aef659add2f239d9bb1849207e5224825844a9e6bc72ea",
+    "55a24949f0c941efa6bb98b029336a2fc6e25e8c0686dbe7281d1014f19fc6b0":
+        "5fc1a0cfd1887528a322816b7d2b4908d8837aa175fa873beed88b2d7a2c67d0",
+    "c2ae6e15251bdc2e52f387d859fa8d6a30214da933ff7b5a5e80bccf576db404":
+        "48c009181e344448276ea7e6f504475f2895b720ef7d213c90c7519f5610c8a7",
+    "acd36766055395755a2d516708ffa8392796046ebc2e1ba746072fb8b3abe63b":
+        "2b2e69066ff651e9653a8f518aff373d9413675aaaa04a4816e19060661a90e1",
+    "bdca7d4256c47f4f9fb8a219c29bd893bd0fcc06b1a6d32fdd9749be169a8245":
+        "9ccf1533ac7630b9bfb4b508c4b7fcb073f02a81098da45eb854bec637ca6659",
+    "85a26fc1b186c27eab1082d4bef69e0b36fc955aa695ecf02b4a8da8a7c38f7b":
+        "4f85377e2e2d7b3fdddef3d63f7c9580b60f65d95bba02a5e4cbb1a3af36ea8e",
+    "bf4e79449631cf158f9ee1287d91ba9a77b5c75ce81fc0c1b5fb45bffbd70a1e":
+        "6130d437aaa87896b4d448ef7a966420b72764f9e7c663d68923ea346d096136",
+    "3bff61f4cf60d93b8ff224bf0a4af6d267e590497f9caef9540b74db43a8170c":
+        "91a1346cff90688a1e9ca58e2ac7d237784afaaee08c9a099a17bc21c6a60f99",
+    "0f4ed9d72fd240b40ef975c4d91401b9e76d51b8bb94f84c7df5a54c7bf93c77":
+        "8263144195742c18521b387b86b1feefa3ee95be35394c59861f883891d02cc1",
 }
 
 # (space, n) -> sha256 of `classify --space S --n n` on every `_special_planes(n)`
@@ -120,12 +155,25 @@ def catalog_digest(space: str, n: int) -> str:
     return _sha256(json.dumps({"entries": registry.list_entries(space, n), "forms": forms}, sort_keys=True))
 
 
-def verify_bytes(report) -> str:
-    """What `verify --no-timing` prints for a suite report."""
+def _emitted(payload: dict) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit(dict(report.to_json(include_timing=False), coverage=coverage_table()), pretty=False)
+        _emit(payload, pretty=False)
     return out.getvalue()
+
+
+def verify_bytes(report) -> str:
+    """What `verify --no-timing` prints for a suite report."""
+    return _emitted(dict(report.to_json(include_timing=False), coverage=coverage_table(report.suite)))
+
+
+def pinned_digest(text: str) -> str:
+    """The sha256 of a `verify` output, checked to differ from the output
+    pinned before only under "coverage" (`FULL_COVERAGE_SHA256`)."""
+    digest = _sha256(text)
+    full = _emitted(dict(json.loads(text), coverage=coverage_table()))
+    assert FULL_COVERAGE_SHA256.get(digest) == _sha256(full), digest
+    return digest
 
 
 def verify_digest(argv: list[str]) -> str:
@@ -133,7 +181,7 @@ def verify_digest(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out):
         code = run(["verify", *argv, "--no-timing"])
     assert code == 0, argv
-    return _sha256(out.getvalue())
+    return pinned_digest(out.getvalue())
 
 
 def test_registry_forms_and_exact_suites_are_byte_pinned():
