@@ -1,7 +1,7 @@
 """Byte pins: every registry form, the exact suites' --no-timing output at
 n = 1 and 2, the normal-form suite's --no-timing output, the `classify`
 output on every special and some random planes, and every exact coefficient
-of the link extension catalog at n = 1 and 2.
+of the link extension catalog at n = 1, 2 and 3.
 
 The digests were recorded from the code before the form algebra was unified,
 so a refactor of `exterior`, `symforms`, `model` or `registry` that changes
@@ -12,9 +12,11 @@ each coefficient, which the float JSON of the registry forms does not show,
 so a coefficient left unreduced fails here.  The n=2 exact pins were
 recorded while the catalog still built its sigma_p powers with the generic
 wedge power and `RCoef.diff` still took its derivative through `Poly`
-products.  The normal-form digests were recorded while that suite still
-sampled and normal-formed one plane at a time, so batching it may not
-change one theta, witness or byte.
+products.  The n=3 coefficient digest was recorded while every product of
+an exact wedge and every derivative of `ext_d` was still made as an `RCoef`
+of its own before its blade's sum.  The normal-form digests were recorded
+while that suite still sampled and normal-formed one plane at a time, so
+batching it may not change one theta, witness or byte.
 
 The calibrations and propositions digests pin float outputs: comass
 searches, maximizer counts and float witnesses.  They were recorded on a
@@ -143,6 +145,7 @@ CLASSIFY_SHA256 = {
 LINK_EXTENSION_COEFFICIENTS_SHA256 = {
     1: "1f2195c0d237cb36b81bfc6f6d9259ec6eaa1f4ce3722e51597c9c1e13487dc3",
     2: "3a92899ea1e60428b5a082b018fd84650e641befa55824121a7992f0d6c0eaf8",
+    3: "ce787498805e3f5ffe9a325c08e8b1d601f0a45c34655e3d58e82f18a21d5820",
 }
 
 
