@@ -5,11 +5,13 @@ from strictly increasing index lists to coefficients.  Coefficients may come
 from any commutative ring whose elements support +, -, * and truth testing
 (false exactly for zero): int, Fraction, float, or the exact cone
 coefficients `symforms.RCoef`.  Exact types stay exact through every
-operation.  The products that land on one blade are summed in the order they
-are made: by `sum_of` where their ring defines one (`RCoef` reduces a whole
-blade sum once), else left to right with `+`.  Complex-valued forms are a
-pair of real forms (`ComplexAltForm`), and all operations distribute over the
-pair.
+operation.  An operation collects the signed factor pairs (sign, a, b) that
+land on each blade, in the order it makes them, and one helper (`_totals`)
+sums them: a ring that defines `sum_of_products` folds each product straight
+into its blade's sum (`RCoef` multiplies the numerators into the blade's
+s-levels and reduces the sum once), any other multiplies and adds left to
+right with `*` and `+`.  Complex-valued forms are a pair of real forms
+(`ComplexAltForm`), and all operations distribute over the pair.
 
 Vectors are plain sequences / 1-D numpy arrays of length N.
 """
@@ -90,19 +92,23 @@ def _drop_sign(mask: int, i: int) -> int:
 
 
 def _totals(products: dict) -> dict:
-    """{mask: the sum of its list of products}, each list summed in order.
+    """{mask: the sum of sign * a * b over its list of factor pairs (sign, a, b)},
+    each list summed in order; a lone value c is the pair (1, c, 1).
 
-    The products of one operation share a ring, read off the first product.
-    A ring that defines `sum_of` (the exact cone coefficients) sums each list
-    in one call; any other folds it left to right with `+`, so a float total
-    has the bits of a running sum (builtin `sum` compensates float sums from
-    Python 3.12 on).
+    The pairs of one operation share a ring, read off the first pair's
+    factors.  A ring that defines `sum_of_products` (the exact cone
+    coefficients) folds each list in one call.  Any other multiplies each
+    pair, negates the product for sign -1, and adds the products left to
+    right with `+`, so a float total has the bits of a running sum (builtin
+    `sum` compensates float sums from Python 3.12 on).
     """
-    ring = type(next(iter(products.values()))[0]) if products else None
-    sum_of = getattr(ring, "sum_of", None)
-    if sum_of is None:
-        return {m: reduce(add, ps) for m, ps in products.items()}
-    return {m: sum_of(ps) for m, ps in products.items()}
+    if not products:
+        return {}
+    _, a, b = next(iter(products.values()))[0]
+    fold = getattr(type(a), "sum_of_products", None) or getattr(type(b), "sum_of_products", None)
+    if fold is not None:
+        return {m: fold(ps) for m, ps in products.items()}
+    return {m: reduce(add, (a * b if sign > 0 else -(a * b) for sign, a, b in ps)) for m, ps in products.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ class AltForm:
                     raise ValueError(f"blade {key} has wrong length for degree {degree}")
                 if mask >= (1 << dim):
                     raise ValueError(f"blade {key} out of range for dimension {dim}")
-                products[mask].append(coeff)
+                products[mask].append((1, coeff, 1))
             self._terms = {m: c for m, c in _totals(products).items() if c}
 
     # -- constructors -------------------------------------------------------
@@ -334,10 +340,9 @@ def wedge(a, b):
         return AltForm.zero(a.dim, degree)
     products: dict[int, list] = defaultdict(list)
     for m1, c1 in a._raw_terms().items():
-        n1 = -c1  # negated once per term of a, not once per product
         for m2, c2 in b._raw_terms().items():
             if not m1 & m2:
-                products[m1 | m2].append(c1 * c2 if _merge_sign(m1, m2) > 0 else n1 * c2)
+                products[m1 | m2].append((_merge_sign(m1, m2), c1, c2))
     return AltForm(a.dim, degree, _raw=_totals(products))
 
 
@@ -378,8 +383,7 @@ def interior(v, a):
             m ^= low
             vi = entries[i]
             if vi:
-                term = c * vi
-                products[mask ^ low].append(term if _drop_sign(mask, i) > 0 else -term)
+                products[mask ^ low].append((_drop_sign(mask, i), c, vi))
     return AltForm(a.dim, a.degree - 1, _raw=_totals(products))
 
 
@@ -522,7 +526,7 @@ def form_from_json(data) -> AltForm | ComplexAltForm:
             c = t.get(key, 0.0)
             if isinstance(c, bool) or not isinstance(c, numbers.Real):
                 raise ValueError(f"term {indices} has a coefficient {key!r} that is not a number: {c!r}")
-            part[mask].append(float(c))
+            part[mask].append((1, float(c), 1))
     re, im = (AltForm(dim, degree, _raw=_totals(part)) for part in parts.values())
     for m, c in [*re._raw_terms().items(), *im._raw_terms().items()]:
         if not math.isfinite(c):

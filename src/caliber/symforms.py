@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, _totals, interior, wedge, wedge_powers
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, interior, wedge, wedge_powers
 
 __all__ = [
     "Poly",
@@ -157,18 +157,8 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        # one pass over each factor's keys, never over the pairs; most products
-        # here have an empty factor, which cannot overflow
-        if self.terms and reduce(or_, other.terms, reduce(or_, self.terms, 0)) & _high_bits(self.dim):
-            _check_product_exponents(self, other)
         acc: dict[int, object] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                v = acc.get(k)
-                acc[k] = c1 * c2 if v is None else v + c1 * c2
+        _mul_into(acc, self, other)
         return Poly._wrap(self.dim, {k: c for k, c in acc.items() if c})
 
     def scale(self, c) -> "Poly":
@@ -236,32 +226,46 @@ class Poly:
         return Poly._wrap(dim, quot)
 
 
-def _diff_part(poly: Poly, i: int, m: int) -> Poly:
-    """S dP/dx_i + m x_i P for S = sum x_j^2, in one pass over P's terms;
-    raises OverflowError where the products S * dP/dx_i and m x_i * P would."""
+def _mul_into(acc: dict, a: Poly, b: Poly, neg: bool = False) -> None:
+    """acc += a * b, or -= when neg, term by term; raises OverflowError where
+    some exponent of a * b would exceed 8 bits."""
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    # one pass over each factor's keys, never over the pairs; most products
+    # here have an empty factor, which cannot overflow
+    if a.terms and reduce(or_, b.terms, reduce(or_, a.terms, 0)) & _high_bits(a.dim):
+        _check_product_exponents(a, b)
+    for k1, c1 in a.terms.items():
+        if neg:
+            c1 = -c1
+        for k2, c2 in b.terms.items():
+            k = k1 + k2
+            v = acc.get(k)
+            acc[k] = c1 * c2 if v is None else v + c1 * c2
+
+
+def _diff_part(acc: dict, poly: Poly, i: int, m: int, neg: bool, lift: bool = True) -> None:
+    """acc += L dP/dx_i + m x_i P, or -= when neg, for L = S = sum x_j^2 (or
+    L = 1 when not lift), in one pass over P's terms; raises OverflowError
+    where the products S * dP/dx_i and m x_i * P would."""
     dim, terms = poly.dim, poly.terms
     if terms and reduce(or_, terms, 0) & _high_bits(dim):  # an exponent >= 128
-        _check_product_exponents(poly.diff(i), _sumsq(dim))
+        if lift:
+            _check_product_exponents(poly.diff(i), _sumsq(dim))
         if m:
             _check_product_exponents(poly, Poly.x(dim, i))
-    shift, sq, acc = _BITS * i, _square_keys(dim), {}
+    sign, shift = -1 if neg else 1, _BITS * i
+    m, lift_keys = m * sign, _square_keys(dim) if lift else (0,)
     for k, c in terms.items():
         if e := (k >> shift) & _MASK:
-            ce, base = c * e, k - (1 << shift)
-            for s2 in sq:
+            ce, base = c * (e * sign), k - (1 << shift)
+            for s2 in lift_keys:
                 v = acc.get(base + s2)
                 acc[base + s2] = ce if v is None else v + ce
         if m:
             kk = k + (1 << shift)
             v = acc.get(kk)
             acc[kk] = c * m if v is None else v + c * m
-    return Poly._wrap(dim, {k: c for k, c in acc.items() if c})
-
-
-def _add_into(acc: dict, terms: dict) -> None:
-    for k, c in terms.items():
-        v = acc.get(k)
-        acc[k] = c if v is None else v + c
 
 
 @lru_cache(maxsize=None)
@@ -278,6 +282,44 @@ def _sumsq(dim: int, k: int = 1) -> Poly:
     return _sumsq(dim, k - 1) * _sumsq(dim)
 
 
+def _level(levels: dict, s: int) -> list:
+    return levels.get(s) or levels.setdefault(s, [{}, {}, 0])
+
+
+def _fold_coef(levels: dict, c: "RCoef") -> None:
+    """Add a (reduced) coefficient into the level of its s."""
+    level = levels.get(c.s)
+    if level is None:  # a level starts from copies of its first numerators
+        levels[c.s] = [dict(c.p.terms), dict(c.q.terms), 1]
+        return
+    for acc, part in ((level[0], c.p.terms), (level[1], c.q.terms)):
+        for k, v in part.items():
+            old = acc.get(k)
+            acc[k] = v if old is None else old + v
+    level[2] += 1
+
+
+def _finish(dim: int, levels: dict) -> "RCoef":
+    """The sum of a level accumulator {s: [P terms, Q terms, summands]}: each
+    level lifted to the largest s by S^(top - s), zeros dropped, and reduced.
+    A summand not known to be reduced counts twice.  When the largest s > 0
+    holds one summand (N >= 2), the other levels bring a factor S and it does
+    not, so S cannot divide the sum and no division is tried."""
+    top = max(levels)
+    p_acc, q_acc, at_top = levels[top]
+    for s, (p, q, _) in levels.items():
+        if s < top:
+            for part, acc in ((p, p_acc), (q, q_acc)):
+                part = {k: c for k, c in part.items() if c}
+                if part:
+                    _mul_into(acc, Poly._wrap(dim, part), _sumsq(dim, top - s))
+    p = Poly._wrap(dim, {k: c for k, c in p_acc.items() if c})
+    q = Poly._wrap(dim, {k: c for k, c in q_acc.items() if c})
+    if top and (dim < 2 or at_top > 1):
+        return RCoef(dim, p, q, top)
+    return RCoef._reduced(dim, p, q, top)
+
+
 class RCoef:
     """A cone coefficient (P + Q r) / r^{2s} in canonical reduced form.
 
@@ -285,6 +327,12 @@ class RCoef:
     and Q; a zero coefficient has s = 0.  The generic constructor takes
     s >= 0 and divides by S until that holds, so the reduced form of a value
     is unique and equal coefficients have equal (p, q, s).
+
+    A sum, an exact wedge or contraction blade, and an `ext_d` blade are one
+    level accumulator, the numerators of P and of Q per s: each summand,
+    product (`_mul_into`) or derivative (`_diff_part`) adds into its level
+    as it is made, with no `RCoef` of its own, and one step (`_finish`)
+    lifts the levels to the largest s and reduces the sum once.
 
     For N >= 2, S is prime in Q[x_0..x_{N-1}] (irreducible, and the ring is a
     UFD), and does not divide x_i.  So these results are reduced already and
@@ -296,17 +344,15 @@ class RCoef:
     - the product of two coefficients that each have one part (P or Q r)
       only, with s > 0 for one of them: S can divide the product only through
       the numerator of a factor with s = 0, so that small numerator is the one
-      divided (`_one_part_product`);
-    - a sum whose largest s > 0 belongs to one term alone (`sum_of`);
+      divided (`_one_part_factors`), and at s = 0 for both no S appears
+      unless both are Q parts (at every N);
+    - a sum whose largest s > 0 holds one reduced summand alone (`_finish`);
     - a one-part coefficient times r^m that keeps its numerator, when s > 0
       before or s = 0 after (`times_r_power`, at every N).
     Every other result gets the generic reduction, which rules most failing
     divisions out by two key comparisons (`Poly.try_div_sumsq`).  At N = 1,
     S = x_0^2 is a square, (x_0 / r^2)^2 = 1 / r^2, and only the shortcuts
     marked "at every N" apply.
-
-    The derivative ((S P_i - 2s x_i P) + (S Q_i + (1 - 2s) x_i Q) r) / r^{2s+2}
-    makes each part in one pass over its numerator's terms (`_diff_part`).
 
     Multiplying by a rational scalar is allowed, and a rational compares
     equal to its constant coefficient, so `RCoef` can be the coefficient ring
@@ -359,41 +405,34 @@ class RCoef:
 
     @staticmethod
     def sum_of(coeffs: Sequence["RCoef"]) -> "RCoef":
-        """The sum of one or more coefficients, reduced once.
-
-        Each coefficient's numerators fold into the level of its s, so the
-        sum holds one numerator pair per level rather than every term; every
-        level is lifted to the largest s, and the result reduced.  When that
-        s > 0 belongs to one term only (N >= 2), the other levels bring a
-        factor S and the one term is reduced, so S cannot divide the sum and
-        no division is tried.  A one-term sum is the term itself.
-        """
+        """The sum of one or more coefficients, reduced once (`_finish`).
+        A one-term sum is the term itself."""
         if len(coeffs) == 1:
             return coeffs[0]
-        dim = coeffs[0].dim
-        levels: dict[int, list] = {}
+        levels: dict = {}
         for c in coeffs:
-            level = levels.get(c.s)
-            if level is None:  # a level starts from copies of its first numerators
-                levels[c.s] = [dict(c.p.terms), dict(c.q.terms), 1]
-                continue
-            for acc, part in ((level[0], c.p.terms), (level[1], c.q.terms)):
-                if part:
-                    _add_into(acc, part)
-            level[2] += 1
-        top = max(levels)
-        p_acc, q_acc, at_top = levels[top]
-        for s, (p, q, _) in levels.items():
-            if s < top:
-                for part, acc in ((p, p_acc), (q, q_acc)):
-                    part = {k: c for k, c in part.items() if c}
-                    if part:
-                        _add_into(acc, (Poly._wrap(dim, part) * _sumsq(dim, top - s)).terms)
-        p = Poly._wrap(dim, {k: c for k, c in p_acc.items() if c})
-        q = Poly._wrap(dim, {k: c for k, c in q_acc.items() if c})
-        if top > 0 and dim >= 2 and at_top == 1:
-            return RCoef._reduced(dim, p, q, top)
-        return RCoef(dim, p, q, top)
+            _fold_coef(levels, c)
+        return _finish(coeffs[0].dim, levels)
+
+    @staticmethod
+    def sum_of_products(pairs) -> "RCoef":
+        """The sum of sign * a * b over (sign, a, b), a or b maybe rational,
+        reduced once.  A product of one-part coefficients is multiplied
+        straight into its level; any other is made and reduced first."""
+        levels: dict = {}
+        for sign, a, b in pairs:
+            if not isinstance(a, RCoef):
+                a, b = b, a
+            one_part = a._one_part_factors(b) if isinstance(b, RCoef) else None
+            if one_part is None:
+                c = a * b
+                _fold_coef(levels, -c if sign < 0 else c)
+            else:
+                s, odd, na, nb = one_part
+                level = _level(levels, s)
+                _mul_into(level[odd], na, nb, sign < 0)
+                level[2] += 1
+        return _finish(a.dim, levels)
 
     def __bool__(self) -> bool:
         return bool(self.p.terms or self.q.terms)
@@ -420,21 +459,18 @@ class RCoef:
             if other == 0:
                 return RCoef.const(dim, 0)
             return RCoef._reduced(dim, self.p.scale(other), self.q.scale(other), self.s)
-        if (self.s or other.s) and dim >= 2 and self._one_part() and other._one_part():
-            return self._one_part_product(other)
-        # (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 r^2 + (p1 q2 + q1 p2) r; most
-        # coefficients here have an empty q part, whose products are skipped
-        p = self.p * other.p
-        if self.q.terms and other.q.terms:
-            p = p + (self.q * other.q) * _sumsq(dim)
-            q = self.p * other.q + self.q * other.p
-        elif self.q.terms:
-            q = self.q * other.p
-        elif other.q.terms:
-            q = self.p * other.q
-        else:
-            q = self.q  # both empty
-        return RCoef(dim, p, q, self.s + other.s)
+        one_part = self._one_part_factors(other)
+        if one_part is not None:
+            s, odd, na, nb = one_part
+            n, empty = na * nb, Poly._wrap(dim, {})
+            return RCoef._reduced(dim, empty, n, s) if odd else RCoef._reduced(dim, n, empty, s)
+        # (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 r^2 + (p1 q2 + q1 p2) r, not
+        # known to be reduced; a product with an empty factor adds nothing
+        p, q = {}, {}
+        for acc, x, y in ((p, self.p, other.p), (p, self.q * other.q, _sumsq(dim)), (q, self.p, other.q),
+                          (q, self.q, other.p)):
+            _mul_into(acc, x, y)
+        return _finish(dim, {self.s + other.s: [p, q, 2]})
 
     __rmul__ = __mul__
 
@@ -442,33 +478,44 @@ class RCoef:
         """Nonzero with exactly one of P, Q r."""
         return not self.p.terms if self.q.terms else bool(self.p.terms)
 
-    def _one_part_product(self, other: "RCoef") -> "RCoef":
-        """The product of two one-part coefficients, s > 0 for one of them.
-
-        With a.s > 0, S does not divide a's numerator, so S can divide the
-        product only through b's; for b.s = 0 that small numerator is reduced
-        before the product is formed, and for b.s > 0 nothing is tried.
-        """
+    def _one_part_factors(self, other: "RCoef"):
+        """(s, odd, na, nb) with self * other = na nb r^odd / r^{2s} reduced,
+        for one-part factors with s = 0 and a P part for one (at every N) or
+        s > 0 for one (N >= 2); else None.  With a.s > 0, S can divide the
+        product only through b's numerator, reduced first when b.s = 0."""
+        if not (self._one_part() and other._one_part()):
+            return None
         a, b = (self, other) if self.s else (other, self)
         na, a_odd = (a.q, True) if a.q.terms else (a.p, False)
         nb, b_odd = (b.q, True) if b.q.terms else (b.p, False)
+        if not a.s:
+            return None if a_odd and b_odd else (0, a_odd != b_odd, na, nb)
+        if a.dim < 2:
+            return None
         s = a.s + b.s - (a_odd and b_odd)  # r^2 = S cancels one factor
         while not b.s and s and (d := nb.try_div_sumsq()) is not None:
             nb, s = d, s - 1
-        n, empty = na * nb, Poly._wrap(a.dim, {})
-        return RCoef._reduced(a.dim, n, empty, s) if a_odd == b_odd else RCoef._reduced(a.dim, empty, n, s)
+        return s, a_odd != b_odd, na, nb
 
     def diff(self, i: int) -> "RCoef":
-        dim = self.dim
+        levels: dict = {}
+        self._fold_diff(levels, i, False)
+        return _finish(self.dim, levels)
+
+    def _fold_diff(self, levels: dict, i: int, neg: bool) -> None:
+        """Add (-1 if neg) d self/dx_i into a level accumulator: P_i at s = 0
+        with Q empty, else ((S P_i - 2s x_i P) + (S Q_i + (1 - 2s) x_i Q) r)
+        / r^{2s+2}."""
         if not (self.s or self.q.terms):
-            return RCoef._reduced(dim, self.p.diff(i), self.q, 0)
-        two_s = 2 * self.s
-        p_new, q_new = _diff_part(self.p, i, -two_s), _diff_part(self.q, i, 1 - two_s)
-        if self.s and dim >= 2:
-            # modulo S the parts are -2s x_i P and (1 - 2s) x_i Q, and S divides
-            # neither x_i nor both of P, Q
-            return RCoef._reduced(dim, p_new, q_new, self.s + 1)
-        return RCoef(dim, p_new, q_new, self.s + 1)
+            level = _level(levels, 0)
+            _diff_part(level[0], self.p, i, 0, neg, lift=False)
+        else:
+            two_s, level = 2 * self.s, _level(levels, self.s + 1)
+            if self.p.terms:
+                _diff_part(level[0], self.p, i, -two_s, neg)
+            if self.q.terms:
+                _diff_part(level[1], self.q, i, 1 - two_s, neg)
+        level[2] += 1 if self.s else 2  # at s = 0, S may divide both parts
 
     def times_r_power(self, m: int) -> "RCoef":
         """self * r^m.  A one-part X r^e / r^{2s} (e = 1 for a Q part) gives
@@ -547,17 +594,14 @@ def ext_d(f):
     """Exterior derivative; d(r^m) = m r^{m-2} sum_i x_i dx_i, d o d = 0 exactly."""
     if isinstance(f, ComplexAltForm):
         return ComplexAltForm(ext_d(f.re), ext_d(f.im))
-    products: dict[int, list] = defaultdict(list)
-    dim = f.dim
+    dim, blades = f.dim, defaultdict(dict)
     for mask, c in f._raw_terms().items():
-        nc = -c
+        # at s = 0 with no Q part, only the variables of P have a derivative
+        live = -1 if c.s or c.q.terms else reduce(or_, c.p.terms, 0)
         for i in range(dim):
-            bit = 1 << i
-            if not mask & bit:
-                dc = c.diff(i) if _drop_sign(mask, i) > 0 else nc.diff(i)
-                if dc:
-                    products[mask | bit].append(dc)
-    return AltForm(dim, f.degree + 1, _raw=_totals(products))
+            if not mask >> i & 1 and (live >> (_BITS * i)) & _MASK:
+                c._fold_diff(blades[mask | 1 << i], i, _drop_sign(mask, i) < 0)
+    return AltForm(dim, f.degree + 1, _raw={m: _finish(dim, levels) for m, levels in blades.items()})
 
 
 def interior_field(X: tuple, f):

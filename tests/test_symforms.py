@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caliber import symforms as sf
-from caliber.exterior import AltForm, ComplexAltForm, interior, power, pullback, wedge, wedge_powers
+from caliber.exterior import (AltForm, ComplexAltForm, _drop_sign, _merge_sign, interior, power, pullback,
+                              wedge, wedge_powers)
 from caliber.model import build_link_frame
 
 
@@ -153,8 +154,15 @@ def test_rcoef_diff_matches_generic_reduction(data):
     ss, xi = sumsq_power(dim, 1), sf.Poly.x(dim, i)
     p = c.p.diff(i) * ss - c.p * xi.scale(2 * c.s)
     q = c.q.diff(i) * ss + c.q * xi.scale(1 - 2 * c.s)
-    # the one-pass parts are the product formula's, term for term
-    assert sf._diff_part(c.p, i, -2 * c.s) == p and sf._diff_part(c.q, i, 1 - 2 * c.s) == q
+    # the one-pass parts are the product formula's, term for term, and
+    # negated when asked
+    for neg in (False, True):
+        parts = []
+        for part, m in ((c.p, -2 * c.s), (c.q, 1 - 2 * c.s)):
+            acc = {}
+            sf._diff_part(acc, part, i, m, neg)
+            parts.append(sf.Poly(dim, acc))
+        assert parts == ([-p, -q] if neg else [p, q])
     assert same(c.diff(i), generic(dim, p, q, c.s + 1))
 
 
@@ -250,6 +258,151 @@ def test_transverse_powers_match_the_generic_power(n):
                         assert same(b_terms[blade], coef), (p, k, blade)
                     else:  # the constant 1 of the zeroth power
                         assert b_terms[blade] == coef
+
+
+# -- folded blade sums -------------------------------------------------------
+# wedge, interior and ext_d fold each product or derivative straight into its
+# blade's s-levels; each blade must equal the sum of the separately made terms.
+# N = 1 is drawn because S = x_0^2 is a square there.
+
+fold_dims = st.sampled_from([1, 2, 4])
+scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)).filter(bool)
+
+
+def generic_diff(c, i):
+    """d/dx_i of c by the product formula and the reducing constructor."""
+    dim = c.dim
+    if not (c.s or c.q.terms):
+        return generic(dim, c.p.diff(i), c.q, 0)
+    ss, xi = sumsq_power(dim, 1), sf.Poly.x(dim, i)
+    p = c.p.diff(i) * ss - c.p * xi.scale(2 * c.s)
+    q = c.q.diff(i) * ss + c.q * xi.scale(1 - 2 * c.s)
+    return generic(dim, p, q, c.s + 1)
+
+
+@st.composite
+def cone_forms(draw, dim, degree, coefs=None):
+    masks = [m for m in range(1 << dim) if bin(m).count("1") == degree]
+    chosen = draw(st.lists(st.sampled_from(masks), unique=True, min_size=1, max_size=3))
+    coefs = reduced_coefs(dim) if coefs is None else coefs
+    return AltForm(dim, degree, _raw={m: draw(coefs) for m in chosen})
+
+
+def same_blades(form, expected: dict):
+    expected = {m: c for m, c in expected.items() if c}
+    got = form._raw_terms()
+    assert got.keys() == expected.keys()
+    for m, c in expected.items():
+        assert same(got[m], c), m
+
+
+def blade_sums(terms: dict) -> dict:
+    return {m: sf.RCoef.sum_of(ts) for m, ts in terms.items()}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_folded_products_match_the_sum_of_products(data):
+    dim = data.draw(fold_dims)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from([1, -1]), reduced_coefs(dim),
+                                         st.one_of(reduced_coefs(dim), scalars), st.booleans()),
+                               min_size=1, max_size=5))
+    pairs = [(sign, b, a) if flip else (sign, a, b) for sign, a, b, flip in pairs]
+    products = [a * b if sign > 0 else -(a * b) for sign, a, b in pairs]
+    folded = sf.RCoef.sum_of_products(pairs)
+    assert same(folded, sf.RCoef.sum_of(products)) and same(folded, generic_sum(products))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_folded_wedge_and_interior_match_the_sum_of_products(data):
+    dim = data.draw(fold_dims)
+    k1, k2 = data.draw(st.integers(0, min(dim, 2))), data.draw(st.integers(0, min(dim, 2)))
+    f = data.draw(cone_forms(dim, k1))
+    g = data.draw(cone_forms(dim, k2, data.draw(st.sampled_from([None, scalars]))))
+    terms: dict = {}
+    for m1, c1 in f._raw_terms().items():
+        for m2, c2 in g._raw_terms().items():
+            if not m1 & m2 and k1 + k2 <= dim:
+                prod = c1 * c2
+                terms.setdefault(m1 | m2, []).append(prod if _merge_sign(m1, m2) > 0 else -prod)
+    same_blades(wedge(f, g), blade_sums(terms))
+    if k1:
+        v = data.draw(st.lists(st.one_of(reduced_coefs(dim), scalars, st.just(0)), min_size=dim, max_size=dim))
+        terms = {}
+        for mask, c in f._raw_terms().items():
+            for i in range(dim):
+                if mask >> i & 1 and v[i]:
+                    prod = c * v[i]
+                    terms.setdefault(mask ^ 1 << i, []).append(prod if _drop_sign(mask, i) > 0 else -prod)
+        same_blades(interior(v, f), blade_sums(terms))
+
+
+def derivative_sums(f, diff) -> dict:
+    """Each blade of d f as the sum of its separately made signed derivatives."""
+    terms: dict = {}
+    for mask, c in f._raw_terms().items():
+        for i in range(f.dim):
+            if not mask >> i & 1:
+                terms.setdefault(mask | 1 << i, []).append(diff(c, i) * _drop_sign(mask, i))
+    return terms
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_folded_derivatives_match_the_sum_of_derivatives(data):
+    dim = data.draw(fold_dims)
+    f = data.draw(cone_forms(dim, data.draw(st.integers(0, min(dim, 2) - 1))))
+    df = sf.ext_d(f)
+    same_blades(df, blade_sums(derivative_sums(f, sf.RCoef.diff)))
+    same_blades(df, {m: generic_sum(ts) for m, ts in derivative_sums(f, generic_diff).items()})
+
+
+def test_folded_wedge_raises_where_the_products_overflow():
+    # exponents from 128 up have the top bit of their field set, which sends a
+    # product to the exact check; 127 + 128 and 254 + 1 still fit in 8 bits
+    dim, zero = 2, sf.Poly(2, {})
+    x0 = lambda e: sf.Poly.x(dim, 0, e)  # noqa: E731
+    one_part = lambda e, s: sf.RCoef(dim, x0(e), zero, s)  # noqa: E731
+    two_part = lambda e, s: sf.RCoef(dim, x0(e), sf.Poly.x(dim, 1), s)  # noqa: E731
+    for make_a, make_b in ((one_part, one_part), (one_part, two_part), (two_part, two_part)):
+        for (ea, eb), raises in (((127, 128), False), ((254, 1), False), ((128, 128), True), ((255, 1), True)):
+            for sa, sb in ((0, 0), (1, 0), (2, 1)):
+                a, b = make_a(ea, sa), make_b(eb, sb)
+                f, g = AltForm(dim, 1, _raw={0b01: a}), AltForm(dim, 1, _raw={0b10: b})
+                if raises:
+                    with pytest.raises(OverflowError):
+                        a * b
+                    with pytest.raises(OverflowError):
+                        wedge(f, g)
+                else:
+                    assert same(wedge(f, g)._raw_terms()[0b11], a * b)
+    # lifting a lower level by S: x_0^254 at s = 0 beside a summand at s = 1
+    low, high = AltForm(dim, 1, _raw={0b01: one_part(254, 0)}), AltForm(dim, 1, _raw={0b10: one_part(1, 1)})
+    with pytest.raises(OverflowError):
+        wedge(low, AltForm(dim, 1, _raw={0b10: sf.RCoef.const(dim, 1)})) + wedge(high, low)
+    with pytest.raises(OverflowError):
+        sf.RCoef.sum_of_products([(1, one_part(254, 0), sf.RCoef.const(dim, 1)), (1, one_part(1, 1), 1)])
+
+
+def test_folded_ext_d_raises_where_the_derivatives_overflow():
+    # S dP/dx_0 adds 2 to every exponent but x_0's, and m x_0 P adds 1 to
+    # x_0's: 254 and 255 overflow where 253 and 254 fit; 128 passes the check
+    dim, zero = 3, sf.Poly(3, {})
+    x = lambda i, e: sf.Poly.x(dim, i, e)  # noqa: E731
+    for (p, q, s), raises in (((x(0, 1) * x(1, 254), zero, 1), True), ((x(0, 255), zero, 1), True),
+                              ((x(0, 1), x(0, 1) * x(2, 254), 0), True), ((zero, x(0, 255) * x(1, 1), 2), True),
+                              ((x(0, 1) * x(1, 253) + x(0, 254), zero, 1), False),
+                              ((x(0, 128) * x(1, 127), x(2, 128), 1), False), ((x(1, 255), x(0, 1), 0), False)):
+        c = sf.RCoef(dim, p, q, s)
+        f = AltForm(dim, 2, _raw={0b110: c})  # d f = dc/dx_0 dx_0 ^ dx_1 ^ dx_2
+        if raises:
+            with pytest.raises(OverflowError):
+                c.diff(0)
+            with pytest.raises(OverflowError):
+                sf.ext_d(f)
+        else:
+            same_blades(sf.ext_d(f), blade_sums(derivative_sums(f, sf.RCoef.diff)))
 
 
 def test_float_wedge_sums_each_blade_left_to_right():
