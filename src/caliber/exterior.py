@@ -23,9 +23,7 @@ import math
 import numbers
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -74,16 +72,15 @@ def _indices_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _merge_sign(m1: int, m2: int) -> int:
-    """Sign of sorting the concatenation of two disjoint increasing lists."""
-    inv = 0
-    m = m2
-    while m:
-        low = m & -m
-        j = low.bit_length() - 1
-        inv ^= (m1 >> (j + 1)).bit_count() & 1
-        m ^= low
-    return -1 if inv else 1
+def _odd_above(m1: int) -> int:
+    """The bits j with an odd number of indices of m1 above j: sorting the
+    concatenation of m1's and a disjoint m2's increasing index lists has the
+    sign (-1)^popcount(_odd_above(m1) & m2)."""
+    out = odd = 0
+    for j in range(m1.bit_length() - 1, -1, -1):
+        out |= odd << j
+        odd ^= m1 >> j & 1
+    return out
 
 
 def _drop_sign(mask: int, i: int) -> int:
@@ -93,22 +90,26 @@ def _drop_sign(mask: int, i: int) -> int:
 
 def _totals(products: dict) -> dict:
     """{mask: the sum of sign * a * b over its list of factor pairs (sign, a, b)},
-    each list summed in order; a lone value c is the pair (1, c, 1).
-
-    The pairs of one operation share a ring, read off the first pair's
-    factors.  A ring that defines `sum_of_products` (the exact cone
-    coefficients) folds each list in one call.  Any other multiplies each
-    pair, negates the product for sign -1, and adds the products left to
-    right with `+`, so a float total has the bits of a running sum (builtin
-    `sum` compensates float sums from Python 3.12 on).
-    """
+    in order; a lone value c is the pair (1, c, 1).  The pairs of one
+    operation share a ring, read off the first pair.  A ring that defines
+    `sum_of_products` (the exact cone coefficients) folds each list in one
+    call; any other negates a product for sign -1 and adds left to right, so
+    a float total has the bits of a running sum (builtin `sum` compensates
+    float sums from Python 3.12 on)."""
     if not products:
         return {}
     _, a, b = next(iter(products.values()))[0]
     fold = getattr(type(a), "sum_of_products", None) or getattr(type(b), "sum_of_products", None)
     if fold is not None:
         return {m: fold(ps) for m, ps in products.items()}
-    return {m: reduce(add, (a * b if sign > 0 else -(a * b) for sign, a, b in ps)) for m, ps in products.items()}
+    out = {}
+    for m, ps in products.items():
+        total = None
+        for sign, a, b in ps:
+            t = a * b if sign > 0 else -(a * b)
+            total = t if total is None else total + t
+        out[m] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +341,10 @@ def wedge(a, b):
         return AltForm.zero(a.dim, degree)
     products: dict[int, list] = defaultdict(list)
     for m1, c1 in a._raw_terms().items():
+        odd = _odd_above(m1)
         for m2, c2 in b._raw_terms().items():
             if not m1 & m2:
-                products[m1 | m2].append((_merge_sign(m1, m2), c1, c2))
+                products[m1 | m2].append((-1 if (odd & m2).bit_count() & 1 else 1, c1, c2))
     return AltForm(a.dim, degree, _raw=_totals(products))
 
 
@@ -376,14 +378,14 @@ def interior(v, a):
         raise ValueError("cannot contract a 0-form")
     products: dict[int, list] = defaultdict(list)
     for mask, c in a._raw_terms().items():
-        m = mask
+        m, sign = mask, 1  # (-1)^(position of the index in the blade)
         while m:
             low = m & -m
-            i = low.bit_length() - 1
             m ^= low
-            vi = entries[i]
+            vi = entries[low.bit_length() - 1]
             if vi:
-                products[mask ^ low].append((_drop_sign(mask, i), c, vi))
+                products[mask ^ low].append((sign, c, vi))
+            sign = -sign
     return AltForm(a.dim, a.degree - 1, _raw=_totals(products))
 
 

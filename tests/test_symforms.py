@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caliber import symforms as sf
-from caliber.exterior import (AltForm, ComplexAltForm, _drop_sign, _merge_sign, interior, power, pullback,
-                              wedge, wedge_powers)
+from caliber.exterior import AltForm, ComplexAltForm, _drop_sign, interior, power, pullback, wedge, wedge_powers
 from caliber.model import build_link_frame
 
 
@@ -296,6 +295,12 @@ def same_blades(form, expected: dict):
         assert same(got[m], c), m
 
 
+def merge_sign(m1, m2):
+    """(-1)^(inversions of m1's indices followed by m2's)."""
+    i1, i2 = [i for i in range(m1.bit_length()) if m1 >> i & 1], [i for i in range(m2.bit_length()) if m2 >> i & 1]
+    return -1 if sum(a > b for a in i1 for b in i2) % 2 else 1
+
+
 def blade_sums(terms: dict) -> dict:
     return {m: sf.RCoef.sum_of(ts) for m, ts in terms.items()}
 
@@ -325,7 +330,7 @@ def test_folded_wedge_and_interior_match_the_sum_of_products(data):
         for m2, c2 in g._raw_terms().items():
             if not m1 & m2 and k1 + k2 <= dim:
                 prod = c1 * c2
-                terms.setdefault(m1 | m2, []).append(prod if _merge_sign(m1, m2) > 0 else -prod)
+                terms.setdefault(m1 | m2, []).append(prod if merge_sign(m1, m2) > 0 else -prod)
     same_blades(wedge(f, g), blade_sums(terms))
     if k1:
         v = data.draw(st.lists(st.one_of(reduced_coefs(dim), scalars, st.just(0)), min_size=dim, max_size=dim))
