@@ -687,8 +687,6 @@ def run_suite(suite: str, n: int, seed: int = 0, samples: int | None = None,
               restarts: int | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if suite in ("identities", "cones") and n not in (1, 2):
-        raise ValueError(f"suite {suite!r} supports n in (1, 2), got {n}")
     if n not in (1, 2, 3):
         raise ValueError(f"n must be in (1, 2, 3), got {n}")
     build, defaults = _SUITES[suite]

@@ -107,8 +107,8 @@ def test_verify_pass_and_exit_codes(capsys):
 
 
 def test_verify_unsupported_n_exits_2(capsys):
-    code, _, err = invoke(capsys, "verify", "--suite", "identities", "--n", "3")
-    assert code == 2 and "supports" in err
+    code, _, err = invoke(capsys, "verify", "--suite", "identities", "--n", "4")
+    assert code == 2 and "--n must be in 1..3" in err
 
 
 def test_unknown_flag_exits_2(capsys):
