@@ -268,6 +268,12 @@ def _diff_part(acc: dict, poly: Poly, i: int, m: int, neg: bool, lift: bool = Tr
             acc[kk] = c * m if v is None else v + c * m
 
 
+def _add_into(acc: dict, terms: dict) -> None:
+    for k, c in terms.items():
+        v = acc.get(k)
+        acc[k] = c if v is None else v + c
+
+
 @lru_cache(maxsize=None)
 def _square_keys(dim: int) -> tuple[int, ...]:
     """The packed keys of x_0^2 .. x_{N-1}^2."""
@@ -282,20 +288,14 @@ def _sumsq(dim: int, k: int = 1) -> Poly:
     return _sumsq(dim, k - 1) * _sumsq(dim)
 
 
-def _level(levels: dict, s: int) -> list:
-    return levels.get(s) or levels.setdefault(s, [{}, {}, 0])
-
-
 def _fold_coef(levels: dict, c: "RCoef") -> None:
     """Add a (reduced) coefficient into the level of its s."""
     level = levels.get(c.s)
     if level is None:  # a level starts from copies of its first numerators
         levels[c.s] = [dict(c.p.terms), dict(c.q.terms), 1]
         return
-    for acc, part in ((level[0], c.p.terms), (level[1], c.q.terms)):
-        for k, v in part.items():
-            old = acc.get(k)
-            acc[k] = v if old is None else old + v
+    _add_into(level[0], c.p.terms)
+    _add_into(level[1], c.q.terms)
     level[2] += 1
 
 
@@ -312,7 +312,7 @@ def _finish(dim: int, levels: dict) -> "RCoef":
             for part, acc in ((p, p_acc), (q, q_acc)):
                 part = {k: c for k, c in part.items() if c}
                 if part:
-                    _mul_into(acc, Poly._wrap(dim, part), _sumsq(dim, top - s))
+                    _add_into(acc, (Poly._wrap(dim, part) * _sumsq(dim, top - s)).terms)
     p = Poly._wrap(dim, {k: c for k, c in p_acc.items() if c})
     q = Poly._wrap(dim, {k: c for k, c in q_acc.items() if c})
     if top and (dim < 2 or at_top > 1):
@@ -329,10 +329,11 @@ class RCoef:
     is unique and equal coefficients have equal (p, q, s).
 
     A sum, an exact wedge or contraction blade, and an `ext_d` blade are one
-    level accumulator, the numerators of P and of Q per s: each summand,
-    product (`_mul_into`) or derivative (`_diff_part`) adds into its level
-    as it is made, with no `RCoef` of its own, and one step (`_finish`)
-    lifts the levels to the largest s and reduces the sum once.
+    level accumulator, the numerators of P and of Q per s: a summand's
+    numerators, a product of one-part coefficients (`_mul_into`) and a
+    derivative (`_diff_part`) add into their level as they are made, the
+    last two with no `RCoef` of their own, and one step (`_finish`) lifts the
+    levels to the largest s and reduces the sum once.
 
     For N >= 2, S is prime in Q[x_0..x_{N-1}] (irreducible, and the ring is a
     UFD), and does not divide x_i.  So these results are reduced already and
@@ -429,7 +430,7 @@ class RCoef:
                 _fold_coef(levels, -c if sign < 0 else c)
             else:
                 s, odd, na, nb = one_part
-                level = _level(levels, s)
+                level = levels.get(s) or levels.setdefault(s, [{}, {}, 0])
                 _mul_into(level[odd], na, nb, sign < 0)
                 level[2] += 1
         return _finish(a.dim, levels)
@@ -506,15 +507,11 @@ class RCoef:
         """Add (-1 if neg) d self/dx_i into a level accumulator: P_i at s = 0
         with Q empty, else ((S P_i - 2s x_i P) + (S Q_i + (1 - 2s) x_i Q) r)
         / r^{2s+2}."""
-        if not (self.s or self.q.terms):
-            level = _level(levels, 0)
-            _diff_part(level[0], self.p, i, 0, neg, lift=False)
-        else:
-            two_s, level = 2 * self.s, _level(levels, self.s + 1)
-            if self.p.terms:
-                _diff_part(level[0], self.p, i, -two_s, neg)
-            if self.q.terms:
-                _diff_part(level[1], self.q, i, 1 - two_s, neg)
+        s = self.s + 1 if self.s or self.q.terms else 0
+        level = levels.get(s) or levels.setdefault(s, [{}, {}, 0])
+        for acc, part, m in ((level[0], self.p, -2 * self.s), (level[1], self.q, 1 - 2 * self.s)):
+            if part.terms:
+                _diff_part(acc, part, i, m, neg, lift=s > 0)
         level[2] += 1 if self.s else 2  # at s = 0, S may divide both parts
 
     def times_r_power(self, m: int) -> "RCoef":
