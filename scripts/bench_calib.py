@@ -45,7 +45,9 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   S^4 on R^16; and the number of `Poly.try_div_sumsq`, `Poly.__mul__` and
   `RCoef.__add__` calls in one `identities` plus `cones` pass at n = 1 made
   after a first pass has built the catalogs (exact counts, stored under
-  "exact_counts" with the pass's seconds);
+  "exact_counts" with the pass's seconds).  Each exact row also holds the
+  cyclic-GC collections [gen0, gen1, gen2] that one untimed call of its
+  kernel starts after a full collection (`gc.callbacks`), under "gc";
 - the wall time of `verify --suite identities|cones --no-timing` in a fresh
   process of the same checkout at n = 1, 2, and at n = 3 where the checkout
   accepts it (one run each, with its exit code);
@@ -66,6 +68,7 @@ alternating before/after runs spread the load of a shared host over both.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -178,6 +181,29 @@ def _best_cold(build, clear):
     return min(rounds)
 
 
+def _gc_collections(fn) -> list:
+    """[gen0, gen1, gen2]: the cyclic-GC collections one call of fn starts,
+    counted from a full collection."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(count)
+    return counts
+
+
+def _exact_row(fn, **row) -> dict:
+    """A timed exact kernel, with the GC collections of one more call."""
+    return dict(row, s=_best(fn), gc=_gc_collections(fn))
+
+
 def _exact_pass():
     for suite in ("identities", "cones"):
         run_suite(suite, 1)
@@ -243,26 +269,32 @@ def _rp_products(n: int) -> list:
 
 def _exact_kernels() -> dict:
     cat = symforms.link_extension_catalog
-    out = {f"link_extension_catalog/n{n}": {"s": _best_cold(lambda: cat(n), cat.cache_clear)} for n in (1, 2)}
+
+    def cold(n):
+        cat.cache_clear()
+        cat(n)
+
+    out = {f"link_extension_catalog/n{n}": {"s": _best_cold(lambda: cat(n), cat.cache_clear),
+                                             "gc": _gc_collections(lambda: cold(n))} for n in (1, 2)}
     # a checkout without the binomial helper or the r-power shift times only
     # the generic power, and multiplies by r^m as a product
     binomial = getattr(symforms, "transverse_powers", None)
     times_r_power = getattr(symforms, "times_r_power", None) or (lambda f, m: f * symforms.RCoef.r_power(f.dim, m))
     for n in (1, 2):
         sigma = cat(n)["sigma_t1"]
-        out[f"sigma_t1.power{n + 1}/n{n}/generic"] = {"s": _best(lambda: sigma.power(n + 1))}
+        out[f"sigma_t1.power{n + 1}/n{n}/generic"] = _exact_row(lambda: sigma.power(n + 1))
         if binomial is not None:
-            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = {"s": _best(lambda: binomial(n, 1, sigma, n + 1)[n + 1])}
+            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: binomial(n, 1, sigma, n + 1)[n + 1])
         products = _rp_products(n)
-        out[f"rp_products/n{n}"] = {"products": len(products),
-                                    "s": _best(lambda: [times_r_power(f, m) for f, m in products])}
+        out[f"rp_products/n{n}"] = _exact_row(lambda: [times_r_power(f, m) for f, m in products],
+                                              products=len(products))
     psi = cat(1)["psi1"]
-    out["ext_d.psi1/n1"] = {"s": _best(lambda: symforms.ext_d(psi))}
+    out["ext_d.psi1/n1"] = _exact_row(lambda: symforms.ext_d(psi))
     forms = _dd_zero_forms()
-    out["ext_d.ext_d/dd_zero_random"] = {"forms": len(forms),
-                                         "s": _best(lambda: [symforms.ext_d(symforms.ext_d(f)) for f in forms])}
+    out["ext_d.ext_d/dd_zero_random"] = _exact_row(lambda: [symforms.ext_d(symforms.ext_d(f)) for f in forms],
+                                                   forms=len(forms))
     S4 = symforms._sumsq(DIV_DIM, 4)
-    out[f"try_div_sumsq/S^4/R{DIV_DIM}"] = {"terms": len(S4.terms), "s": _best(S4.try_div_sumsq)}
+    out[f"try_div_sumsq/S^4/R{DIV_DIM}"] = _exact_row(S4.try_div_sumsq, terms=len(S4.terms))
     return out
 
 
@@ -489,7 +521,7 @@ def main() -> None:
         fh.write("\n")
     for group, rows in record["results"].items():
         for key, row in rows.items():
-            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "frames")))
+            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "frames", "gc")))
             print(f"{args.label:8s} {group:21s} {key:30s} {row['s'] * 1e3:10.3f} ms"
                   f" (median of {len(runs)}){counts}")
 
