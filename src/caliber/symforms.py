@@ -294,8 +294,10 @@ def _fold_coef(levels: dict, c: "RCoef") -> None:
     if level is None:  # a level starts from copies of its first numerators
         levels[c.s] = [dict(c.p.terms), dict(c.q.terms), 1]
         return
-    _add_into(level[0], c.p.terms)
-    _add_into(level[1], c.q.terms)
+    if c.p.terms:
+        _add_into(level[0], c.p.terms)
+    if c.q.terms:
+        _add_into(level[1], c.q.terms)
     level[2] += 1
 
 
@@ -426,8 +428,7 @@ class RCoef:
                 a, b = b, a
             one_part = a._one_part_factors(b) if isinstance(b, RCoef) else None
             if one_part is None:
-                c = a * b
-                _fold_coef(levels, -c if sign < 0 else c)
+                _fold_coef(levels, a * (-b if sign < 0 else b))
             else:
                 s, odd, na, nb = one_part
                 level = levels.get(s) or levels.setdefault(s, [{}, {}, 0])
