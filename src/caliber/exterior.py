@@ -75,12 +75,13 @@ def _indices_from_mask(mask: int) -> tuple[int, ...]:
 def _odd_above(m1: int) -> int:
     """The bits j with an odd number of indices of m1 above j: sorting the
     concatenation of m1's and a disjoint m2's increasing index lists has the
-    sign (-1)^popcount(_odd_above(m1) & m2)."""
-    out = odd = 0
-    for j in range(m1.bit_length() - 1, -1, -1):
-        out |= odd << j
-        odd ^= m1 >> j & 1
-    return out
+    sign (-1)^popcount(_odd_above(m1) & m2).  The xor-shift cascade leaves in
+    bit j the parity of m1's bits from j up."""
+    x, shift = m1, 1
+    while shift < m1.bit_length():
+        x ^= x >> shift
+        shift <<= 1
+    return x >> 1
 
 
 def _drop_sign(mask: int, i: int) -> int:
