@@ -34,16 +34,17 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   (ORACLE_FORMS_PER_DIM random forms in each of R^6, R^8 and R^12, grouped
   by dimension), each with the frames its `FormEvaluator.grads` and
   `values` calls evaluate (counted once, outside the timed rounds);
-- the exact layer: cold builds of `symforms.link_extension_catalog(1)` and
-  `(2)` (the catalog cache cleared before each, best of EXACT_REPEAT; the
-  model builds stay cached); sigma_1^{n+1} at n = 1, 2, as the generic wedge
-  power and as `symforms.transverse_powers` (a checkout without that helper
-  has no binomial row); every product by r^m of the cones suite at n = 1, 2
-  (`symforms.times_r_power`, or the product by `RCoef.r_power` where that
-  shift is missing); `ext_d` of `psi1` at n = 1; `ext_d` twice on the 100
-  forms of the identities suite's `dd_zero_random` check; `try_div_sumsq` of
-  S^4 on R^16; and the number of `Poly.try_div_sumsq`, `Poly.__mul__` and
-  `RCoef.__add__` calls in one `identities` plus `cones` pass at n = 1 made
+- the exact layer: cold builds of `symforms.link_extension_catalog(n)` for
+  n = 1, 2, 3 (the catalog cache cleared before each, best of EXACT_REPEAT;
+  the model builds stay cached); sigma_1^{n+1} at n = 1, 2, as the generic
+  wedge power and as `symforms.transverse_powers(n, 1)[n + 1]` (a checkout
+  without that helper has no binomial row; one whose helper takes
+  (n, p, sigma, top) gets sigma_t1 and n + 1); every product by r^m of the
+  cones suite at n = 1, 2 (`symforms.times_r_power`, or the product by
+  `RCoef.r_power` where that shift is missing); `ext_d` of `psi1` at n = 1;
+  `ext_d` twice on the 100 forms of the identities suite's `dd_zero_random`
+  check; `try_div_sumsq` of S^4 on R^16; and the number of
+  `Poly.try_div_sumsq`, `Poly.__mul__` and `RCoef.__add__` calls in one `identities` plus `cones` pass at n = 1 made
   after a first pass has built the catalogs (exact counts, stored under
   "exact_counts" with the pass's seconds).  Each exact row also holds the
   cyclic-GC collections [gen0, gen1, gen2] that one untimed call of its
@@ -70,6 +71,7 @@ alternating before/after runs spread the load of a shared host over both.
 import argparse
 import gc
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -275,16 +277,19 @@ def _exact_kernels() -> dict:
         cat(n)
 
     out = {f"link_extension_catalog/n{n}": {"s": _best_cold(lambda: cat(n), cat.cache_clear),
-                                             "gc": _gc_collections(lambda: cold(n))} for n in (1, 2)}
+                                             "gc": _gc_collections(lambda: cold(n))} for n in (1, 2, 3)}
     # a checkout without the binomial helper or the r-power shift times only
     # the generic power, and multiplies by r^m as a product
     binomial = getattr(symforms, "transverse_powers", None)
+    if binomial is not None and len(inspect.signature(binomial).parameters) == 4:
+        powers = binomial  # an older helper, (n, p, sigma, top)
+        binomial = lambda n, p: powers(n, p, cat(n)[f"sigma_t{p}"], n + 1)  # noqa: E731
     times_r_power = getattr(symforms, "times_r_power", None) or (lambda f, m: f * symforms.RCoef.r_power(f.dim, m))
     for n in (1, 2):
         sigma = cat(n)["sigma_t1"]
         out[f"sigma_t1.power{n + 1}/n{n}/generic"] = _exact_row(lambda: sigma.power(n + 1))
         if binomial is not None:
-            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: binomial(n, 1, sigma, n + 1)[n + 1])
+            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: binomial(n, 1)[n + 1])
         products = _rp_products(n)
         out[f"rp_products/n{n}"] = _exact_row(lambda: [times_r_power(f, m) for f, m in products],
                                               products=len(products))

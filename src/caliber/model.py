@@ -267,21 +267,20 @@ def _exactify(M: np.ndarray):
 
 def link_forms(alpha: dict, Omega: dict, sigma_powers: dict, n: int) -> dict:
     """The link forms built from the contact forms alpha_p, the transverse
-    Kahler forms Omega_p and the powers `sigma_powers[p]` of
-    sigma_p = Omega_q + i Omega_r, which list sigma_p^k for k = 0 .. n (dicts
-    keyed by p = 1, 2, 3).  The link frame catalog takes those powers from
-    `wedge_powers`, the exact cone catalog from `symforms.transverse_powers`,
-    and each reads its own forms from them too; psi divides by n! only after
-    its wedge, so the wedge stays in the ring of the powers.
+    Kahler forms Omega_p and the radial-free powers `sigma_powers[p]` of
+    sigma_p = Omega_q + i Omega_r, k = 0 .. n (dicts keyed by p = 1, 2, 3):
+    `wedge_powers` on the link frame, where dr pulls back to 0, and the lifted
+    integer powers r^{-2k} A_p^k of the cone's A_p = sigma{p} on the cone.
+    psi_p is exact in both rings, as sigma_p = r^{-2} A_p - r^{-1} dr ^ tau_p
+    for tau_p = alpha_q + i alpha_r and tau_p ^ dr ^ tau_p = 0; it divides by
+    n! after its wedge, so the wedge stays in the ring of the powers.
 
     The catalog holds alpha, Omega,
     kappa_p = Omega_p - alpha_q ^ alpha_r, the complex
     psi_p = (alpha_q + i alpha_r) ^ sigma_p^n / n! and
     gamma_p = (alpha_q - i alpha_r) ^ (kappa_q + i kappa_r),
     xi_p = kappa_q^2 + kappa_r^2, the associative phi_p and omega1_tilde.
-    The recipe only adds, scales and wedges, so it serves every coefficient
-    ring: the frame catalog (pulled-back constant forms) and the exact cone
-    extensions of `symforms.link_extension_catalog` both come from it.
+    The recipe only adds, scales and wedges, so it serves both rings.
     """
     kappa = {p: Omega[p] - wedge(alpha[q], alpha[r]) for p, (q, r) in CYCLIC_PAIRS.items()}
     cat: dict = {}

@@ -112,8 +112,9 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
     for p, (q, r) in CYCLIC_PAIRS.items():
         checks.append((f"d_kappa{p}_cyclic", lambda p=p, q=q, r=r: kappa_check(p, q, r)))
 
-    def psi_check(p):  # sigma_p^{n+1} binomially; cone_split_upsilon1 keeps the generic power
-        rhs = sf.transverse_powers(n, p, cat[f"sigma_t{p}"], n + 1)[n + 1] * Fraction(2, math.factorial(n))
+    def psi_check(p):  # psi_p takes link_forms' radial-free sigma_p^n, exact as tau_p ^ dr ^ tau_p = 0;
+        # d psi_p takes the full sigma_p^{n+1}, binomially; cone_split_upsilon1 keeps the generic power
+        rhs = sf.transverse_powers(n, p)[n + 1] * Fraction(2, math.factorial(n))
         return _zero_check(sf.ext_d(cat[f"psi{p}"]) - rhs)
 
     for p in (1, 2, 3):

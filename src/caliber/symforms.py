@@ -14,16 +14,17 @@ coefficients: the same sparse algebra (sum, scalar and coefficient multiples,
 wedge, wedge powers, contraction) that evaluates forms numerically.  This
 module adds the calculus that needs point-dependent coefficients: the
 exterior derivative, contraction with vector fields, Lie derivatives, the
-radial split, homogeneous potentials, products by powers of r and the
-binomial powers of sigma_p = Omega_q + i Omega_r.  A vector field is the
-tuple of its `RCoef` components, the sequence that `exterior.interior`
-contracts with.
+radial split, homogeneous potentials, products by powers of r and the full
+powers of sigma_p = Omega_q + i Omega_r (`transverse_powers`).  A vector
+field is the tuple of its `RCoef` components, the sequence that
+`exterior.interior` contracts with.
 
 The distinguished link forms (contact one-forms, transverse Kahler forms, and
 everything built from them) are represented by their canonical conical
 extensions, homogeneous of degree zero, so that link identities become exact
 cone identities and no chart on the sphere is ever needed.  They come from
-the same recipe (`model.link_forms`) as the numeric link catalog.
+`model.link_forms`, as the link frame catalog does, fed radial-free sigma_p
+powers (r^{-2k} A_p^k; psi_p stays exact as tau_p ^ dr ^ tau_p = 0).
 """
 
 from __future__ import annotations
@@ -630,25 +631,22 @@ def cone_split(f):
     return alpha, beta
 
 
-def transverse_powers(n: int, p: int, sigma, top: int) -> list:
-    """[sigma^k for k = 0 .. top], sigma = sigma_p = Omega_q + i Omega_r on the cone.
+def transverse_powers(n: int, p: int) -> list:
+    """[sigma_p^k for k = 0 .. n + 1] on the cone, dr parts included (d psi_p).
 
     With (a_p, b_p) = cone_split(omega_p), r^2 Omega_p = b_p = omega_p - dr ^ a_p,
-    so r^2 sigma = A - D for the integer constant form A = omega_q + i omega_r
-    and D = dr ^ (a_q + i a_r).  D ^ D = 0 and 2-forms commute, so
-    sigma^k = r^{-2k} (A^k - k D ^ A^{k-1}): integer wedge powers of A, D's
-    coefficients scaled by integers, and no wedge of two cone forms.  Powers
-    0 and 1 are those of `exterior.wedge_powers`.
+    so r^2 sigma_p = A - D for sigma_p = Omega_q + i Omega_r (`sigma_t{p}`),
+    the cone model's integer form A = sigma{p} and D = dr ^ (a_q + i a_r).
+    D ^ D = 0 and 2-forms commute, so sigma_p^k = r^{-2k} (A^k - k D ^ A^{k-1}):
+    integer wedge powers of A and their wedges with D, no wedge of two cone forms.
     """
-    from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone
+    from caliber.model import build_hyperkahler_cone
 
-    out = wedge_powers(sigma, min(top, 1))
-    if top > 1:
-        hk, (q, r) = build_hyperkahler_cone(n), CYCLIC_PAIRS[p]
-        A = wedge_powers(ComplexAltForm(hk.form(f"omega{q}"), hk.form(f"omega{r}")), top)
-        D = constant_form(A[1]) - times_r_power(sigma, 2)
-        out += [times_r_power(constant_form(A[k]) - wedge(D, A[k - 1]) * k, -2 * k) for k in range(2, top + 1)]
-    return out
+    sigma = link_extension_catalog(n)[f"sigma_t{p}"]
+    A = wedge_powers(build_hyperkahler_cone(n).form(f"sigma{p}"), n + 1)
+    D = constant_form(A[1]) - times_r_power(sigma, 2)
+    return [A[0], sigma] + [times_r_power(constant_form(A[k]) - wedge(D, A[k - 1]) * k, -2 * k)
+                            for k in range(2, n + 2)]
 
 
 class NotClosedError(ValueError):
@@ -703,9 +701,9 @@ def link_extension_catalog(n: int) -> dict:
     """Degree-0 conical extensions of the distinguished link forms.
 
     alpha_p and Omega_p are the rescaled radial split of omega_p; the rest
-    comes from the shared link recipe.  On the cone these extensions satisfy
-    the same structure identities as the link forms themselves, with exact
-    rational coefficients throughout.
+    comes from the shared link recipe (`sigma_t{p}` is the full sigma_p).
+    On the cone these extensions satisfy the same structure identities as
+    the link forms themselves, with exact rational coefficients throughout.
     """
     from caliber.model import CYCLIC_PAIRS, build_hyperkahler_cone, link_forms
 
@@ -714,11 +712,11 @@ def link_extension_catalog(n: int) -> dict:
     for p in (1, 2, 3):
         a, b = cone_split(constant_form(hk.form(f"omega{p}")))
         alpha[p], Omega[p] = times_r_power(a, -1), times_r_power(b, -2)
-    sigma_powers = {p: transverse_powers(n, p, ComplexAltForm(Omega[q], Omega[r]), n)
-                    for p, (q, r) in CYCLIC_PAIRS.items()}
+    sigma_powers = {p: [times_r_power(constant_form(pw), -2 * k)
+                        for k, pw in enumerate(wedge_powers(hk.form(f"sigma{p}"), n))] for p in (1, 2, 3)}
     cat = link_forms(alpha, Omega, sigma_powers, n)
-    for p in (1, 2, 3):
-        cat[f"sigma_t{p}"] = sigma_powers[p][1]
+    for p, (q, r) in CYCLIC_PAIRS.items():
+        cat[f"sigma_t{p}"] = ComplexAltForm(Omega[q], Omega[r])
     # alpha2 ^ Omega2 - alpha3 ^ Omega3, from the phi family without new wedges
     cat["theta_I3"] = (cat["phi3"] - cat["phi2"]) * Fraction(1, 2)
     cat["alpha123"] = alpha[1].wedge(alpha[2]).wedge(alpha[3])

@@ -246,7 +246,7 @@ def test_transverse_powers_match_the_generic_power(n):
     cat = sf.link_extension_catalog(n)
     for p in (1, 2, 3):
         sigma = cat[f"sigma_t{p}"]
-        binomial, generic_powers = sf.transverse_powers(n, p, sigma, n + 1), wedge_powers(sigma, n + 1)
+        binomial, generic_powers = sf.transverse_powers(n, p), wedge_powers(sigma, n + 1)
         assert len(binomial) == len(generic_powers) == n + 2
         for k, (b, g) in enumerate(zip(binomial, generic_powers)):
             for b_part, g_part in ((b.re, g.re), (b.im, g.im)):
