@@ -32,14 +32,22 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
 - `comass_search` on the five n = 2 comass-one anchors at ANCHOR_RESTARTS
   restarts and on the benchmark's 15 oracle 2-forms at ORACLE_RESTARTS
   (ORACLE_FORMS_PER_DIM random forms in each of R^6, R^8 and R^12, grouped
-  by dimension), each with the frames its `FormEvaluator.grads` and
-  `values` calls evaluate (counted once, outside the timed rounds);
+  by dimension), and on the propositions suite's six searches at n = 1 at
+  PROPOSITION_RESTARTS restarts (seed offsets 0, 7, 8, 9, 9, 10), each
+  with the frames its `FormEvaluator.grads` and `values` calls evaluate
+  (counted once, outside the timed rounds);
+- the number of random generators `calib` constructs in one calibrations-n2
+  pass (the anchors and oracle searches above) and in one propositions run
+  at n = 1 with PROPOSITION_RESTARTS samples and restarts, each counted
+  once from a cleared starting-draw cache (exact counts, under
+  "generators", with the run's seconds);
 - the exact layer: cold builds of `symforms.link_extension_catalog(n)` for
   n = 1, 2, 3 (the catalog cache cleared before each, best of EXACT_REPEAT;
   the model builds stay cached); sigma_1^{n+1} at n = 1, 2, as the generic
-  wedge power and as `symforms.transverse_powers(n, 1)[n + 1]` (a checkout
-  without that helper has no binomial row; one whose helper takes
-  (n, p, sigma, top) gets sigma_t1 and n + 1); every product by r^m of the
+  wedge power and as `symforms.transverse_power(n, 1)` (a checkout without
+  that helper takes the top entry of the older `transverse_powers(n, 1)`,
+  or of `transverse_powers(n, 1, sigma_t1, n + 1)`, and one with neither has
+  no binomial row); every product by r^m of the
   cones suite at n = 1, 2 (`symforms.times_r_power`, or the product by
   `RCoef.r_power` where that shift is missing); `ext_d` of `psi1` at n = 1;
   `ext_d` twice on the 100 forms of the identities suite's `dd_zero_random`
@@ -131,6 +139,12 @@ ORACLE_DIMS = (6, 8, 12)
 ORACLE_FORMS_PER_DIM = 5
 ORACLE_RESTARTS = 40
 ORACLE_SEED = 0
+# (space, name, sign, seed offset) of the propositions suite's searches at
+# n = 1, run at the scans-n1 workload's restart count
+PROPOSITION_SEARCHES = (("link", "theta_I3", -1.0, 0), ("cone", "re_upsilon1", 1.0, 7),
+                        ("twistor", "re_gamma0", 1.0, 8), ("link", "re_gamma1", 1.0, 9),
+                        ("link", "theta_I3", 1.0, 9), ("cone", "omega1_power2", 1.0, 10))
+PROPOSITION_RESTARTS = 500
 PLAIN_SEED = 15
 PLAIN_DIM = 12
 REPEAT = 7
@@ -280,16 +294,19 @@ def _exact_kernels() -> dict:
                                              "gc": _gc_collections(lambda: cold(n))} for n in (1, 2, 3)}
     # a checkout without the binomial helper or the r-power shift times only
     # the generic power, and multiplies by r^m as a product
-    binomial = getattr(symforms, "transverse_powers", None)
-    if binomial is not None and len(inspect.signature(binomial).parameters) == 4:
-        powers = binomial  # an older helper, (n, p, sigma, top)
-        binomial = lambda n, p: powers(n, p, cat(n)[f"sigma_t{p}"], n + 1)  # noqa: E731
+    binomial = getattr(symforms, "transverse_power", None)
+    powers = getattr(symforms, "transverse_powers", None)  # older helpers: the list of powers
+    if binomial is None and powers is not None:
+        if len(inspect.signature(powers).parameters) == 4:  # (n, p, sigma, top)
+            binomial = lambda n, p: powers(n, p, cat(n)[f"sigma_t{p}"], n + 1)[n + 1]  # noqa: E731
+        else:
+            binomial = lambda n, p: powers(n, p)[n + 1]  # noqa: E731
     times_r_power = getattr(symforms, "times_r_power", None) or (lambda f, m: f * symforms.RCoef.r_power(f.dim, m))
     for n in (1, 2):
         sigma = cat(n)["sigma_t1"]
         out[f"sigma_t1.power{n + 1}/n{n}/generic"] = _exact_row(lambda: sigma.power(n + 1))
         if binomial is not None:
-            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: binomial(n, 1)[n + 1])
+            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: binomial(n, 1))
         products = _rp_products(n)
         out[f"rp_products/n{n}"] = _exact_row(lambda: [times_r_power(f, m) for f, m in products],
                                               products=len(products))
@@ -405,24 +422,82 @@ def _counted_frames(search) -> dict:
     return frames
 
 
-def _comass_search_kernels() -> dict:
-    out = {}
-    params = calib.SearchParams(restarts=ANCHOR_RESTARTS, seed=0)
-    for name, space in ANCHORS:
-        form, _ = resolve(name, 2, space)
-        search = lambda: calib.comass_search(form, params=params)  # noqa: E731
-        out[f"{space}/{name}/n2/r{ANCHOR_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
-    rng = np.random.default_rng(ORACLE_SEED)
-    params = calib.SearchParams(restarts=ORACLE_RESTARTS, seed=ORACLE_SEED + 1)
+def _oracle_forms() -> dict:
+    """The benchmark's random 2-forms, ORACLE_FORMS_PER_DIM per dimension."""
+    rng, out = np.random.default_rng(ORACLE_SEED), {}
     for N in ORACLE_DIMS:
-        forms = []
+        forms = out[N] = []
         for _ in range(ORACLE_FORMS_PER_DIM):
             A = rng.standard_normal((N, N))
             S = A - A.T
             forms.append(exterior.AltForm(N, 2, {(i, j): S[i, j] for i in range(N) for j in range(i + 1, N)}))
-        search = lambda: [calib.comass_search(f, params=params) for f in forms]  # noqa: E731
-        out[f"oracle/R{N}x{ORACLE_FORMS_PER_DIM}/r{ORACLE_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
     return out
+
+
+def _proposition_searches() -> list:
+    """(form, seed offset) of the propositions suite's searches at n = 1."""
+    return [(MODELS[space](1).form(name) * sign, offset) for space, name, sign, offset in PROPOSITION_SEARCHES]
+
+
+def _counted_generators(run) -> dict:
+    """Generators that calib constructs in one call of run(), with its
+    starting-draw cache (where the checkout has one) cleared first."""
+    getattr(calib, "_DRAWS", {}).clear()
+    count, make = 0, np.random.default_rng
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += sys._getframe(1).f_globals.get("__name__") == calib.__name__
+        return make(*args, **kwargs)
+
+    np.random.default_rng = counting
+    try:
+        t0 = time.perf_counter()
+        run()
+        seconds = time.perf_counter() - t0
+    finally:
+        np.random.default_rng = make
+    return {"generators": count, "s": seconds}
+
+
+def _comass_search_kernels() -> dict:
+    out = {}
+    params = calib.SearchParams(restarts=ANCHOR_RESTARTS, seed=0)
+    anchors = [resolve(name, 2, space)[0] for name, space in ANCHORS]
+    for (name, space), form in zip(ANCHORS, anchors):
+        search = lambda: calib.comass_search(form, params=params)  # noqa: E731
+        out[f"{space}/{name}/n2/r{ANCHOR_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
+    oracle = _oracle_forms()
+    oracle_params = calib.SearchParams(restarts=ORACLE_RESTARTS, seed=ORACLE_SEED + 1)
+    for N, forms in oracle.items():
+        search = lambda: [calib.comass_search(f, params=oracle_params) for f in forms]  # noqa: E731
+        out[f"oracle/R{N}x{ORACLE_FORMS_PER_DIM}/r{ORACLE_RESTARTS}"] = dict(_counted_frames(search), s=_best(search))
+    searches = _proposition_searches()
+
+    def six():
+        return [calib.comass_search(f, params=calib.SearchParams(restarts=PROPOSITION_RESTARTS, seed=offset))
+                for f, offset in searches]
+
+    out[f"propositions/n1/r{PROPOSITION_RESTARTS}"] = dict(_counted_frames(six), s=_best(six))
+    return out
+
+
+def _generator_counts() -> dict:
+    """Generators constructed in one calibrations-n2 pass (its anchors and
+    oracle searches) and in one propositions run at n = 1 (the scans-n1
+    workload's 500 samples and restarts), each from a cleared draw cache."""
+    anchors = [resolve(name, 2, space)[0] for name, space in ANCHORS]
+    oracle = [f for forms in _oracle_forms().values() for f in forms]
+
+    def calibrations_pass():
+        for form in anchors:
+            calib.comass_search(form, params=calib.SearchParams(restarts=ANCHOR_RESTARTS, seed=0))
+        for f in oracle:
+            calib.comass_search(f, params=calib.SearchParams(restarts=ORACLE_RESTARTS, seed=ORACLE_SEED + 1))
+
+    return {"calibrations-n2/pass": _counted_generators(calibrations_pass),
+            f"propositions/n1/r{PROPOSITION_RESTARTS}": _counted_generators(
+                lambda: run_suite("propositions", 1, 0, samples=PROPOSITION_RESTARTS, restarts=PROPOSITION_RESTARTS))}
 
 
 def _median_results(runs: list) -> dict:
@@ -486,6 +561,7 @@ def run() -> dict:
     out["normal_form"] = _normal_form_kernels()
     out["pullback"] = _pullback_kernels()
     out["comass_search"] = _comass_search_kernels()
+    out["generators"] = _generator_counts()
     out["exact"] = _exact_kernels()
     out["exact_counts"] = _counted_exact_pass()
     out["exact_cli"] = _exact_cli()
@@ -526,7 +602,7 @@ def main() -> None:
         fh.write("\n")
     for group, rows in record["results"].items():
         for key, row in rows.items():
-            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "frames", "gc")))
+            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "frames", "gc", "generators")))
             print(f"{args.label:8s} {group:21s} {key:30s} {row['s'] * 1e3:10.3f} ms"
                   f" (median of {len(runs)}){counts}")
 

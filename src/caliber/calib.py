@@ -64,10 +64,13 @@ is computed from its row subset alone, so it is the same in any plan, and
 each form's last contraction is the one-form evaluator's BLAS call on the
 same rows, so each value is bit for bit the one-form value on one frame.
 
-Restart r is seeded by seed + r, and reruns with the same parameters are
-byte-identical.  A value's last bit can still depend on the batch it is
-computed in, since `FormEvaluator.values` ends in a BLAS dot or gemv, so a
-different restart count may move a witness at round-off.
+Restart r is seeded by seed + r: its starting frame is, bit for bit,
+default_rng(seed + r).standard_normal((n, k)), a prefix of a draw made once
+per seed per process.  Reruns with the same parameters are byte-identical.
+A value's last bit can still depend on the batch it is computed in, since
+`FormEvaluator.values` ends in a BLAS dot or gemv, so a different restart
+count may move a witness at round-off, and on the frames' memory layout,
+since einsum sums in the order of their strides.
 """
 
 from __future__ import annotations
@@ -107,6 +110,13 @@ def orthonormal_rows(A: np.ndarray) -> np.ndarray:
     (..., k, N): the Q factor of QR with signs fixed by the diagonal of R.
     Raises ValueError when some frame's rows are rank-deficient (a diagonal
     entry of R within 1e-10 of zero, relative to the largest)."""
+    if A.ndim == 2:  # one frame: scalar rank test, the same bytes and strides
+        Q, R = np.linalg.qr(A.T)
+        d = R.diagonal()
+        diag = np.abs(d)
+        if diag.min() <= 1e-10 * max(1.0, diag.max()):
+            raise ValueError("rank-deficient frame")
+        return (Q * np.sign(d)).T
     Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
     d = np.diagonal(R, axis1=-2, axis2=-1)
     diag = np.abs(d)
@@ -406,13 +416,20 @@ class FormEvaluator:
             self._scatter = np.zeros((N, plan.sizes[k - 1]))
             self._scatter[self.idx, plan.face] = self.coeffs[:, None] * (-1.0) ** np.arange(k)
         B = X.shape[-1]
-        prefix, suffix = [np.ones((1, B))], [np.ones((1, B))]
-        for j in range(1, k):
+        one = np.ones((1, B))  # the empty minor
+        prefix, suffix = [one], [one]
+        if k > 1:  # level 1: the column entries, + 0.0 as in 0 + x * 1 (no -0.0)
+            prefix.append(X[0][plan.children[1][0][0]] + 0.0)
+            suffix.append(X[k - 1][plan.children[1][0][0]] + 0.0)
+        for j in range(2, k):
             prefix.append(_laplace_level(plan.children[j], X[j - 1], prefix[-1], j - 1))
             suffix.append(_laplace_level(plan.children[j], X[k - j], suffix[-1], 0))
         E = np.zeros((k, plan.sizes[k - 1], B))
         for j, negate, a, b in plan.splits:
-            _add_product(E[j], prefix[j][a], suffix[k - 1 - j][b], negate)
+            if 0 < j < k - 1:
+                _add_product(E[j], prefix[j][a], suffix[k - 1 - j][b], negate)
+            else:  # one side is the empty minor 1
+                _add_product(E[j], suffix[k - 1][b] if j == 0 else prefix[k - 1][a], None, negate)
         return np.matmul(self._scatter, E).transpose(2, 1, 0)
 
 
@@ -426,8 +443,10 @@ def _laplace_level(children: tuple, column: np.ndarray, lower: np.ndarray, parit
 
 
 def _add_product(acc: np.ndarray, x: np.ndarray, y: np.ndarray, negate) -> None:
-    """acc += x * y, or acc -= x * y when `negate`; x is a scratch copy."""
-    x *= y
+    """acc += x * y, or acc -= x * y when `negate`; x is a scratch copy, and
+    y None stands for the factor 1."""
+    if y is not None:
+        x *= y
     if negate:
         acc -= x
     else:
@@ -488,15 +507,15 @@ def _qf(X: np.ndarray) -> np.ndarray:
     """Retraction onto the Stiefel manifold: the Q factor of the frames
     (..., N, k) with positive diagonal R, by Gram-Schmidt on the columns
     (orientation safe)."""
-    Q, _ = _gram_schmidt(np.swapaxes(X, -1, -2), X.shape[-1])
-    return np.swapaxes(Q, -1, -2)
+    Q, _ = _gram_schmidt(X.swapaxes(-1, -2), X.shape[-1])
+    return Q.swapaxes(-1, -2)
 
 
 def _tangent_grad(V: np.ndarray, G: np.ndarray):
     """Riemannian gradient G - V sym(V^T G) on the Stiefel manifold, and its squared norm."""
     VtG = np.einsum("bnk,bnl->bkl", V, G)
-    RG = G - np.einsum("bnk,bkl->bnl", V, 0.5 * (VtG + np.swapaxes(VtG, -1, -2)))
-    return RG, np.sum(RG * RG, axis=(1, 2))
+    RG = G - np.einsum("bnk,bkl->bnl", V, 0.5 * (VtG + VtG.swapaxes(-1, -2)))
+    return RG, (RG * RG).sum(axis=(1, 2))
 
 
 def canonical_frames(frames: np.ndarray) -> np.ndarray:
@@ -520,6 +539,27 @@ def canonical_frame(frame: np.ndarray) -> np.ndarray:
     by first significant coordinate, last vector flipped to match orientation.
     """
     return canonical_frames(np.asarray(frame, dtype=float)[None])[0]
+
+
+# seed -> the first max(n k, _DRAW_SIZE) normals of default_rng(seed), whose
+# first n k are the frame standard_normal((n, k)); 128 cover every catalog
+# search (k = 8 in R^16), and the oldest of _DRAWS_CAP seeds goes first.
+_DRAWS: dict = {}
+_DRAWS_CAP = 1024
+_DRAW_SIZE = 128
+
+
+def _starting_normals(seed: int, restarts: int, n: int, k: int) -> np.ndarray:
+    """default_rng(seed + r).standard_normal((n, k)) for r < restarts, stacked."""
+    size, rows = n * k, []
+    for s in range(seed, seed + restarts):
+        draw = _DRAWS.get(s)
+        if draw is None or draw.size < size:
+            if len(_DRAWS) >= _DRAWS_CAP:
+                del _DRAWS[next(iter(_DRAWS))]
+            draw = _DRAWS[s] = np.random.default_rng(s).standard_normal(max(size, _DRAW_SIZE))
+        rows.append(draw[:size])
+    return np.stack(rows).reshape(restarts, n, k)
 
 
 def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> ComassResult:
@@ -548,58 +588,78 @@ def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> Comas
     e = int(np.frexp(np.max(np.abs(ev.coeffs)))[1]) - 1
     ev.coeffs = np.ldexp(ev.coeffs, -e)
     R = params.restarts
-    V = _qf(np.stack([np.random.default_rng(params.seed + r).standard_normal((n, k)) for r in range(R)]))
-    f = ev.values(V)  # value of each restart's current frame
-    C, Q = f.copy(), np.ones(R)  # Zhang-Hager reference value and its weight
-    V_prev, RG_prev = np.zeros_like(V), np.zeros_like(V)  # previous frame and Riemannian gradient
-    t_last = np.full(R, np.inf)  # last accepted step; finite once a restart has a previous frame
+    V = _qf(_starting_normals(params.seed, R, n, k))
+    f = ev.values(V)  # each restart's frame and value, final once it stops
     reason = np.full(R, -1)  # index into TERMINATIONS once a restart stops
-    active = np.arange(R)
-    for _ in range(MAX_ITERS):
-        if active.size == 0:
-            break
-        Va = V[active]
-        RG, gn2 = _tangent_grad(Va, ev.grads(Va))
-        done = np.sqrt(gn2) < params.tol
-        reason[active[done]] = 0
-        live = ~done
-        active, Va, RG, gn2 = active[live], Va[live], RG[live], gn2[live]
-        if active.size == 0:
-            break
+    # the live restarts only, in _qf's layout: ids, frames, values, Zhang-Hager
+    # reference value and weight, last accepted step, previous frame and
+    # Riemannian gradient
+    live, Vl, fl, C, Q, t_last = np.arange(R), V, f, f.copy(), np.ones(R), np.full(R, np.inf)
+    V_prev = RG_prev = V  # read from the second iteration on
+    eps = np.finfo(float).eps
 
-        floor = np.finfo(float).eps * np.maximum(np.abs(f[active]), 1.0)
-        t = np.minimum(STEP0, t_last[active] / SHRINK)
-        # BB2 step -<s,y>/<y,y> of the ascent where the curvature is negative
-        s, y = Va - V_prev[active], RG - RG_prev[active]
-        sy, yy = np.einsum("bnk,bnk->b", s, y), np.einsum("bnk,bnk->b", y, y)
-        bb = np.flatnonzero(np.isfinite(t_last[active]) & (sy < 0))
-        t[bb] = np.minimum(-sy[bb] / yy[bb], BB_MAX)
-        V_prev[active], RG_prev[active] = Va, RG
-        pending = np.arange(active.size)
-        accepted = np.zeros(active.size, dtype=bool)
-        for _h in range(MAX_HALVINGS):
-            # a gain at or below the value resolution can never pass the test
-            pending = pending[ARMIJO_C1 * t[pending] * gn2[pending] > floor[pending]]
-            if pending.size == 0:
+    def stop(mask, why):
+        V[live[mask]], f[live[mask]], reason[live[mask]] = Vl[mask], fl[mask], why
+
+    for it in range(MAX_ITERS):
+        if live.size == 0:
+            break
+        RG, gn2 = _tangent_grad(Vl, ev.grads(Vl))
+        done = np.sqrt(gn2) < params.tol
+        if done.any():
+            stop(done, 0)
+            live, Vl, fl, C, Q, t_last, V_prev, RG_prev, RG, gn2 = (
+                a[~done] for a in (live, Vl, fl, C, Q, t_last, V_prev, RG_prev, RG, gn2))
+            if live.size == 0:
                 break
-            cand = _qf(Va[pending] + t[pending, None, None] * RG[pending])
+
+        floor = eps * np.maximum(np.abs(fl), 1.0)
+        t = np.minimum(STEP0, t_last / SHRINK)
+        if it:  # from the second iteration on every live restart has moved:
+            # BB2 step -<s,y>/<y,y> where the curvature is negative; frames
+            # keep _qf's memory layout, which sets einsum's summation order
+            s, y = Vl - V_prev, RG - RG_prev
+            sy, yy = np.einsum("bnk,bnk->b", s, y), np.einsum("bnk,bnk->b", y, y)
+            bb = np.flatnonzero(sy < 0)
+            t[bb] = np.minimum(-sy[bb] / yy[bb], BB_MAX)
+        V_prev, RG_prev = Vl, RG
+        accepted = np.zeros(live.size, dtype=bool)
+        trying = ~accepted
+        for h in range(MAX_HALVINGS):
+            gain = ARMIJO_C1 * t * gn2
+            trying &= gain > floor  # a gain at the value resolution can never pass the test
+            every = trying.all()
+            if not (every or trying.any()):
+                break
+            at = slice(None) if every else np.flatnonzero(trying)
+            cand = _qf(Vl[at] + t[at, None, None] * RG[at])
             f1 = ev.values(cand)
-            ok = f1 >= C[active[pending]] + ARMIJO_C1 * t[pending] * gn2[pending]
-            hit = active[pending[ok]]
-            V[hit], f[hit], t_last[hit] = cand[ok], f1[ok], t[pending[ok]]
+            ok = f1 >= C[at] + gain[at]
+            if h == 0 and ok.all():  # the common case: all that try move at once, the rest are at the floor
+                if not every:
+                    stop(~trying, 1)
+                    live, C, Q, V_prev, RG_prev = (a[at] for a in (live, C, Q, V_prev, RG_prev))
+                Vl, fl, t_last = cand, f1, t[at]
+                C, Q = (ZH_ETA * Q * C + f1) / (ZH_ETA * Q + 1), ZH_ETA * Q + 1
+                accepted = None
+                break
+            if Vl is V_prev:  # first scatter of this line search
+                Vl = Vl.copy(order="K")
+            hit = np.flatnonzero(ok) if every else at[ok]
+            Vl[hit], fl[hit], t_last[hit] = cand[ok], f1[ok], t[hit]
             C[hit] = (ZH_ETA * Q[hit] * C[hit] + f1[ok]) / (ZH_ETA * Q[hit] + 1)
             Q[hit] = ZH_ETA * Q[hit] + 1
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            t[pending] *= SHRINK
-        stuck = np.flatnonzero(~accepted)
-        at_floor = ARMIJO_C1 * t[stuck] * gn2[stuck] <= floor[stuck]
-        reason[active[stuck]] = np.where(at_floor, 1, 2)
-        active = active[accepted]
+            accepted[hit], trying[hit] = True, False
+            t[trying] *= SHRINK
+        if accepted is not None and not accepted.all():
+            stuck = ~accepted
+            stop(stuck, np.where(ARMIJO_C1 * t[stuck] * gn2[stuck] <= floor[stuck], 1, 2))
+            live, Vl, fl, C, Q, t_last, V_prev, RG_prev = (
+                a[accepted] for a in (live, Vl, fl, C, Q, t_last, V_prev, RG_prev))
 
-    if active.size:
-        _, gn2 = _tangent_grad(V[active], ev.grads(V[active]))
-        reason[active] = np.where(np.sqrt(gn2) < params.tol, 0, 3)
+    if live.size:
+        _, gn2 = _tangent_grad(Vl, ev.grads(Vl))
+        stop(slice(None), np.where(np.sqrt(gn2) < params.tol, 0, 3))
 
     best = float(np.max(f))  # ties are judged on the scaled values
     tied = canonical_frames(np.swapaxes(V[f >= best - 1e-9], -1, -2))

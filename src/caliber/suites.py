@@ -114,7 +114,7 @@ def _identities_checks(n: int, seed: int) -> list[tuple[str, object]]:
 
     def psi_check(p):  # psi_p takes link_forms' radial-free sigma_p^n, exact as tau_p ^ dr ^ tau_p = 0;
         # d psi_p takes the full sigma_p^{n+1}, binomially; cone_split_upsilon1 keeps the generic power
-        rhs = sf.transverse_powers(n, p)[n + 1] * Fraction(2, math.factorial(n))
+        rhs = sf.transverse_power(n, p) * Fraction(2, math.factorial(n))
         return _zero_check(sf.ext_d(cat[f"psi{p}"]) - rhs)
 
     for p in (1, 2, 3):

@@ -15,7 +15,7 @@ wedge, wedge powers, contraction) that evaluates forms numerically.  This
 module adds the calculus that needs point-dependent coefficients: the
 exterior derivative, contraction with vector fields, Lie derivatives, the
 radial split, homogeneous potentials, products by powers of r and the full
-powers of sigma_p = Omega_q + i Omega_r (`transverse_powers`).  A vector
+top power of sigma_p = Omega_q + i Omega_r (`transverse_power`).  A vector
 field is the tuple of its `RCoef` components, the sequence that
 `exterior.interior` contracts with.
 
@@ -48,7 +48,7 @@ __all__ = [
     "CRationalForm",
     "constant_form",
     "times_r_power",
-    "transverse_powers",
+    "transverse_power",
     "eval_at",
     "ext_d",
     "interior_field",
@@ -631,22 +631,21 @@ def cone_split(f):
     return alpha, beta
 
 
-def transverse_powers(n: int, p: int) -> list:
-    """[sigma_p^k for k = 0 .. n + 1] on the cone, dr parts included (d psi_p).
+def transverse_power(n: int, p: int):
+    """sigma_p^(n+1) on the cone, dr parts included (d psi_p).
 
     With (a_p, b_p) = cone_split(omega_p), r^2 Omega_p = b_p = omega_p - dr ^ a_p,
     so r^2 sigma_p = A - D for sigma_p = Omega_q + i Omega_r (`sigma_t{p}`),
     the cone model's integer form A = sigma{p} and D = dr ^ (a_q + i a_r).
     D ^ D = 0 and 2-forms commute, so sigma_p^k = r^{-2k} (A^k - k D ^ A^{k-1}):
-    integer wedge powers of A and their wedges with D, no wedge of two cone forms.
+    integer wedge powers of A and one wedge with D, no wedge of two cone forms.
     """
     from caliber.model import build_hyperkahler_cone
 
     sigma = link_extension_catalog(n)[f"sigma_t{p}"]
     A = wedge_powers(build_hyperkahler_cone(n).form(f"sigma{p}"), n + 1)
     D = constant_form(A[1]) - times_r_power(sigma, 2)
-    return [A[0], sigma] + [times_r_power(constant_form(A[k]) - wedge(D, A[k - 1]) * k, -2 * k)
-                            for k in range(2, n + 2)]
+    return times_r_power(constant_form(A[n + 1]) - wedge(D, A[n]) * (n + 1), -2 * (n + 1))
 
 
 class NotClosedError(ValueError):

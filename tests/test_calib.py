@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from caliber import suites
+from caliber import calib, suites
 from caliber.calib import (
     FormEvaluator,
     Plane,
@@ -20,6 +20,7 @@ from caliber.calib import (
     comass_search,
     is_pure_type,
     isotropy_of_maximizers,
+    orthonormal_rows,
 )
 from caliber.exterior import AltForm, evaluate, hodge, interior, pullback, wedge
 from caliber.model import build_hyperkahler_cone, build_twistor_model, default_link_frame
@@ -43,6 +44,17 @@ def test_plane_orthonormalization_preserves_orientation():
 def test_plane_rejects_rank_deficient():
     with pytest.raises(ValueError):
         Plane.from_vectors([[1.0, 0, 0], [1.0, 1e-13, 0]])
+
+
+def test_single_frame_orthonormal_rows_match_the_batched_path():
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        A = rng.standard_normal((k, k + int(rng.integers(0, 9))))
+        one, batched = orthonormal_rows(A), orthonormal_rows(A[None])[0]
+        assert one.tobytes() == batched.tobytes() and one.strides == batched.strides
+    with pytest.raises(ValueError):
+        orthonormal_rows(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
 
 
 def test_plane_strict_orthonormal_check():
@@ -167,6 +179,44 @@ def test_comass_deterministic_given_seed():
     assert np.array_equal(r1.argmax.frame, r2.argmax.frame)
     assert r1.converged_fraction == r2.converged_fraction
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
+
+
+def _seeded_normals(seed, restarts, n, k):
+    return np.stack([np.random.default_rng(seed + r).standard_normal((n, k)) for r in range(restarts)])
+
+
+def test_starting_draws_are_each_seeds_normals_whatever_ran_before():
+    # restart r starts from default_rng(seed + r).standard_normal((n, k)),
+    # bit for bit, whether its seed's draw is new, shorter or longer than n k
+    calib._DRAWS.clear()
+    for seed, restarts, n, k in [(3, 20, 4, 2), (0, 30, 12, 6), (10, 40, 3, 1), (5, 25, 16, 9), (1, 60, 7, 3)]:
+        got = calib._starting_normals(seed, restarts, n, k)
+        want = _seeded_normals(seed, restarts, n, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    calib._DRAWS.clear()
+    assert calib._starting_normals(4, 9, 5, 2).tobytes() == _seeded_normals(4, 9, 5, 2).tobytes()
+
+
+def test_search_is_the_same_cold_and_warm():
+    f = build_hyperkahler_cone(1).form("theta_I4")
+    params = SearchParams(restarts=30, seed=11)
+    calib._DRAWS.clear()
+    cold = comass_search(f, params=params)
+    comass_search(build_twistor_model(1).form("re_gamma0"), params=SearchParams(restarts=50, seed=0))
+    warm = comass_search(f, params=params)
+    assert cold.all_values.tobytes() == warm.all_values.tobytes()
+    assert cold.all_frames.tobytes() == warm.all_frames.tobytes()
+    assert json.dumps(cold.to_json()) == json.dumps(warm.to_json())
+
+
+def test_starting_draws_stay_within_their_cap():
+    calib._DRAWS.clear()
+    seeds = calib._DRAWS_CAP + 50
+    first = calib._starting_normals(0, seeds, 2, 1)
+    assert len(calib._DRAWS) == calib._DRAWS_CAP
+    assert calib._starting_normals(0, seeds, 2, 1).tobytes() == first.tobytes()
+    assert len(calib._DRAWS) == calib._DRAWS_CAP
+    assert max(d.size for d in calib._DRAWS.values()) == calib._DRAW_SIZE
 
 
 def _counted_search(monkeypatch, form, params):
