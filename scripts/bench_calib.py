@@ -19,7 +19,7 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
 - one plane, all its values: the catalog values `classify_plane` reads on
   one plane per model space at n = 3 (PLANE_VALUES), once as one tuple read
   of `model.value` (one evaluator, one minor table) and once as one read per
-  name (a checkout whose `model.value` takes one name only has no tuple row);
+  name;
 - the six propositions checks that run `planes.check_equivalences`
   (IMPLICATION_CHECKS), together, at the suite's default 10^4 samples, for
   n = 1, 2, 3;
@@ -44,14 +44,10 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
 - the exact layer: cold builds of `symforms.link_extension_catalog(n)` for
   n = 1, 2, 3 (the catalog cache cleared before each, best of EXACT_REPEAT;
   the model builds stay cached); sigma_1^{n+1} at n = 1, 2, as the generic
-  wedge power and as `symforms.transverse_power(n, 1)` (a checkout without
-  that helper takes the top entry of the older `transverse_powers(n, 1)`,
-  or of `transverse_powers(n, 1, sigma_t1, n + 1)`, and one with neither has
-  no binomial row); every product by r^m of the
-  cones suite at n = 1, 2 (`symforms.times_r_power`, or the product by
-  `RCoef.r_power` where that shift is missing); `ext_d` of `psi1` at n = 1;
-  `ext_d` twice on the 100 forms of the identities suite's `dd_zero_random`
-  check; `try_div_sumsq` of S^4 on R^16; and the number of
+  wedge power and as `symforms.transverse_power(n, 1)`; every product by r^m
+  of the cones suite at n = 1, 2 (`symforms.times_r_power`); `ext_d` of
+  `psi1` at n = 1; `ext_d` twice on the 100 forms of the identities suite's
+  `dd_zero_random` check; `try_div_sumsq` of S^4 on R^16; and the number of
   `Poly.try_div_sumsq`, `Poly.__mul__` and `RCoef.__add__` calls in one `identities` plus `cones` pass at n = 1 made
   after a first pass has built the catalogs (exact counts, stored under
   "exact_counts" with the pass's seconds).  Each exact row also holds the
@@ -79,7 +75,6 @@ alternating before/after runs spread the load of a shared host over both.
 import argparse
 import gc
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -292,23 +287,12 @@ def _exact_kernels() -> dict:
 
     out = {f"link_extension_catalog/n{n}": {"s": _best_cold(lambda: cat(n), cat.cache_clear),
                                              "gc": _gc_collections(lambda: cold(n))} for n in (1, 2, 3)}
-    # a checkout without the binomial helper or the r-power shift times only
-    # the generic power, and multiplies by r^m as a product
-    binomial = getattr(symforms, "transverse_power", None)
-    powers = getattr(symforms, "transverse_powers", None)  # older helpers: the list of powers
-    if binomial is None and powers is not None:
-        if len(inspect.signature(powers).parameters) == 4:  # (n, p, sigma, top)
-            binomial = lambda n, p: powers(n, p, cat(n)[f"sigma_t{p}"], n + 1)[n + 1]  # noqa: E731
-        else:
-            binomial = lambda n, p: powers(n, p)[n + 1]  # noqa: E731
-    times_r_power = getattr(symforms, "times_r_power", None) or (lambda f, m: f * symforms.RCoef.r_power(f.dim, m))
     for n in (1, 2):
         sigma = cat(n)["sigma_t1"]
         out[f"sigma_t1.power{n + 1}/n{n}/generic"] = _exact_row(lambda: sigma.power(n + 1))
-        if binomial is not None:
-            out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: binomial(n, 1))
+        out[f"sigma_t1.power{n + 1}/n{n}/binomial"] = _exact_row(lambda: symforms.transverse_power(n, 1))
         products = _rp_products(n)
-        out[f"rp_products/n{n}"] = _exact_row(lambda: [times_r_power(f, m) for f, m in products],
+        out[f"rp_products/n{n}"] = _exact_row(lambda: [symforms.times_r_power(f, m) for f, m in products],
                                               products=len(products))
     psi = cat(1)["psi1"]
     out["ext_d.psi1/n1"] = _exact_row(lambda: symforms.ext_d(psi))
@@ -370,10 +354,6 @@ def _plane_value_kernels() -> dict:
         F = _orthonormal(np.random.default_rng(k), (m.dim, k)).T
         key = f"{space}/n3/k{k}"
         out[f"{key}/per_name"] = {"forms": len(names), "s": _best(lambda: [m.value(name, F) for name in names])}
-        try:
-            m.value(names, F)
-        except KeyError:  # model.value reads one name only
-            continue
         out[f"{key}/tuple"] = {"forms": len(names), "s": _best(lambda: m.value(names, F))}
     return out
 
@@ -441,8 +421,10 @@ def _proposition_searches() -> list:
 
 def _counted_generators(run) -> dict:
     """Generators that calib constructs in one call of run(), with its
-    starting-draw cache (where the checkout has one) cleared first."""
-    getattr(calib, "_DRAWS", {}).clear()
+    starting-draw cache cleared first (a dict `_DRAWS` before the cache was
+    an lru_cache)."""
+    draws = getattr(calib, "_DRAWS", None)
+    (draws.clear if draws is not None else calib._seed_draw.cache_clear)()
     count, make = 0, np.random.default_rng
 
     def counting(*args, **kwargs):

@@ -65,17 +65,17 @@ each form's last contraction is the one-form evaluator's BLAS call on the
 same rows, so each value is bit for bit the one-form value on one frame.
 
 Restart r is seeded by seed + r: its starting frame is, bit for bit,
-default_rng(seed + r).standard_normal((n, k)), a prefix of a draw made once
-per seed per process.  Reruns with the same parameters are byte-identical.
-A value's last bit can still depend on the batch it is computed in, since
-`FormEvaluator.values` ends in a BLAS dot or gemv, so a different restart
-count may move a witness at round-off, and on the frames' memory layout,
-since einsum sums in the order of their strides.
+default_rng(seed + r).standard_normal((n, k)).  Where n k <= 128 it is a
+prefix of one draw of 128 normals per seed, kept for the 1024 seeds used
+last in the process (`_seed_draw`).  Reruns with the same parameters are
+byte-identical.  A value's last bit can still depend on the batch it is
+computed in, since `FormEvaluator.values` ends in a BLAS dot or gemv, so a
+different restart count may move a witness at round-off, and on the
+frames' memory layout, since einsum sums in the order of their strides.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -179,8 +179,6 @@ class Plane:
 
     @classmethod
     def from_json(cls, data) -> "Plane":
-        if isinstance(data, str):
-            data = json.loads(data)
         if not isinstance(data, dict):
             raise ValueError(f"a plane must be a JSON object, got {type(data).__name__}")
         try:
@@ -541,25 +539,24 @@ def canonical_frame(frame: np.ndarray) -> np.ndarray:
     return canonical_frames(np.asarray(frame, dtype=float)[None])[0]
 
 
-# seed -> the first max(n k, _DRAW_SIZE) normals of default_rng(seed), whose
-# first n k are the frame standard_normal((n, k)); 128 cover every catalog
-# search (k = 8 in R^16), and the oldest of _DRAWS_CAP seeds goes first.
-_DRAWS: dict = {}
-_DRAWS_CAP = 1024
-_DRAW_SIZE = 128
+_DRAW_SIZE = 128  # normals kept per seed: every catalog search has n k <= 128 (k = 8 in R^16)
+
+
+@lru_cache(maxsize=1024)
+def _seed_draw(seed: int) -> np.ndarray:
+    """The first _DRAW_SIZE normals of default_rng(seed), read-only; the
+    first n k of them are its frame standard_normal((n, k))."""
+    draw = np.random.default_rng(seed).standard_normal(_DRAW_SIZE)
+    draw.flags.writeable = False
+    return draw
 
 
 def _starting_normals(seed: int, restarts: int, n: int, k: int) -> np.ndarray:
     """default_rng(seed + r).standard_normal((n, k)) for r < restarts, stacked."""
-    size, rows = n * k, []
-    for s in range(seed, seed + restarts):
-        draw = _DRAWS.get(s)
-        if draw is None or draw.size < size:
-            if len(_DRAWS) >= _DRAWS_CAP:
-                del _DRAWS[next(iter(_DRAWS))]
-            draw = _DRAWS[s] = np.random.default_rng(s).standard_normal(max(size, _DRAW_SIZE))
-        rows.append(draw[:size])
-    return np.stack(rows).reshape(restarts, n, k)
+    seeds = range(seed, seed + restarts)
+    if n * k > _DRAW_SIZE:
+        return np.stack([np.random.default_rng(s).standard_normal((n, k)) for s in seeds])
+    return np.stack([_seed_draw(s)[:n * k] for s in seeds]).reshape(restarts, n, k)
 
 
 def comass_search(form: AltForm, params: SearchParams = SearchParams()) -> ComassResult:
@@ -684,10 +681,7 @@ def skew_matrix(form: AltForm) -> np.ndarray:
 
 def comass_2form_exact(form: AltForm) -> float:
     """Comass of a 2-form: the spectral norm of its skew coefficient matrix."""
-    S = skew_matrix(form)
-    if not np.any(S):
-        return 0.0
-    return float(np.linalg.svd(S, compute_uv=False)[0])
+    return float(np.linalg.svd(skew_matrix(form), compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -110,22 +110,13 @@ def _cmd_comass(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_plane(args) -> int:
+    """classify and normalform: `args.measure` of the plane in the --plane
+    file against the model of `args.space`."""
     model = registry.model(args.space, args.n)
     plane = _read_json(args.plane, "plane", Plane.from_json)
     try:
-        report = classify_plane(plane, model, tol=args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(report.to_json(), args.pretty)
-    return 0
-
-
-def _cmd_normalform(args) -> int:
-    model = registry.model("twistor", args.n)
-    plane = _read_json(args.plane, "plane", Plane.from_json)
-    try:
-        result = normal_form_theta(plane, model, tol=args.tol)
+        result = args.measure(plane, model, tol=args.tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit(result.to_json(), args.pretty)
@@ -189,13 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--plane", required=True)
     p_classify.add_argument("--tol", type=float, default=1e-8)
     common(p_classify, required=True)
-    p_classify.set_defaults(func=_cmd_classify)
+    p_classify.set_defaults(func=_cmd_plane, measure=classify_plane)
 
     p_nf = sub.add_parser("normalform", help="normal-form angle of a calibrated 3-plane (twistor model)")
     p_nf.add_argument("--plane", required=True)
     p_nf.add_argument("--tol", type=float, default=1e-8)
     common(p_nf)
-    p_nf.set_defaults(func=_cmd_normalform)
+    p_nf.set_defaults(func=_cmd_plane, measure=normal_form_theta, space="twistor")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES + ("phase-scan",), required=True)

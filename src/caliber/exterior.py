@@ -11,7 +11,8 @@ sums them: a ring that defines `sum_of_products` folds each product straight
 into its blade's sum (`RCoef` multiplies the numerators into the blade's
 s-levels and reduces the sum once), any other multiplies and adds left to
 right with `*` and `+`.  Complex-valued forms are a pair of real forms
-(`ComplexAltForm`), and all operations distribute over the pair.
+(`ComplexAltForm`); differences, scalar multiples, `wedge`, `power`,
+`interior`, `pullback` and `evaluate` distribute over the pair.
 
 Vectors are plain sequences / 1-D numpy arrays of length N.
 """
@@ -277,16 +278,9 @@ class ComplexAltForm:
     def conjugate(self) -> "ComplexAltForm":
         return ComplexAltForm(self.re, -self.im)
 
-    def __add__(self, other):
-        other = _as_complex(other)
-        return ComplexAltForm(self.re + other.re, self.im + other.im)
-
     def __sub__(self, other):
         other = _as_complex(other)
         return ComplexAltForm(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return ComplexAltForm(-self.re, -self.im)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, complex):
@@ -392,8 +386,6 @@ def interior(v, a):
 
 def hodge(a):
     """Euclidean Hodge star; satisfies hodge(hodge(a)) = (-1)^{k(N-k)} a."""
-    if isinstance(a, ComplexAltForm):
-        return ComplexAltForm(hodge(a.re), hodge(a.im))
     n, k = a.dim, a.degree
     full = (1 << n) - 1
     base = (k * (k - 1)) // 2

@@ -233,17 +233,24 @@ def classify_plane(plane: Plane, model, tol: float = 1e-8) -> ClassificationRepo
     return rep
 
 
-def _catalog_values(model, names: list, F: np.ndarray) -> dict:
-    """The values on F of the catalog forms `names`, by name, from one tuple
-    read of `model.value` (one minor table for all of them)."""
-    return dict(zip(names, model.value(tuple(names), F))) if names else {}
+def _add_catalog_flags(model, F: np.ndarray, rep: ClassificationReport, rows: list) -> None:
+    """Add the flag of each row (flag, catalog form, test) from the values on
+    F of the rows' forms, read in one tuple read of `model.value` (one minor
+    table for all of them).  The test "unit" asks for the value 1, "re" for
+    real part 1 and "phase" for modulus 1, with the phase; None records the
+    value alone."""
+    if not rows:
+        return
+    for (flag, _, test), val in zip(rows, model.value(tuple(name for _, name, _ in rows), F)):
+        if test == "phase":
+            ph = _phase(val, rep.tol)
+            rep.add(flag, ph is not None, val, phase=ph)
+        else:
+            rep.add(flag, None if test is None else abs((val.real if test == "re" else val) - 1) <= rep.tol, val)
 
 
 def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> None:
     k, tol, top = rep.degree, rep.tol, 2 * hk.n + 2
-    values = _catalog_values(hk, [f"upsilon{p}" for p in (1, 2, 3) if k == top]
-                             + [f"theta_{label}{k}" for label in "IJK" if k % 2 == 0 and k <= top]
-                             + (["Phi1", "Phi2", "Phi3", "Lambda"] if k == 4 else []), F)
     invariance = projector_invariance_residual(F, np.array(hk.complex_structures)).tolist()
     isotropy = isotropy_residual(F, hk.skew(("omega1", "omega2", "omega3"))).tolist()
     for p, res, iso in zip((1, 2, 3), invariance, isotropy):
@@ -262,27 +269,16 @@ def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> Non
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"complex_I{p}")) and rep.flag(f"isotropic_omega{q}") and rep.flag(f"isotropic_omega{r}")
         rep.add(f"complex_isotropic_I{p}", ci, None)
-    if k == top:
-        for p in (1, 2, 3):
-            val = values[f"upsilon{p}"]
-            ph = _phase(val, tol)
-            rep.add(f"special_lagrangian_phase_upsilon{p}", ph is not None, val, phase=ph)
-    if k % 2 == 0 and k <= top:
-        for label in ("I", "J", "K"):
-            val = values[f"theta_{label}{k}"]
-            rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
-    if k == 4:
-        for p in (1, 2, 3):
-            val = values[f"Phi{p}"]
-            rep.add(f"cayley_Phi{p}", abs(val - 1) <= tol, val)
-        rep.add("quaternionic_Lambda_value", None, values["Lambda"])
+    _add_catalog_flags(hk, F, rep, [(f"special_lagrangian_phase_upsilon{p}", f"upsilon{p}", "phase")
+                                    for p in (1, 2, 3) if k == top]
+                       + [(f"special_isotropic_theta_{label}{k}", f"theta_{label}{k}", "unit")
+                          for label in "IJK" if k % 2 == 0 and k <= top]
+                       + ([(f"cayley_Phi{p}", f"Phi{p}", "unit") for p in (1, 2, 3)]
+                          + [("quaternionic_Lambda_value", "Lambda", None)] if k == 4 else []))
 
 
 def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> None:
     k, n, tol = rep.degree, lf.n, rep.tol
-    values = _catalog_values(lf, [f"psi{p}" for p in (1, 2, 3) if k == 2 * n + 1]
-                             + [f"theta_{label}{k}" for label in "IJK" if k % 2 == 1 and k <= 2 * n + 1]
-                             + (["phi1", "phi2", "phi3", "gamma1"] if k == 3 else []), F)
     crs = _cr(F, lf, (1, 2, 3), tol)
     for p in (1, 2, 3):
         cr, has_reeb, jres = crs[p]
@@ -298,21 +294,12 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"cr_I{p}")) and rep.flag(f"isotropic_alpha{q}") and rep.flag(f"isotropic_alpha{r}")
         rep.add(f"cr_isotropic_I{p}", ci, None)
-    if k == 2 * n + 1:
-        for p in (1, 2, 3):
-            val = values[f"psi{p}"]
-            ph = _phase(val, tol)
-            rep.add(f"special_legendrian_phase_psi{p}", ph is not None, val, phase=ph)
-    if k % 2 == 1 and k <= 2 * n + 1:
-        for label in ("I", "J", "K"):
-            val = values[f"theta_{label}{k}"]
-            rep.add(f"special_isotropic_theta_{label}{k}", abs(val - 1) <= tol, val)
-    if k == 3:
-        for p in (1, 2, 3):
-            val = values[f"phi{p}"]
-            rep.add(f"associative_phi{p}", abs(val - 1) <= tol, val)
-        val = values["gamma1"]
-        rep.add("re_gamma1_value", abs(val.real - 1) <= tol, val)
+    _add_catalog_flags(lf, F, rep, [(f"special_legendrian_phase_psi{p}", f"psi{p}", "phase")
+                                    for p in (1, 2, 3) if k == 2 * n + 1]
+                       + [(f"special_isotropic_theta_{label}{k}", f"theta_{label}{k}", "unit")
+                          for label in "IJK" if k % 2 == 1 and k <= 2 * n + 1]
+                       + ([(f"associative_phi{p}", f"phi{p}", "unit") for p in (1, 2, 3)]
+                          + [("re_gamma1_value", "gamma1", "re")] if k == 3 else []))
     horiz = float(np.max(np.abs(F[:, :3])))
     rep.add("horizontal_p1", rep.flag("isotropic_alpha1"), rep.witness("isotropic_alpha1"))
     rep.add("horizontal", horiz <= tol, horiz)

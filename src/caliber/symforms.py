@@ -333,10 +333,11 @@ class RCoef:
 
     A sum, an exact wedge or contraction blade, and an `ext_d` blade are one
     level accumulator, the numerators of P and of Q per s: a summand's
-    numerators, a product of one-part coefficients (`_mul_into`) and a
+    numerators, a product of two coefficients (`_mul_into`) and a
     derivative (`_diff_part`) add into their level as they are made, the
     last two with no `RCoef` of their own, and one step (`_finish`) lifts the
-    levels to the largest s and reduces the sum once.
+    levels to the largest s and reduces the sum once.  `a * b` is the sum of
+    the one product.
 
     For N >= 2, S is prime in Q[x_0..x_{N-1}] (irreducible, and the ring is a
     UFD), and does not divide x_i.  So these results are reduced already and
@@ -421,20 +422,29 @@ class RCoef:
     @staticmethod
     def sum_of_products(pairs) -> "RCoef":
         """The sum of sign * a * b over (sign, a, b), a or b maybe rational,
-        reduced once.  A product of one-part coefficients is multiplied
-        straight into its level; any other is made and reduced first."""
+        reduced once.  A product of two coefficients is multiplied straight
+        into its level: one of one-part coefficients as one reduced summand,
+        any other (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 r^2 + (p1 q2 + q1 p2) r
+        at s1 + s2 as two, since it is not known to be reduced."""
         levels: dict = {}
         for sign, a, b in pairs:
             if not isinstance(a, RCoef):
                 a, b = b, a
-            one_part = a._one_part_factors(b) if isinstance(b, RCoef) else None
-            if one_part is None:
-                _fold_coef(levels, a * (-b if sign < 0 else b))
-            else:
+            neg = sign < 0
+            if not isinstance(b, RCoef):
+                _fold_coef(levels, a * (-b if neg else b))
+                continue
+            one_part = a._one_part_factors(b)
+            if one_part is not None:
                 s, odd, na, nb = one_part
                 level = levels.get(s) or levels.setdefault(s, [{}, {}, 0])
-                _mul_into(level[odd], na, nb, sign < 0)
+                _mul_into(level[odd], na, nb, neg)
                 level[2] += 1
+                continue
+            level = levels.get(a.s + b.s) or levels.setdefault(a.s + b.s, [{}, {}, 0])
+            for odd, x, y in ((0, a.p, b.p), (0, a.q * b.q, _sumsq(a.dim)), (1, a.p, b.q), (1, a.q, b.p)):
+                _mul_into(level[odd], x, y, neg)
+            level[2] += 2
         return _finish(a.dim, levels)
 
     def __bool__(self) -> bool:
@@ -457,23 +467,11 @@ class RCoef:
         return self + (-other)
 
     def __mul__(self, other) -> "RCoef":
-        dim = self.dim
-        if not isinstance(other, RCoef):  # a rational scalar
-            if other == 0:
-                return RCoef.const(dim, 0)
-            return RCoef._reduced(dim, self.p.scale(other), self.q.scale(other), self.s)
-        one_part = self._one_part_factors(other)
-        if one_part is not None:
-            s, odd, na, nb = one_part
-            n, empty = na * nb, Poly._wrap(dim, {})
-            return RCoef._reduced(dim, empty, n, s) if odd else RCoef._reduced(dim, n, empty, s)
-        # (p1 + q1 r)(p2 + q2 r) = p1 p2 + q1 q2 r^2 + (p1 q2 + q1 p2) r, not
-        # known to be reduced; a product with an empty factor adds nothing
-        p, q = {}, {}
-        for acc, x, y in ((p, self.p, other.p), (p, self.q * other.q, _sumsq(dim)), (q, self.p, other.q),
-                          (q, self.q, other.p)):
-            _mul_into(acc, x, y)
-        return _finish(dim, {self.s + other.s: [p, q, 2]})
+        if isinstance(other, RCoef):
+            return RCoef.sum_of_products(((1, self, other),))
+        if other == 0:  # a rational scalar
+            return RCoef.const(self.dim, 0)
+        return RCoef._reduced(self.dim, self.p.scale(other), self.q.scale(other), self.s)
 
     __rmul__ = __mul__
 
@@ -610,9 +608,6 @@ def interior_field(X: tuple, f):
 
 def lie_derivative(X: tuple, f):
     """Cartan formula L_X = d iota_X + iota_X d, computed exactly."""
-    if f.degree == 0:
-        df = ext_d(f)
-        return interior_field(X, df)
     return ext_d(interior_field(X, f)) + interior_field(X, ext_d(f))
 
 

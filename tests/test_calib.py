@@ -187,20 +187,21 @@ def _seeded_normals(seed, restarts, n, k):
 
 def test_starting_draws_are_each_seeds_normals_whatever_ran_before():
     # restart r starts from default_rng(seed + r).standard_normal((n, k)),
-    # bit for bit, whether its seed's draw is new, shorter or longer than n k
-    calib._DRAWS.clear()
+    # bit for bit, whether its seed's draw is new or kept, and for n k above
+    # the kept draw's length
+    calib._seed_draw.cache_clear()
     for seed, restarts, n, k in [(3, 20, 4, 2), (0, 30, 12, 6), (10, 40, 3, 1), (5, 25, 16, 9), (1, 60, 7, 3)]:
         got = calib._starting_normals(seed, restarts, n, k)
         want = _seeded_normals(seed, restarts, n, k)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    calib._DRAWS.clear()
+    calib._seed_draw.cache_clear()
     assert calib._starting_normals(4, 9, 5, 2).tobytes() == _seeded_normals(4, 9, 5, 2).tobytes()
 
 
 def test_search_is_the_same_cold_and_warm():
     f = build_hyperkahler_cone(1).form("theta_I4")
     params = SearchParams(restarts=30, seed=11)
-    calib._DRAWS.clear()
+    calib._seed_draw.cache_clear()
     cold = comass_search(f, params=params)
     comass_search(build_twistor_model(1).form("re_gamma0"), params=SearchParams(restarts=50, seed=0))
     warm = comass_search(f, params=params)
@@ -210,13 +211,36 @@ def test_search_is_the_same_cold_and_warm():
 
 
 def test_starting_draws_stay_within_their_cap():
-    calib._DRAWS.clear()
-    seeds = calib._DRAWS_CAP + 50
+    calib._seed_draw.cache_clear()
+    cap = calib._seed_draw.cache_info().maxsize
+    seeds = cap + 50
     first = calib._starting_normals(0, seeds, 2, 1)
-    assert len(calib._DRAWS) == calib._DRAWS_CAP
+    assert calib._seed_draw.cache_info().currsize == cap
     assert calib._starting_normals(0, seeds, 2, 1).tobytes() == first.tobytes()
-    assert len(calib._DRAWS) == calib._DRAWS_CAP
-    assert max(d.size for d in calib._DRAWS.values()) == calib._DRAW_SIZE
+    assert calib._seed_draw.cache_info().currsize == cap
+    draw = calib._seed_draw(0)
+    assert draw.size == calib._DRAW_SIZE and not draw.flags.writeable
+
+
+def test_capped_searches_report_their_stops(monkeypatch):
+    # few iterations and one trial per line search: restarts stop at the
+    # iteration cap (after the loop) and at the halving cap
+    monkeypatch.setattr(calib, "MAX_ITERS", 3)
+    monkeypatch.setattr(calib, "MAX_HALVINGS", 1)
+    f = build_twistor_model(1).form("re_gamma0")
+    res = comass_search(f, params=SearchParams(restarts=40, seed=0))
+    counts = res.terminations
+    assert counts["max_iters"] > 0 and counts["max_halvings"] > 0
+    assert sum(counts.values()) == res.restarts_used == 40
+    doc = res.to_json()
+    assert doc["terminations"] == counts
+    assert doc["converged_fraction"] == (counts["converged"] + counts["float_floor"]) / 40
+    gram = res.all_frames @ np.swapaxes(res.all_frames, -1, -2)
+    assert np.abs(gram - np.eye(3)).max() < 1e-12
+    assert np.allclose(FormEvaluator(f).values(np.swapaxes(res.all_frames, -1, -2)), res.all_values, atol=1e-12)
+    check = suites.CheckResult("capped", "pass", None, 1.23456)
+    assert check.to_json(include_timing=True)["elapsed_ms"] == 1.235
+    assert "elapsed_ms" not in check.to_json(include_timing=False)
 
 
 def _counted_search(monkeypatch, form, params):

@@ -1,10 +1,15 @@
 """Command-line front end: JSON contracts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import caliber
 from caliber.calib import Plane
 from caliber.cli import run
 from caliber.exterior import form_to_json
@@ -355,3 +360,28 @@ def test_normalform_plane_of_wrong_dimension_exits_2(tmp_path, capsys):
     code, out, err = invoke(capsys, "normalform", "--n", "1", "--plane", str(path))
     _assert_usage_error(code, err)
     assert out == "" and "dimension mismatch" in err
+
+
+@pytest.mark.parametrize("argv", [("forms", "list"), ("verify", "--suite", "cones", "--no-timing")])
+def test_pretty_prints_the_compact_document(capsys, argv):
+    code, compact, _ = invoke(capsys, *argv)
+    pretty_code, pretty, _ = invoke(capsys, *argv, "--pretty")
+    assert code == pretty_code == 0
+    assert pretty.startswith("{\n  ") and pretty != compact
+    assert json.dumps(json.loads(pretty), sort_keys=True, separators=(",", ":")) + "\n" == compact
+
+
+@pytest.mark.parametrize("argv", [(), ("verify",)])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--help")
+    assert code == 0
+    assert out.startswith(" ".join(("usage: caliber",) + argv))
+
+
+def test_module_entry_point_runs_in_a_subprocess():
+    src = str(Path(caliber.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "caliber", "forms", "list"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["space"] == "cone"
