@@ -607,7 +607,7 @@ def interior_field(X: tuple, f):
 
 
 def lie_derivative(X: tuple, f):
-    """Cartan formula L_X = d iota_X + iota_X d, computed exactly."""
+    """Cartan formula L_X = d iota_X + iota_X d on a form of degree >= 1, exact."""
     return ext_d(interior_field(X, f)) + interior_field(X, ext_d(f))
 
 
