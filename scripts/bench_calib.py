@@ -48,9 +48,13 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   of the cones suite at n = 1, 2 (`symforms.times_r_power`); `ext_d` of
   `psi1` at n = 1; `ext_d` twice on the 100 forms of the identities suite's
   `dd_zero_random` check; `try_div_sumsq` of S^4 on R^16; and the number of
-  `Poly.try_div_sumsq`, `Poly.__mul__` and `RCoef.__add__` calls in one `identities` plus `cones` pass at n = 1 made
-  after a first pass has built the catalogs (exact counts, stored under
-  "exact_counts" with the pass's seconds).  Each exact row also holds the
+  `Poly.try_div_sumsq`, `Poly.__mul__`, `RCoef.__add__`, `RCoef.__eq__`,
+  `RCoef.__sub__` and `symforms.ext_d` calls in one `identities` plus
+  `cones` pass at n = 1 made after a first pass has built the catalogs
+  (exact counts, stored under "exact_counts" with the pass's seconds; no
+  other code of the pass subtracts two coefficients, so `RCoef.__sub__`
+  counts the subtractions `RCoef.__eq__` falls back to, and a complex
+  `ext_d` counts once more for each of its parts).  Each exact row also holds the
   cyclic-GC collections [gen0, gen1, gen2] that one untimed call of its
   kernel starts after a full collection (`gc.callbacks`), under "gc";
 - the wall time of `verify --suite identities|cones --no-timing` in a fresh
@@ -146,7 +150,8 @@ REPEAT = 7
 EXACT_REPEAT = 3
 DIV_DIM = 16  # S^4 on R^16 is the r^8 of cone_split_upsilon1 at n = 3
 # (class, method) whose calls the exact pass counts
-EXACT_COUNTED = ((symforms.Poly, "try_div_sumsq"), (symforms.Poly, "__mul__"), (symforms.RCoef, "__add__"))
+EXACT_COUNTED = ((symforms.Poly, "try_div_sumsq"), (symforms.Poly, "__mul__"), (symforms.RCoef, "__add__"),
+                 (symforms.RCoef, "__eq__"), (symforms.RCoef, "__sub__"), (symforms, "ext_d"))
 
 
 def _orthonormal(rng, shape):
@@ -584,7 +589,7 @@ def main() -> None:
         fh.write("\n")
     for group, rows in record["results"].items():
         for key, row in rows.items():
-            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "frames", "gc", "generators")))
+            counts = "".join(f"  {k} {v}" for k, v in row.items() if k.endswith(("sumsq", "__", "ext_d", "frames", "gc", "generators")))
             print(f"{args.label:8s} {group:21s} {key:30s} {row['s'] * 1e3:10.3f} ms"
                   f" (median of {len(runs)}){counts}")
 

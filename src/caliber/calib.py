@@ -362,17 +362,23 @@ class FormEvaluator:
         self._plan = None  # built on the first call
         self._scatter = None  # built on the first `grads` call
 
-    def _chunks(self, V: np.ndarray, shape: tuple, kernel) -> np.ndarray:
-        """Per-frame results of `shape`, from `kernel` on the (k, N, B)
-        columns of each frame chunk of V."""
+    def _ready(self, V: np.ndarray) -> bool:
+        """Whether the form has support blades, its plan then built; raises
+        on frames V of another shape than (..., N, k)."""
         if V.shape[-2:] != (self.dim, self.degree):
             raise ValueError(f"dimension mismatch: frames of shape {V.shape}, "
                              f"the form needs (..., {self.dim}, {self.degree})")
+        if len(self.idx) and self._plan is None:
+            self._plan = _minor_plan(tuple(map(tuple, self.idx.tolist())))
+        return bool(len(self.idx))
+
+    def _chunks(self, V: np.ndarray, shape: tuple, kernel) -> np.ndarray:
+        """Per-frame results of `shape`, from `kernel` on the (k, N, B)
+        columns of each frame chunk of V."""
+        ready = self._ready(V)
         flat = V.reshape(-1, self.dim, self.degree)
         out = np.zeros((len(flat),) + shape)
-        if len(self.idx):
-            if self._plan is None:
-                self._plan = _minor_plan(tuple(map(tuple, self.idx.tolist())))
+        if ready:
             step = self._plan.chunk
             for s in range(0, len(flat), step):
                 # X[c][n] is column c at row n for every frame of the chunk
@@ -382,8 +388,12 @@ class FormEvaluator:
     def values(self, V: np.ndarray) -> np.ndarray:
         """Form values sum_T c_T det V[T, :k]: the prefix-minor recurrence of
         `grads` run one level further, up to the support blades themselves;
-        shape (..., F) for a tuple of F forms."""
+        shape (..., F) for a tuple of F forms.  One frame (N, k) runs the
+        same kernel on its (k, N) columns with no batch axis, so its minors
+        are 1-D; its values are bit for bit those of the batch of one."""
         shape = () if self._parts is None else (len(self._parts),)
+        if V.ndim == 2 and self._ready(V):
+            return np.asarray(self._values_chunk(V.T.copy()))
         return self._chunks(V, shape, self._values_chunk).reshape(V.shape[:-2] + shape)
 
     def grads(self, V: np.ndarray) -> np.ndarray:
@@ -434,7 +444,7 @@ class FormEvaluator:
 def _laplace_level(children: tuple, column: np.ndarray, lower: np.ndarray, parity: int) -> np.ndarray:
     """Minors of the next plan level, expanded along one column: for each
     subset S, sum_t (-1)^(t + parity) column[S_t] * lower[S without S_t]."""
-    acc = np.zeros((len(children[0][0]), column.shape[-1]))
+    acc = np.zeros((len(children[0][0]),) + column.shape[1:])
     for t, (row, child) in enumerate(children):
         _add_product(acc, column[row], lower[child], (t + parity) % 2)
     return acc

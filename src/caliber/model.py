@@ -101,15 +101,14 @@ def _over_factorial(f, k: int):
     return f if k < 2 else f * Fraction(1, math.factorial(k))
 
 
-def _assemble(re: np.ndarray, im: np.ndarray | None = None):
-    """A value as `_FormCatalog.value` returns it: complex when there is an
-    imaginary part, its parts assigned so signed zeros stay, and a Python
-    scalar for one frame."""
-    out = re
-    if im is not None:
-        out = np.empty(re.shape, dtype=complex)
-        out.real, out.imag = re, im
-    return out if out.ndim else out.item()
+def _assemble(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
+    """Values on a batch as `_FormCatalog.value` returns them: complex when
+    there is an imaginary part, its parts assigned so signed zeros stay."""
+    if im is None:
+        return re
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 class _FormCatalog:
@@ -145,7 +144,11 @@ class _FormCatalog:
             self.cache[key] = (FormEvaluator(sum(parts, ())), tuple(zip([0] + ends, ends)))
         ev, spans = self.cache[key]
         out = ev.values(np.swapaxes(frames, -1, -2))
-        values = tuple(_assemble(*(out[..., i] for i in range(a, b))) for a, b in spans)
+        if out.ndim == 1:  # one frame: Python scalars, a complex one from its (Re, Im)
+            flat = out.tolist()
+            values = tuple(flat[a] if b - a == 1 else complex(*flat[a:b]) for a, b in spans)
+        else:
+            values = tuple(_assemble(*(out[..., i] for i in range(a, b))) for a, b in spans)
         return values if isinstance(name, tuple) else values[0]
 
     def skew(self, name) -> np.ndarray:

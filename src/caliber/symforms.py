@@ -362,6 +362,10 @@ class RCoef:
     Multiplying by a rational scalar is allowed, and a rational compares
     equal to its constant coefficient, so `RCoef` can be the coefficient ring
     of an `exterior.AltForm`.  Truth testing is the exact zero test.
+    Equality compares (p, q, s) first, so two reduced coefficients (and the
+    exact forms over them) compare with no subtraction; only when those
+    differ does it test the difference for zero, so an equal value in
+    another form (unreduced, or at N = 1) still compares equal.
     """
 
     __slots__ = ("dim", "p", "q", "s")
@@ -453,7 +457,10 @@ class RCoef:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RCoef.const(self.dim, other)
-        return isinstance(other, RCoef) and not (self - other)
+        # equal (p, q, s) first; else the zero test of the difference, which
+        # finds the same value in another form
+        return isinstance(other, RCoef) and (
+            (self.s, self.p.terms, self.q.terms) == (other.s, other.p.terms, other.q.terms) or not (self - other))
 
     __hash__ = None
 
@@ -658,21 +665,24 @@ class NotConicalError(ValueError):
 
 
 def homogeneous_potential(f, k: int):
-    """Primitive (r^k / k) alpha_0 of a closed degree-k homogeneous form.
+    """Primitive (r^k / k) alpha_0 = iota_R f / k of a closed degree-k
+    homogeneous form, R the dilation field.
 
     Checks closedness and homogeneity exactly and raises with the residual
     otherwise; the returned potential satisfies d(potential) = f exactly.
+    With df = 0 checked first, L_R f = d(iota_R f), so d f and iota_R f are
+    each taken once and homogeneity is the equality L_R f = k f.
     """
     if k == 0:
         raise ValueError("homogeneity degree must be nonzero")
     df = ext_d(f)
     if not df.is_zero():
         raise NotClosedError(df)
-    R = dilation_field(f.dim)
-    res = lie_derivative(R, f) - f * k
-    if not res.is_zero():
-        raise NotConicalError(res, k)
-    return interior_field(R, f) * Fraction(1, k)
+    hook = interior_field(dilation_field(f.dim), f)
+    lie = ext_d(hook)
+    if lie != f * k:
+        raise NotConicalError(lie - f * k, k)
+    return hook * Fraction(1, k)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,32 @@ def test_complex_value_is_its_parts_values_on_batches(space, n):
         assert got.imag.tobytes() == FormEvaluator(form.im).values(V).tobytes(), name
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_frame_values_are_the_batch_of_one(n):
+    # a single (N, k) frame runs the batch kernel with no batch axis: every
+    # real catalog form (and each part of a complex one), alone and in one
+    # tuple evaluator per degree, gives the bits of the batch of one
+    rng = np.random.default_rng(40 + n)
+    for space in registry.SPACES:
+        model = registry.model(space, n)
+        by_degree = {}
+        for f in model.catalog.values():
+            for part in (f.re, f.im) if isinstance(f, ComplexAltForm) else (f,):
+                if part.degree:
+                    by_degree.setdefault(part.degree, []).append(part)
+        for k, parts in by_degree.items():
+            for ev, shape in [(FormEvaluator(p), ()) for p in parts] + [(FormEvaluator(tuple(parts)), (len(parts),))]:
+                for frame in batch_random_planes(model.dim, k, 3, rng):
+                    one, batch = ev.values(frame.T), ev.values(frame.T[None])
+                    assert one.shape == shape and one.tobytes() == batch[0].tobytes(), (space, k)
+        k = max(by_degree, key=lambda k: len(by_degree[k]))  # and one tuple read of the model
+        names = tuple(name for name, f in model.catalog.items() if f.degree == k)
+        frame = batch_random_planes(model.dim, k, 1, rng)[0]
+        one, batch = model.value(names, frame), model.value(names, frame[None])
+        assert [type(v) for v in one] == [complex if b.dtype.kind == "c" else float for b in batch]
+        assert np.array(one).tobytes() == np.concatenate(batch).tobytes()
+
+
 def test_registry_rejects_an_unknown_space():
     with pytest.raises(ValueError, match="unknown space"):
         registry.model("sphere", 1)

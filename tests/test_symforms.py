@@ -27,6 +27,38 @@ def test_rcoef_sumsq_reduction_is_canonical():
     assert c.s == 0 and c.p.terms == {0: 1}
 
 
+def _counting_subtractions(monkeypatch) -> list:
+    """A list that gets one entry per `RCoef.__sub__` call from now on."""
+    calls, sub = [], sf.RCoef.__sub__
+    monkeypatch.setattr(sf.RCoef, "__sub__", lambda a, b: calls.append(1) or sub(a, b))
+    return calls
+
+
+def test_reduced_coefficients_compare_with_no_subtraction(monkeypatch):
+    # reduced coefficients of one value have one (p, q, s), so equal exact
+    # forms compare coefficient by coefficient without a difference
+    cat = sf.link_extension_catalog(1)
+    lhs, rhs = sf.ext_d(cat["alpha1"]), cat["Omega1"] * 2
+    subtractions = _counting_subtractions(monkeypatch)
+    assert lhs is not rhs and lhs == rhs and not subtractions
+    assert sf.ext_d(cat["gamma1"]).re == sf.ext_d(cat["gamma1"].re) and not subtractions
+    assert lhs != cat["Omega1"] * 3 and subtractions  # unequal: decided by the difference
+
+
+def test_an_equal_value_in_another_form_compares_equal(monkeypatch):
+    # (S P, S Q, s + 1) is the value of a reduced (P, Q, s): equality falls
+    # back to the zero test of the difference when (p, q, s) differ
+    dim, S = 4, sf._sumsq(4)
+    c = sf.RCoef(dim, sf.Poly.x(dim, 0) * sf.Poly.x(dim, 1), sf.Poly.x(dim, 2, 3), 1)
+    assert c.s == 1 and c.p.terms and c.q.terms
+    other = sf.RCoef._reduced(dim, S * c.p, S * c.q, c.s + 1)
+    subtractions = _counting_subtractions(monkeypatch)
+    assert c == other and other == c and len(subtractions) == 2
+    assert c != other * 2 and len(subtractions) == 3
+    assert AltForm(dim, 1, _raw={0b10: c}) == AltForm(dim, 1, _raw={0b10: other})
+    assert sf.RCoef._reduced(dim, S, sf.Poly(dim, {}), 1) == 1
+
+
 def test_rcoef_r_powers_multiply():
     dim = 3
     for a in range(-3, 4):
@@ -583,6 +615,17 @@ def test_potential_rejects_nonclosed_and_nonconical():
     not_conical = sf.RationalForm(dim, 1, {0b1: sf.RCoef.const(dim, 1)})
     with pytest.raises(sf.NotConicalError):
         sf.homogeneous_potential(not_conical, 2)
+
+
+def test_potential_reports_the_lie_derivative_residual():
+    # a closed form that is not homogeneous of degree k raises with the
+    # residual L_R f - k f that the Cartan formula gives
+    cc = sf.cone_constant_catalog(1)
+    for f, k in ((sf.RationalForm(4, 1, {0b1: sf.RCoef.const(4, 1)}), 2), (cc["omega1"], 3), (cc["Lambda"], 2)):
+        with pytest.raises(sf.NotConicalError) as ei:
+            sf.homogeneous_potential(f, k)
+        expect = sf.lie_derivative(sf.dilation_field(f.dim), f) - f * k
+        assert ei.value.residual == expect and expect.residual_term_count() > 0
 
 
 # -- one algebra over both rings --------------------------------------------
