@@ -15,7 +15,8 @@ Measures, each as the best of REPEAT timed rounds in seconds per call:
   classification takes (`model.value`, through the model's cached
   `FormEvaluator`);
 - `classify_plane` on one plane per model space and degree k = 2, 3, 4 at
-  n = 1 and n = 2, and on one plane per model space at n = 3;
+  n = 1 and n = 2, and on one plane per model space at n = 3, and
+  `Plane.from_vectors` on the row vectors of each of those planes;
 - one plane, all its values: the catalog values `classify_plane` reads on
   one plane per model space at n = 3 (PLANE_VALUES), once as one tuple read
   of `model.value` (one evaluator, one minor table) and once as one read per
@@ -527,6 +528,7 @@ def run() -> dict:
     frames = np.swapaxes(_orthonormal(np.random.default_rng(R), (R, N, k)), -1, -2)
     out["canonicalize_tied"]["x".join(map(str, TIED))] = {"s": _best(lambda: _canonicalize(frames))}
     out["single_frame_evaluate"], out["single_frame_value"], out["classify_plane"] = {}, {}, {}
+    out["plane_from_vectors"] = {}
     for name, space in SINGLE_FRAME_FORMS:
         m = MODELS[space](3)
         form = m.form(name)
@@ -541,8 +543,10 @@ def run() -> dict:
     cases = [(space, n, k) for space in MODELS for n in (1, 2) for k in CLASSIFY_SMALL_DEGREES]
     for space, n, k in cases + [(space, 3, k) for space, k in CLASSIFY_DEGREES.items()]:
         m = MODELS[space](n)
-        plane = calib.Plane.from_vectors(_orthonormal(np.random.default_rng(k), (m.dim, k)).T)
+        vectors = _orthonormal(np.random.default_rng(k), (m.dim, k)).T
+        plane = calib.Plane.from_vectors(vectors)
         out["classify_plane"][f"{space}/n{n}/k{k}"] = {"s": _best(lambda: planes.classify_plane(plane, m))}
+        out["plane_from_vectors"][f"{space}/n{n}/k{k}"] = {"s": _best(lambda: calib.Plane.from_vectors(vectors))}
     out["plane_values"] = _plane_value_kernels()
     out["implication_checks"] = _implication_kernels()
     out["normal_form"] = _normal_form_kernels()

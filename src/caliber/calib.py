@@ -46,7 +46,10 @@ the canonical frames; outside this module it draws every
 `planes.batch_*_planes` sample and builds the adapted basis of
 `model.build_link_frame`.  The restarts tied with the best value
 are canonicalized in one batched call; the smallest canonical frame, by its
-bytes rounded to 12 digits, is the argmax.
+bytes rounded to 12 digits, is the argmax.  A `Plane` is orthonormalized
+by `orthonormal_rows`: the two LAPACK gufuncs `np.linalg.qr` runs, on its
+copy of the frame, so the bits are its own without its wrapper, which takes
+most of its time on one small frame.
 
 `ComassResult.maximizer_frames` is the row-frame batch (M, k, N) of the
 restarts within a tolerance relative to the best value, so it is scale-free
@@ -81,6 +84,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from caliber.exterior import AltForm, ComplexAltForm, _indices_from_mask, interior
 
@@ -109,20 +113,19 @@ def orthonormal_rows(A: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the oriented plane of the rows of each frame
     (..., k, N): the Q factor of QR with signs fixed by the diagonal of R.
     Raises ValueError when some frame's rows are rank-deficient (a diagonal
-    entry of R within 1e-10 of zero, relative to the largest)."""
-    if A.ndim == 2:  # one frame: scalar rank test, the same bytes and strides
-        Q, R = np.linalg.qr(A.T)
-        d = R.diagonal()
-        diag = np.abs(d)
+    entry of R within 1e-10 of zero, relative to the largest).  The entries
+    must be finite (`Plane.from_vectors` checks): only a NaN would trip the
+    floating-point error state that `np.linalg.qr` sets around the gufuncs."""
+    a = A.swapaxes(-1, -2).astype(float, copy=True)  # np.linalg.qr's own copy, factored in place
+    Q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a, signature="d->d"), signature="dd->d")
+    d = a.diagonal(axis1=-2, axis2=-1)  # the diagonal of R
+    diag = np.abs(d)
+    if A.ndim == 2:  # one frame: a scalar rank test
         if diag.min() <= 1e-10 * max(1.0, diag.max()):
             raise ValueError("rank-deficient frame")
-        return (Q * np.sign(d)).T
-    Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    diag = np.abs(d)
-    if np.any(np.min(diag, axis=-1) <= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1))):
+    elif np.any(np.min(diag, axis=-1) <= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1))):
         raise ValueError("rank-deficient frame")
-    return np.swapaxes(Q * np.sign(d)[..., None, :], -1, -2)
+    return (Q * np.sign(d)[..., None, :]).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +152,7 @@ class Plane:
         A = np.asarray(vectors, dtype=float)
         if A.ndim != 2:
             raise ValueError("frame must be a 2-D array of row vectors")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise ValueError("frame has non-finite entries")
         k, n = A.shape
         if k > n:

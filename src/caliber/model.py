@@ -117,10 +117,11 @@ class _FormCatalog:
     Each read gets one `FormEvaluator` over the real parts of all its forms
     (a single name is the tuple of one, a complex form its Re and Im), and
     each 2-form one skew matrix, built on first use and kept in the model's
-    `cache`; the models of the lru_cached builders therefore evaluate every
+    `cache`, as are `classify_plane`'s structure stacks and flag rows
+    (`cached`); the models of the lru_cached builders therefore evaluate every
     plane with the same evaluators, and the cache is bounded by the catalog,
-    the derived calibrations named by callers and the name tuples that
-    `classify_plane` reads.  A tuple builds a plane's minor table once for
+    the derived calibrations named by callers and the name tuples and pieces
+    per degree of `classify_plane`.  A tuple builds a plane's minor table once for
     all its forms, each value bit for bit its one-name read on one frame; on
     a batch wider than the tuple's plan chunk the last bits may move.
     """
@@ -136,13 +137,13 @@ class _FormCatalog:
         the tuple of their values.  The evaluator of `name`, or of the tuple
         `(name,)`, is built on the first call and cached under that tuple."""
         names = name if isinstance(name, tuple) else (name,)
-        key = ("evaluator", names)
-        if key not in self.cache:
+        def build():
             forms = [derive() if derive is not None and n not in self.catalog else self.form(n) for n in names]
             parts = [(f.re, f.im) if isinstance(f, ComplexAltForm) else (f,) for f in forms]
             ends = np.cumsum([len(p) for p in parts]).tolist()
-            self.cache[key] = (FormEvaluator(sum(parts, ())), tuple(zip([0] + ends, ends)))
-        ev, spans = self.cache[key]
+            return FormEvaluator(sum(parts, ())), tuple(zip([0] + ends, ends))
+
+        ev, spans = self.cached(("evaluator", names), build)
         out = ev.values(np.swapaxes(frames, -1, -2))
         if out.ndim == 1:  # one frame: Python scalars, a complex one from its (Re, Im)
             flat = out.tolist()
@@ -154,11 +155,17 @@ class _FormCatalog:
     def skew(self, name) -> np.ndarray:
         """The cached, read-only `skew_matrix` of catalog 2-form `name`, or
         the stack (m, N, N) of those of a tuple of m names."""
-        key = ("skew", name)
+        return self.cached(("skew", name), lambda: np.array([self.skew(n) for n in name]) if isinstance(name, tuple)
+                           else skew_matrix(self.form(name)))
+
+    def cached(self, key, build):
+        """What `build()` returns, built on the first call with `key` and kept
+        in `cache`, an array read-only (a tuple's arrays too)."""
         if key not in self.cache:
-            self.cache[key] = (np.array([self.skew(n) for n in name]) if isinstance(name, tuple)
-                               else skew_matrix(self.form(name)))
-            self.cache[key].setflags(write=False)
+            value = self.cache[key] = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
         return self.cache[key]
 
 

@@ -16,7 +16,9 @@ each form's last contraction is the same BLAS call on the same rows.  On a
 batch wider than the tuple's plan chunk the last bits may move, so
 `check_equivalences` reads its forms by name.  Isotropy residuals, in both,
 are one product over the stacked skew matrices, and `classify_plane`'s
-J-invariance residuals share one projector.  The derived
+J-invariance residuals share one projector.  The structure stacks, the CR
+test's columns and its catalog-flag rows per degree are built once per model
+(`model.cached`), as the skew matrices are.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
 
@@ -116,7 +118,7 @@ def projector_invariance_residual(frame: np.ndarray, J: np.ndarray):
     a float for one frame (k, N), an array for a batch (..., k, N).  A stack
     of structures J (m, N, N) shares one projector and gives the m residuals
     of each frame on a last axis."""
-    P = np.swapaxes(frame, -1, -2) @ frame
+    P = frame.swapaxes(-1, -2) @ frame
     if J.ndim == 3:
         P = P[..., None, :, :]
     JP = J @ P
@@ -131,25 +133,39 @@ def isotropy_residual(frame: np.ndarray, S: np.ndarray):
     gives the m residuals of each frame on a last axis."""
     if S.ndim == 3:
         frame = frame[..., None, :, :]
-    return _item(np.abs(frame @ S @ np.swapaxes(frame, -1, -2)).max(axis=(-2, -1)))
+    return _item(np.abs(frame @ S @ frame.swapaxes(-1, -2)).max(axis=(-2, -1)))
 
 
-def alpha_residual(frame: np.ndarray, p: int):
+def alpha_residual(frame: np.ndarray, p):
     """sup-norm of the contact form alpha_p on E at the link frame: a float
-    for one frame (k, N), an array for a batch (..., k, N)."""
-    return _item(np.abs(frame[..., p - 1]).max(axis=-1))
+    for one frame (k, N), an array for a batch (..., k, N); a tuple of m
+    indices p gives the m residuals of each frame on a last axis."""
+    cols = np.abs(frame[..., np.subtract(p, 1)])  # (..., k), or (..., k, m) for a tuple
+    return _item(cols.max(axis=-2 if isinstance(p, tuple) else -1))
 
 
 def _cr(frame: np.ndarray, lf: LinkFrame, ps, tol: float) -> dict:
     """The CR tests for I_p at the link frame, {p: (flag, Reeb test, J_p
     residual)} for p in ps: E holds A_p (to 10 tol) and is J_p-invariant (to
-    tol), from one stacked Reeb test and one projector."""
-    idx = [p - 1 for p in ps]
-    A = np.swapaxes(frame[..., idx], -1, -2)[..., None]  # (..., m, k, 1): the A_p components
-    reeb = np.linalg.norm((A * frame[..., None, :, :]).sum(axis=-2) - np.eye(lf.dim)[idx], axis=-1) <= 10 * tol
-    jres = projector_invariance_residual(frame, np.array(lf.transverse_structures)[idx])
-    return {p: (_item(reeb[..., i] & (jres[..., i] <= tol)), _item(reeb[..., i]), _item(jres[..., i]))
-            for i, p in enumerate(ps)}
+    tol), from one stacked Reeb test and one projector; the columns, Reeb
+    targets and J_p of ps are built once per (model, ps)."""
+    idx, reeb_rows, J = lf.cached(("cr", ps), lambda: (
+        i := np.subtract(ps, 1), np.eye(lf.dim)[i], np.array(lf.transverse_structures)[i]))
+    A = frame[..., idx].swapaxes(-1, -2)[..., None]  # (..., m, k, 1): the A_p components
+    reeb = np.linalg.norm((A * frame[..., None, :, :]).sum(axis=-2) - reeb_rows, axis=-1) <= 10 * tol
+    jres = projector_invariance_residual(frame, J)
+    # each test with p on the first axis, one frame's as Python scalars
+    tests = (reeb & (jres <= tol), reeb, jres)
+    tests = [t.tolist() if frame.ndim == 2 else np.moveaxis(t, -1, 0) for t in tests]
+    return {p: tuple(t[i] for t in tests) for i, p in enumerate(ps)}
+
+
+@functools.lru_cache(maxsize=None)
+def _complement(n: int, indices: tuple) -> np.ndarray:
+    """The read-only index array of the coordinates of R^n outside `indices`."""
+    comp = np.array([i for i in range(n) if i not in indices], dtype=np.intp)  # np.setdiff1d: 2 MB more peak RSS
+    comp.setflags(write=False)
+    return comp
 
 
 def intersection_dim(frame: np.ndarray, indices):
@@ -160,13 +176,12 @@ def intersection_dim(frame: np.ndarray, indices):
     values above 1e-6."""
     frame = np.asarray(frame)
     k, n = frame.shape[-2:]
-    inside = set(indices)
-    comp = [i for i in range(n) if i not in inside]
-    if comp:
+    comp = _complement(n, tuple(indices))
+    if len(comp):
         M = frame[..., comp]
         if M.shape[-2] > M.shape[-1]:
-            M = np.swapaxes(M, -1, -2)
-        rank = np.sum(np.linalg.eigvalsh(M @ np.swapaxes(M, -1, -2).copy()) > 1e-6 * 1e-6, axis=-1)
+            M = M.swapaxes(-1, -2)
+        rank = (np.linalg.eigvalsh(M @ M.swapaxes(-1, -2).copy()) > 1e-6 * 1e-6).sum(axis=-1)
     else:
         rank = np.zeros(frame.shape[:-2], dtype=int)
     return _item(k - rank)
@@ -233,15 +248,17 @@ def classify_plane(plane: Plane, model, tol: float = 1e-8) -> ClassificationRepo
     return rep
 
 
-def _add_catalog_flags(model, F: np.ndarray, rep: ClassificationReport, rows: list) -> None:
-    """Add the flag of each row (flag, catalog form, test) from the values on
-    F of the rows' forms, read in one tuple read of `model.value` (one minor
-    table for all of them).  The test "unit" asks for the value 1, "re" for
-    real part 1 and "phase" for modulus 1, with the phase; None records the
-    value alone."""
+def _add_catalog_flags(model, F: np.ndarray, rep: ClassificationReport, rows) -> None:
+    """Add the flag of each row (flag, catalog form, test) of `rows()`, built
+    once per (model, degree), from the values on F of the rows' forms, read in
+    one tuple read of `model.value` (one minor table for all of them).  The
+    test "unit" asks for the value 1, "re" for real part 1 and "phase" for
+    modulus 1, with the phase; None records the value alone."""
+    rows, names = model.cached(("catalog_flags", rep.degree),
+                               lambda: (tuple(rows()), tuple(name for _, name, _ in rows())))
     if not rows:
         return
-    for (flag, _, test), val in zip(rows, model.value(tuple(name for _, name, _ in rows), F)):
+    for (flag, _, test), val in zip(rows, model.value(names, F)):
         if test == "phase":
             ph = _phase(val, rep.tol)
             rep.add(flag, ph is not None, val, phase=ph)
@@ -251,7 +268,8 @@ def _add_catalog_flags(model, F: np.ndarray, rep: ClassificationReport, rows: li
 
 def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> None:
     k, tol, top = rep.degree, rep.tol, 2 * hk.n + 2
-    invariance = projector_invariance_residual(F, np.array(hk.complex_structures)).tolist()
+    invariance = projector_invariance_residual(
+        F, hk.cached("complex_structures", lambda: np.array(hk.complex_structures))).tolist()
     isotropy = isotropy_residual(F, hk.skew(("omega1", "omega2", "omega3"))).tolist()
     for p, res, iso in zip((1, 2, 3), invariance, isotropy):
         invariant = res <= tol
@@ -269,8 +287,8 @@ def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> Non
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"complex_I{p}")) and rep.flag(f"isotropic_omega{q}") and rep.flag(f"isotropic_omega{r}")
         rep.add(f"complex_isotropic_I{p}", ci, None)
-    _add_catalog_flags(hk, F, rep, [(f"special_lagrangian_phase_upsilon{p}", f"upsilon{p}", "phase")
-                                    for p in (1, 2, 3) if k == top]
+    _add_catalog_flags(hk, F, rep, lambda: [(f"special_lagrangian_phase_upsilon{p}", f"upsilon{p}", "phase")
+                                            for p in (1, 2, 3) if k == top]
                        + [(f"special_isotropic_theta_{label}{k}", f"theta_{label}{k}", "unit")
                           for label in "IJK" if k % 2 == 0 and k <= top]
                        + ([(f"cayley_Phi{p}", f"Phi{p}", "unit") for p in (1, 2, 3)]
@@ -280,7 +298,8 @@ def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> Non
 def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> None:
     k, n, tol = rep.degree, lf.n, rep.tol
     crs = _cr(F, lf, (1, 2, 3), tol)
-    for p in (1, 2, 3):
+    alphas = alpha_residual(F, (1, 2, 3)).tolist()
+    for p, aval in zip((1, 2, 3), alphas):
         cr, has_reeb, jres = crs[p]
         rep.add(f"cr_I{p}", cr, {"reeb": has_reeb, "J_residual": jres})
         if cr and k % 2 == 1:
@@ -288,26 +307,26 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
             rep.flags[f"cr_I{p}"]["oriented_value"] = lf.value(
                 f"alpha{p}_Omega{p}_power{m}", F,
                 lambda: wedge(lf.form(f"alpha{p}"), divided_powers(lf.form(f"Omega{p}"), m)[m]))
-        aval = alpha_residual(F, p)
         rep.add(f"isotropic_alpha{p}", aval <= tol, aval)
         rep.add(f"legendrian_alpha{p}", aval <= tol and k == 2 * n + 1, aval)
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"cr_I{p}")) and rep.flag(f"isotropic_alpha{q}") and rep.flag(f"isotropic_alpha{r}")
         rep.add(f"cr_isotropic_I{p}", ci, None)
-    _add_catalog_flags(lf, F, rep, [(f"special_legendrian_phase_psi{p}", f"psi{p}", "phase")
-                                    for p in (1, 2, 3) if k == 2 * n + 1]
+    _add_catalog_flags(lf, F, rep, lambda: [(f"special_legendrian_phase_psi{p}", f"psi{p}", "phase")
+                                            for p in (1, 2, 3) if k == 2 * n + 1]
                        + [(f"special_isotropic_theta_{label}{k}", f"theta_{label}{k}", "unit")
                           for label in "IJK" if k % 2 == 1 and k <= 2 * n + 1]
                        + ([(f"associative_phi{p}", f"phi{p}", "unit") for p in (1, 2, 3)]
                           + [("re_gamma1_value", "gamma1", "re")] if k == 3 else []))
-    horiz = float(np.max(np.abs(F[:, :3])))
+    horiz = max(alphas)
     rep.add("horizontal_p1", rep.flag("isotropic_alpha1"), rep.witness("isotropic_alpha1"))
     rep.add("horizontal", horiz <= tol, horiz)
 
 
 def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport) -> None:
     k, n, tol = rep.degree, tm.n, rep.tol
-    invariance = projector_invariance_residual(F, np.array([tm.J_plus, tm.J_minus])).tolist()
+    invariance = projector_invariance_residual(
+        F, tm.cached("complex_structures", lambda: np.array([tm.J_plus, tm.J_minus]))).tolist()
     for name, res in zip(("J_plus", "J_minus"), invariance):
         rep.add(f"complex_{name}", res <= tol, res)
     names = ("omega_KE", "omega_NK", "omega_H", "omega_V")
@@ -315,7 +334,7 @@ def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport
         rep.add(f"isotropic_{name}", res <= tol, res, restriction_norm=res)
     rep.add("lagrangian_omega_KE", rep.flag("isotropic_omega_KE") and k == 2 * n + 1, rep.witness("isotropic_omega_KE"))
     rep.add("lagrangian_omega_NK", rep.flag("isotropic_omega_NK") and k == 2 * n + 1, rep.witness("isotropic_omega_NK"))
-    horiz = float(np.max(np.abs(F[:, list(tm.v_indices)])))
+    horiz = float(np.max(np.abs(F[:, _complement(tm.dim, tm.h_indices)])))  # the V columns
     rep.add("horizontal", horiz <= tol, horiz)
     dim_h = intersection_dim(F, tm.h_indices)
     dim_v = intersection_dim(F, tm.v_indices)

@@ -47,12 +47,20 @@ def test_plane_rejects_rank_deficient():
 
 
 def test_single_frame_orthonormal_rows_match_the_batched_path():
+    # both paths give, byte for byte, np.linalg.qr's Q with signs fixed by the
+    # diagonal of its R, on frames of every model dimension at n <= 3 (N <= 16)
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        A = rng.standard_normal((k, k + int(rng.integers(0, 9))))
+    shapes = [(N, N) for N in range(1, 17)]
+    for _ in range(300):
+        N = int(rng.integers(1, 17))
+        shapes.append((int(rng.integers(1, N + 1)), N))
+    for k, N in shapes:
+        A = rng.standard_normal((k, N))
+        Q, R = np.linalg.qr(A.T)
+        reference = (Q * np.sign(R.diagonal())).T
         one, batched = orthonormal_rows(A), orthonormal_rows(A[None])[0]
-        assert one.tobytes() == batched.tobytes() and one.strides == batched.strides
+        assert one.tobytes() == batched.tobytes() == reference.tobytes()
+        assert one.strides == batched.strides == reference.strides
     with pytest.raises(ValueError):
         orthonormal_rows(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
 

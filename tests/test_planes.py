@@ -227,18 +227,20 @@ def test_cached_evaluators_match_exact_evaluate(monkeypatch, n):
 
 
 def test_repeat_classification_builds_no_evaluator_and_contracts_nothing(monkeypatch):
+    # each run draws every special family afresh, so a piece kept per plane
+    # rather than per model and degree would grow a model's cache
     rng = np.random.default_rng(5)
-    cases = [(m, Plane.from_vectors(F)) for m, F in _special_planes(1, rng)]
-    tm = build_twistor_model(1)
-    calibrated = rotated_w_theta(1, 0.3, rng)
+    models = (build_hyperkahler_cone(1), default_link_frame(1), build_twistor_model(1))
 
     def run():
-        for m, P in cases:
+        for m, F in _special_planes(1, rng):
+            P = Plane.from_vectors(F)
             classify_plane(P, m)
             check_equivalences(P, m)
-        normal_form_theta(calibrated, tm)
+        normal_form_theta(rotated_w_theta(1, 0.3, rng), models[2])
 
     run()
+    sizes = [len(m.cache) for m in models]
     counts = {"evaluators": 0, "interior": 0}
     init, interior = FormEvaluator.__init__, exterior.interior
 
@@ -254,6 +256,7 @@ def test_repeat_classification_builds_no_evaluator_and_contracts_nothing(monkeyp
     monkeypatch.setattr(exterior, "interior", counted_interior)
     run()
     assert counts == {"evaluators": 0, "interior": 0}
+    assert [len(m.cache) for m in models] == sizes
 
 
 # -- equivalence checks ---------------------------------------------------------
@@ -599,3 +602,29 @@ def test_batched_measurements_match_each_frame():
         assert measure(frames, stack).tolist() == each
         assert [measure(F, stack).tolist() for F in frames] == each
     assert isotropy_residual(frames[:0], S).shape == (0, 3)
+    # the alpha residuals, the CR tests and the H/V intersection dimensions of
+    # a batch are, bit for bit, those of each frame, which come as Python
+    # scalars; the batches mix special planes, for which the tests pass, with
+    # random ones
+    rng = np.random.default_rng(4)
+    lf, tm = default_link_frame(1), build_twistor_model(1)
+    frames = np.concatenate([batch_cr_planes(lf, 3, rng, horizontal=True), batch_cr_planes(lf, 3, rng, p=3),
+                             batch_random_planes(lf.dim, 3, 3, rng)])
+    for p in (1, 2, 3, (1, 2, 3)):
+        each = [np.asarray(pl.alpha_residual(F, p)).tolist() for F in frames]
+        assert pl.alpha_residual(frames, p).tolist() == each
+    assert [pl.alpha_residual(F, (1, 2, 3)).tolist() for F in frames] == [
+        [pl.alpha_residual(F, p) for p in (1, 2, 3)] for F in frames]
+    for ps in ((1, 2, 3), (1, 3)):
+        batch, each = pl._cr(frames, lf, ps, 1e-8), [pl._cr(F, lf, ps, 1e-8) for F in frames]
+        for p in ps:
+            assert [list(t) for t in zip(*(x.tolist() for x in batch[p]))] == [list(e[p]) for e in each]
+            assert all(type(v) is t for e in each for v, t in zip(e[p], (bool, bool, float)))
+        assert any(e[1][0] for e in each) and any(e[3][0] for e in each)
+    frames = np.concatenate([batch_hv_isotropic_planes(tm, 2, 3, rng), batch_double_lagrangian_twistor(tm, 3, rng),
+                             batch_random_planes(tm.dim, 3, 3, rng)])
+    for indices in (tm.h_indices, tm.v_indices):
+        each = [intersection_dim(F, indices) for F in frames]
+        assert all(type(d) is int for d in each)
+        assert intersection_dim(frames, indices).tolist() == each
+    assert {intersection_dim(F, tm.h_indices) for F in frames} == {2, 1}
