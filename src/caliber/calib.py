@@ -49,7 +49,8 @@ are canonicalized in one batched call; the smallest canonical frame, by its
 bytes rounded to 12 digits, is the argmax.  A `Plane` is orthonormalized
 by `orthonormal_rows`: the two LAPACK gufuncs `np.linalg.qr` runs, on its
 copy of the frame, so the bits are its own without its wrapper, which takes
-most of its time on one small frame.
+most of its time on one small frame.  Hence numpy >= 2.0: numpy 1.x splits
+`qr_r_raw` into `qr_r_raw_m` and `qr_r_raw_n`.
 
 `ComassResult.maximizer_frames` is the row-frame batch (M, k, N) of the
 restarts within a tolerance relative to the best value, so it is scale-free

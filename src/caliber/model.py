@@ -117,11 +117,11 @@ class _FormCatalog:
     Each read gets one `FormEvaluator` over the real parts of all its forms
     (a single name is the tuple of one, a complex form its Re and Im), and
     each 2-form one skew matrix, built on first use and kept in the model's
-    `cache`, as are `classify_plane`'s structure stacks and flag rows
-    (`cached`); the models of the lru_cached builders therefore evaluate every
-    plane with the same evaluators, and the cache is bounded by the catalog,
-    the derived calibrations named by callers and the name tuples and pieces
-    per degree of `classify_plane`.  A tuple builds a plane's minor table once for
+    `cache`, as are `classify_plane`'s structure stacks (`cached`); the
+    models of the lru_cached builders therefore evaluate every plane with the
+    same evaluators, and the cache is bounded by the catalog, the derived
+    calibrations named by callers and the name tuples and stacks that
+    `classify_plane` reads.  A tuple builds a plane's minor table once for
     all its forms, each value bit for bit its one-name read on one frame; on
     a batch wider than the tuple's plan chunk the last bits may move.
     """

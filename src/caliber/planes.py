@@ -16,9 +16,9 @@ each form's last contraction is the same BLAS call on the same rows.  On a
 batch wider than the tuple's plan chunk the last bits may move, so
 `check_equivalences` reads its forms by name.  Isotropy residuals, in both,
 are one product over the stacked skew matrices, and `classify_plane`'s
-J-invariance residuals share one projector.  The structure stacks, the CR
-test's columns and its catalog-flag rows per degree are built once per model
-(`model.cached`), as the skew matrices are.  The derived
+J-invariance residuals share one projector.  The structure stacks and the
+CR test's columns are built once per model (`model.cached`), as the skew
+matrices are.  The derived
 calibrations omega{p}_power1 (cone) and alpha{p}_Omega{p}_power{m} (link) are
 built once per model from `model.divided_powers`, as the catalog's forms are.
 
@@ -163,7 +163,7 @@ def _cr(frame: np.ndarray, lf: LinkFrame, ps, tol: float) -> dict:
 @functools.lru_cache(maxsize=None)
 def _complement(n: int, indices: tuple) -> np.ndarray:
     """The read-only index array of the coordinates of R^n outside `indices`."""
-    comp = np.array([i for i in range(n) if i not in indices], dtype=np.intp)  # np.setdiff1d: 2 MB more peak RSS
+    comp = np.array([i for i in range(n) if i not in indices], dtype=np.intp)
     comp.setflags(write=False)
     return comp
 
@@ -248,17 +248,15 @@ def classify_plane(plane: Plane, model, tol: float = 1e-8) -> ClassificationRepo
     return rep
 
 
-def _add_catalog_flags(model, F: np.ndarray, rep: ClassificationReport, rows) -> None:
-    """Add the flag of each row (flag, catalog form, test) of `rows()`, built
-    once per (model, degree), from the values on F of the rows' forms, read in
-    one tuple read of `model.value` (one minor table for all of them).  The
-    test "unit" asks for the value 1, "re" for real part 1 and "phase" for
-    modulus 1, with the phase; None records the value alone."""
-    rows, names = model.cached(("catalog_flags", rep.degree),
-                               lambda: (tuple(rows()), tuple(name for _, name, _ in rows())))
+def _add_catalog_flags(model, F: np.ndarray, rep: ClassificationReport, rows: list) -> None:
+    """Add the flag of each row (flag, catalog form, test) from the values on
+    F of the rows' forms, read in one tuple read of `model.value` (one minor
+    table for all of them).  The test "unit" asks for the value 1, "re" for
+    real part 1 and "phase" for modulus 1, with the phase; None records the
+    value alone."""
     if not rows:
         return
-    for (flag, _, test), val in zip(rows, model.value(names, F)):
+    for (flag, _, test), val in zip(rows, model.value(tuple(name for _, name, _ in rows), F)):
         if test == "phase":
             ph = _phase(val, rep.tol)
             rep.add(flag, ph is not None, val, phase=ph)
@@ -287,8 +285,8 @@ def _classify_cone(F: np.ndarray, hk: HKModel, rep: ClassificationReport) -> Non
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"complex_I{p}")) and rep.flag(f"isotropic_omega{q}") and rep.flag(f"isotropic_omega{r}")
         rep.add(f"complex_isotropic_I{p}", ci, None)
-    _add_catalog_flags(hk, F, rep, lambda: [(f"special_lagrangian_phase_upsilon{p}", f"upsilon{p}", "phase")
-                                            for p in (1, 2, 3) if k == top]
+    _add_catalog_flags(hk, F, rep, [(f"special_lagrangian_phase_upsilon{p}", f"upsilon{p}", "phase")
+                                    for p in (1, 2, 3) if k == top]
                        + [(f"special_isotropic_theta_{label}{k}", f"theta_{label}{k}", "unit")
                           for label in "IJK" if k % 2 == 0 and k <= top]
                        + ([(f"cayley_Phi{p}", f"Phi{p}", "unit") for p in (1, 2, 3)]
@@ -312,8 +310,8 @@ def _classify_link(F: np.ndarray, lf: LinkFrame, rep: ClassificationReport) -> N
     for p, (q, r) in CYCLIC_PAIRS.items():
         ci = bool(rep.flag(f"cr_I{p}")) and rep.flag(f"isotropic_alpha{q}") and rep.flag(f"isotropic_alpha{r}")
         rep.add(f"cr_isotropic_I{p}", ci, None)
-    _add_catalog_flags(lf, F, rep, lambda: [(f"special_legendrian_phase_psi{p}", f"psi{p}", "phase")
-                                            for p in (1, 2, 3) if k == 2 * n + 1]
+    _add_catalog_flags(lf, F, rep, [(f"special_legendrian_phase_psi{p}", f"psi{p}", "phase")
+                                    for p in (1, 2, 3) if k == 2 * n + 1]
                        + [(f"special_isotropic_theta_{label}{k}", f"theta_{label}{k}", "unit")
                           for label in "IJK" if k % 2 == 1 and k <= 2 * n + 1]
                        + ([(f"associative_phi{p}", f"phi{p}", "unit") for p in (1, 2, 3)]
@@ -334,7 +332,7 @@ def _classify_twistor(F: np.ndarray, tm: TwistorModel, rep: ClassificationReport
         rep.add(f"isotropic_{name}", res <= tol, res, restriction_norm=res)
     rep.add("lagrangian_omega_KE", rep.flag("isotropic_omega_KE") and k == 2 * n + 1, rep.witness("isotropic_omega_KE"))
     rep.add("lagrangian_omega_NK", rep.flag("isotropic_omega_NK") and k == 2 * n + 1, rep.witness("isotropic_omega_NK"))
-    horiz = float(np.max(np.abs(F[:, _complement(tm.dim, tm.h_indices)])))  # the V columns
+    horiz = float(np.max(np.abs(F[:, tm.v_indices])))
     rep.add("horizontal", horiz <= tol, horiz)
     dim_h = intersection_dim(F, tm.h_indices)
     dim_v = intersection_dim(F, tm.v_indices)
